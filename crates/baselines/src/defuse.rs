@@ -16,7 +16,7 @@
 //! shared with [`crate::hybrid`] at function granularity.
 
 use crate::hybrid::{Granularity, HybridHistogram};
-use spes_sim::{MemoryPool, Policy};
+use spes_sim::{Holds, MemoryPool, Policy};
 use spes_trace::{FunctionId, Slot, Trace};
 
 /// Minimum number of source invocations before a dependency is trusted.
@@ -46,9 +46,8 @@ pub struct Defuse {
     /// Pre-loaded dependents are protected from the histogram layer's
     /// eviction until this slot (their own histogram knows nothing about
     /// the dependency that loaded them).
-    hold_until: Vec<Slot>,
+    holds: Holds,
     edges: usize,
-    max_lag: u32,
 }
 
 impl Defuse {
@@ -138,9 +137,8 @@ impl Defuse {
         Self {
             histogram,
             dependents,
-            hold_until: vec![0; n],
+            holds: Holds::default(),
             edges,
-            max_lag,
         }
     }
 
@@ -176,10 +174,7 @@ impl Policy for Defuse {
         for &(f, _) in invoked {
             for dep in &self.dependents[f.index()] {
                 pool.load(dep.target, now);
-                let hold = now + dep.lag + 1;
-                if hold > self.hold_until[dep.target.index()] {
-                    self.hold_until[dep.target.index()] = hold;
-                }
+                self.holds.extend(dep.target, now + dep.lag + 1);
             }
         }
         // Keep-alive / eviction: delegate to the histogram layer (which
@@ -187,12 +182,7 @@ impl Policy for Defuse {
         // the histogram evicted — it has no idea they were pre-loaded for
         // an imminent chained invocation.
         self.histogram.on_slot(now, invoked, pool);
-        for (idx, &hold) in self.hold_until.iter().enumerate() {
-            if hold > now {
-                pool.load(FunctionId(idx as u32), now);
-            }
-        }
-        let _ = self.max_lag;
+        self.holds.reload_held(now, pool);
     }
 }
 

@@ -31,9 +31,6 @@ pub struct FaasCache {
     frequency: Vec<u64>,
     /// Per-function cached priority (clock + frequency at last access).
     priority: Vec<f64>,
-    /// Per-function relative cold-start cost (uniform 1.0 under the
-    /// paper's assumptions, kept as a field for extension).
-    cost: f64,
 }
 
 impl FaasCache {
@@ -44,7 +41,6 @@ impl FaasCache {
             clock: 0.0,
             frequency: vec![0; n_functions],
             priority: vec![0.0; n_functions],
-            cost: 1.0,
         }
     }
 
@@ -73,7 +69,7 @@ impl Policy for FaasCache {
         for &(f, count) in invoked {
             let idx = f.index();
             self.frequency[idx] += u64::from(count);
-            self.priority[idx] = self.clock + self.frequency[idx] as f64 * self.cost;
+            self.priority[idx] = self.clock + self.frequency[idx] as f64;
         }
     }
 

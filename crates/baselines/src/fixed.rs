@@ -48,17 +48,12 @@ impl Policy for FixedKeepAlive {
         for &(f, _) in invoked {
             self.last_invoked[f.index()] = Some(now);
         }
-        for f in pool.loaded().to_vec() {
-            let expired = match self.last_invoked[f.index()] {
-                Some(last) => now - last >= self.keep_alive,
-                // Loaded but never invoked (cannot happen under this
-                // policy, but stay safe): drop immediately.
-                None => true,
-            };
-            if expired {
-                pool.evict(f);
-            }
-        }
+        pool.evict_where(|f, _| match self.last_invoked[f.index()] {
+            Some(last) => now - last >= self.keep_alive,
+            // Loaded but never invoked (cannot happen under this policy,
+            // but stay safe): drop immediately.
+            None => true,
+        });
     }
 }
 

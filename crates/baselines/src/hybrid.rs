@@ -16,7 +16,7 @@
 //! The original operates per *application* (HA); the SPES paper derives
 //! HF by applying the same design per function, following Defuse.
 
-use spes_sim::{MemoryPool, Policy};
+use spes_sim::{Agenda, MemoryPool, Policy};
 use spes_stats::Histogram;
 use spes_trace::{FunctionId, Slot, Trace};
 use std::collections::BTreeMap;
@@ -106,7 +106,7 @@ pub struct HybridHistogram {
     units: Vec<UnitState>,
     fallback_keep_alive: u32,
     /// Pre-warm agenda: slot -> unit indices to load then.
-    agenda: BTreeMap<Slot, Vec<usize>>,
+    agenda: Agenda<usize>,
     name: &'static str,
 }
 
@@ -165,7 +165,7 @@ impl HybridHistogram {
 
         // Train: feed per-unit idle times from the training window.
         let fallback = 10;
-        for (unit_idx, unit) in units.iter_mut().enumerate() {
+        for unit in &mut units {
             let mut slots: Vec<Slot> = Vec::new();
             for &f in &unit.members {
                 for &(s, _) in trace.series_of(f).events_in(train_start, train_end) {
@@ -178,7 +178,6 @@ impl HybridHistogram {
                 unit.histogram.observe(w[1] - w[0]);
             }
             unit.refresh_decision(fallback);
-            let _ = unit_idx;
         }
 
         Self {
@@ -186,7 +185,7 @@ impl HybridHistogram {
             unit_of,
             units,
             fallback_keep_alive: fallback,
-            agenda: BTreeMap::new(),
+            agenda: Agenda::default(),
             name: match granularity {
                 Granularity::Function => "hybrid-function",
                 Granularity::Application => "hybrid-application",
@@ -236,35 +235,29 @@ impl Policy for HybridHistogram {
             if unit.representative && unit.prewarm > 1 {
                 // Unload after execution, reload shortly before the head
                 // of the idle-time distribution.
-                self.agenda
-                    .entry(now + unit.prewarm)
-                    .or_default()
-                    .push(unit_idx);
+                self.agenda.schedule(now + unit.prewarm, unit_idx);
             }
         }
 
         // 2. Fire due pre-warms.
-        let due: Vec<Slot> = self.agenda.range(..=now).map(|(&s, _)| s).collect();
-        for slot in due {
-            for unit_idx in self.agenda.remove(&slot).expect("agenda key") {
-                let unit = &self.units[unit_idx];
-                // Skip stale pre-warms (unit invoked again meanwhile).
-                if unit
-                    .last_invoked
-                    .is_some_and(|last| last + unit.prewarm > now)
-                {
-                    continue;
-                }
-                for &f in &unit.members {
-                    pool.load(f, now);
-                }
+        for unit_idx in self.agenda.drain_through(now) {
+            let unit = &self.units[unit_idx];
+            // Skip stale pre-warms (unit invoked again meanwhile).
+            if unit
+                .last_invoked
+                .is_some_and(|last| last + unit.prewarm > now)
+            {
+                continue;
+            }
+            for &f in &unit.members {
+                pool.load(f, now);
             }
         }
 
         // 3. Evict expired units.
-        for f in pool.loaded().to_vec() {
+        pool.evict_where(|f, _| {
             let unit = &self.units[self.unit_of[f.index()]];
-            let expired = match unit.last_invoked {
+            match unit.last_invoked {
                 Some(last) => {
                     let idle = now - last;
                     if unit.representative && unit.prewarm > 1 {
@@ -278,11 +271,8 @@ impl Policy for HybridHistogram {
                     }
                 }
                 None => true,
-            };
-            if expired {
-                pool.evict(f);
             }
-        }
+        });
     }
 }
 

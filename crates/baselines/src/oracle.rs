@@ -13,9 +13,8 @@
 //! Use it to normalise how close any realisable policy gets to the
 //! achievable frontier.
 
-use spes_sim::{MemoryPool, Policy};
+use spes_sim::{Agenda, MemoryPool, Policy};
 use spes_trace::{FunctionId, Slot, Trace};
-use std::collections::BTreeMap;
 
 /// The clairvoyant keep-or-reload oracle.
 #[derive(Debug, Clone)]
@@ -25,7 +24,7 @@ pub struct Oracle {
     /// Cursor into each function's schedule.
     cursor: Vec<usize>,
     /// Re-load agenda: slot -> functions to load just before invocation.
-    agenda: BTreeMap<Slot, Vec<FunctionId>>,
+    agenda: Agenda<FunctionId>,
     /// Gaps of at most this many slots are ridden out in memory.
     keep_horizon: u32,
 }
@@ -45,7 +44,7 @@ impl Oracle {
         Self {
             cursor: vec![0; schedule.len()],
             schedule,
-            agenda: BTreeMap::new(),
+            agenda: Agenda::default(),
             keep_horizon,
         }
     }
@@ -78,10 +77,7 @@ impl Policy for Oracle {
                 if first == start {
                     pool.load(FunctionId(i as u32), start);
                 } else {
-                    self.agenda
-                        .entry(first)
-                        .or_default()
-                        .push(FunctionId(i as u32));
+                    self.agenda.schedule(first, FunctionId(i as u32));
                 }
             }
         }
@@ -90,11 +86,8 @@ impl Policy for Oracle {
     fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
         // Serve the agenda for the next slot: load exactly one slot ahead
         // of each upcoming invocation.
-        let due: Vec<Slot> = self.agenda.range(..=now + 1).map(|(&s, _)| s).collect();
-        for slot in due {
-            for f in self.agenda.remove(&slot).expect("agenda key") {
-                pool.load(f, now);
-            }
+        for f in self.agenda.drain_through(now.saturating_add(1)) {
+            pool.load(f, now);
         }
 
         for &(f, _) in invoked {
@@ -113,7 +106,7 @@ impl Policy for Oracle {
                 Some(next) => {
                     // Long gap: evict now, schedule an exact re-load.
                     pool.evict(f);
-                    self.agenda.entry(next).or_default().push(f);
+                    self.agenda.schedule(next, f);
                 }
                 None => {
                     // Never invoked again: evict for good.

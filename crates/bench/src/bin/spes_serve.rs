@@ -51,7 +51,7 @@ use spes_bench::policies;
 use spes_bench::scenario::Experiment;
 use spes_core::SpesConfig;
 use spes_sim::{serve, FitContext, InitRecord, Policy, ServeConfig, SimConfig};
-use spes_trace::{scenario_names, synth, FunctionId, Slot};
+use spes_trace::{scenario_names, synth, Slot};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -190,18 +190,12 @@ fn emit_trace(args: &Args, scenario: &str) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
 
-    let mut by_slot: Vec<Vec<(u32, u32)>> = vec![Vec::new(); trace.n_slots as usize];
-    for f in 0..trace.n_functions() {
-        let id = FunctionId(f as u32);
-        for &(slot, count) in trace.series_of(id).events_in(0, trace.n_slots) {
-            by_slot[slot as usize].push((id.0, count));
-        }
-    }
-    for (slot, events) in by_slot.iter().enumerate() {
-        for &(f, count) in events {
+    for (slot, batch) in trace.slot_batches(0, trace.n_slots).iter() {
+        for &(f, count) in batch {
             writeln!(
                 out,
-                "{{\"type\":\"inv\",\"slot\":{slot},\"f\":{f},\"count\":{count}}}"
+                "{{\"type\":\"inv\",\"slot\":{slot},\"f\":{},\"count\":{count}}}",
+                f.0
             )
             .map_err(|e| e.to_string())?;
         }

@@ -327,17 +327,9 @@ pub fn bench_serve(
     let trace = &data.trace;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(data.train_end);
 
-    // The daemon's post-parse state: one invocation bucket per slot.
-    let mut buckets: Vec<Vec<(spes_trace::FunctionId, u32)>> =
-        vec![Vec::new(); trace.n_slots as usize];
-    let mut events: u64 = 0;
-    for f in 0..trace.n_functions() {
-        let id = spes_trace::FunctionId(f as u32);
-        for &(slot, count) in trace.series_of(id).events_in(0, trace.n_slots) {
-            buckets[slot as usize].push((id, count));
-            events += 1;
-        }
-    }
+    // The daemon's post-parse state: one invocation batch per slot.
+    let batches = trace.slot_batches(0, trace.n_slots);
+    let events = batches.n_events() as u64;
 
     let spes_cfg = SpesConfig::default();
     let mut rows = Vec::new();
@@ -364,14 +356,12 @@ pub fn bench_serve(
             spes_sim::SimDriver::new(trace.n_functions(), window, policy.as_mut(), Vec::new())
                 .map_err(|e| e.to_string())?;
         let mut samples_ns = Vec::with_capacity(trace.n_slots as usize);
-        for (slot, bucket) in buckets.iter().enumerate() {
+        for (slot, batch) in batches.iter() {
             let begin = Instant::now();
-            let outcome = driver
-                .step(slot as spes_trace::Slot, bucket)
-                .map_err(|e| e.to_string())?;
+            let outcome = driver.step(slot, batch).map_err(|e| e.to_string())?;
             let elapsed = begin.elapsed().as_nanos();
             // Keep the optimiser honest about the decision happening.
-            assert_eq!(outcome.slot, slot as spes_trace::Slot);
+            assert_eq!(outcome.slot, slot);
             samples_ns.push(elapsed as u64);
         }
         let run = driver.finish();

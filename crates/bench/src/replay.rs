@@ -145,12 +145,11 @@ pub fn record(cfg: &RecordConfig) -> Result<Recording, String> {
     let mut driver = SimDriver::new(trace.n_functions(), window, policy.as_mut(), observers)
         .map_err(|e| e.to_string())?;
     let mut snapshot = None;
-    for (i, bucket) in trace.bucket_by_slot(0, trace.n_slots).iter().enumerate() {
-        let slot = i as Slot;
+    for (slot, batch) in trace.slot_batches(0, trace.n_slots).iter() {
         if cfg.snapshot_slot == Some(slot) {
             snapshot = Some(driver.snapshot());
         }
-        driver.step(slot, bucket).map_err(|e| e.to_string())?;
+        driver.step(slot, batch).map_err(|e| e.to_string())?;
     }
     if cfg.snapshot_slot == Some(trace.n_slots) {
         snapshot = Some(driver.snapshot());
@@ -651,9 +650,9 @@ fn rebuild_workload(meta: &JournalMeta) -> Result<SynthTrace, String> {
     Ok(data)
 }
 
-/// Re-records a run over `buckets[from..]` and returns its journal
-/// events. When `resume` carries a snapshot blob, the policy is first
-/// warmed by driving the prefix `buckets[..from]` through a throwaway
+/// Re-records a run over the slots from `from` on and returns its
+/// journal events. When `resume` carries a snapshot blob, the policy is
+/// first warmed by driving the slots before `from` through a throwaway
 /// driver, then the run continues from the snapshot.
 fn resimulate(
     meta: &JournalMeta,
@@ -662,7 +661,7 @@ fn resimulate(
     from: Slot,
 ) -> Result<Vec<JournalEvent>, String> {
     let trace = &data.trace;
-    let buckets = trace.bucket_by_slot(meta.config.start, meta.config.end);
+    let batches = trace.slot_batches(meta.config.start, meta.config.end);
     let mut policy = build_policy(&meta.policy_name, data)?;
     let journal = JournalObserver::new(Vec::new(), meta).map_err(|e| e.to_string())?;
     let observers: Vec<Box<dyn DynObserver>> = vec![Box::new(journal)];
@@ -682,10 +681,8 @@ fn resimulate(
                     Vec::new(),
                 )
                 .map_err(|e| e.to_string())?;
-                for (i, bucket) in buckets[..cut].iter().enumerate() {
-                    warmup
-                        .step(meta.config.start + i as Slot, bucket)
-                        .map_err(|e| e.to_string())?;
+                for (slot, batch) in batches.iter().take(cut) {
+                    warmup.step(slot, batch).map_err(|e| e.to_string())?;
                 }
             }
             SimDriver::resume_from(snapshot, policy.as_mut(), observers)
@@ -694,10 +691,8 @@ fn resimulate(
         None => SimDriver::new(trace.n_functions(), meta.config, policy.as_mut(), observers)
             .map_err(|e| e.to_string())?,
     };
-    for (i, bucket) in buckets[cut..].iter().enumerate() {
-        driver
-            .step(from + i as Slot, bucket)
-            .map_err(|e| e.to_string())?;
+    for (slot, batch) in batches.iter().skip(cut) {
+        driver.step(slot, batch).map_err(|e| e.to_string())?;
     }
     let (_, mut observers) = driver.finish_with_observers();
     let bytes = observers

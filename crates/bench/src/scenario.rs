@@ -111,18 +111,6 @@ impl ComparisonRun {
         self.runs.iter().find(|r| r.policy_name == name)
     }
 
-    /// The run of one policy by name.
-    ///
-    /// # Panics
-    /// Panics if the policy is not part of the comparison; use
-    /// [`ComparisonRun::try_run_of`] for a fallible lookup.
-    #[must_use]
-    #[deprecated(note = "use `try_run_of` and handle the missing-policy case instead of panicking")]
-    pub fn run_of(&self, name: &str) -> &RunResult {
-        self.try_run_of(name)
-            .unwrap_or_else(|| panic!("no run for policy {name}"))
-    }
-
     /// The per-slot series of one policy by name, if it was part of the
     /// suite.
     #[must_use]
@@ -274,15 +262,6 @@ mod tests {
         assert!(cmp.try_run_of("spes").is_some());
         assert!(cmp.try_run_of("oracle").is_none());
         assert!(cmp.try_run_of("no-such-policy").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "no run for policy oracle")]
-    #[allow(deprecated)]
-    fn run_of_still_panics_on_missing_policies() {
-        let data = Experiment::sized(60, 7).generate();
-        let cmp = run_comparison(&data, &SpesConfig::default());
-        let _ = cmp.run_of("oracle");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::forgetting::forget_and_recheck;
 use crate::indeterminate::assign_indeterminate;
 use crate::online_corr::OnlineCorrelation;
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
-use spes_sim::{MemoryPool, Policy};
+use spes_sim::{Agenda, Holds, MemoryPool, Policy};
 use spes_stats::stddev;
 use spes_trace::{FunctionId, Sequences, Slot, Trace, TriggerType};
 use std::collections::BTreeMap;
@@ -86,10 +86,11 @@ pub struct SpesPolicy {
     /// Invocation sequence number; stale agenda entries are skipped.
     generation: Vec<u32>,
     online_wts: Vec<Vec<u32>>,
-    hold_until: Vec<Slot>,
+    /// Pre-warm and pre-load windows that keep an instance from eviction.
+    holds: Holds,
     /// Pre-warm agenda: first predicted slot -> (function, hold-until,
     /// generation at scheduling time).
-    agenda: BTreeMap<Slot, Vec<(FunctionId, Slot, u32)>>,
+    agenda: Agenda<(FunctionId, Slot, u32)>,
     ucorr: OnlineCorrelation,
     started: bool,
 
@@ -205,8 +206,8 @@ impl SpesPolicy {
             last_invoked: vec![None; n],
             generation: vec![0; n],
             online_wts: vec![Vec::new(); n],
-            hold_until: vec![0; n],
-            agenda: BTreeMap::new(),
+            holds: Holds::default(),
+            agenda: Agenda::default(),
             ucorr,
             started: false,
             fit_stats,
@@ -251,41 +252,36 @@ impl SpesPolicy {
         let theta = self.config.theta_prewarm;
         let gen = self.generation[f.index()];
         let ty = self.types[f.index()];
+        // Predicted next invocation in `[lo, hi]` slots of idle time: load
+        // at the earliest and hold past the latest by the pre-warm margin.
+        let agenda = &mut self.agenda;
+        let mut window = |lo: u32, hi: u32| {
+            let start = now.saturating_add(lo).saturating_add(1);
+            let hold = now
+                .saturating_add(hi)
+                .saturating_add(1)
+                .saturating_add(theta);
+            agenda.schedule(start, (f, hold, gen));
+        };
         match &self.values[f.index()] {
             PredictiveValues::None => {}
             PredictiveValues::Discrete(vals) => {
-                if vals.is_empty() {
+                let (Some(&lo), Some(&hi)) = (vals.iter().min(), vals.iter().max()) else {
                     return;
-                }
-                let lo = *vals.iter().min().expect("non-empty");
-                let hi = *vals.iter().max().expect("non-empty");
+                };
                 let narrow_possible =
                     matches!(ty, FunctionType::Possible | FunctionType::NewlyPossible)
                         && hi - lo <= self.config.possible_range_threshold;
                 if narrow_possible {
                     // Treat as one continuous range (Section IV-D).
-                    let start = now.saturating_add(lo).saturating_add(1);
-                    let hold = now
-                        .saturating_add(hi)
-                        .saturating_add(1)
-                        .saturating_add(theta);
-                    self.agenda.entry(start).or_default().push((f, hold, gen));
+                    window(lo, hi);
                 } else {
                     for &v in vals {
-                        let p = now.saturating_add(v).saturating_add(1);
-                        let hold = p.saturating_add(theta);
-                        self.agenda.entry(p).or_default().push((f, hold, gen));
+                        window(v, v);
                     }
                 }
             }
-            PredictiveValues::Range(lo, hi) => {
-                let start = now.saturating_add(*lo).saturating_add(1);
-                let hold = now
-                    .saturating_add(*hi)
-                    .saturating_add(1)
-                    .saturating_add(theta);
-                self.agenda.entry(start).or_default().push((f, hold, gen));
-            }
+            PredictiveValues::Range(lo, hi) => window(*lo, *hi),
         }
     }
 
@@ -331,33 +327,24 @@ impl SpesPolicy {
             };
             let f = FunctionId(i as u32);
             let gen = self.generation[i];
+            // The first predicted slot `last + lo + 1` at or after `start`,
+            // held for `width` more slots plus the pre-warm margin.
+            let agenda = &mut self.agenda;
+            let mut window = |lo: u32, width: u32| {
+                let step = u64::from(lo) + 1;
+                let mut p = u64::from(last) + step;
+                if p < u64::from(start) {
+                    p += (u64::from(start) - p).div_ceil(step) * step;
+                }
+                if let Ok(p) = Slot::try_from(p) {
+                    let hold = p.saturating_add(width).saturating_add(theta);
+                    agenda.schedule(p, (f, hold, gen));
+                }
+            };
             match &self.values[i] {
                 PredictiveValues::None => {}
-                PredictiveValues::Discrete(vals) => {
-                    for &v in vals {
-                        let step = u64::from(v) + 1;
-                        let mut p = u64::from(last) + step;
-                        if p < u64::from(start) {
-                            let behind = u64::from(start) - p;
-                            p += behind.div_ceil(step) * step;
-                        }
-                        let Ok(p) = Slot::try_from(p) else { continue };
-                        let hold = p.saturating_add(theta);
-                        self.agenda.entry(p).or_default().push((f, hold, gen));
-                    }
-                }
-                PredictiveValues::Range(lo, hi) => {
-                    let width = hi - lo;
-                    let step = u64::from(*lo) + 1;
-                    let mut p = u64::from(last) + step;
-                    if p < u64::from(start) {
-                        let behind = u64::from(start) - p;
-                        p += behind.div_ceil(step.max(1)) * step.max(1);
-                    }
-                    let Ok(p) = Slot::try_from(p) else { continue };
-                    let hold = p.saturating_add(width).saturating_add(theta);
-                    self.agenda.entry(p).or_default().push((f, hold, gen));
-                }
+                PredictiveValues::Discrete(vals) => vals.iter().for_each(|&v| window(v, 0)),
+                PredictiveValues::Range(lo, hi) => window(*lo, hi - lo),
             }
         }
     }
@@ -513,10 +500,7 @@ impl Policy for SpesPolicy {
             if !self.preload_on_invoke[idx].is_empty() {
                 for (tgt, link_hold) in self.preload_on_invoke[idx].clone() {
                     pool.load(tgt, now);
-                    let hold = now.saturating_add(link_hold);
-                    if hold > self.hold_until[tgt.index()] {
-                        self.hold_until[tgt.index()] = hold;
-                    }
+                    self.holds.extend(tgt, now.saturating_add(link_hold));
                 }
             }
 
@@ -546,10 +530,7 @@ impl Policy for SpesPolicy {
                     let window = self.ucorr.window();
                     for tgt in targets {
                         pool.load(tgt, now);
-                        let hold = now.saturating_add(window);
-                        if hold > self.hold_until[tgt.index()] {
-                            self.hold_until[tgt.index()] = hold;
-                        }
+                        self.holds.extend(tgt, now.saturating_add(window));
                     }
                 }
             }
@@ -557,43 +538,33 @@ impl Policy for SpesPolicy {
 
         // --- 2. Pre-warm agenda: trigger every window whose first
         // predicted slot is within reach (p - theta <= now).
-        let theta = self.config.theta_prewarm;
-        let reach = now.saturating_add(theta);
-        let due: Vec<Slot> = self.agenda.range(..=reach).map(|(&slot, _)| slot).collect();
-        for slot in due {
-            let entries = self.agenda.remove(&slot).expect("agenda key present");
-            for (f, hold, gen) in entries {
-                // Skip predictions superseded by a newer invocation.
-                if self.generation[f.index()] != gen || hold < now {
-                    continue;
-                }
-                pool.load(f, now);
-                if hold > self.hold_until[f.index()] {
-                    self.hold_until[f.index()] = hold;
-                }
+        let reach = now.saturating_add(self.config.theta_prewarm);
+        for (f, hold, gen) in self.agenda.drain_through(reach) {
+            // Skip predictions superseded by a newer invocation.
+            if self.generation[f.index()] != gen || hold < now {
+                continue;
             }
+            pool.load(f, now);
+            self.holds.extend(f, hold);
         }
 
         // --- 3. Eviction sweep over loaded instances (Algorithm 1,
         // lines 14-19).
-        for f in pool.loaded().to_vec() {
+        pool.evict_where(|f, loaded_since| {
             let idx = f.index();
             let ty = self.types[idx];
-            if ty == FunctionType::AlwaysWarm {
-                continue;
-            }
-            let invoked_now = self.last_invoked[idx] == Some(now);
-            if invoked_now || now < self.hold_until[idx] {
-                continue;
+            if ty == FunctionType::AlwaysWarm
+                || self.last_invoked[idx] == Some(now)
+                || self.holds.is_held(f, now)
+            {
+                return false;
             }
             let idle = match self.last_invoked[idx] {
                 Some(last) => now - last,
-                None => now.saturating_sub(pool.loaded_since(f)),
+                None => now.saturating_sub(loaded_since),
             };
-            if idle >= self.config.givenup_for(ty) {
-                pool.evict(f);
-            }
-        }
+            idle >= self.config.givenup_for(ty)
+        });
     }
 
     fn category_of(&self, f: FunctionId) -> Option<&'static str> {

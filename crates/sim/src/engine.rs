@@ -276,8 +276,8 @@ impl<'t, 'o> Simulation<'t, 'o> {
         // One CSR active-set index for the whole window: each slot's batch
         // is a contiguous slice of a single flat allocation, so the hot
         // loop below touches only the functions invoked that slot —
-        // O(active) per slot, never O(total) — and batch order matches
-        // `bucket_by_slot` bit for bit.
+        // O(active) per slot, never O(total) — with function ids
+        // ascending within each slot, the order the event stream pins.
         let batches = self.trace.slot_batches(start, end);
         let mut driver = SimDriver::assemble(
             self.trace.n_functions(),
@@ -1187,15 +1187,6 @@ pub fn try_simulate(
     Ok(collector.into_result())
 }
 
-/// Runs `policy` over `trace` for the window in `config`.
-///
-/// # Panics
-/// Panics if the window is invalid or extends beyond the trace horizon.
-#[deprecated(note = "use `try_simulate` and handle the `SimError` instead of panicking")]
-pub fn simulate(trace: &Trace, policy: &mut dyn Policy, config: SimConfig) -> RunResult {
-    try_simulate(trace, policy, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Evicts instances (policy-chosen victims, falling back to the
 /// oldest-loaded instance via [`MemoryPool::oldest_loaded`]) until the
 /// pool has room for one more load.
@@ -1453,28 +1444,6 @@ mod tests {
         assert!(matches!(err, SimError::InvalidWindow { .. }));
     }
 
-    // The deprecated wrapper keeps its panicking contract for downstream
-    // callers that still compile against it.
-    #[test]
-    #[should_panic(expected = "metrics_start outside")]
-    #[allow(deprecated)]
-    fn rejects_bad_metrics_start() {
-        let trace = trace_of(vec![SparseSeries::new()], 10);
-        let _ = simulate(
-            &trace,
-            &mut KeepForever,
-            SimConfig::new(2, 8).with_metrics_start(9),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "window beyond trace horizon")]
-    #[allow(deprecated)]
-    fn rejects_window_beyond_horizon() {
-        let trace = trace_of(vec![SparseSeries::new()], 10);
-        let _ = simulate(&trace, &mut KeepForever, SimConfig::new(0, 11));
-    }
-
     /// Pre-warms one fixed function every slot and never evicts.
     struct Prewarm {
         target: FunctionId,
@@ -1587,9 +1556,8 @@ mod tests {
 
         let mut policy = TinyKeepAlive::new(2, 2);
         let mut driver = SimDriver::new(2, config, &mut policy, Vec::new()).unwrap();
-        let buckets = trace.bucket_by_slot(0, 6);
-        for (t, bucket) in buckets.iter().enumerate() {
-            driver.step(t as Slot, bucket).unwrap();
+        for (t, batch) in trace.slot_batches(0, 6).iter() {
+            driver.step(t, batch).unwrap();
         }
         let mut stepped = driver.finish();
         // The policy-overhead stopwatch is wall-clock and thus never

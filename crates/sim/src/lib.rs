@@ -14,7 +14,10 @@
 //! raw stream ([`EventLog`]), or replay placement decisions onto a
 //! multi-node fleet ([`cluster::ClusterObserver`]). The [`suite`] module
 //! adds declarative policy construction: factories, capacity rules, and
-//! a two-phase suite runner over whole policy lists.
+//! a two-phase suite runner over whole policy lists. The [`schedule`]
+//! module holds the scheduling tools the policies share: a slot-keyed
+//! [`Agenda`], [`Holds`] deadlines, and the idle sweep
+//! [`MemoryPool::evict_where`].
 
 #![forbid(unsafe_code)]
 
@@ -26,13 +29,12 @@ pub mod memory;
 pub mod metrics;
 pub mod policy;
 pub mod report;
+pub mod schedule;
 pub mod serve;
 pub mod shard;
 pub mod suite;
 
 pub use cluster::{run_on_cluster, Cluster, ClusterObserver, ClusterReport, PlacementStrategy};
-#[allow(deprecated)]
-pub use engine::simulate;
 pub use engine::{snapshot_info, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use engine::{try_simulate, SimConfig, SimDriver, SimError, Simulation, SlotOutcome};
 pub use events::{
@@ -48,6 +50,7 @@ pub use memory::MemoryPool;
 pub use metrics::RunResult;
 pub use policy::{KeepForever, NoKeepAlive, Policy};
 pub use report::{per_category_stats, text_table, CategoryStats, NormalizedComparison};
+pub use schedule::{Agenda, Holds};
 pub use serve::{serve, InitRecord, ServeConfig, ServeError, ServeSummary};
 pub use shard::{
     merge_shard_runs, run_shard, run_sharded, ShardCounts, ShardError, ShardPlan, ShardRun,

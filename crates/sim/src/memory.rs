@@ -220,6 +220,18 @@ impl MemoryPool {
         &self.loaded
     }
 
+    /// The idle sweep: evicts every loaded `f` with
+    /// `evict(f, loaded_since(f))`, visiting [`MemoryPool::loaded`] as it
+    /// stood before the sweep, so the resulting pool order is the one
+    /// [`MemoryPool::oldest_loaded`] ties and snapshots were pinned with.
+    pub fn evict_where(&mut self, mut evict: impl FnMut(FunctionId, Slot) -> bool) {
+        for f in self.loaded.clone() {
+            if evict(f, self.loaded_at[f.index()]) {
+                self.evict(f);
+            }
+        }
+    }
+
     /// Evicts everything.
     pub fn clear(&mut self) {
         for f in std::mem::take(&mut self.loaded) {

@@ -94,9 +94,7 @@ impl Policy for NoKeepAlive {
     fn on_slot(&mut self, _now: Slot, _invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
         // Evict everything that is loaded; invoked functions were loaded by
         // the engine this slot and are dropped immediately after serving.
-        for f in pool.loaded().to_vec() {
-            pool.evict(f);
-        }
+        pool.clear();
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {

@@ -989,8 +989,8 @@ not json at all
         ] {
             // Render the trace as protocol lines.
             let mut input = String::from("{\"type\":\"init\",\"functions\":3}\n");
-            for (t, bucket) in trace.bucket_by_slot(0, 10).iter().enumerate() {
-                for &(f, count) in bucket {
+            for (t, batch) in trace.slot_batches(0, 10).iter() {
+                for &(f, count) in batch {
                     input.push_str(&format!(
                         "{{\"type\":\"inv\",\"slot\":{t},\"f\":{},\"count\":{count}}}\n",
                         f.0

@@ -145,12 +145,10 @@ fn assert_step_parity(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
     let mut stepped_policy = make_policy(kind, n, keep);
     let observers: Vec<Box<dyn DynObserver>> = vec![Box::new(EventLog::new())];
     let mut driver = SimDriver::new(n, config, stepped_policy.as_mut(), observers).unwrap();
-    let buckets = trace.bucket_by_slot(config.start, config.end);
-    for (i, bucket) in buckets.iter().enumerate() {
-        let slot = config.start + i as Slot;
-        let outcome = driver.step(slot, bucket).unwrap();
+    for (slot, batch) in trace.slot_batches(config.start, config.end).iter() {
+        let outcome = driver.step(slot, batch).unwrap();
         assert_eq!(outcome.slot, slot);
-        let expected: u64 = bucket.iter().map(|&(_, c)| u64::from(c)).sum();
+        let expected: u64 = batch.iter().map(|&(_, c)| u64::from(c)).sum();
         assert_eq!(outcome.invocations, expected);
     }
     let stepped_log = driver.observer::<EventLog>().cloned().unwrap();
@@ -199,12 +197,8 @@ fn assert_observer_combo_parity(trace: &Trace, config: SimConfig, kind: u8, keep
         Box::new(MemoryPressure::new()),
     ];
     let mut driver = SimDriver::new(n, config, stepped_policy.as_mut(), observers).unwrap();
-    for (i, bucket) in trace
-        .bucket_by_slot(config.start, config.end)
-        .iter()
-        .enumerate()
-    {
-        driver.step(config.start + i as Slot, bucket).unwrap();
+    for (slot, batch) in trace.slot_batches(config.start, config.end).iter() {
+        driver.step(slot, batch).unwrap();
     }
     let stepped_report = driver.observer::<ClusterObserver>().unwrap().report();
     let stepped_pressure = driver.observer::<MemoryPressure>().cloned().unwrap();
@@ -306,8 +300,8 @@ fn try_simulate_is_the_stepped_driver() {
     let mut batch = try_simulate(&trace, &mut spes_sim::KeepForever, config).unwrap();
     let mut policy = spes_sim::KeepForever;
     let mut driver = SimDriver::new(2, config, &mut policy, Vec::new()).unwrap();
-    for (i, bucket) in trace.bucket_by_slot(0, 8).iter().enumerate() {
-        driver.step(i as Slot, bucket).unwrap();
+    for (slot, batch) in trace.slot_batches(0, 8).iter() {
+        driver.step(slot, batch).unwrap();
     }
     let mut stepped = driver.finish();
     batch.overhead_secs = 0.0;

@@ -88,6 +88,44 @@ proptest! {
     }
 
     #[test]
+    fn evict_where_matches_the_snapshot_sweep(
+        ops in prop::collection::vec((0u32..20, any::<bool>()), 0..120),
+        doomed in prop::collection::vec(any::<bool>(), 20),
+        cutoff in 0u32..120,
+    ) {
+        let mut pool = MemoryPool::unbounded(20);
+        for (t, &(f, load)) in ops.iter().enumerate() {
+            if load {
+                pool.load(FunctionId(f), t as Slot);
+            } else {
+                pool.evict(FunctionId(f));
+            }
+        }
+        let evict = |f: FunctionId, since: Slot| doomed[f.index()] || since < cutoff;
+
+        // Reference: evict one by one over a copy of the loaded list.
+        let mut reference = pool.clone();
+        for f in reference.loaded().to_vec() {
+            if evict(f, reference.loaded_since(f)) {
+                reference.evict(f);
+            }
+        }
+
+        let before = pool.loaded().to_vec();
+        let mut visited = Vec::new();
+        pool.evict_where(|f, since| {
+            visited.push(f);
+            evict(f, since)
+        });
+        prop_assert_eq!(visited, before);
+        prop_assert_eq!(pool.loaded(), reference.loaded());
+        for &f in pool.loaded() {
+            prop_assert_eq!(pool.loaded_since(f), reference.loaded_since(f));
+        }
+        prop_assert_eq!(pool.oldest_loaded(), reference.oldest_loaded());
+    }
+
+    #[test]
     fn engine_accounting_invariants(trace in trace_strategy(12, 120), seed in 1u64..5000) {
         let mut policy = ChaoticPolicy { state: seed };
         let run = try_simulate(&trace, &mut policy, SimConfig::new(0, 120)).unwrap();

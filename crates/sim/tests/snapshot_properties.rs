@@ -176,28 +176,28 @@ fn suite_state(driver: &SimDriver<'_, '_>) -> SuiteState {
 fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
     let n = trace.n_functions();
     let apps: Vec<AppId> = trace.metas.iter().map(|m| m.app).collect();
-    let buckets = trace.bucket_by_slot(config.start, config.end);
+    let batches = trace.slot_batches(config.start, config.end);
 
     // Uninterrupted reference run.
     let mut ref_policy = make_policy(kind, n, keep);
     let mut reference =
         SimDriver::new(n, config, ref_policy.as_mut(), observer_suite(n, &apps)).unwrap();
-    for (i, bucket) in buckets.iter().enumerate() {
-        reference.step(config.start + i as Slot, bucket).unwrap();
+    for (slot, batch) in batches.iter() {
+        reference.step(slot, batch).unwrap();
     }
     let ref_state = suite_state(&reference);
     let mut ref_result = reference.finish();
     ref_result.overhead_secs = 0.0;
 
-    for k in 0..=buckets.len() {
+    for k in 0..=batches.n_slots() {
         // Fresh prefix run up to the cut; the prefix driver is dropped
         // un-finished, exactly like a crash after the snapshot.
         let mut policy = make_policy(kind, n, keep);
         let snapshot = {
             let mut prefix =
                 SimDriver::new(n, config, policy.as_mut(), observer_suite(n, &apps)).unwrap();
-            for (i, bucket) in buckets[..k].iter().enumerate() {
-                prefix.step(config.start + i as Slot, bucket).unwrap();
+            for (slot, batch) in batches.iter().take(k) {
+                prefix.step(slot, batch).unwrap();
             }
             prefix.snapshot()
         };
@@ -205,10 +205,8 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
         let mut resumed =
             SimDriver::resume_from(&snapshot, policy.as_mut(), observer_suite(n, &apps)).unwrap();
         assert_eq!(resumed.next_slot(), config.start + k as Slot);
-        for (i, bucket) in buckets[k..].iter().enumerate() {
-            resumed
-                .step(config.start + (k + i) as Slot, bucket)
-                .unwrap();
+        for (slot, batch) in batches.iter().skip(k) {
+            resumed.step(slot, batch).unwrap();
         }
         let state = suite_state(&resumed);
         let mut result = resumed.finish();
@@ -316,8 +314,8 @@ fn mid_run_snapshot() -> Vec<u8> {
     let config = SimConfig::new(0, 6);
     let mut policy = spes_sim::KeepForever;
     let mut driver = SimDriver::new(2, config, &mut policy, Vec::new()).unwrap();
-    for (i, bucket) in trace.bucket_by_slot(0, 3).iter().enumerate() {
-        driver.step(i as Slot, bucket).unwrap();
+    for (slot, batch) in trace.slot_batches(0, 3).iter() {
+        driver.step(slot, batch).unwrap();
     }
     driver.snapshot()
 }
@@ -377,8 +375,8 @@ fn resume_rejects_dropped_observer_state() {
     let mut policy = spes_sim::KeepForever;
     let observers: Vec<Box<dyn DynObserver>> = vec![Box::new(EventLog::new())];
     let mut driver = SimDriver::new(2, config, &mut policy, observers).unwrap();
-    for (i, bucket) in trace.bucket_by_slot(0, 3).iter().enumerate() {
-        driver.step(i as Slot, bucket).unwrap();
+    for (slot, batch) in trace.slot_batches(0, 3).iter() {
+        driver.step(slot, batch).unwrap();
     }
     let snap = driver.snapshot();
 
@@ -400,13 +398,13 @@ fn resume_rejects_dropped_observer_state() {
 fn snapshot_before_first_step_preserves_prestart_loads() {
     let trace = tiny_trace();
     let config = SimConfig::new(0, 6);
-    let buckets = trace.bucket_by_slot(0, 6);
+    let batches = trace.slot_batches(0, 6);
 
     let mut ref_policy = spes_sim::KeepForever;
     let observers: Vec<Box<dyn DynObserver>> = vec![Box::new(EventLog::new())];
     let mut reference = SimDriver::new(2, config, &mut ref_policy, observers).unwrap();
-    for (i, bucket) in buckets.iter().enumerate() {
-        reference.step(i as Slot, bucket).unwrap();
+    for (slot, batch) in batches.iter() {
+        reference.step(slot, batch).unwrap();
     }
     let ref_log = reference.observer::<EventLog>().cloned().unwrap();
     let mut ref_result = reference.finish();
@@ -419,8 +417,8 @@ fn snapshot_before_first_step_preserves_prestart_loads() {
         .snapshot();
     let fresh: Vec<Box<dyn DynObserver>> = vec![Box::new(EventLog::new())];
     let mut resumed = SimDriver::resume_from(&snap, &mut policy, fresh).unwrap();
-    for (i, bucket) in buckets.iter().enumerate() {
-        resumed.step(i as Slot, bucket).unwrap();
+    for (slot, batch) in batches.iter() {
+        resumed.step(slot, batch).unwrap();
     }
     let log = resumed.observer::<EventLog>().cloned().unwrap();
     let mut result = resumed.finish();

@@ -310,42 +310,26 @@ impl Trace {
         map
     }
 
-    /// Per-slot invocation buckets for `[start, end)`: element `t - start`
-    /// lists every `(function, count)` invoked at slot `t`.
-    ///
-    /// The simulation engine builds this once per run so the hot loop never
-    /// searches the sparse series.
-    #[must_use]
-    pub fn bucket_by_slot(&self, start: Slot, end: Slot) -> Vec<Vec<(FunctionId, u32)>> {
-        assert!(start <= end, "invalid bucket range");
-        let mut buckets: Vec<Vec<(FunctionId, u32)>> = vec![Vec::new(); (end - start) as usize];
-        for (i, series) in self.series.iter().enumerate() {
-            for &(slot, count) in series.events_in(start, end) {
-                buckets[(slot - start) as usize].push((FunctionId(i as u32), count));
-            }
-        }
-        buckets
-    }
-
-    /// Per-slot active-set index for `[start, end)`: like
-    /// [`Trace::bucket_by_slot`], but stored as one flat event array plus
-    /// a per-slot offset table (CSR layout) instead of a `Vec` per slot.
+    /// Per-slot active-set index for `[start, end)`: every
+    /// `(function, count)` invoked at slot `t`, stored as one flat event
+    /// array plus a per-slot offset table (CSR layout).
     ///
     /// The simulation engine iterates this once per run: each slot costs
     /// `O(active functions)` — idle functions are never visited — and the
     /// whole window costs a single allocation of `O(events)` instead of
-    /// one growable vector per slot. Batch contents and order are
-    /// identical to `bucket_by_slot` (function id ascending within a
-    /// slot), so the two representations drive bit-identical simulations.
+    /// one growable vector per slot. Within a slot, function ids ascend,
+    /// which is the order the engine's event stream is pinned to.
     ///
     /// ```
     /// use spes_trace::synth::small_test_trace;
     ///
     /// let trace = small_test_trace(50, 7).trace;
     /// let batches = trace.slot_batches(0, trace.n_slots);
-    /// let buckets = trace.bucket_by_slot(0, trace.n_slots);
     /// for (slot, batch) in batches.iter() {
-    ///     assert_eq!(batch, buckets[slot as usize].as_slice());
+    ///     assert!(batch.windows(2).all(|w| w[0].0 < w[1].0));
+    ///     for &(f, count) in batch {
+    ///         assert_eq!(trace.series_of(f).count_at(slot), count);
+    ///     }
     /// }
     /// ```
     ///
@@ -433,8 +417,7 @@ impl Trace {
 /// materialised [`Trace`]. One flat `(function, count)` array holds every
 /// invocation event in the window, slot-major; a per-slot offset table
 /// maps slot `t` to its contiguous batch. Within a batch, events are
-/// ordered by function id ascending — the same order
-/// [`Trace::bucket_by_slot`] produces, which the engine's event-order
+/// ordered by function id ascending, which the engine's event-order
 /// determinism contract depends on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotBatches {
@@ -573,26 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_batches_match_buckets() {
-        let metas = vec![meta(); 3];
-        let series = vec![
-            SparseSeries::from_pairs(vec![(0, 1), (2, 4)]),
-            SparseSeries::from_pairs(vec![(2, 2), (3, 1)]),
-            SparseSeries::from_pairs(vec![(0, 5)]),
-        ];
-        let trace = Trace::new(5, metas, series);
-        let batches = trace.slot_batches(0, 5);
-        let buckets = trace.bucket_by_slot(0, 5);
-        assert_eq!(batches.n_slots(), 5);
-        assert_eq!(batches.n_events(), 5);
-        for (slot, batch) in batches.iter() {
-            assert_eq!(batch, buckets[slot as usize].as_slice());
-        }
-        // Function order within a shared slot is ascending.
-        assert_eq!(batches.batch(2), &[(FunctionId(0), 4), (FunctionId(1), 2)]);
-    }
-
-    #[test]
     fn slot_batches_subwindow_and_out_of_range() {
         let metas = vec![meta(); 2];
         let series = vec![
@@ -696,27 +659,34 @@ mod tests {
     }
 
     #[test]
-    fn bucket_by_slot_places_events() {
+    fn slot_batches_places_events() {
         let series = vec![
             SparseSeries::from_pairs(vec![(0, 1), (2, 5)]),
             SparseSeries::from_pairs(vec![(2, 7)]),
         ];
         let t = Trace::new(4, vec![meta(); 2], series);
-        let buckets = t.bucket_by_slot(0, 4);
-        assert_eq!(buckets[0], vec![(FunctionId(0), 1)]);
-        assert!(buckets[1].is_empty());
-        assert_eq!(buckets[2], vec![(FunctionId(0), 5), (FunctionId(1), 7)]);
-        assert!(buckets[3].is_empty());
+        let batches = t.slot_batches(0, 4);
+        assert_eq!(batches.n_slots(), 4);
+        assert_eq!(batches.n_events(), 3);
+        assert_eq!(batches.batch(0), &[(FunctionId(0), 1)]);
+        assert!(batches.batch(1).is_empty());
+        // Function order within a shared slot is ascending.
+        assert_eq!(batches.batch(2), &[(FunctionId(0), 5), (FunctionId(1), 7)]);
+        assert!(batches.batch(3).is_empty());
     }
 
     #[test]
-    fn bucket_by_slot_subrange() {
+    fn slot_batches_subrange() {
         let series = vec![SparseSeries::from_pairs(vec![(1, 1), (3, 1)])];
         let t = Trace::new(5, vec![meta()], series);
-        let buckets = t.bucket_by_slot(2, 5);
-        assert!(buckets[0].is_empty());
-        assert_eq!(buckets[1], vec![(FunctionId(0), 1)]);
-        assert!(buckets[2].is_empty());
+        let batches = t.slot_batches(2, 5);
+        assert_eq!(batches.n_slots(), 3);
+        assert!(batches.batch(2).is_empty());
+        assert_eq!(batches.batch(3), &[(FunctionId(0), 1)]);
+        assert!(batches.batch(4).is_empty());
+        // The event before the window is not included.
+        assert!(batches.batch(1).is_empty());
+        assert_eq!(batches.n_events(), 1);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! [`super::generate`] materialises the whole workload before a
 //! simulation can start: every per-function [`SparseSeries`], the
 //! [`crate::Trace`] wrapper, and — once the engine calls
-//! [`crate::Trace::bucket_by_slot`] — a second, slot-major copy of every
+//! [`crate::Trace::slot_batches`] — a second, slot-major copy of every
 //! event. At the paper's scale (hundreds to thousands of functions) that
-//! is free; at the million-function scale the ROADMAP targets it doubles
-//! the peak footprint and burns one growable allocation per slot.
+//! is free; at the million-function scale it doubles the peak footprint.
 //!
 //! [`SynthStream`] produces the same workload **app chunk by app chunk**:
 //! the population specs are drawn once (sequentially, as in `generate`),
@@ -22,7 +21,7 @@
 //!
 //! The output is **bit-identical** to the materialised path: for every
 //! slot, [`SynthStream::batch`] equals the corresponding
-//! [`crate::Trace::bucket_by_slot`] bucket of [`super::generate`] run on
+//! [`crate::Trace::slot_batches`] batch of [`super::generate`] run on
 //! the same config (property-tested across scenarios and seeds in
 //! `tests/stream_parity.rs`).
 //!
@@ -32,10 +31,7 @@
 //! let cfg = SynthConfig { n_functions: 40, days: 2, train_days: 1, ..SynthConfig::default() };
 //! let stream = SynthStream::build(&cfg).expect("valid config");
 //! let materialised = spes_trace::synth::generate(&cfg);
-//! let buckets = materialised.trace.bucket_by_slot(0, cfg.horizon());
-//! for (slot, batch) in stream.batches().iter() {
-//!     assert_eq!(batch, buckets[slot as usize].as_slice());
-//! }
+//! assert_eq!(stream.batches(), &materialised.trace.slot_batches(0, cfg.horizon()));
 //! assert_eq!(stream.train_end(), materialised.train_end);
 //! ```
 

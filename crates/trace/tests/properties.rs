@@ -125,7 +125,7 @@ proptest! {
     }
 
     #[test]
-    fn bucket_by_slot_preserves_all_events(seed in 0u64..200) {
+    fn slot_batches_preserve_all_events(seed in 0u64..200) {
         let data = synth::generate(&SynthConfig {
             n_functions: 30,
             days: 2,
@@ -134,13 +134,13 @@ proptest! {
             ..SynthConfig::default()
         });
         let t = &data.trace;
-        let buckets = t.bucket_by_slot(0, t.n_slots);
-        let bucketed: u64 = buckets
+        let batches = t.slot_batches(0, t.n_slots);
+        let batched: u64 = batches
             .iter()
-            .flatten()
+            .flat_map(|(_, batch)| batch)
             .map(|&(_, c)| u64::from(c))
             .sum();
         let direct: u64 = t.series.iter().map(SparseSeries::total_invocations).sum();
-        prop_assert_eq!(bucketed, direct);
+        prop_assert_eq!(batched, direct);
     }
 }
