@@ -82,6 +82,13 @@ impl Defuse {
         groups.extend(by_app.values());
         groups.extend(by_user.values());
 
+        // Each function's training-window support, sliced once rather
+        // than once per pair.
+        let supported: Vec<bool> = trace
+            .series
+            .iter()
+            .map(|s| s.events_in(train_start, train_end).len() >= MIN_SUPPORT_EVENTS)
+            .collect();
         let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
         for group in groups {
             if group.len() < 2 || group.len() > 64 {
@@ -90,19 +97,18 @@ impl Defuse {
                 continue;
             }
             for &target in group {
-                let target_series = trace.series_of(target);
-                let target_events = target_series.events_in(train_start, train_end);
-                if target_events.len() < MIN_SUPPORT_EVENTS {
+                if !supported[target.index()] {
                     continue;
                 }
+                let target_series = trace.series_of(target);
                 for &source in group {
                     if source == target || !seen.insert((source.0, target.0)) {
                         continue;
                     }
-                    let source_series = trace.series_of(source);
-                    if source_series.events_in(train_start, train_end).len() < MIN_SUPPORT_EVENTS {
+                    if !supported[source.index()] {
                         continue;
                     }
+                    let source_series = trace.series_of(source);
                     let (lag, cor) = spes_core::best_lagged_cor(
                         target_series,
                         source_series,
@@ -174,7 +180,8 @@ impl Policy for Defuse {
         for &(f, _) in invoked {
             for dep in &self.dependents[f.index()] {
                 pool.load(dep.target, now);
-                self.holds.extend(dep.target, now + dep.lag + 1);
+                self.holds
+                    .extend(dep.target, now.saturating_add(dep.lag).saturating_add(1));
             }
         }
         // Keep-alive / eviction: delegate to the histogram layer (which

@@ -235,7 +235,8 @@ impl Policy for HybridHistogram {
             if unit.representative && unit.prewarm > 1 {
                 // Unload after execution, reload shortly before the head
                 // of the idle-time distribution.
-                self.agenda.schedule(now + unit.prewarm, unit_idx);
+                self.agenda
+                    .schedule(now.saturating_add(unit.prewarm), unit_idx);
             }
         }
 
@@ -245,7 +246,7 @@ impl Policy for HybridHistogram {
             // Skip stale pre-warms (unit invoked again meanwhile).
             if unit
                 .last_invoked
-                .is_some_and(|last| last + unit.prewarm > now)
+                .is_some_and(|last| last.saturating_add(unit.prewarm) > now)
             {
                 continue;
             }

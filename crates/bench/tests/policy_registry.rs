@@ -154,3 +154,60 @@ fn arbitrary_subsets_including_the_oracle_run() {
     assert!(cmp.fit_summary.is_some());
     assert_eq!(cmp.spes_labels.len(), 60);
 }
+
+/// No registered policy overflows a slot near the end of time. The trace
+/// spans the whole `Slot` range: a chained app (parent, child two slots
+/// later) and a steady function train on the first four days, so Defuse
+/// mines an edge and the histogram policies learn pre-warm windows, then
+/// every function fires three more times in the last 70 slots, the last at
+/// `Slot::MAX - 1`: pre-warms and holds scheduled from those invocations
+/// run past the end of the range. Fitting and simulating the last slots
+/// must neither panic nor fail. FaaSCache is left out: its capacity comes
+/// from a prior SPES run.
+#[test]
+fn no_registered_policy_overflows_at_the_last_slot() {
+    use spes_sim::suite::FitContext;
+    use spes_sim::{try_simulate, SimConfig};
+    use spes_trace::{AppId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
+
+    let train_end: Slot = 4 * 1440;
+    let last = Slot::MAX - 1;
+    let with_tail = |slots: Vec<Slot>| {
+        let mut pairs: Vec<(Slot, u32)> = slots.into_iter().map(|s| (s, 1)).collect();
+        pairs.extend([(last - 69, 1), (last - 19, 1), (last, 1)]);
+        SparseSeries::from_pairs(pairs)
+    };
+    let parent: Vec<Slot> = (0..train_end / 40).map(|i| i * 40 + (i * i) % 11).collect();
+    let child: Vec<Slot> = parent.iter().map(|&s| s + 2).collect();
+    let steady: Vec<Slot> = (0..train_end / 60).map(|i| i * 60).collect();
+    let meta = |app: u32| FunctionMeta {
+        app: AppId(app),
+        user: UserId(app),
+        trigger: TriggerType::Http,
+    };
+    let trace = Trace::new(
+        Slot::MAX,
+        vec![meta(1), meta(1), meta(2)],
+        vec![with_tail(parent), with_tail(child), with_tail(steady)],
+    );
+    let ctx = FitContext {
+        trace: &trace,
+        train_start: 0,
+        train_end,
+        prior: &[],
+    };
+    for name in policies::policy_names() {
+        if name == "faascache" {
+            continue;
+        }
+        let spec = policies::spec_of(name, &SpesConfig::default()).unwrap();
+        let mut policy = spec.build(&ctx);
+        let run = try_simulate(
+            &trace,
+            policy.as_mut(),
+            SimConfig::new(last - 80, Slot::MAX),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(run.total_invocations(), 9, "{name}");
+    }
+}

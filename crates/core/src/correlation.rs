@@ -7,9 +7,70 @@
 //! invocation up to `T` slots *before* the target's counts, capturing
 //! chained / fan-out workflows where the upstream function is a predictive
 //! indicator of the downstream one.
+//!
+//! # Cost
+//!
+//! Every function here is one forward merge of two sorted event slices,
+//! located by one binary search each; nothing is hashed. With `t` the
+//! target's events in the window, `c` the candidate's and `m` the
+//! (target, candidate) pairs whose distance falls inside the lags asked
+//! for:
+//!
+//! - [`cor`] and [`lagged_cor`]: O(t + c).
+//! - [`best_lagged_cor`]: O(t + c + m) time and at most `max_lag + 1`
+//!   counters for all lags at once, instead of one scan of the candidate per
+//!   lag.
+//! - [`windowed_cor`]: O(t + c).
+//! - [`link_precision`]: O(c + the target's events it passes over), which
+//!   may run past `end` by up to `hold` slots.
+//!
+//! # Exactness
+//!
+//! Each result is an integer hit count divided by the same denominator as
+//! the per-lag definition (the target's, or for precision the candidate's,
+//! event count in the window), so every `f64` equals the definition's bit
+//! for bit. A target event at `s` is a hit at lag `d` exactly when the
+//! candidate has an event at `s - d`: the merge visits each candidate event
+//! in `[s - max_lag, s]` once and credits the lag it sits at, and a
+//! [`SparseSeries`] holds each slot at most once, so no lag is credited
+//! twice for one target event. [`best_lagged_cor`] then scans the lags in
+//! ascending order with a strict `>`, so a tie still goes to the smallest
+//! lag.
 
 use spes_trace::{Slot, SparseSeries};
-use std::collections::HashSet;
+
+/// Adds to `hits[d - min_lag]` every target event at `s` that has a
+/// candidate event at `s - d`, for each lag `d` in `min_lag..=max_lag`.
+///
+/// One pass: the candidate cursor only moves forward, and the inner loop
+/// visits only candidates inside the lag window of the current target
+/// event. Both slices must hold strictly increasing slots, as every
+/// [`SparseSeries`] constructor guarantees.
+fn count_lag_hits(
+    target: &[(Slot, u32)],
+    candidate: &[(Slot, u32)],
+    min_lag: u32,
+    max_lag: u32,
+    hits: &mut [usize],
+) {
+    debug_assert_eq!(hits.len() as u64, u64::from(max_lag - min_lag) + 1);
+    let mut first = 0usize;
+    for &(s, _) in target {
+        let lo = s.saturating_sub(max_lag);
+        while first < candidate.len() && candidate[first].0 < lo {
+            first += 1;
+        }
+        let Some(hi) = s.checked_sub(min_lag) else {
+            continue;
+        };
+        for &(c, _) in &candidate[first..] {
+            if c > hi {
+                break;
+            }
+            hits[(s - c - min_lag) as usize] += 1;
+        }
+    }
+}
 
 /// Plain co-occurrence rate of `target` with `candidate` over
 /// `[start, end)`: `|slots where both invoked| / |slots target invoked|`.
@@ -34,22 +95,21 @@ pub fn lagged_cor(
     if target_events.is_empty() {
         return 0.0;
     }
-    let candidate_slots: HashSet<Slot> = candidate
-        .events_in(start.saturating_sub(lag), end)
-        .iter()
-        .map(|&(s, _)| s)
-        .collect();
-    let hits = target_events
-        .iter()
-        .filter(|&&(s, _)| s >= lag && candidate_slots.contains(&(s - lag)))
-        .count();
-    hits as f64 / target_events.len() as f64
+    let mut hits = [0usize];
+    count_lag_hits(
+        target_events,
+        candidate.events_in(start.saturating_sub(lag), end),
+        lag,
+        lag,
+        &mut hits,
+    );
+    hits[0] as f64 / target_events.len() as f64
 }
 
 /// The best lag in `0..=max_lag` and its COR: the candidate is the most
 /// useful predictive indicator at this lead time. Lag 0 still helps (the
 /// instance is warm for the same-minute tail), larger lags give pre-warm
-/// lead time.
+/// lead time. Ties go to the smallest lag; an empty target gives `(0, 0.0)`.
 #[must_use]
 pub fn best_lagged_cor(
     target: &SparseSeries,
@@ -58,18 +118,30 @@ pub fn best_lagged_cor(
     start: Slot,
     end: Slot,
 ) -> (u32, f64) {
+    let target_events = target.events_in(start, end);
+    let Some(&(last, _)) = target_events.last() else {
+        return (0, 0.0);
+    };
+    // No candidate slot lies before 0, so no lag beyond the last target
+    // slot can hit; those lags score 0.0 and never beat lag 0.
+    let span = max_lag.min(last);
+    let mut hits = vec![0usize; span as usize + 1];
+    count_lag_hits(
+        target_events,
+        candidate.events_in(start.saturating_sub(span), end),
+        0,
+        span,
+        &mut hits,
+    );
+    let n = target_events.len() as f64;
     let mut best = (0u32, f64::MIN);
-    for lag in 0..=max_lag {
-        let c = lagged_cor(target, candidate, lag, start, end);
+    for (lag, &h) in (0..=span).zip(&hits) {
+        let c = h as f64 / n;
         if c > best.1 {
             best = (lag, c);
         }
     }
-    if best.1 < 0.0 {
-        (0, 0.0)
-    } else {
-        best
-    }
+    best
 }
 
 /// COR where a candidate invocation *anywhere* in the trailing window
@@ -88,10 +160,17 @@ pub fn windowed_cor(
     if target_events.is_empty() {
         return 0.0;
     }
+    let cand = candidate.events_in(start.saturating_sub(window), end);
+    // `next` is the first candidate at or after the current window's left
+    // edge; both edges only move forward as `s` grows.
+    let mut next = 0usize;
     let mut hits = 0usize;
     for &(s, _) in target_events {
         let lo = s.saturating_sub(window);
-        if !candidate.events_in(lo, s + 1).is_empty() {
+        while next < cand.len() && cand[next].0 < lo {
+            next += 1;
+        }
+        if next < cand.len() && cand[next].0 <= s {
             hits += 1;
         }
     }
@@ -102,7 +181,8 @@ pub fn windowed_cor(
 /// invocations followed by a target invocation within `(c, c + hold]`.
 /// A hyper-frequent candidate has near-perfect lagged COR against any
 /// target but terrible precision — pre-loading off it would keep the
-/// target pinned in memory for nothing.
+/// target pinned in memory for nothing. Target invocations after `end`
+/// count for candidates near the window's end.
 #[must_use]
 pub fn link_precision(
     target: &SparseSeries,
@@ -112,14 +192,19 @@ pub fn link_precision(
     end: Slot,
 ) -> f64 {
     let cand_events = candidate.events_in(start, end);
-    if cand_events.is_empty() {
+    let Some(&(first, _)) = cand_events.first() else {
         return 0.0;
-    }
+    };
+    let target_events = target.events();
+    // `next` is the first target event after the current candidate `c`.
+    let mut next = target_events.partition_point(|&(s, _)| s <= first);
     let mut hits = 0usize;
     for &(c, _) in cand_events {
-        if !target
-            .events_in(c + 1, c.saturating_add(hold).saturating_add(1))
-            .is_empty()
+        while next < target_events.len() && target_events[next].0 <= c {
+            next += 1;
+        }
+        if next < target_events.len()
+            && target_events[next].0 < c.saturating_add(hold).saturating_add(1)
         {
             hits += 1;
         }
@@ -216,6 +301,20 @@ mod tests {
         let cand = series(&[8]);
         let target = series(&[10]);
         assert_eq!(lagged_cor(&target, &cand, 2, 10, 20), 1.0);
+    }
+
+    #[test]
+    fn best_lagged_cor_unbounded_lag_counts_only_reachable_lags() {
+        // Lags beyond the last target slot cannot hit, so an unbounded
+        // `max_lag` costs no more than the reachable ones and agrees
+        // with them.
+        let cand = series(&[3, 40]);
+        let target = series(&[45, 90]);
+        assert_eq!(best_lagged_cor(&target, &cand, Slot::MAX, 0, 100), (5, 0.5));
+        assert_eq!(
+            best_lagged_cor(&target, &cand, Slot::MAX, 0, 100),
+            best_lagged_cor(&target, &cand, 90, 0, 100)
+        );
     }
 
     #[test]

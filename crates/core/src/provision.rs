@@ -497,11 +497,9 @@ impl Policy for SpesPolicy {
             self.schedule_predictions(f, now);
 
             // Correlated targets fire off this invocation.
-            if !self.preload_on_invoke[idx].is_empty() {
-                for (tgt, link_hold) in self.preload_on_invoke[idx].clone() {
-                    pool.load(tgt, now);
-                    self.holds.extend(tgt, now.saturating_add(link_hold));
-                }
+            for &(tgt, link_hold) in &self.preload_on_invoke[idx] {
+                pool.load(tgt, now);
+                self.holds.extend(tgt, now.saturating_add(link_hold));
             }
 
             // Online correlation for unseen functions (Section IV-C2).

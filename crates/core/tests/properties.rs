@@ -2,12 +2,13 @@
 //! priority, correlation metrics, and indeterminate scoring.
 
 use proptest::prelude::*;
-use spes_core::correlation::{best_lagged_cor, cor, lagged_cor, link_precision};
+use spes_core::correlation::{best_lagged_cor, cor, lagged_cor, link_precision, windowed_cor};
 use spes_core::indeterminate::{choose_strategy, score_pulsed, StrategyScore};
 use spes_core::patterns::{FunctionType, PredictiveValues};
 use spes_core::slacking::{merge_adjacent, merge_mode, trim_ends};
 use spes_core::{categorize::categorize_deterministic, SpesConfig};
 use spes_trace::{Slot, SparseSeries};
+use std::collections::HashSet;
 
 fn wt_seq() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(1u32..2000, 0..60)
@@ -15,6 +16,136 @@ fn wt_seq() -> impl Strategy<Value = Vec<u32>> {
 
 fn sparse(max_slot: Slot) -> impl Strategy<Value = SparseSeries> {
     prop::collection::vec((0..max_slot, 1u32..10), 0..50).prop_map(SparseSeries::from_pairs)
+}
+
+/// Series dense enough that most lags in a small window hit.
+fn dense(max_slot: Slot) -> impl Strategy<Value = SparseSeries> {
+    prop::collection::vec((0..max_slot, 1u32..10), 0..120).prop_map(SparseSeries::from_pairs)
+}
+
+/// Series of at most three events, so a single pair decides the best lag.
+fn few(max_slot: Slot) -> impl Strategy<Value = SparseSeries> {
+    prop::collection::vec((0..max_slot, 1u32..10), 0..4).prop_map(SparseSeries::from_pairs)
+}
+
+// ---- reference definitions of the correlation metrics ----
+//
+// The straightforward forms the merge kernels in `spes_core::correlation`
+// must equal bit for bit: one hash set of the candidate's slots per lag,
+// and one range lookup per event.
+
+fn reference_lagged_cor(
+    target: &SparseSeries,
+    candidate: &SparseSeries,
+    lag: u32,
+    start: Slot,
+    end: Slot,
+) -> f64 {
+    let target_events = target.events_in(start, end);
+    if target_events.is_empty() {
+        return 0.0;
+    }
+    let candidate_slots: HashSet<Slot> = candidate
+        .events_in(start.saturating_sub(lag), end)
+        .iter()
+        .map(|&(s, _)| s)
+        .collect();
+    let hits = target_events
+        .iter()
+        .filter(|&&(s, _)| s >= lag && candidate_slots.contains(&(s - lag)))
+        .count();
+    hits as f64 / target_events.len() as f64
+}
+
+fn reference_best_lagged_cor(
+    target: &SparseSeries,
+    candidate: &SparseSeries,
+    max_lag: u32,
+    start: Slot,
+    end: Slot,
+) -> (u32, f64) {
+    let mut best = (0u32, f64::MIN);
+    for lag in 0..=max_lag {
+        let c = reference_lagged_cor(target, candidate, lag, start, end);
+        if c > best.1 {
+            best = (lag, c);
+        }
+    }
+    if best.1 < 0.0 {
+        (0, 0.0)
+    } else {
+        best
+    }
+}
+
+fn reference_windowed_cor(
+    target: &SparseSeries,
+    candidate: &SparseSeries,
+    window: u32,
+    start: Slot,
+    end: Slot,
+) -> f64 {
+    let target_events = target.events_in(start, end);
+    if target_events.is_empty() {
+        return 0.0;
+    }
+    let hits = target_events
+        .iter()
+        .filter(|&&(s, _)| {
+            !candidate
+                .events_in(s.saturating_sub(window), s + 1)
+                .is_empty()
+        })
+        .count();
+    hits as f64 / target_events.len() as f64
+}
+
+fn reference_link_precision(
+    target: &SparseSeries,
+    candidate: &SparseSeries,
+    hold: u32,
+    start: Slot,
+    end: Slot,
+) -> f64 {
+    let cand_events = candidate.events_in(start, end);
+    if cand_events.is_empty() {
+        return 0.0;
+    }
+    let hits = cand_events
+        .iter()
+        .filter(|&&(c, _)| {
+            !target
+                .events_in(c + 1, c.saturating_add(hold).saturating_add(1))
+                .is_empty()
+        })
+        .count();
+    hits as f64 / cand_events.len() as f64
+}
+
+#[test]
+fn correlation_metrics_match_the_reference_on_empty_sides() {
+    let empty = SparseSeries::new();
+    let busy = SparseSeries::from_pairs((0..60).map(|s| (s, 1)).collect());
+    for (a, b) in [(&empty, &busy), (&busy, &empty), (&empty, &empty)] {
+        for (start, end) in [(0, 60), (5, 40), (30, 30)] {
+            assert_eq!(
+                best_lagged_cor(a, b, 10, start, end),
+                reference_best_lagged_cor(a, b, 10, start, end)
+            );
+            assert_eq!(
+                lagged_cor(a, b, 3, start, end).to_bits(),
+                reference_lagged_cor(a, b, 3, start, end).to_bits()
+            );
+            assert_eq!(
+                windowed_cor(a, b, 4, start, end).to_bits(),
+                reference_windowed_cor(a, b, 4, start, end).to_bits()
+            );
+            assert_eq!(
+                link_precision(a, b, 0, start, end).to_bits(),
+                reference_link_precision(a, b, 0, start, end).to_bits()
+            );
+        }
+    }
 }
 
 proptest! {
@@ -142,6 +273,116 @@ proptest! {
         );
         let c = lagged_cor(&child, &base, lag, 0, 400);
         prop_assert_eq!(c, 1.0);
+    }
+
+    // Windows start anywhere in `0..300` (so also before `max_lag`, with
+    // candidate events before `start` and target events after `end`), and
+    // may be empty.
+
+    #[test]
+    fn best_lagged_cor_matches_the_per_lag_scan(
+        a in dense(400), b in dense(400),
+        start in 0u32..300, len in 0u32..200, max_lag in 0u32..24,
+    ) {
+        let end = start + len;
+        let (lag, c) = best_lagged_cor(&a, &b, max_lag, start, end);
+        let (ref_lag, ref_c) = reference_best_lagged_cor(&a, &b, max_lag, start, end);
+        prop_assert_eq!(lag, ref_lag);
+        prop_assert_eq!(c.to_bits(), ref_c.to_bits());
+    }
+
+    #[test]
+    fn best_lagged_cor_matches_when_lags_reach_before_slot_zero(
+        a in few(24), b in few(24), max_lag in 0u32..40,
+    ) {
+        let (lag, c) = best_lagged_cor(&a, &b, max_lag, 0, 24);
+        let (ref_lag, ref_c) = reference_best_lagged_cor(&a, &b, max_lag, 0, 24);
+        prop_assert_eq!(lag, ref_lag);
+        prop_assert_eq!(c.to_bits(), ref_c.to_bits());
+    }
+
+    #[test]
+    fn best_lagged_cor_matches_on_chains(
+        base in dense(300), lag in 0u32..12, start in 0u32..200, max_lag in 0u32..16,
+    ) {
+        // A child that repeats `base` `lag` slots later, plus `base`'s own
+        // events, so several lags tie or nearly tie.
+        let child = SparseSeries::from_pairs(
+            base.events()
+                .iter()
+                .flat_map(|&(s, c)| [(s + lag, c), (s, 1)])
+                .collect(),
+        );
+        let got = best_lagged_cor(&child, &base, max_lag, start, 400);
+        let want = reference_best_lagged_cor(&child, &base, max_lag, start, 400);
+        prop_assert_eq!(got.0, want.0);
+        prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+    }
+
+    #[test]
+    fn lagged_cor_and_cor_match_the_reference(
+        a in dense(400), b in dense(400),
+        start in 0u32..300, len in 0u32..200, lag in 0u32..40,
+    ) {
+        let end = start + len;
+        prop_assert_eq!(
+            lagged_cor(&a, &b, lag, start, end).to_bits(),
+            reference_lagged_cor(&a, &b, lag, start, end).to_bits()
+        );
+        prop_assert_eq!(
+            cor(&a, &b, start, end).to_bits(),
+            reference_lagged_cor(&a, &b, 0, start, end).to_bits()
+        );
+    }
+
+    #[test]
+    fn windowed_cor_matches_the_reference(
+        a in dense(400), b in sparse(400),
+        start in 0u32..300, len in 0u32..200, window in 0u32..40,
+    ) {
+        let end = start + len;
+        prop_assert_eq!(
+            windowed_cor(&a, &b, window, start, end).to_bits(),
+            reference_windowed_cor(&a, &b, window, start, end).to_bits()
+        );
+    }
+
+    #[test]
+    fn link_precision_matches_the_reference(
+        a in sparse(400), b in dense(400),
+        start in 0u32..300, len in 0u32..200, hold in 0u32..30,
+    ) {
+        let end = start + len;
+        prop_assert_eq!(
+            link_precision(&a, &b, hold, start, end).to_bits(),
+            reference_link_precision(&a, &b, hold, start, end).to_bits()
+        );
+    }
+
+    #[test]
+    fn correlation_metrics_match_at_the_end_of_time(
+        a in sparse(40), b in sparse(40), lag in 0u32..12, hold in 0u32..12,
+    ) {
+        // Shift both series to the top of the slot range, up to
+        // `Slot::MAX` itself, so every saturating edge (`c + hold + 1`,
+        // `s + 1`) is exercised.
+        let top = |s: &SparseSeries| SparseSeries::from_pairs(
+            s.events().iter().map(|&(slot, c)| (Slot::MAX - 39 + slot, c)).collect(),
+        );
+        let (a, b) = (top(&a), top(&b));
+        let (start, end) = (Slot::MAX - 39, Slot::MAX);
+        prop_assert_eq!(
+            best_lagged_cor(&a, &b, lag, start, end),
+            reference_best_lagged_cor(&a, &b, lag, start, end)
+        );
+        prop_assert_eq!(
+            windowed_cor(&a, &b, lag, start, end).to_bits(),
+            reference_windowed_cor(&a, &b, lag, start, end).to_bits()
+        );
+        prop_assert_eq!(
+            link_precision(&a, &b, hold, start, end).to_bits(),
+            reference_link_precision(&a, &b, hold, start, end).to_bits()
+        );
     }
 
     // ---- indeterminate scoring ----
