@@ -11,7 +11,8 @@
 //!   --seed       workload seed (default 7)
 //!   --iters      timed iterations per (scenario, policy) cell (default 5)
 //!   --out        directory for BENCH_engine.json (default: .)
-//!   --quick      CI mode: shrink scenarios to tiny 7-day traces
+//!   --quick      CI mode: shrink scenarios to tiny 7-day traces of at
+//!                most 120 functions
 //!   --scale      scale sweep instead of the scenario matrix: 1k/10k/100k
 //!                functions on the 7-day paper-default shape, streamed
 //!                through the step-driven engine (no materialised trace);
@@ -34,106 +35,55 @@
 //! fresh simulations and reported with mean/min/max/stddev, so a single
 //! noisy iteration is visible instead of silently skewing the number.
 
-use spes_bench::perf::{
-    bench_engine, bench_engine_scale, gate_against_baseline, EngineBenchReport,
-};
-use spes_sim::text_table;
-use std::io::Write as _;
-use std::path::PathBuf;
+use spes_bench::bench_cli::{BenchArgs, BenchTool, Flag, Gate};
+use spes_bench::perf::{bench_engine, bench_engine_scale, EngineBenchReport, EngineBenchRow};
 use std::process::ExitCode;
 
 const SCENARIOS: [&str; 2] = ["paper-default", "chain-heavy"];
 const POLICIES: [&str; 3] = ["keep-forever", "fixed-keep-alive", "no-keep-alive"];
 
-struct Args {
-    functions: usize,
-    seed: u64,
-    iters: u32,
-    out: PathBuf,
-    quick: bool,
-    scale: bool,
-    scale_full: bool,
-    baseline: Option<PathBuf>,
-    gate_pct: Option<f64>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        functions: 800,
-        seed: 7,
-        iters: 5,
-        out: PathBuf::from("."),
-        quick: false,
-        scale: false,
-        scale_full: false,
-        baseline: None,
-        gate_pct: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--functions" => {
-                args.functions = value("--functions")?
-                    .parse()
-                    .map_err(|e| format!("invalid --functions: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?;
-            }
-            "--iters" => {
-                args.iters = value("--iters")?
-                    .parse()
-                    .map_err(|e| format!("invalid --iters: {e}"))?;
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--quick" => args.quick = true,
-            "--scale" => args.scale = true,
-            "--scale-full" => args.scale_full = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--gate" => {
-                args.gate_pct = Some(
-                    value("--gate")?
-                        .parse()
-                        .map_err(|e| format!("invalid --gate: {e}"))?,
-                );
-            }
-            "--help" | "-h" => {
-                println!("see the module docs of bench_engine.rs for usage");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.gate_pct.is_some() && args.baseline.is_none() {
-        return Err("--gate requires --baseline".to_owned());
-    }
-    if args.scale_full && !args.scale {
-        return Err("--scale-full requires --scale".to_owned());
-    }
-    Ok(args)
-}
+const TOOL: BenchTool<EngineBenchReport> = BenchTool {
+    bin: "bench_engine",
+    file: "BENCH_engine.json",
+    flags: &[Flag::Iters, Flag::Scale],
+    title: "engine throughput (slots simulated per second)",
+    columns: &[
+        "scenario",
+        "policy",
+        "slots",
+        "mean s",
+        "min s",
+        "max s",
+        "std s",
+        "slots/sec",
+    ],
+    cells: |r| {
+        vec![
+            r.scenario.clone(),
+            r.policy.clone(),
+            r.slots.to_string(),
+            format!("{:.3}", r.secs),
+            format!("{:.3}", r.secs_min),
+            format!("{:.3}", r.secs_max),
+            format!("{:.4}", r.secs_std),
+            format!("{:.0}", r.slots_per_sec),
+        ]
+    },
+    gate: Some(Gate {
+        heading: "delta",
+        label: "perf gate",
+        unit: "slots/sec",
+        throughput: |r| r.slots_per_sec,
+    }),
+    floors: None,
+};
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    TOOL.main(measure)
 }
 
-fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    let functions = if args.quick {
-        args.functions.min(120)
-    } else {
-        args.functions
-    };
-    let rows = if args.scale {
+fn measure(args: &BenchArgs) -> Result<Vec<EngineBenchRow>, String> {
+    if args.scale {
         let sizes: &[usize] = if args.scale_full {
             &[1_000, 10_000, 100_000, 1_000_000]
         } else {
@@ -143,130 +93,26 @@ fn run() -> Result<ExitCode, String> {
             "benchmarking engine scale sweep ({} cells, streamed paper-default quick shape) ...",
             sizes.len()
         );
-        bench_engine_scale(sizes, args.seed)?
-    } else {
-        let mut rows = Vec::new();
-        for scenario in SCENARIOS {
-            // Quick mode applies each scenario's CI shrink (7-day horizon),
-            // so both cells measure in seconds.
-            println!(
-                "benchmarking engine on {scenario} ({functions} functions, {} iters{}) ...",
-                args.iters,
-                if args.quick { ", quick" } else { "" }
-            );
-            rows.extend(bench_engine(
-                scenario, functions, args.seed, &POLICIES, args.quick, args.iters,
-            )?);
-        }
-        rows
-    };
-    let report = EngineBenchReport { rows };
-
-    println!("\n== engine throughput (slots simulated per second) ==");
-    let table: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.policy.clone(),
-                r.slots.to_string(),
-                format!("{:.3}", r.secs),
-                format!("{:.3}", r.secs_min),
-                format!("{:.3}", r.secs_max),
-                format!("{:.4}", r.secs_std),
-                format!("{:.0}", r.slots_per_sec),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        text_table(
-            &[
-                "scenario",
-                "policy",
-                "slots",
-                "mean s",
-                "min s",
-                "max s",
-                "std s",
-                "slots/sec"
-            ],
-            &table
-        )
-    );
-
-    std::fs::create_dir_all(&args.out).map_err(|e| format!("create out dir: {e}"))?;
-    let path = args.out.join("BENCH_engine.json");
-    let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    let mut file = std::fs::File::create(&path).map_err(|e| format!("create {path:?}: {e}"))?;
-    file.write_all(body.as_bytes())
-        .map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("-> {}", path.display());
-
-    let Some(baseline_path) = &args.baseline else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let baseline_text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read baseline {baseline_path:?}: {e}"))?;
-    let baseline: EngineBenchReport = serde_json::from_str(&baseline_text)
-        .map_err(|e| format!("parse baseline {baseline_path:?}: {e:?}"))?;
-    // The gate tolerance only decides the exit code; the delta table is
-    // printed either way so the trajectory stays visible in every log.
-    let tolerance = args.gate_pct.unwrap_or(f64::INFINITY);
-    let gate = gate_against_baseline(&baseline, &report, tolerance);
-
-    println!(
-        "\n== delta vs baseline {} (tolerance {}%) ==",
-        baseline_path.display(),
-        if tolerance.is_finite() {
-            format!("{tolerance:.0}")
-        } else {
-            "off".to_owned()
-        }
-    );
-    let table: Vec<Vec<String>> = gate
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.policy.clone(),
-                r.baseline_throughput
-                    .map_or_else(|| "-".to_owned(), |v| format!("{v:.0}")),
-                format!("{:.0}", r.current_throughput),
-                r.delta_pct
-                    .map_or_else(|| "-".to_owned(), |v| format!("{v:+.1}%")),
-                r.status.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        text_table(
-            &["scenario", "policy", "baseline", "current", "delta", "status"],
-            &table
-        )
-    );
-
-    if args.gate_pct.is_some() && !gate.passed() {
-        for failure in gate.failures() {
-            eprintln!(
-                "perf gate: {}/{} {} (baseline {}, current {:.0} slots/sec)",
-                failure.scenario,
-                failure.policy,
-                failure.status,
-                failure
-                    .baseline_throughput
-                    .map_or_else(|| "absent".to_owned(), |v| format!("{v:.0}")),
-                failure.current_throughput,
-            );
-        }
-        eprintln!(
-            "perf gate failed; if the trace shape legitimately changed, regenerate the \
-             committed BENCH_engine.json with `cargo run --release --bin bench_engine -- --quick`"
-        );
-        return Ok(ExitCode::FAILURE);
+        return bench_engine_scale(sizes, args.seed);
     }
-    Ok(ExitCode::SUCCESS)
+    let mut rows = Vec::new();
+    for scenario in SCENARIOS {
+        // Quick mode applies each scenario's CI shrink (7-day horizon),
+        // so both cells measure in seconds.
+        println!(
+            "benchmarking engine on {scenario} ({} functions, {} iters{}) ...",
+            args.functions,
+            args.iters,
+            if args.quick { ", quick" } else { "" }
+        );
+        rows.extend(bench_engine(
+            scenario,
+            args.functions,
+            args.seed,
+            &POLICIES,
+            args.quick,
+            args.iters,
+        )?);
+    }
+    Ok(rows)
 }

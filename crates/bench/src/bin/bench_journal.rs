@@ -10,7 +10,8 @@
 //!   --seed       workload seed (default 7)
 //!   --iters      timed iterations per (scenario, policy) cell (default 5)
 //!   --out        directory for BENCH_journal.json (default: .)
-//!   --quick      CI mode: shrink scenarios to tiny 7-day traces
+//!   --quick      CI mode: shrink scenarios to tiny 7-day traces of at
+//!                most 120 functions
 //!   --assert     fail (exit 1) unless every cell is >=10x smaller and
 //!                >=5x faster (encode and decode) than the JSON path
 //! ```
@@ -19,10 +20,8 @@
 //! stream before anything is timed, so the table compares formats that
 //! demonstrably reproduce the run.
 
-use spes_bench::perf::{bench_journal, JournalBenchReport};
-use spes_sim::text_table;
-use std::io::Write as _;
-use std::path::PathBuf;
+use spes_bench::bench_cli::{BenchArgs, BenchTool, Flag, Floors};
+use spes_bench::perf::{bench_journal, JournalBenchReport, JournalBenchRow};
 use std::process::ExitCode;
 
 const SCENARIOS: [&str; 2] = ["quick", "chain-heavy"];
@@ -32,165 +31,84 @@ const POLICIES: [&str; 2] = ["keep-forever", "fixed-keep-alive"];
 const MIN_SIZE_RATIO: f64 = 10.0;
 const MIN_SPEEDUP: f64 = 5.0;
 
-struct Args {
-    functions: usize,
-    seed: u64,
-    iters: u32,
-    out: PathBuf,
-    quick: bool,
-    assert: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        functions: 800,
-        seed: 7,
-        iters: 5,
-        out: PathBuf::from("."),
-        quick: false,
-        assert: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--functions" => {
-                args.functions = value("--functions")?
-                    .parse()
-                    .map_err(|e| format!("invalid --functions: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?;
-            }
-            "--iters" => {
-                args.iters = value("--iters")?
-                    .parse()
-                    .map_err(|e| format!("invalid --iters: {e}"))?;
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--quick" => args.quick = true,
-            "--assert" => args.assert = true,
-            "--help" | "-h" => {
-                println!("see the module docs of bench_journal.rs for usage");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
-}
+const TOOL: BenchTool<JournalBenchReport> = BenchTool {
+    bin: "bench_journal",
+    file: "BENCH_journal.json",
+    flags: &[Flag::Iters],
+    title: "journal codec vs serde-shim JSON lines",
+    columns: &[
+        "scenario",
+        "policy",
+        "events",
+        "binary B",
+        "json B",
+        "smaller",
+        "enc speedup",
+        "dec speedup",
+    ],
+    cells: |r| {
+        vec![
+            r.scenario.clone(),
+            r.policy.clone(),
+            r.events.to_string(),
+            r.binary_bytes.to_string(),
+            r.json_bytes.to_string(),
+            format!("{:.1}x", r.size_ratio),
+            format!("{:.1}x", r.encode_speedup),
+            format!("{:.1}x", r.decode_speedup),
+        ]
+    },
+    gate: None,
+    floors: Some(Floors {
+        label: "codec claim",
+        check: codec_claims,
+    }),
+};
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    TOOL.main(measure)
 }
 
-fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    let functions = if args.quick {
-        args.functions.min(120)
-    } else {
-        args.functions
-    };
+fn measure(args: &BenchArgs) -> Result<Vec<JournalBenchRow>, String> {
     let mut rows = Vec::new();
     for scenario in SCENARIOS {
         println!(
-            "benchmarking journal codec on {scenario} ({functions} functions, {} iters{}) ...",
+            "benchmarking journal codec on {scenario} ({} functions, {} iters{}) ...",
+            args.functions,
             args.iters,
             if args.quick { ", quick" } else { "" }
         );
         rows.extend(bench_journal(
-            scenario, functions, args.seed, &POLICIES, args.quick, args.iters,
+            scenario,
+            args.functions,
+            args.seed,
+            &POLICIES,
+            args.quick,
+            args.iters,
         )?);
     }
-    let report = JournalBenchReport { rows };
+    Ok(rows)
+}
 
-    println!("\n== journal codec vs serde-shim JSON lines ==");
-    let table: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.policy.clone(),
-                r.events.to_string(),
-                format!("{}", r.binary_bytes),
-                format!("{}", r.json_bytes),
-                format!("{:.1}x", r.size_ratio),
-                format!("{:.1}x", r.encode_speedup),
-                format!("{:.1}x", r.decode_speedup),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        text_table(
-            &[
-                "scenario",
-                "policy",
-                "events",
-                "binary B",
-                "json B",
-                "smaller",
-                "enc speedup",
-                "dec speedup"
-            ],
-            &table
-        )
-    );
-
-    std::fs::create_dir_all(&args.out).map_err(|e| format!("create out dir: {e}"))?;
-    let path = args.out.join("BENCH_journal.json");
-    let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    let mut file = std::fs::File::create(&path).map_err(|e| format!("create {path:?}: {e}"))?;
-    file.write_all(body.as_bytes())
-        .map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("-> {}", path.display());
-
-    if !args.assert {
-        return Ok(ExitCode::SUCCESS);
+fn codec_claims(row: &JournalBenchRow) -> Vec<String> {
+    let mut complaints = Vec::new();
+    if row.size_ratio < MIN_SIZE_RATIO {
+        complaints.push(format!(
+            "size ratio {:.1}x < {MIN_SIZE_RATIO}x",
+            row.size_ratio
+        ));
     }
-    let mut failed = false;
-    for row in &report.rows {
-        let mut complaints = Vec::new();
-        if row.size_ratio < MIN_SIZE_RATIO {
-            complaints.push(format!(
-                "size ratio {:.1}x < {MIN_SIZE_RATIO}x",
-                row.size_ratio
-            ));
-        }
-        if row.encode_speedup < MIN_SPEEDUP {
-            complaints.push(format!(
-                "encode speedup {:.1}x < {MIN_SPEEDUP}x",
-                row.encode_speedup
-            ));
-        }
-        if row.decode_speedup < MIN_SPEEDUP {
-            complaints.push(format!(
-                "decode speedup {:.1}x < {MIN_SPEEDUP}x",
-                row.decode_speedup
-            ));
-        }
-        if !complaints.is_empty() {
-            failed = true;
-            eprintln!(
-                "codec claim violated on {}/{}: {}",
-                row.scenario,
-                row.policy,
-                complaints.join(", ")
-            );
-        }
+    if row.encode_speedup < MIN_SPEEDUP {
+        complaints.push(format!(
+            "encode speedup {:.1}x < {MIN_SPEEDUP}x",
+            row.encode_speedup
+        ));
     }
-    Ok(if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
+    if row.decode_speedup < MIN_SPEEDUP {
+        complaints.push(format!(
+            "decode speedup {:.1}x < {MIN_SPEEDUP}x",
+            row.decode_speedup
+        ));
+    }
+    complaints
 }

@@ -9,7 +9,8 @@
 //!   --functions  population size of each replayed trace (default 800)
 //!   --seed       workload seed (default 7)
 //!   --out        directory for BENCH_serve.json (default: .)
-//!   --quick      CI mode: shrink scenarios to tiny 7-day traces
+//!   --quick      CI mode: shrink scenarios to tiny 7-day traces of at
+//!                most 120 functions
 //!   --baseline   committed BENCH_serve.json to diff against; prints the
 //!                per-cell events/sec delta table
 //!   --gate       with --baseline: exit non-zero when any cell ingests
@@ -24,58 +25,47 @@
 //! set as `bench_engine` keeps the numbers about the serving path, not a
 //! policy's own cost.
 
-use spes_bench::perf::{bench_serve, gate_serve_against_baseline, ServeBenchReport};
-use spes_sim::text_table;
-use std::io::Write as _;
-use std::path::PathBuf;
+use spes_bench::bench_cli::{BenchArgs, BenchTool, Gate};
+use spes_bench::perf::{bench_serve, ServeBenchReport, ServeBenchRow};
 use std::process::ExitCode;
 
 const SCENARIOS: [&str; 2] = ["paper-default", "chain-heavy"];
 const POLICIES: [&str; 3] = ["keep-forever", "fixed-keep-alive", "no-keep-alive"];
 
-struct Args {
-    functions: usize,
-    seed: u64,
-    out: PathBuf,
-    quick: bool,
-    baseline: Option<PathBuf>,
-    gate_pct: Option<f64>,
+const TOOL: BenchTool<ServeBenchReport> = BenchTool {
+    bin: "bench_serve",
+    file: "BENCH_serve.json",
+    flags: &[],
+    title: "serving decision latency (per-slot step)",
+    columns: &[
+        "scenario", "policy", "slots", "events", "p50 µs", "p99 µs", "max µs", "events/s",
+    ],
+    cells: |r| {
+        vec![
+            r.scenario.clone(),
+            r.policy.clone(),
+            r.slots.to_string(),
+            r.events.to_string(),
+            format!("{:.2}", r.p50_us),
+            format!("{:.2}", r.p99_us),
+            format!("{:.2}", r.max_us),
+            format!("{:.0}", r.events_per_sec),
+        ]
+    },
+    gate: Some(Gate {
+        heading: "events/sec delta",
+        label: "serve gate",
+        unit: "events/sec",
+        throughput: |r| r.events_per_sec,
+    }),
+    floors: None,
+};
+
+fn main() -> ExitCode {
+    TOOL.main(measure)
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        functions: 800,
-        seed: 7,
-        out: PathBuf::from("."),
-        quick: false,
-        baseline: None,
-        gate_pct: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--functions" => {
-                args.functions = value()?.parse().map_err(|e| format!("--functions: {e}"))?;
-            }
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--out" => args.out = PathBuf::from(value()?),
-            "--quick" => args.quick = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value()?)),
-            "--gate" => {
-                args.gate_pct = Some(value()?.parse().map_err(|e| format!("--gate: {e}"))?);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.gate_pct.is_some() && args.baseline.is_none() {
-        return Err("--gate needs --baseline".into());
-    }
-    Ok(args)
-}
-
-fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
+fn measure(args: &BenchArgs) -> Result<Vec<ServeBenchRow>, String> {
     let mut rows = Vec::new();
     for scenario in SCENARIOS {
         rows.extend(bench_serve(
@@ -86,113 +76,5 @@ fn run() -> Result<ExitCode, String> {
             args.quick,
         )?);
     }
-    let report = ServeBenchReport { rows };
-
-    let table = text_table(
-        &[
-            "scenario", "policy", "slots", "events", "p50 µs", "p99 µs", "max µs", "events/s",
-        ],
-        &report
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.scenario.clone(),
-                    r.policy.clone(),
-                    r.slots.to_string(),
-                    r.events.to_string(),
-                    format!("{:.2}", r.p50_us),
-                    format!("{:.2}", r.p99_us),
-                    format!("{:.2}", r.max_us),
-                    format!("{:.0}", r.events_per_sec),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("{table}");
-
-    std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-    let path = args.out.join("BENCH_serve.json");
-    let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    let mut file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
-    file.write_all(body.as_bytes()).map_err(|e| e.to_string())?;
-    file.write_all(b"\n").map_err(|e| e.to_string())?;
-    eprintln!("wrote {}", path.display());
-
-    let Some(baseline_path) = &args.baseline else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let baseline_text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read baseline {baseline_path:?}: {e}"))?;
-    let baseline: ServeBenchReport = serde_json::from_str(&baseline_text)
-        .map_err(|e| format!("parse baseline {baseline_path:?}: {e:?}"))?;
-    // The gate tolerance only decides the exit code; the delta table is
-    // printed either way so the trajectory stays visible in every log.
-    let tolerance = args.gate_pct.unwrap_or(f64::INFINITY);
-    let gate = gate_serve_against_baseline(&baseline, &report, tolerance);
-
-    println!(
-        "\n== events/sec delta vs baseline {} (tolerance {}%) ==",
-        baseline_path.display(),
-        if tolerance.is_finite() {
-            format!("{tolerance:.0}")
-        } else {
-            "off".to_owned()
-        }
-    );
-    let table: Vec<Vec<String>> = gate
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.policy.clone(),
-                r.baseline_throughput
-                    .map_or_else(|| "-".to_owned(), |v| format!("{v:.0}")),
-                format!("{:.0}", r.current_throughput),
-                r.delta_pct
-                    .map_or_else(|| "-".to_owned(), |v| format!("{v:+.1}%")),
-                r.status.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        text_table(
-            &["scenario", "policy", "baseline", "current", "delta", "status"],
-            &table
-        )
-    );
-
-    if args.gate_pct.is_some() && !gate.passed() {
-        for failure in gate.failures() {
-            eprintln!(
-                "serve gate: {}/{} {} (baseline {}, current {:.0} events/sec)",
-                failure.scenario,
-                failure.policy,
-                failure.status,
-                failure
-                    .baseline_throughput
-                    .map_or_else(|| "absent".to_owned(), |v| format!("{v:.0}")),
-                failure.current_throughput,
-            );
-        }
-        eprintln!(
-            "serve gate failed; if the trace shape legitimately changed, regenerate the \
-             committed BENCH_serve.json with `cargo run --release --bin bench_serve -- --quick \
-             --functions 120`"
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(rows)
 }

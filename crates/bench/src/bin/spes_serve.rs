@@ -47,11 +47,11 @@
 //! spes-serve --emit-trace quick --quick | spes-serve --quick
 //! ```
 
-use spes_bench::policies;
+use spes_bench::policies::{self, PolicyCell};
 use spes_bench::scenario::Experiment;
 use spes_core::SpesConfig;
-use spes_sim::{serve, FitContext, InitRecord, Policy, ServeConfig, SimConfig};
-use spes_trace::{scenario_names, synth, Slot};
+use spes_sim::{serve, InitRecord, Policy, ServeConfig, SimConfig};
+use spes_trace::Slot;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -156,21 +156,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The scenario experiment named by the CLI, quick-shrunk on request but
-/// always scaled back to the requested population.
+/// The scenario experiment named by the CLI, quick-shrunk on request.
 fn experiment_of(args: &Args, scenario: &str) -> Result<Experiment, String> {
-    let mut exp =
-        Experiment::scenario(scenario, args.functions, args.fit_seed).ok_or_else(|| {
-            format!(
-                "unknown scenario {scenario:?}; registered: {}",
-                scenario_names().join(", ")
-            )
-        })?;
-    if args.quick {
-        exp.synth = exp.synth.quick();
-        exp.synth.n_functions = args.functions.min(200);
-    }
-    Ok(exp)
+    Experiment::cell(scenario, args.functions, args.fit_seed, args.quick)
 }
 
 /// Prints a generated scenario as serve-protocol lines: the init record,
@@ -213,23 +201,10 @@ fn emit_trace(args: &Args, scenario: &str) -> Result<(), String> {
 /// on a synthetic trace of the fit scenario, sized to the session's
 /// declared population.
 fn build_policy(args: &Args, init: &InitRecord) -> Result<Box<dyn Policy>, String> {
-    let spec = policies::spec_of(&args.policy, &SpesConfig::default()).ok_or_else(|| {
-        format!(
-            "unknown policy {:?}; registered: {}",
-            args.policy,
-            policies::policy_names().join(", ")
-        )
-    })?;
-    let mut synth_cfg = experiment_of(args, &args.fit_scenario)?.synth;
-    synth_cfg.n_functions = init.functions;
-    let data = synth::generate(&synth_cfg);
-    let ctx = FitContext {
-        trace: &data.trace,
-        train_start: 0,
-        train_end: data.train_end,
-        prior: &[],
-    };
-    Ok(spec.build(&ctx))
+    let mut exp = experiment_of(args, &args.fit_scenario)?;
+    exp.synth.n_functions = init.functions;
+    let data = exp.generate();
+    Ok(PolicyCell::new(&args.policy, &exp.spes, &data)?.build())
 }
 
 fn serve_config(args: &Args) -> Result<ServeConfig, String> {
@@ -334,13 +309,7 @@ fn run() -> Result<(), String> {
         return emit_trace(&args, &scenario);
     }
     // Fail on unknown names before the first session, not inside it.
-    if policies::spec_of(&args.policy, &SpesConfig::default()).is_none() {
-        return Err(format!(
-            "unknown policy {:?}; registered: {}",
-            args.policy,
-            policies::policy_names().join(", ")
-        ));
-    }
+    policies::try_spec_of(&args.policy, &SpesConfig::default())?;
     experiment_of(&args, &args.fit_scenario)?;
     match args.listen.clone() {
         Some(addr) => serve_tcp(&args, &addr),

@@ -8,6 +8,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod bench_cli;
 pub mod figures_main;
 pub mod figures_sweep;
 pub mod figures_trace;
@@ -27,12 +28,13 @@ pub use matrix::{
     run_named_matrix_streaming, MatrixCell, MatrixOutcome, MatrixSummary, PolicyAggregate,
 };
 pub use perf::{
-    bench_engine, bench_journal, bench_serve, gate_against_baseline, gate_serve_against_baseline,
+    bench_engine, bench_journal, bench_serve, gate_against_baseline, BenchReport, BenchRow,
     EngineBenchReport, EngineBenchRow, GateReport, JournalBenchReport, JournalBenchRow,
     ServeBenchReport, ServeBenchRow,
 };
 pub use policies::{
-    default_suite, policy_names, spec_of, suite_of, RegisteredPolicy, UnknownPolicy, REGISTRY,
+    default_suite, policy_names, spec_of, suite_of, try_spec_of, PolicyCell, RegisteredPolicy,
+    UnknownPolicy, REGISTRY,
 };
 pub use replay::{
     check, describe_event, record, slot_events, summarize, why_evict, CheckReport, Divergence,

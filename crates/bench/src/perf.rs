@@ -10,18 +10,16 @@
 //! Each (scenario, policy) cell is timed over several iterations and
 //! reports mean/min/max/stddev seconds alongside the headline mean
 //! slots/sec, so one noisy iteration is visible instead of silently
-//! polluting the number. [`gate_against_baseline`] turns the committed
-//! `BENCH_engine.json` into an actual regression gate: CI re-measures,
+//! polluting the number. [`gate_against_baseline`] turns a committed
+//! `BENCH_*.json` into an actual regression gate: CI re-measures,
 //! prints the per-cell delta table, and fails the job when any cell
-//! regresses beyond the (deliberately generous) tolerance.
-//! [`gate_serve_against_baseline`] applies the same semantics to the
-//! serving-latency rows of `BENCH_serve.json`, gating on events/sec.
+//! regresses beyond the (deliberately generous) tolerance. The engine
+//! gate reads slots/sec, the serving gate events/sec.
 
-use crate::policies;
+use crate::policies::PolicyCell;
+use crate::scenario::Experiment;
 use serde::{Deserialize, Serialize};
 use spes_baselines::FixedKeepAlive;
-use spes_core::SpesConfig;
-use spes_sim::suite::FitContext;
 use spes_sim::{
     try_simulate, EventLog, EvictCause, JournalMeta, JournalReader, JournalWriter, LoadCause,
     SimConfig, SimDriver, SimEvent, Simulation,
@@ -63,15 +61,63 @@ pub struct EngineBenchReport {
     pub rows: Vec<EngineBenchRow>,
 }
 
-impl EngineBenchReport {
+/// What every bench row carries besides its measurements.
+pub trait BenchRow {
+    /// The (scenario, policy) cell the row measured.
+    fn cell(&self) -> (&str, &str);
+    /// The measured trace's (slots, functions). A baseline row of another
+    /// shape is stale.
+    fn shape(&self) -> (u64, usize);
+}
+
+/// A `BENCH_*.json` document: `{"rows": [...]}` over one row type.
+pub trait BenchReport: Serialize + Deserialize {
+    /// The document's row type.
+    type Row: BenchRow;
+
+    /// The document over `rows`.
+    fn from_rows(rows: Vec<Self::Row>) -> Self;
+
+    /// Every measured cell, in measurement order.
+    fn rows(&self) -> &[Self::Row];
+
     /// The row of one (scenario, policy) cell, if measured.
-    #[must_use]
-    pub fn row_of(&self, scenario: &str, policy: &str) -> Option<&EngineBenchRow> {
-        self.rows
-            .iter()
-            .find(|r| r.scenario == scenario && r.policy == policy)
+    fn row_of(&self, scenario: &str, policy: &str) -> Option<&Self::Row> {
+        self.rows().iter().find(|r| r.cell() == (scenario, policy))
     }
 }
+
+/// Implements [`BenchRow`] and [`BenchReport`] for a document whose rows
+/// have `scenario`, `policy`, `slots` and `n_functions` fields.
+macro_rules! bench_document {
+    ($report:ty, $row:ty) => {
+        impl BenchRow for $row {
+            fn cell(&self) -> (&str, &str) {
+                (&self.scenario, &self.policy)
+            }
+
+            fn shape(&self) -> (u64, usize) {
+                (self.slots, self.n_functions)
+            }
+        }
+
+        impl BenchReport for $report {
+            type Row = $row;
+
+            fn from_rows(rows: Vec<$row>) -> Self {
+                Self { rows }
+            }
+
+            fn rows(&self) -> &[$row] {
+                &self.rows
+            }
+        }
+    };
+}
+
+bench_document!(EngineBenchReport, EngineBenchRow);
+bench_document!(ServeBenchReport, ServeBenchRow);
+bench_document!(JournalBenchReport, JournalBenchRow);
 
 /// Runs the engine `iters` times per policy on one scenario and measures
 /// simulation throughput. The trace is generated once and each policy is
@@ -81,7 +127,8 @@ impl EngineBenchReport {
 /// sizing.
 ///
 /// Only capacity-self-contained policies can be measured this way
-/// (`faascache` needs a donor run and is rejected by name).
+/// (`faascache` needs a donor run and is rejected by name, see
+/// [`PolicyCell::standalone`]).
 ///
 /// # Errors
 /// Returns a message for unknown scenario/policy names or a zero `iters`.
@@ -96,46 +143,19 @@ pub fn bench_engine(
     if iters == 0 {
         return Err("iters must be at least 1".to_owned());
     }
-    let mut cfg =
-        synth::scenario_config(scenario).ok_or_else(|| format!("unknown scenario {scenario:?}"))?;
-    if quick {
-        cfg = cfg.quick();
-    }
-    cfg.n_functions = if quick {
-        n_functions.min(200)
-    } else {
-        n_functions
-    };
-    cfg.seed = seed;
-    let data = synth::generate(&cfg);
+    let exp = Experiment::cell(scenario, n_functions, seed, quick)?;
+    let data = exp.generate();
     let trace = &data.trace;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(data.train_end);
 
-    let spes_cfg = SpesConfig::default();
     let mut rows = Vec::new();
     for &name in policy_names {
-        let spec = policies::spec_of(name, &spes_cfg).ok_or_else(|| {
-            format!(
-                "unknown policy {name:?}; registered: {}",
-                policies::policy_names().join(", ")
-            )
-        })?;
-        if !spec.capacity().is_self_contained() {
-            return Err(format!(
-                "policy {name:?} needs a capacity donor and cannot be benchmarked standalone"
-            ));
-        }
-        let ctx = FitContext {
-            trace,
-            train_start: 0,
-            train_end: data.train_end,
-            prior: &[],
-        };
+        let cell = PolicyCell::new(name, &exp.spes, &data)?.standalone()?;
         let mut samples = Vec::with_capacity(iters as usize);
         for _ in 0..iters {
             // A fresh policy per iteration: policies are stateful, and
             // fitting stays outside the timed section.
-            let mut policy = spec.build(&ctx);
+            let mut policy = cell.build();
             let begin = Instant::now();
             let run = try_simulate(trace, policy.as_mut(), window).map_err(|e| e.to_string())?;
             samples.push(begin.elapsed().as_secs_f64());
@@ -284,16 +304,6 @@ pub struct ServeBenchReport {
     pub rows: Vec<ServeBenchRow>,
 }
 
-impl ServeBenchReport {
-    /// The row of one (scenario, policy) cell, if measured.
-    #[must_use]
-    pub fn row_of(&self, scenario: &str, policy: &str) -> Option<&ServeBenchRow> {
-        self.rows
-            .iter()
-            .find(|r| r.scenario == scenario && r.policy == policy)
-    }
-}
-
 /// Measures per-slot decision latency on the serving path: the scenario's
 /// trace is pre-parsed into per-slot invocation buckets (the daemon's
 /// post-parse state), then every slot is stepped through a
@@ -312,18 +322,8 @@ pub fn bench_serve(
     policy_names: &[&str],
     quick: bool,
 ) -> Result<Vec<ServeBenchRow>, String> {
-    let mut cfg =
-        synth::scenario_config(scenario).ok_or_else(|| format!("unknown scenario {scenario:?}"))?;
-    if quick {
-        cfg = cfg.quick();
-    }
-    cfg.n_functions = if quick {
-        n_functions.min(200)
-    } else {
-        n_functions
-    };
-    cfg.seed = seed;
-    let data = synth::generate(&cfg);
+    let exp = Experiment::cell(scenario, n_functions, seed, quick)?;
+    let data = exp.generate();
     let trace = &data.trace;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(data.train_end);
 
@@ -331,27 +331,11 @@ pub fn bench_serve(
     let batches = trace.slot_batches(0, trace.n_slots);
     let events = batches.n_events() as u64;
 
-    let spes_cfg = SpesConfig::default();
     let mut rows = Vec::new();
     for &name in policy_names {
-        let spec = policies::spec_of(name, &spes_cfg).ok_or_else(|| {
-            format!(
-                "unknown policy {name:?}; registered: {}",
-                policies::policy_names().join(", ")
-            )
-        })?;
-        if !spec.capacity().is_self_contained() {
-            return Err(format!(
-                "policy {name:?} needs a capacity donor and cannot be benchmarked standalone"
-            ));
-        }
-        let ctx = FitContext {
-            trace,
-            train_start: 0,
-            train_end: data.train_end,
-            prior: &[],
-        };
-        let mut policy = spec.build(&ctx);
+        let mut policy = PolicyCell::new(name, &exp.spes, &data)?
+            .standalone()?
+            .build();
         let mut driver =
             spes_sim::SimDriver::new(trace.n_functions(), window, policy.as_mut(), Vec::new())
                 .map_err(|e| e.to_string())?;
@@ -381,7 +365,7 @@ pub fn bench_serve(
             secs: total_secs,
             p50_us: pct(50.0),
             p99_us: pct(99.0),
-            max_us: *samples_ns.last().expect("at least one slot") as f64 / 1e3,
+            max_us: pct(100.0),
             events_per_sec: events as f64 / total_secs.max(f64::MIN_POSITIVE),
         });
     }
@@ -447,16 +431,6 @@ pub struct JournalBenchRow {
 pub struct JournalBenchReport {
     /// Every measured cell, scenario-major.
     pub rows: Vec<JournalBenchRow>,
-}
-
-impl JournalBenchReport {
-    /// The row of one (scenario, policy) cell, if measured.
-    #[must_use]
-    pub fn row_of(&self, scenario: &str, policy: &str) -> Option<&JournalBenchRow> {
-        self.rows
-            .iter()
-            .find(|r| r.scenario == scenario && r.policy == policy)
-    }
 }
 
 /// One event as a flat JSON-lines record — the shape the repo would use
@@ -599,42 +573,16 @@ pub fn bench_journal(
     if iters == 0 {
         return Err("iters must be at least 1".to_owned());
     }
-    let mut cfg =
-        synth::scenario_config(scenario).ok_or_else(|| format!("unknown scenario {scenario:?}"))?;
-    if quick {
-        cfg = cfg.quick();
-    }
-    cfg.n_functions = if quick {
-        n_functions.min(200)
-    } else {
-        n_functions
-    };
-    cfg.seed = seed;
-    let data = synth::generate(&cfg);
+    let exp = Experiment::cell(scenario, n_functions, seed, quick)?;
+    let data = exp.generate();
     let trace = &data.trace;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(data.train_end);
 
-    let spes_cfg = SpesConfig::default();
     let mut rows = Vec::new();
     for &name in policy_names {
-        let spec = policies::spec_of(name, &spes_cfg).ok_or_else(|| {
-            format!(
-                "unknown policy {name:?}; registered: {}",
-                policies::policy_names().join(", ")
-            )
-        })?;
-        if !spec.capacity().is_self_contained() {
-            return Err(format!(
-                "policy {name:?} needs a capacity donor and cannot be benchmarked standalone"
-            ));
-        }
-        let ctx = FitContext {
-            trace,
-            train_start: 0,
-            train_end: data.train_end,
-            prior: &[],
-        };
-        let mut policy = spec.build(&ctx);
+        let mut policy = PolicyCell::new(name, &exp.spes, &data)?
+            .standalone()?
+            .build();
         let mut log = EventLog::new();
         Simulation::new(trace, window)
             .observe(&mut log)
@@ -794,102 +742,48 @@ impl GateReport {
     }
 }
 
-/// Verdict for one cell given the baseline lookup: `base` is `None`
-/// when the baseline lacks the cell, `Some((throughput, stale))` with
-/// `stale` set when the baseline measured a different trace shape.
-fn gate_cell(
-    scenario: &str,
-    policy: &str,
-    base: Option<(f64, bool)>,
-    current: f64,
-    tolerance_pct: f64,
-) -> GateRow {
-    let (baseline_throughput, delta_pct, status) = match base {
-        None => (None, None, GateStatus::BaselineMissing),
-        Some((b, true)) => (Some(b), None, GateStatus::StaleBaseline),
-        Some((b, false)) => {
-            let delta = (current - b) / b * 100.0;
-            let status = if delta < -tolerance_pct {
-                GateStatus::Regression
-            } else {
-                GateStatus::Ok
-            };
-            (Some(b), Some(delta), status)
-        }
-    };
-    GateRow {
-        scenario: scenario.to_owned(),
-        policy: policy.to_owned(),
-        baseline_throughput,
-        current_throughput: current,
-        delta_pct,
-        status,
-    }
-}
-
 /// Compares a fresh measurement against the committed baseline cell by
-/// cell. A cell regresses when its slots/sec drops more than
-/// `tolerance_pct` percent below the baseline; baseline rows that are
-/// missing or measured a different trace shape fail the gate too (the
-/// fix in both cases is regenerating the committed `BENCH_engine.json`).
+/// cell on the throughput `throughput` reads (slots/sec for the engine,
+/// events/sec for serving). A cell regresses when its throughput drops
+/// more than `tolerance_pct` percent below the baseline; baseline rows
+/// that are missing or measured a different trace shape fail the gate
+/// too (the fix in both cases is regenerating the committed document).
 /// Baseline rows for cells the current run did not measure are ignored.
 #[must_use]
-pub fn gate_against_baseline(
-    baseline: &EngineBenchReport,
-    current: &EngineBenchReport,
+pub fn gate_against_baseline<R: BenchReport>(
+    baseline: &R,
+    current: &R,
     tolerance_pct: f64,
+    throughput: impl Fn(&R::Row) -> f64,
 ) -> GateReport {
     let rows = current
-        .rows
+        .rows()
         .iter()
         .map(|cell| {
-            let base = baseline.row_of(&cell.scenario, &cell.policy).map(|b| {
-                let stale = b.slots != cell.slots || b.n_functions != cell.n_functions;
-                (b.slots_per_sec, stale)
-            });
-            gate_cell(
-                &cell.scenario,
-                &cell.policy,
-                base,
-                cell.slots_per_sec,
-                tolerance_pct,
-            )
-        })
-        .collect();
-    GateReport {
-        rows,
-        tolerance_pct,
-    }
-}
-
-/// The serving-path counterpart of [`gate_against_baseline`]: compares a
-/// fresh `bench_serve` run against the committed `BENCH_serve.json` on
-/// ingest throughput (events/sec, the inverse of total per-decision
-/// latency, so percentile jitter in any single slot cannot flip the
-/// gate). Staleness means the baseline replayed a different trace shape
-/// (slots or population changed); the fix, as for the engine gate, is
-/// regenerating the committed baseline.
-#[must_use]
-pub fn gate_serve_against_baseline(
-    baseline: &ServeBenchReport,
-    current: &ServeBenchReport,
-    tolerance_pct: f64,
-) -> GateReport {
-    let rows = current
-        .rows
-        .iter()
-        .map(|cell| {
-            let base = baseline.row_of(&cell.scenario, &cell.policy).map(|b| {
-                let stale = b.slots != cell.slots || b.n_functions != cell.n_functions;
-                (b.events_per_sec, stale)
-            });
-            gate_cell(
-                &cell.scenario,
-                &cell.policy,
-                base,
-                cell.events_per_sec,
-                tolerance_pct,
-            )
+            let (scenario, policy) = cell.cell();
+            let current_throughput = throughput(cell);
+            let base = baseline.row_of(scenario, policy);
+            let (delta_pct, status) = match base {
+                None => (None, GateStatus::BaselineMissing),
+                Some(b) if b.shape() != cell.shape() => (None, GateStatus::StaleBaseline),
+                Some(b) => {
+                    let delta = (current_throughput - throughput(b)) / throughput(b) * 100.0;
+                    let status = if delta < -tolerance_pct {
+                        GateStatus::Regression
+                    } else {
+                        GateStatus::Ok
+                    };
+                    (Some(delta), status)
+                }
+            };
+            GateRow {
+                scenario: scenario.to_owned(),
+                policy: policy.to_owned(),
+                baseline_throughput: base.map(&throughput),
+                current_throughput,
+                delta_pct,
+                status,
+            }
         })
         .collect();
     GateReport {
@@ -1055,6 +949,14 @@ mod tests {
         assert_eq!((m1, lo1, hi1, s1), (0.25, 0.25, 0.25, 0.0));
     }
 
+    fn engine_throughput(row: &EngineBenchRow) -> f64 {
+        row.slots_per_sec
+    }
+
+    fn serve_throughput(row: &ServeBenchRow) -> f64 {
+        row.events_per_sec
+    }
+
     fn row(scenario: &str, policy: &str, slots_per_sec: f64) -> EngineBenchRow {
         EngineBenchRow {
             scenario: scenario.into(),
@@ -1079,7 +981,7 @@ mod tests {
         let ok = EngineBenchReport {
             rows: vec![row("quick", "keep-forever", 70_000.0)],
         };
-        let report = gate_against_baseline(&baseline, &ok, 40.0);
+        let report = gate_against_baseline(&baseline, &ok, 40.0, engine_throughput);
         assert!(report.passed(), "{:?}", report.rows);
         assert!((report.rows[0].delta_pct.unwrap() + 30.0).abs() < 1e-9);
 
@@ -1087,7 +989,7 @@ mod tests {
         let slow = EngineBenchReport {
             rows: vec![row("quick", "keep-forever", 50_000.0)],
         };
-        let report = gate_against_baseline(&baseline, &slow, 40.0);
+        let report = gate_against_baseline(&baseline, &slow, 40.0, engine_throughput);
         assert!(!report.passed());
         assert_eq!(report.failures().len(), 1);
         assert_eq!(report.rows[0].status, GateStatus::Regression);
@@ -1096,7 +998,7 @@ mod tests {
         let fast = EngineBenchReport {
             rows: vec![row("quick", "keep-forever", 250_000.0)],
         };
-        assert!(gate_against_baseline(&baseline, &fast, 40.0).passed());
+        assert!(gate_against_baseline(&baseline, &fast, 40.0, engine_throughput).passed());
     }
 
     #[test]
@@ -1110,7 +1012,7 @@ mod tests {
                 row("quick", "no-keep-alive", 90_000.0),
             ],
         };
-        let report = gate_against_baseline(&baseline, &current, 40.0);
+        let report = gate_against_baseline(&baseline, &current, 40.0, engine_throughput);
         assert!(!report.passed());
         assert_eq!(report.rows[1].status, GateStatus::BaselineMissing);
 
@@ -1122,6 +1024,7 @@ mod tests {
                 rows: vec![resized],
             },
             40.0,
+            engine_throughput,
         );
         assert_eq!(report.rows[0].status, GateStatus::StaleBaseline);
         assert!(!report.passed());
@@ -1138,6 +1041,7 @@ mod tests {
                 rows: vec![row("quick", "keep-forever", 95_000.0)],
             },
             40.0,
+            engine_throughput,
         );
         assert!(report.passed());
         assert_eq!(report.rows.len(), 1);
@@ -1167,7 +1071,7 @@ mod tests {
         let ok = ServeBenchReport {
             rows: vec![serve_row("quick", "keep-forever", 900_000.0)],
         };
-        let report = gate_serve_against_baseline(&baseline, &ok, 25.0);
+        let report = gate_against_baseline(&baseline, &ok, 25.0, serve_throughput);
         assert!(report.passed(), "{:?}", report.rows);
         assert!((report.rows[0].delta_pct.unwrap() + 10.0).abs() < 1e-9);
 
@@ -1175,7 +1079,7 @@ mod tests {
         let slow = ServeBenchReport {
             rows: vec![serve_row("quick", "keep-forever", 600_000.0)],
         };
-        let report = gate_serve_against_baseline(&baseline, &slow, 25.0);
+        let report = gate_against_baseline(&baseline, &slow, 25.0, serve_throughput);
         assert!(!report.passed());
         assert_eq!(report.rows[0].status, GateStatus::Regression);
 
@@ -1184,16 +1088,17 @@ mod tests {
         let current = ServeBenchReport {
             rows: vec![serve_row("quick", "no-keep-alive", 1_000_000.0)],
         };
-        let report = gate_serve_against_baseline(&baseline, &current, 25.0);
+        let report = gate_against_baseline(&baseline, &current, 25.0, serve_throughput);
         assert_eq!(report.rows[0].status, GateStatus::BaselineMissing);
         let mut resized = serve_row("quick", "keep-forever", 1_000_000.0);
         resized.slots = 20_160;
-        let report = gate_serve_against_baseline(
+        let report = gate_against_baseline(
             &baseline,
             &ServeBenchReport {
                 rows: vec![resized],
             },
             25.0,
+            serve_throughput,
         );
         assert_eq!(report.rows[0].status, GateStatus::StaleBaseline);
     }

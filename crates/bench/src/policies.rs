@@ -19,7 +19,9 @@ use spes_baselines::{
     OracleFactory,
 };
 use spes_core::{SpesConfig, SpesFactory};
-use spes_sim::suite::{KeepForeverFactory, NoKeepAliveFactory, PolicySpec};
+use spes_sim::suite::{FitContext, KeepForeverFactory, NoKeepAliveFactory, PolicySpec};
+use spes_sim::Policy;
+use spes_trace::SynthTrace;
 
 /// One registry row: the policy's name, a one-line summary, and whether
 /// it is part of the paper's default comparison suite.
@@ -129,6 +131,20 @@ impl std::fmt::Display for UnknownPolicy {
 
 impl std::error::Error for UnknownPolicy {}
 
+impl From<UnknownPolicy> for String {
+    fn from(err: UnknownPolicy) -> Self {
+        err.to_string()
+    }
+}
+
+/// [`spec_of`] with the registered alternatives in the error.
+///
+/// # Errors
+/// Returns [`UnknownPolicy`] for names outside [`REGISTRY`].
+pub fn try_spec_of(name: &str, spes_cfg: &SpesConfig) -> Result<PolicySpec, UnknownPolicy> {
+    spec_of(name, spes_cfg).ok_or_else(|| UnknownPolicy(name.to_owned()))
+}
+
 /// Builds a suite from registry names, preserving order. FaaSCache keeps
 /// its `PeakOf("spes")` capacity rule, so a suite selecting `faascache`
 /// without `spes` is rejected later by suite validation — exactly the
@@ -136,8 +152,63 @@ impl std::error::Error for UnknownPolicy {}
 pub fn suite_of(names: &[&str], spes_cfg: &SpesConfig) -> Result<Vec<PolicySpec>, UnknownPolicy> {
     names
         .iter()
-        .map(|&name| spec_of(name, spes_cfg).ok_or_else(|| UnknownPolicy(name.to_owned())))
+        .map(|&name| try_spec_of(name, spes_cfg))
         .collect()
+}
+
+/// One registered policy bound to the trace it is fitted on: the policy
+/// half of a single-policy cell, shared by the bench binaries,
+/// `spes-replay` and `spes-serve`. Every instance [`PolicyCell::build`]
+/// returns is fitted afresh on the trace's training window
+/// (`[0, train_end)`) with no prior runs.
+pub struct PolicyCell<'t> {
+    spec: PolicySpec,
+    data: &'t SynthTrace,
+}
+
+impl<'t> PolicyCell<'t> {
+    /// Resolves `name` in the registry for fitting on `data`.
+    ///
+    /// # Errors
+    /// Returns [`UnknownPolicy`] for names outside [`REGISTRY`].
+    pub fn new(
+        name: &str,
+        spes_cfg: &SpesConfig,
+        data: &'t SynthTrace,
+    ) -> Result<Self, UnknownPolicy> {
+        Ok(Self {
+            spec: try_spec_of(name, spes_cfg)?,
+            data,
+        })
+    }
+
+    /// Keeps the cell only if its capacity needs no other policy's run.
+    /// FaaSCache sizes its pool from SPES's peak, which a run of one
+    /// policy cannot supply.
+    ///
+    /// # Errors
+    /// Names the policy when its capacity needs a donor.
+    pub fn standalone(self) -> Result<Self, String> {
+        if self.spec.capacity().is_self_contained() {
+            Ok(self)
+        } else {
+            Err(format!(
+                "policy {:?} needs a capacity donor and cannot run standalone",
+                self.spec.name()
+            ))
+        }
+    }
+
+    /// A freshly fitted instance of the policy.
+    #[must_use]
+    pub fn build(&self) -> Box<dyn Policy> {
+        self.spec.build(&FitContext {
+            trace: &self.data.trace,
+            train_start: 0,
+            train_end: self.data.train_end,
+            prior: &[],
+        })
+    }
 }
 
 /// The paper's six-way comparison suite, in
@@ -171,6 +242,33 @@ mod tests {
         let err = suite_of(&["spes", "lru"], &cfg).unwrap_err();
         assert_eq!(err, UnknownPolicy("lru".to_owned()));
         assert!(err.to_string().contains("keep-forever"), "{err}");
+    }
+
+    #[test]
+    fn policy_cells_resolve_fit_and_reject_donors() {
+        let cfg = SpesConfig::default();
+        let data = crate::scenario::Experiment::cell("quick", 30, 3, true)
+            .unwrap()
+            .generate();
+        let err = PolicyCell::new("lru", &cfg, &data).err().unwrap();
+        assert_eq!(err, UnknownPolicy("lru".to_owned()));
+        assert_eq!(
+            String::from(err),
+            format!(
+                "unknown policy \"lru\"; registered: {}",
+                policy_names().join(", ")
+            )
+        );
+        let cell = PolicyCell::new("spes", &cfg, &data)
+            .unwrap()
+            .standalone()
+            .unwrap();
+        assert_eq!(cell.build().name(), "spes");
+        // FaaSCache resolves, but its pool is sized by a SPES run.
+        let faascache = PolicyCell::new("faascache", &cfg, &data).unwrap();
+        assert_eq!(faascache.build().name(), "faascache");
+        let err = faascache.standalone().err().unwrap();
+        assert!(err.contains("capacity donor"), "{err}");
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //!   resuming from a snapshot) and diffs the regenerated event stream
 //!   against the journal, reporting the first divergence.
 
-use crate::policies;
+use crate::policies::PolicyCell;
+use crate::scenario::Experiment;
 use spes_core::SpesConfig;
-use spes_sim::suite::FitContext;
 use spes_sim::{
     snapshot_info, DynObserver, EvictCause, JournalEvent, JournalMeta, JournalObserver,
     JournalReader, LoadCause, Policy, RunResult, SimDriver, SimEvent,
 };
-use spes_trace::{synth, FunctionId, Slot, SynthConfig, SynthTrace};
+use spes_trace::{FunctionId, Slot, SynthTrace};
 
 /// What [`record`] should run.
 #[derive(Debug, Clone)]
@@ -34,7 +34,8 @@ pub struct RecordConfig {
     pub scenario: String,
     /// Policy registry name (must be capacity-self-contained).
     pub policy: String,
-    /// Population of the generated trace (capped at 200 under `quick`).
+    /// Population of the generated trace (capped at 200 under `quick`,
+    /// see [`Experiment::cell`]).
     pub n_functions: usize,
     /// Workload seed.
     pub seed: u64,
@@ -62,45 +63,10 @@ pub struct Recording {
 const EXTRA_SCENARIO: &str = "scenario";
 const EXTRA_QUICK: &str = "quick";
 
-fn synth_config(
-    scenario: &str,
-    n_functions: usize,
-    seed: u64,
-    quick: bool,
-) -> Result<SynthConfig, String> {
-    let mut cfg =
-        synth::scenario_config(scenario).ok_or_else(|| format!("unknown scenario {scenario:?}"))?;
-    if quick {
-        cfg = cfg.quick();
-    }
-    cfg.n_functions = if quick {
-        n_functions.min(200)
-    } else {
-        n_functions
-    };
-    cfg.seed = seed;
-    Ok(cfg)
-}
-
 fn build_policy(name: &str, data: &SynthTrace) -> Result<Box<dyn Policy>, String> {
-    let spec = policies::spec_of(name, &SpesConfig::default()).ok_or_else(|| {
-        format!(
-            "unknown policy {name:?}; registered: {}",
-            policies::policy_names().join(", ")
-        )
-    })?;
-    if !spec.capacity().is_self_contained() {
-        return Err(format!(
-            "policy {name:?} needs a capacity donor and cannot be journalled standalone"
-        ));
-    }
-    let ctx = FitContext {
-        trace: &data.trace,
-        train_start: 0,
-        train_end: data.train_end,
-        prior: &[],
-    };
-    Ok(spec.build(&ctx))
+    Ok(PolicyCell::new(name, &SpesConfig::default(), data)?
+        .standalone()?
+        .build())
 }
 
 /// Runs one registered (scenario, policy) cell with a journal
@@ -112,8 +78,7 @@ fn build_policy(name: &str, data: &SynthTrace) -> Result<Box<dyn Policy>, String
 /// Returns a message for unknown names, a capacity-coupled policy, an
 /// out-of-range snapshot slot, or a journal encoding failure.
 pub fn record(cfg: &RecordConfig) -> Result<Recording, String> {
-    let synth_cfg = synth_config(&cfg.scenario, cfg.n_functions, cfg.seed, cfg.quick)?;
-    let data = synth::generate(&synth_cfg);
+    let data = Experiment::cell(&cfg.scenario, cfg.n_functions, cfg.seed, cfg.quick)?.generate();
     let trace = &data.trace;
     if let Some(slot) = cfg.snapshot_slot {
         if slot > trace.n_slots {
@@ -631,8 +596,7 @@ fn rebuild_workload(meta: &JournalMeta) -> Result<SynthTrace, String> {
         .extra_value(EXTRA_SCENARIO)
         .ok_or_else(|| "journal has no scenario metadata (recorded from a live stream?); --check needs a scenario-recorded journal".to_owned())?;
     let quick = meta.extra_value(EXTRA_QUICK) == Some("1");
-    let cfg = synth_config(scenario, meta.n_functions, meta.seed, quick)?;
-    let data = synth::generate(&cfg);
+    let data = Experiment::cell(scenario, meta.n_functions, meta.seed, quick)?.generate();
     if data.trace.n_functions() != meta.n_functions {
         return Err(format!(
             "regenerated trace has {} functions, the journal expects {}",
@@ -768,6 +732,40 @@ mod tests {
             snapshot_slot,
         })
         .unwrap()
+    }
+
+    #[test]
+    fn record_rejects_unknown_names_and_donors() {
+        let config = |scenario: &str, policy: &str| RecordConfig {
+            scenario: scenario.to_owned(),
+            policy: policy.to_owned(),
+            n_functions: 30,
+            seed: 11,
+            quick: true,
+            snapshot_slot: None,
+        };
+        let err = record(&config("no-such", "fixed-keep-alive")).unwrap_err();
+        assert!(err.contains("unknown scenario"), "{err}");
+        let err = record(&config("quick", "no-such")).unwrap_err();
+        assert!(err.contains("registered: spes"), "{err}");
+        let err = record(&config("quick", "faascache")).unwrap_err();
+        assert!(err.contains("capacity donor"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_a_donor_coupled_journal() {
+        // A journal whose header names a donor-coupled policy cannot be
+        // re-simulated standalone, whoever wrote it.
+        let recording = quick_recording(None);
+        let reader = JournalReader::new(recording.journal.as_slice()).unwrap();
+        let mut meta = reader.meta().clone();
+        meta.policy_name = "faascache".to_owned();
+        let mut writer = spes_sim::JournalWriter::new(Vec::new(), &meta).unwrap();
+        for event in reader.read_all().unwrap() {
+            writer.append(event.slot, &event.event).unwrap();
+        }
+        let err = check(&writer.finish().unwrap(), None).unwrap_err();
+        assert!(err.contains("capacity donor"), "{err}");
     }
 
     #[test]

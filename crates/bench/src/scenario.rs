@@ -50,6 +50,25 @@ impl Experiment {
         })
     }
 
+    /// The workload of a single-policy cell: [`Experiment::scenario`],
+    /// shrunk by [`SynthConfig::quick`] (7-day horizon, at most 200
+    /// functions) when `quick` is set.
+    ///
+    /// # Errors
+    /// Names the registered scenarios when `name` is not one of them.
+    pub fn cell(name: &str, n: usize, seed: u64, quick: bool) -> Result<Self, String> {
+        let mut exp = Self::scenario(name, n, seed).ok_or_else(|| {
+            format!(
+                "unknown scenario {name:?}; registered: {}",
+                synth::scenario_names().join(", ")
+            )
+        })?;
+        if quick {
+            exp.synth = exp.synth.quick();
+        }
+        Ok(exp)
+    }
+
     /// Generates the workload trace.
     #[must_use]
     pub fn generate(&self) -> SynthTrace {
@@ -242,6 +261,22 @@ pub fn run_spes_only(data: &SynthTrace, spes_cfg: &SpesConfig) -> (RunResult, Sp
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cells_shrink_on_request_and_name_the_registry() {
+        let full = Experiment::cell("chain-heavy", 500, 9, false).unwrap();
+        assert_eq!(full.synth.n_functions, 500);
+        assert_eq!(full.synth.seed, 9);
+        let quick = Experiment::cell("chain-heavy", 500, 9, true).unwrap();
+        assert_eq!(quick.synth.n_functions, 200);
+        assert_eq!(quick.synth.days, 7);
+        assert_eq!(quick.synth.seed, 9);
+        let err = Experiment::cell("no-such", 10, 1, true).unwrap_err();
+        assert!(
+            err.contains("no-such") && err.contains("chain-heavy"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn comparison_produces_all_policies() {

@@ -1,17 +1,22 @@
 //! The ratchet: per-lint, per-file finding counts committed to
 //! `LINT_baseline.json`, compared on every gate run.
 //!
-//! Mirrors the verdict logic of the bench gates
-//! (`spes_bench::perf::gate_against_baseline`): the delta table is
-//! printed either way, and the gate fails on any **increase** over a
-//! baseline row and on any **stale** row — a row whose count dropped or
-//! whose file no longer has findings. Staleness failing is what makes
-//! the ratchet one-way: removing an unwrap forces
+//! The delta table is printed either way, and the gate fails on any
+//! **increase** over a baseline row and on any **stale** row — a row
+//! whose count dropped or whose file no longer has findings. Staleness
+//! failing is what makes the ratchet one-way: removing an unwrap forces
 //! `spes-lint --update-baseline` in the same change, so the committed
 //! floor only ever moves down.
 //!
 //! Zero-tolerance lints (D001–D003, S001, L000) never appear in the
 //! baseline; any unallowed finding fails the gate directly.
+//!
+//! This is not the bench gates' verdict
+//! (`spes_bench::perf::gate_against_baseline`), and the two stay
+//! separate: counts compare exactly where the bench gate allows a
+//! tolerance, a baseline row that vanished fails where the bench gate
+//! ignores rows it did not measure, and a new (lint, file) cell is an
+//! increase where the bench gate reports a missing baseline.
 
 use crate::rules::{is_ratcheted, Finding};
 use serde::{Deserialize, Serialize};
