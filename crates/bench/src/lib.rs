@@ -24,8 +24,7 @@ pub use fuzz::{
     FuzzConfig, FuzzFinding, FuzzReport, KnobPoint, PointScore,
 };
 pub use matrix::{
-    aggregate_cells, fold_matrix, run_matrix, run_matrix_streaming, run_named_matrix,
-    run_named_matrix_streaming, MatrixCell, MatrixOutcome, MatrixSummary, PolicyAggregate,
+    aggregate_cells, fold_matrix, run_matrix, MatrixCell, MatrixOutcome, PolicyAggregate,
 };
 pub use perf::{
     bench_engine, bench_journal, bench_serve, gate_against_baseline, BenchReport, BenchRow,

@@ -16,12 +16,13 @@
 //! seed) as they are joined, so the aggregate path retains
 //! `O(policies)` state — and at most a worker-pool of in-flight cells —
 //! no matter how many cells the sweep spans.
-//! [`run_matrix_streaming`] exposes exactly that — a [`MatrixSummary`]
-//! with no per-run [`spes_sim::RunResult`]s kept alive — while
-//! [`run_matrix`] additionally collects the cells for callers that need
-//! per-cell assertions. Both paths share one fold, so their aggregates
-//! are bit-identical ([`aggregate_cells`] replays the fold over stored
-//! cells, which the regression tests use to pin that equivalence).
+//! [`fold_matrix`] with a dropping sink (`fold_matrix(.., drop)`) is
+//! exactly that path — no per-run [`spes_sim::RunResult`] kept alive —
+//! while [`run_matrix`] additionally collects the cells for callers that
+//! need per-cell assertions. Both paths share one fold, so their
+//! aggregates are bit-identical ([`aggregate_cells`] replays the fold
+//! over stored cells, which the regression tests use to pin that
+//! equivalence).
 
 use crate::scenario::{run_suite_comparison, ComparisonRun};
 use serde::Serialize;
@@ -148,34 +149,6 @@ pub struct MatrixOutcome {
     pub aggregates: Vec<PolicyAggregate>,
 }
 
-/// The streaming matrix outcome: per-policy aggregates only. No cell —
-/// and therefore no per-run `RunResult` — is retained, so arbitrarily
-/// large seed × scenario sweeps aggregate in `O(policies)` memory (plus
-/// a worker-pool's worth of in-flight cells while running).
-#[derive(Debug)]
-pub struct MatrixSummary {
-    /// Per-policy aggregates, in suite order.
-    pub aggregates: Vec<PolicyAggregate>,
-}
-
-impl MatrixSummary {
-    /// The aggregate of one policy by name, if present.
-    #[must_use]
-    pub fn try_aggregate_of(&self, policy: &str) -> Option<&PolicyAggregate> {
-        self.aggregates.iter().find(|a| a.policy == policy)
-    }
-
-    /// The aggregate of one policy by name.
-    ///
-    /// # Panics
-    /// Panics if the policy is not part of the suite.
-    #[must_use]
-    pub fn aggregate_of(&self, policy: &str) -> &PolicyAggregate {
-        self.try_aggregate_of(policy)
-            .unwrap_or_else(|| panic!("no aggregate for policy {policy}"))
-    }
-}
-
 impl MatrixOutcome {
     /// The aggregate of one policy by name, if present.
     #[must_use]
@@ -286,7 +259,7 @@ pub fn aggregate_cells(cells: &[MatrixCell], suite: &[PolicySpec]) -> Vec<Policy
 
 /// Runs the matrix and keeps every cell ([`MatrixOutcome`]) — the
 /// per-cell assertion path. Memory is `O(cells)`; prefer
-/// [`run_matrix_streaming`] for large sweeps that only need aggregates.
+/// `fold_matrix(.., drop)` for large sweeps that only need aggregates.
 pub fn run_matrix(
     scenarios: &[(String, SynthConfig)],
     seeds: &[u64],
@@ -297,69 +270,24 @@ pub fn run_matrix(
     Ok(MatrixOutcome { cells, aggregates })
 }
 
-/// Runs the matrix in streaming mode: each cell is folded into the
-/// per-policy aggregates and dropped, so no per-run `RunResult` outlives
-/// its fold step — retained aggregate state is `O(policies)` and peak
-/// in-flight memory is bounded by the worker-pool size, however many
-/// cells the sweep spans.
-pub fn run_matrix_streaming(
-    scenarios: &[(String, SynthConfig)],
-    seeds: &[u64],
-    suite: &[PolicySpec],
-) -> Result<MatrixSummary, SuiteError> {
-    let aggregates = fold_matrix(scenarios, seeds, suite, drop)?;
-    Ok(MatrixSummary { aggregates })
-}
-
-/// Resolves registered scenario names into matrix configs with the
-/// population size overridden per cell (test-friendly sizing).
-///
-/// # Panics
-/// Panics if any name is not in the scenario registry.
-fn named_scenarios(names: &[&str], n_functions: usize) -> Vec<(String, SynthConfig)> {
-    names
-        .iter()
-        .map(|&name| {
-            let mut cfg =
-                synth::scenario_config(name).unwrap_or_else(|| panic!("unknown scenario {name}"));
-            cfg.n_functions = n_functions;
-            (name.to_owned(), cfg)
-        })
-        .collect()
-}
-
-/// Convenience: [`run_matrix`] over registered scenario names.
-///
-/// # Panics
-/// Panics if any name is not in the scenario registry.
-pub fn run_named_matrix(
-    names: &[&str],
-    n_functions: usize,
-    seeds: &[u64],
-    suite: &[PolicySpec],
-) -> Result<MatrixOutcome, SuiteError> {
-    run_matrix(&named_scenarios(names, n_functions), seeds, suite)
-}
-
-/// Convenience: [`run_matrix_streaming`] over registered scenario names.
-///
-/// # Panics
-/// Panics if any name is not in the scenario registry.
-pub fn run_named_matrix_streaming(
-    names: &[&str],
-    n_functions: usize,
-    seeds: &[u64],
-    suite: &[PolicySpec],
-) -> Result<MatrixSummary, SuiteError> {
-    run_matrix_streaming(&named_scenarios(names, n_functions), seeds, suite)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policies;
     use crate::scenario::POLICY_ORDER;
     use spes_core::SpesConfig;
+
+    /// Registered scenarios resized to `n_functions` per cell.
+    fn scenarios(names: &[&str], n_functions: usize) -> Vec<(String, SynthConfig)> {
+        names
+            .iter()
+            .map(|&name| {
+                let mut cfg = synth::scenario_config(name).expect("registered scenario");
+                cfg.n_functions = n_functions;
+                (name.to_owned(), cfg)
+            })
+            .collect()
+    }
 
     #[test]
     fn online_fold_matches_descriptive_stats() {
@@ -377,7 +305,7 @@ mod tests {
     #[test]
     fn small_matrix_runs_and_aggregates() {
         let suite = policies::default_suite(&SpesConfig::default());
-        let out = run_named_matrix(&["quick", "chain-heavy"], 60, &[1, 2], &suite).unwrap();
+        let out = run_matrix(&scenarios(&["quick", "chain-heavy"], 60), &[1, 2], &suite).unwrap();
         assert_eq!(out.cells.len(), 4);
         assert_eq!(out.aggregates.len(), POLICY_ORDER.len());
         assert_eq!(out.cells_of("quick").len(), 2);
@@ -402,16 +330,12 @@ mod tests {
         // they are the same fold over the same deterministic cell order.
         let suite =
             policies::suite_of(&["spes", "fixed-keep-alive"], &SpesConfig::default()).unwrap();
-        let stored = run_named_matrix(&["quick", "bursty"], 50, &[3, 4], &suite).unwrap();
-        let streamed =
-            run_named_matrix_streaming(&["quick", "bursty"], 50, &[3, 4], &suite).unwrap();
+        let cells = scenarios(&["quick", "bursty"], 50);
+        let stored = run_matrix(&cells, &[3, 4], &suite).unwrap();
+        let streamed = fold_matrix(&cells, &[3, 4], &suite, drop).unwrap();
         let replayed = aggregate_cells(&stored.cells, &suite);
-        for ((a, b), c) in stored
-            .aggregates
-            .iter()
-            .zip(&streamed.aggregates)
-            .zip(&replayed)
-        {
+        assert_eq!(streamed.len(), suite.len());
+        for ((a, b), c) in stored.aggregates.iter().zip(&streamed).zip(&replayed) {
             assert_aggregates_bit_identical(a, b);
             assert_aggregates_bit_identical(c, b);
         }
@@ -443,7 +367,7 @@ mod tests {
         let suite = policies::suite_of(&["no-keep-alive"], &SpesConfig::default()).unwrap();
         let mut seen = Vec::new();
         fold_matrix(
-            &named_scenarios(&["quick", "bursty"], 30),
+            &scenarios(&["quick", "bursty"], 30),
             &[9, 1],
             &suite,
             |cell| seen.push((cell.scenario.clone(), cell.seed)),
@@ -464,7 +388,7 @@ mod tests {
     fn custom_suite_matrix_aggregates_in_suite_order() {
         let suite =
             policies::suite_of(&["oracle", "fixed-keep-alive"], &SpesConfig::default()).unwrap();
-        let out = run_named_matrix(&["quick"], 50, &[3], &suite).unwrap();
+        let out = run_matrix(&scenarios(&["quick"], 50), &[3], &suite).unwrap();
         let names: Vec<&str> = out.aggregates.iter().map(|a| a.policy.as_str()).collect();
         assert_eq!(names, ["oracle", "fixed-keep-alive"]);
         assert!(out.try_aggregate_of("spes").is_none());
@@ -475,20 +399,14 @@ mod tests {
     #[test]
     fn invalid_suites_fail_before_fanning_out() {
         let suite = policies::suite_of(&["faascache"], &SpesConfig::default()).unwrap();
+        let cells = scenarios(&["quick"], 20);
         assert!(matches!(
-            run_named_matrix(&["quick"], 20, &[1], &suite),
+            run_matrix(&cells, &[1], &suite),
             Err(SuiteError::UnknownCapacityRef { .. })
         ));
         assert!(matches!(
-            run_named_matrix_streaming(&["quick"], 20, &[1], &suite),
+            fold_matrix(&cells, &[1], &suite, drop),
             Err(SuiteError::UnknownCapacityRef { .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown scenario")]
-    fn named_matrix_rejects_unknown_scenarios() {
-        let suite = policies::default_suite(&SpesConfig::default());
-        let _ = run_named_matrix(&["nope"], 10, &[1], &suite);
     }
 }

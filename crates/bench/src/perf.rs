@@ -583,11 +583,12 @@ pub fn bench_journal(
         let mut policy = PolicyCell::new(name, &exp.spes, &data)?
             .standalone()?
             .build();
-        let mut log = EventLog::new();
-        Simulation::new(trace, window)
-            .observe(&mut log)
+        let log: EventLog = Simulation::new(trace, window)
+            .with_observer(Box::new(EventLog::new()))
             .run(policy.as_mut())
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())?
+            .take()
+            .ok_or("the event log comes back from the run")?;
         let events: Vec<(Slot, SimEvent)> = log.events.iter().map(|e| (e.slot, e.event)).collect();
         let meta = JournalMeta {
             policy_name: name.to_owned(),

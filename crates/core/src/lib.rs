@@ -38,12 +38,10 @@ pub mod forgetting;
 pub mod indeterminate;
 pub mod online_corr;
 pub mod patterns;
-pub mod priority;
 pub mod provision;
 pub mod slacking;
 
 pub use config::SpesConfig;
 pub use correlation::{best_lagged_cor, cor, lagged_cor, windowed_cor, Link};
 pub use patterns::{Categorized, FunctionType, PredictiveValues};
-pub use priority::{Priority, PriorityMap};
 pub use provision::{FitStats, OnlineStatsCounters, SpesFactory, SpesPolicy};

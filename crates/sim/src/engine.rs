@@ -25,9 +25,11 @@
 //! with no window known in advance.
 //!
 //! All accounting lives in observers ([`crate::events`]): the engine
-//! itself only drives the policy and narrates what happened. A run is
-//! assembled with the [`Simulation`] builder; [`try_simulate`] is the
-//! one-observer convenience that returns the paper's [`RunResult`].
+//! itself only drives the policy and narrates what happened. Observers
+//! are attached by value (a `Box<dyn DynObserver>`) and handed back in
+//! an [`ObserverSet`] when the run ends. A run is assembled with the
+//! [`Simulation`] builder; [`try_simulate`] is the one-observer
+//! convenience that returns the paper's [`RunResult`].
 //!
 //! # Scaling
 //!
@@ -163,6 +165,15 @@ pub enum SimError {
         /// The first slot that can no longer be stepped.
         end: Slot,
     },
+    /// [`SimDriver::step`] was handed an invocation of a function outside
+    /// the driver's universe; the batch is rejected before anything in it
+    /// is served.
+    UnknownFunction {
+        /// The out-of-range function id.
+        f: FunctionId,
+        /// Number of functions the driver was built over.
+        n_functions: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -192,67 +203,92 @@ impl std::fmt::Display for SimError {
             Self::StepAfterEnd { slot, end } => {
                 write!(f, "step at slot {slot} beyond the run end {end}")
             }
+            Self::UnknownFunction {
+                f: function,
+                n_functions,
+            } => write!(
+                f,
+                "unknown function {} in a run over {n_functions} functions",
+                function.0
+            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
 
+/// Checks a run's window: `start <= end`, then (when a trace bounds the
+/// run) `end <= horizon`, then `metrics_start` in `[start, end]`. The one
+/// check behind [`Simulation::run`], [`SimDriver::new`] and the snapshot
+/// header reader.
+fn validate_window(config: &SimConfig, horizon: Option<Slot>) -> Result<(), SimError> {
+    let SimConfig {
+        start,
+        end,
+        metrics_start,
+        ..
+    } = *config;
+    if start > end {
+        return Err(SimError::InvalidWindow { start, end });
+    }
+    if let Some(n_slots) = horizon.filter(|&n_slots| end > n_slots) {
+        return Err(SimError::BeyondHorizon { end, n_slots });
+    }
+    if !(start..=end).contains(&metrics_start) {
+        return Err(SimError::MetricsStartOutsideWindow {
+            metrics_start,
+            start,
+            end,
+        });
+    }
+    Ok(())
+}
+
 /// A configured run: the trace, the window, and any number of attached
-/// observers. Built with [`Simulation::new`] plus [`Simulation::observe`]
-/// (borrowed observers) and/or [`Simulation::with_observer`] (owned
-/// observers, recovered from the returned [`ObserverSet`]); executed with
-/// [`Simulation::run`].
+/// observers. Built with [`Simulation::new`] plus
+/// [`Simulation::with_observer`] per observer; executed with
+/// [`Simulation::run`], which hands the observers back in an
+/// [`ObserverSet`].
 ///
 /// ```
 /// use spes_sim::{KeepForever, RunCollector, SimConfig, Simulation, SlotSeries};
 /// # use spes_trace::{AppId, FunctionMeta, SparseSeries, Trace, TriggerType, UserId};
 /// # let meta = FunctionMeta { app: AppId(0), user: UserId(0), trigger: TriggerType::Http };
 /// # let trace = Trace::new(4, vec![meta], vec![SparseSeries::from_pairs(vec![(1, 2)])]);
-/// let mut metrics = RunCollector::new();
 /// let mut observers = Simulation::new(&trace, SimConfig::new(0, 4))
-///     .observe(&mut metrics)
+///     .with_observer(Box::new(RunCollector::new()))
 ///     .with_observer(Box::new(SlotSeries::new()))
 ///     .run(&mut KeepForever)
 ///     .unwrap();
-/// let run = metrics.into_result();
+/// let run = observers.take::<RunCollector>().unwrap().into_result();
 /// assert_eq!(run.total_cold_starts(), 1);
 /// let series: SlotSeries = observers.take().unwrap();
 /// assert_eq!(series.n_slots(), 4);
 /// ```
-pub struct Simulation<'t, 'o> {
+pub struct Simulation<'t> {
     trace: &'t Trace,
     config: SimConfig,
-    borrowed: Vec<&'o mut dyn Observer>,
-    owned: Vec<Box<dyn DynObserver>>,
+    observers: Vec<Box<dyn DynObserver>>,
 }
 
-impl<'t, 'o> Simulation<'t, 'o> {
+impl<'t> Simulation<'t> {
     /// Starts building a run of `trace` over `config`'s window.
     #[must_use]
     pub fn new(trace: &'t Trace, config: SimConfig) -> Self {
         Self {
             trace,
             config,
-            borrowed: Vec::new(),
-            owned: Vec::new(),
+            observers: Vec::new(),
         }
     }
 
-    /// Attaches a borrowed observer; events are delivered in attachment
-    /// order (borrowed observers first, then owned ones).
-    #[must_use]
-    pub fn observe(mut self, observer: &'o mut dyn Observer) -> Self {
-        self.borrowed.push(observer);
-        self
-    }
-
-    /// Attaches an owned observer; it rides the run and comes back in the
-    /// [`ObserverSet`] returned by [`Simulation::run`], recoverable by
-    /// concrete type via [`ObserverSet::take`].
+    /// Attaches an observer; events are delivered in attachment order.
+    /// It rides the run and comes back in the [`ObserverSet`] returned by
+    /// [`Simulation::run`], recoverable by concrete type via
+    /// [`ObserverSet::take`].
     #[must_use]
     pub fn with_observer(mut self, observer: Box<dyn DynObserver>) -> Self {
-        self.owned.push(observer);
+        self.observers.push(observer);
         self
     }
 
@@ -264,15 +300,7 @@ impl<'t, 'o> Simulation<'t, 'o> {
     /// beyond the trace horizon. Nothing is simulated in that case.
     pub fn run(self, policy: &mut dyn Policy) -> Result<ObserverSet, SimError> {
         let SimConfig { start, end, .. } = self.config;
-        if start > end {
-            return Err(SimError::InvalidWindow { start, end });
-        }
-        if end > self.trace.n_slots {
-            return Err(SimError::BeyondHorizon {
-                end,
-                n_slots: self.trace.n_slots,
-            });
-        }
+        validate_window(&self.config, Some(self.trace.n_slots))?;
         // One CSR active-set index for the whole window: each slot's batch
         // is a contiguous slice of a single flat allocation, so the hot
         // loop below touches only the functions invoked that slot —
@@ -283,17 +311,16 @@ impl<'t, 'o> Simulation<'t, 'o> {
             self.trace.n_functions(),
             self.config,
             policy,
-            self.borrowed,
-            self.owned,
+            self.observers,
             false,
-        )?;
+        );
         for t in start..end {
             driver
                 .step(t, batches.batch(t))
                 .expect("contiguous in-window steps cannot fail");
         }
         driver.close();
-        Ok(ObserverSet::new(std::mem::take(&mut driver.sinks.owned)))
+        Ok(ObserverSet::new(driver.sinks.observers))
     }
 }
 
@@ -358,20 +385,16 @@ impl OutcomeScratch {
     }
 }
 
-/// The attached event sinks of one run: borrowed observers, owned
-/// observers, and the driver's own optional metrics collector.
-struct Sinks<'o> {
-    borrowed: Vec<&'o mut dyn Observer>,
-    owned: Vec<Box<dyn DynObserver>>,
+/// The attached event sinks of one run: the attached observers and the
+/// driver's own optional metrics collector.
+struct Sinks {
+    observers: Vec<Box<dyn DynObserver>>,
     collector: Option<RunCollector>,
 }
 
-impl Sinks<'_> {
+impl Sinks {
     fn run_start(&mut self, meta: &RunMeta<'_>, pool: &MemoryPool) {
-        for observer in self.borrowed.iter_mut() {
-            observer.on_run_start(meta, pool);
-        }
-        for observer in self.owned.iter_mut() {
+        for observer in self.observers.iter_mut() {
             observer.on_run_start(meta, pool);
         }
         if let Some(collector) = self.collector.as_mut() {
@@ -385,10 +408,7 @@ impl Sinks<'_> {
             measured,
             pool,
         };
-        for observer in self.borrowed.iter_mut() {
-            observer.on_event(&ctx, event);
-        }
-        for observer in self.owned.iter_mut() {
+        for observer in self.observers.iter_mut() {
             observer.on_event(&ctx, event);
         }
         if let Some(collector) = self.collector.as_mut() {
@@ -397,10 +417,7 @@ impl Sinks<'_> {
     }
 
     fn run_end(&mut self, end: Slot, pool: &MemoryPool) {
-        for observer in self.borrowed.iter_mut() {
-            observer.on_run_end(end, pool);
-        }
-        for observer in self.owned.iter_mut() {
+        for observer in self.observers.iter_mut() {
             observer.on_run_end(end, pool);
         }
         if let Some(collector) = self.collector.as_mut() {
@@ -435,10 +452,10 @@ impl Sinks<'_> {
 /// assert_eq!(run.total_cold_starts(), 1);
 /// assert_eq!(run.end, 1); // the run ended where stepping stopped
 /// ```
-pub struct SimDriver<'p, 'o> {
+pub struct SimDriver<'p> {
     config: SimConfig,
     policy: &'p mut dyn Policy,
-    sinks: Sinks<'o>,
+    sinks: Sinks,
     pool: MemoryPool,
     ops: Vec<PoolOp>,
     scratch: OutcomeScratch,
@@ -449,7 +466,7 @@ pub struct SimDriver<'p, 'o> {
     finished: bool,
 }
 
-impl std::fmt::Debug for SimDriver<'_, '_> {
+impl std::fmt::Debug for SimDriver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimDriver")
             .field("policy", &self.policy.name())
@@ -460,7 +477,7 @@ impl std::fmt::Debug for SimDriver<'_, '_> {
     }
 }
 
-impl<'p, 'o> SimDriver<'p, 'o> {
+impl<'p> SimDriver<'p> {
     /// Builds a driver over `n_functions` functions with owned observers,
     /// fires `on_run_start` and the policy's `on_start` hook, and installs
     /// an internal [`RunCollector`] behind [`SimDriver::finish`].
@@ -475,20 +492,21 @@ impl<'p, 'o> SimDriver<'p, 'o> {
         policy: &'p mut dyn Policy,
         observers: Vec<Box<dyn DynObserver>>,
     ) -> Result<Self, SimError> {
-        Self::assemble(n_functions, config, policy, Vec::new(), observers, true)
+        validate_window(&config, None)?;
+        Ok(Self::assemble(n_functions, config, policy, observers, true))
     }
 
     /// The shared constructor behind [`SimDriver::new`] (with an internal
     /// collector) and [`Simulation::run`] (without one — batch callers
-    /// attach their own [`RunCollector`]).
+    /// attach their own [`RunCollector`]). `config` has been through
+    /// [`validate_window`].
     fn assemble(
         n_functions: usize,
         config: SimConfig,
         policy: &'p mut dyn Policy,
-        borrowed: Vec<&'o mut dyn Observer>,
-        owned: Vec<Box<dyn DynObserver>>,
+        observers: Vec<Box<dyn DynObserver>>,
         collect: bool,
-    ) -> Result<Self, SimError> {
+    ) -> Self {
         let SimConfig {
             start,
             end,
@@ -496,16 +514,6 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             capacity,
             pressure_budget,
         } = config;
-        if start > end {
-            return Err(SimError::InvalidWindow { start, end });
-        }
-        if !(start..=end).contains(&metrics_start) {
-            return Err(SimError::MetricsStartOutsideWindow {
-                metrics_start,
-                start,
-                end,
-            });
-        }
         let mut pool = MemoryPool::with_capacity(n_functions, capacity);
         pool.enable_journal();
         pool.set_admission_budget(pressure_budget);
@@ -513,8 +521,7 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             config,
             policy,
             sinks: Sinks {
-                borrowed,
-                owned,
+                observers,
                 collector: collect.then(RunCollector::new),
             },
             pool,
@@ -541,7 +548,7 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             LoadCause::Policy,
             EvictCause::Policy,
         );
-        Ok(driver)
+        driver
     }
 
     /// The next slot [`SimDriver::step`] expects.
@@ -573,7 +580,7 @@ impl<'p, 'o> SimDriver<'p, 'o> {
     #[must_use]
     pub fn observer<T: Observer + 'static>(&self) -> Option<&T> {
         self.sinks
-            .owned
+            .observers
             .iter()
             .find_map(|o| o.as_any().downcast_ref::<T>())
     }
@@ -586,7 +593,9 @@ impl<'p, 'o> SimDriver<'p, 'o> {
     /// # Errors
     /// [`SimError::StepOutOfOrder`] when `slot` is not the next expected
     /// slot; [`SimError::StepAfterEnd`] at or past the window end or
-    /// after the driver was closed.
+    /// after the driver was closed; [`SimError::UnknownFunction`] when
+    /// `invoked` names a function outside the driver's universe. A
+    /// rejected step emits nothing and changes no state.
     pub fn step(
         &mut self,
         slot: Slot,
@@ -609,6 +618,10 @@ impl<'p, 'o> SimDriver<'p, 'o> {
                 expected: self.next_slot,
                 got: slot,
             });
+        }
+        let n_functions = self.pool.n_functions();
+        if let Some(&(f, _)) = invoked.iter().find(|(f, _)| f.index() >= n_functions) {
+            return Err(SimError::UnknownFunction { f, n_functions });
         }
         if self.clear_scratch {
             self.scratch.clear();
@@ -733,13 +746,8 @@ impl<'p, 'o> SimDriver<'p, 'o> {
     /// metrics over the slots actually simulated (the result's `end` is
     /// the first unstepped slot, not the configured window end).
     #[must_use]
-    pub fn finish(mut self) -> RunResult {
-        self.close();
-        self.sinks
-            .collector
-            .take()
-            .expect("SimDriver::new always installs a collector")
-            .into_result()
+    pub fn finish(self) -> RunResult {
+        self.finish_with_observers().0
     }
 
     /// Ends the run like [`SimDriver::finish`] but also hands back the
@@ -754,10 +762,7 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             .take()
             .expect("SimDriver::new always installs a collector")
             .into_result();
-        (
-            result,
-            ObserverSet::new(std::mem::take(&mut self.sinks.owned)),
-        )
+        (result, ObserverSet::new(self.sinks.observers))
     }
 
     /// Serialises the run's full mutable state at the current slot
@@ -769,12 +774,9 @@ impl<'p, 'o> SimDriver<'p, 'o> {
     /// concrete type name.
     ///
     /// Call between [`SimDriver::step`]s (any slot boundary works,
-    /// including before the first step). Borrowed observers
-    /// ([`Simulation::observe`]) are not captured — snapshotting is a
-    /// step-driven-run feature, and those drivers own all their
-    /// observers. [`SimDriver::resume_from`] restores the blob;
-    /// property tests pin resume-at-every-boundary bit-identical to the
-    /// uninterrupted run.
+    /// including before the first step). [`SimDriver::resume_from`]
+    /// restores the blob; property tests pin resume-at-every-boundary
+    /// bit-identical to the uninterrupted run.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
         let mut payload = Vec::new();
@@ -820,8 +822,8 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             }
             None => payload.push(0),
         }
-        wire::put_varint(&mut payload, self.sinks.owned.len() as u64);
-        for observer in &self.sinks.owned {
+        wire::put_varint(&mut payload, self.sinks.observers.len() as u64);
+        for observer in &self.sinks.observers {
             wire::put_str(&mut payload, observer.type_name());
             wire::put_bytes(&mut payload, &observer.snapshot());
         }
@@ -857,8 +859,9 @@ impl<'p, 'o> SimDriver<'p, 'o> {
     ///   the original attachment order to keep replays bit-identical.
     ///
     /// # Errors
-    /// Returns a [`SnapshotError`] on foreign/corrupt/truncated blobs,
-    /// a checksum mismatch, a policy name mismatch, or a failed
+    /// Returns a [`SnapshotError`] on foreign/corrupt/truncated blobs
+    /// (including a window or resume slot [`SimDriver::new`] would
+    /// refuse), a checksum mismatch, a policy name mismatch, or a failed
     /// policy/observer state restore.
     pub fn resume_from(
         snapshot: &[u8],
@@ -868,37 +871,18 @@ impl<'p, 'o> SimDriver<'p, 'o> {
         let payload = snapshot_payload(snapshot)?;
         let corrupt = SnapshotError::Corrupt;
         let mut cur = wire::Cursor::new(&payload);
-        let policy_name = cur.take_str().map_err(corrupt)?;
+        let SnapshotInfo {
+            policy_name,
+            n_functions,
+            config,
+            next_slot,
+        } = read_header(&mut cur)?;
         if policy_name != policy.name() {
             return Err(SnapshotError::PolicyMismatch {
                 expected: policy_name,
                 got: policy.name().to_owned(),
             });
         }
-        let n_functions = usize::try_from(cur.take_varint().map_err(corrupt)?)
-            .map_err(|_| SnapshotError::Corrupt("n_functions does not fit usize".to_owned()))?;
-        let take_slot = |cur: &mut wire::Cursor<'_>| -> Result<Slot, SnapshotError> {
-            let raw = cur.take_varint().map_err(SnapshotError::Corrupt)?;
-            Slot::try_from(raw)
-                .map_err(|_| SnapshotError::Corrupt(format!("slot {raw} does not fit u32")))
-        };
-        let take_opt_usize = |cur: &mut wire::Cursor<'_>| -> Result<Option<usize>, SnapshotError> {
-            cur.take_opt_u64()
-                .map_err(SnapshotError::Corrupt)?
-                .map(|v| {
-                    usize::try_from(v)
-                        .map_err(|_| SnapshotError::Corrupt(format!("{v} does not fit usize")))
-                })
-                .transpose()
-        };
-        let config = SimConfig {
-            start: take_slot(&mut cur)?,
-            end: take_slot(&mut cur)?,
-            metrics_start: take_slot(&mut cur)?,
-            capacity: take_opt_usize(&mut cur)?,
-            pressure_budget: take_opt_usize(&mut cur)?,
-        };
-        let next_slot = take_slot(&mut cur)?;
         let finished = cur.take_u8().map_err(corrupt)? != 0;
         let clear_scratch = cur.take_u8().map_err(corrupt)? != 0;
         let mut scratch = OutcomeScratch {
@@ -995,8 +979,7 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             config,
             policy,
             sinks: Sinks {
-                borrowed: Vec::new(),
-                owned,
+                observers: owned,
                 collector,
             },
             pool,
@@ -1131,42 +1114,59 @@ pub struct SnapshotInfo {
 /// [`SimDriver::resume_from`].
 ///
 /// # Errors
-/// Returns a [`SnapshotError`] on foreign, corrupt, or truncated blobs.
+/// Returns a [`SnapshotError`] on foreign, corrupt, or truncated blobs,
+/// including a window or resume slot [`SimDriver::new`] would refuse.
 pub fn snapshot_info(snapshot: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
     let payload = snapshot_payload(snapshot)?;
+    read_header(&mut wire::Cursor::new(&payload))
+}
+
+/// Reads the header fields at the front of a snapshot payload and
+/// checks them like [`SimDriver::new`] checks its config: a window or
+/// resume point the driver would refuse is [`SnapshotError::Corrupt`].
+fn read_header(cur: &mut wire::Cursor<'_>) -> Result<SnapshotInfo, SnapshotError> {
     let corrupt = SnapshotError::Corrupt;
-    let mut cur = wire::Cursor::new(&payload);
     let policy_name = cur.take_str().map_err(corrupt)?;
     let n_functions = usize::try_from(cur.take_varint().map_err(corrupt)?)
         .map_err(|_| SnapshotError::Corrupt("n_functions does not fit usize".to_owned()))?;
-    let take_slot = |cur: &mut wire::Cursor<'_>| -> Result<Slot, SnapshotError> {
-        let raw = cur.take_varint().map_err(SnapshotError::Corrupt)?;
-        Slot::try_from(raw)
-            .map_err(|_| SnapshotError::Corrupt(format!("slot {raw} does not fit u32")))
-    };
-    let take_opt_usize = |cur: &mut wire::Cursor<'_>| -> Result<Option<usize>, SnapshotError> {
-        cur.take_opt_u64()
-            .map_err(SnapshotError::Corrupt)?
-            .map(|v| {
-                usize::try_from(v)
-                    .map_err(|_| SnapshotError::Corrupt(format!("{v} does not fit usize")))
-            })
-            .transpose()
-    };
     let config = SimConfig {
-        start: take_slot(&mut cur)?,
-        end: take_slot(&mut cur)?,
-        metrics_start: take_slot(&mut cur)?,
-        capacity: take_opt_usize(&mut cur)?,
-        pressure_budget: take_opt_usize(&mut cur)?,
+        start: take_slot(cur)?,
+        end: take_slot(cur)?,
+        metrics_start: take_slot(cur)?,
+        capacity: take_opt_usize(cur)?,
+        pressure_budget: take_opt_usize(cur)?,
     };
-    let next_slot = take_slot(&mut cur)?;
+    let next_slot = take_slot(cur)?;
+    validate_window(&config, None).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+    if !(config.start..=config.end).contains(&next_slot) {
+        return Err(SnapshotError::Corrupt(format!(
+            "next slot {next_slot} outside the window [{}, {}]",
+            config.start, config.end
+        )));
+    }
     Ok(SnapshotInfo {
         policy_name,
         n_functions,
         config,
         next_slot,
     })
+}
+
+/// Reads one varint slot number.
+fn take_slot(cur: &mut wire::Cursor<'_>) -> Result<Slot, SnapshotError> {
+    let raw = cur.take_varint().map_err(SnapshotError::Corrupt)?;
+    Slot::try_from(raw).map_err(|_| SnapshotError::Corrupt(format!("slot {raw} does not fit u32")))
+}
+
+/// Reads an optional pool limit.
+fn take_opt_usize(cur: &mut wire::Cursor<'_>) -> Result<Option<usize>, SnapshotError> {
+    cur.take_opt_u64()
+        .map_err(SnapshotError::Corrupt)?
+        .map(|v| {
+            usize::try_from(v)
+                .map_err(|_| SnapshotError::Corrupt(format!("{v} does not fit usize")))
+        })
+        .transpose()
 }
 
 /// Runs `policy` over `trace` for the window in `config`, collecting the
@@ -1180,11 +1180,13 @@ pub fn try_simulate(
     policy: &mut dyn Policy,
     config: SimConfig,
 ) -> Result<RunResult, SimError> {
-    let mut collector = RunCollector::new();
-    Simulation::new(trace, config)
-        .observe(&mut collector)
+    let mut observers = Simulation::new(trace, config)
+        .with_observer(Box::new(RunCollector::new()))
         .run(policy)?;
-    Ok(collector.into_result())
+    Ok(observers
+        .take::<RunCollector>()
+        .expect("the collector attached above comes back")
+        .into_result())
 }
 
 /// Evicts instances (policy-chosen victims, falling back to the
@@ -1471,16 +1473,15 @@ mod tests {
             ],
             4,
         );
-        let mut log = crate::events::EventLog::new();
-        let mut collector = RunCollector::new();
-        Simulation::new(&trace, SimConfig::new(0, 4).with_pressure_budget(1))
-            .observe(&mut collector)
-            .observe(&mut log)
+        let mut observers = Simulation::new(&trace, SimConfig::new(0, 4).with_pressure_budget(1))
+            .with_observer(Box::new(RunCollector::new()))
+            .with_observer(Box::new(EventLog::new()))
             .run(&mut Prewarm {
                 target: FunctionId(1),
             })
             .unwrap();
-        let run = collector.into_result();
+        let run = observers.take::<RunCollector>().unwrap().into_result();
+        let log: EventLog = observers.take().unwrap();
         // The demand load went through despite the budget being reached.
         assert_eq!(run.cold_starts[0], 1);
         assert_eq!(run.invocations[0], 2);
@@ -1503,12 +1504,13 @@ mod tests {
             ],
             4,
         );
-        let mut log = crate::events::EventLog::new();
-        Simulation::new(&trace, SimConfig::new(0, 4).with_pressure_budget(2))
-            .observe(&mut log)
+        let log: EventLog = Simulation::new(&trace, SimConfig::new(0, 4).with_pressure_budget(2))
+            .with_observer(Box::new(EventLog::new()))
             .run(&mut Prewarm {
                 target: FunctionId(1),
             })
+            .unwrap()
+            .take()
             .unwrap();
         let policy_loads = log
             .events
@@ -1615,6 +1617,68 @@ mod tests {
             .unwrap_err(),
             SimError::MetricsStartOutsideWindow { .. }
         ));
+    }
+
+    #[test]
+    fn driver_rejects_unknown_functions_without_side_effects() {
+        let mut policy = KeepForever;
+        let mut driver = SimDriver::new(
+            2,
+            SimConfig::new(0, Slot::MAX),
+            &mut policy,
+            vec![Box::new(EventLog::new())],
+        )
+        .unwrap();
+        // The in-range invocation ahead of the bad one is not served
+        // either: the whole batch is refused up front.
+        let err = driver
+            .step(0, &[(FunctionId(0), 1), (FunctionId(2), 1)])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::UnknownFunction {
+                f: FunctionId(2),
+                n_functions: 2
+            }
+        );
+        assert!(err.to_string().contains("unknown function 2"), "{err}");
+        assert_eq!(driver.next_slot(), 0);
+        assert_eq!(driver.pool().loaded_count(), 0);
+        assert!(driver.observer::<EventLog>().unwrap().events.is_empty());
+        // The driver is still usable at the same slot.
+        let outcome = driver.step(0, &[(FunctionId(1), 2)]).unwrap();
+        assert_eq!((outcome.cold_starts, outcome.invocations), (1, 2));
+        assert_eq!(driver.finish().total_cold_starts(), 1);
+    }
+
+    #[test]
+    fn resume_rejects_a_window_the_driver_would_refuse() {
+        let mut policy = KeepForever;
+        let mut driver = SimDriver::new(
+            1,
+            SimConfig::new(0, 10).with_metrics_start(4),
+            &mut policy,
+            Vec::new(),
+        )
+        .unwrap();
+        driver.step(0, &[(FunctionId(0), 1)]).unwrap();
+        let mut blob = driver.snapshot();
+        // Payload: policy name (varint length + bytes), n_functions, then
+        // start, end, metrics_start as one-byte varints.
+        let metrics_start_at = 20 + 1 + "keep-forever".len() + 1 + 2;
+        assert_eq!(blob[metrics_start_at], 4);
+        blob[metrics_start_at] = 11; // past the window end
+        let crc = wire::crc32(&blob[20..]);
+        blob[16..20].copy_from_slice(&crc.to_le_bytes());
+        for err in [
+            snapshot_info(&blob).unwrap_err(),
+            SimDriver::resume_from(&blob, &mut KeepForever, Vec::new()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, SnapshotError::Corrupt(m) if m.contains("metrics_start outside")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The engine used to be a closed loop: every metric the paper reports
 //! was hand-accumulated inline in `simulate()`, and any consumer that
-//! wanted a different view of a run (per-slot curves, placement replay,
-//! eviction forensics) had to re-implement the loop. This module turns
+//! wanted a different view of a run (per-slot curves, eviction
+//! forensics) had to re-implement the loop. This module turns
 //! the run into a first-class **event stream**: while driving the policy,
 //! the engine emits a [`SimEvent`] for everything that happens —
 //! invocations ([`SimEvent::ColdStart`] / [`SimEvent::WarmStart`]), pool
@@ -18,9 +18,7 @@
 //! sparse workloads cost `O(events)` per slot instead of `O(loaded)`).
 //! [`SlotSeries`] records per-slot loaded/cold/EMCR curves for the
 //! figures, [`EvictionAudit`] keeps eviction forensics, and [`EventLog`]
-//! captures the raw stream for tests and offline analysis. The cluster
-//! placement replay (`spes_sim::cluster`) is an observer over the same
-//! stream.
+//! captures the raw stream for tests and offline analysis.
 //!
 //! Event order within one slot is deterministic: for each invoked
 //! function (trace bucket order) a `ColdStart`/`WarmStart`, then any
@@ -28,23 +26,22 @@
 //! own `Load`s/`Evict`s in the order the policy performed them; then one
 //! `SlotEnd`. Observers never mutate the pool — only the policy does.
 //!
-//! Observers attach to a run through the [`crate::Simulation`] builder
-//! (or a [`crate::SimDriver`] for step-driven runs); any number can ride
-//! one simulation:
+//! Observers attach to a run by value through the [`crate::Simulation`]
+//! builder (or a [`crate::SimDriver`] for step-driven runs) and come
+//! back in an [`ObserverSet`]; any number can ride one simulation:
 //!
 //! ```
 //! use spes_sim::{EventLog, NoKeepAlive, RunCollector, SimConfig, Simulation};
 //! use spes_trace::synth::small_test_trace;
 //!
 //! let trace = small_test_trace(40, 1).trace;
-//! let mut metrics = RunCollector::new();
-//! let mut log = EventLog::new();
-//! Simulation::new(&trace, SimConfig::new(0, trace.n_slots))
-//!     .observe(&mut metrics)
-//!     .observe(&mut log)
+//! let mut observers = Simulation::new(&trace, SimConfig::new(0, trace.n_slots))
+//!     .with_observer(Box::new(RunCollector::new()))
+//!     .with_observer(Box::new(EventLog::new()))
 //!     .run(&mut NoKeepAlive)
 //!     .unwrap();
-//! let run = metrics.into_result();
+//! let run = observers.take::<RunCollector>().unwrap().into_result();
+//! let log: EventLog = observers.take().unwrap();
 //! // The paper metrics and the raw stream describe the same run: the
 //! // log carries the window, and exactly one SlotEnd tick per slot.
 //! assert_eq!(run.n_slots(), u64::from(trace.n_slots));
@@ -1281,6 +1278,22 @@ mod tests {
         Trace::new(n_slots, vec![meta; n], series)
     }
 
+    /// Runs `policy` over `trace` with `observer` attached and hands the
+    /// observer back.
+    fn observed<T: Observer + 'static>(
+        trace: &Trace,
+        config: SimConfig,
+        policy: &mut dyn crate::policy::Policy,
+        observer: T,
+    ) -> T {
+        Simulation::new(trace, config)
+            .with_observer(Box::new(observer))
+            .run(policy)
+            .unwrap()
+            .take()
+            .unwrap()
+    }
+
     #[test]
     fn slot_series_matches_run_totals() {
         let trace = trace_of(
@@ -1290,14 +1303,13 @@ mod tests {
             ],
             6,
         );
-        let mut collector = RunCollector::new();
-        let mut series = SlotSeries::new();
-        Simulation::new(&trace, SimConfig::new(0, 6))
-            .observe(&mut collector)
-            .observe(&mut series)
+        let mut observers = Simulation::new(&trace, SimConfig::new(0, 6))
+            .with_observer(Box::new(RunCollector::new()))
+            .with_observer(Box::new(SlotSeries::new()))
             .run(&mut KeepForever)
             .unwrap();
-        let run = collector.into_result();
+        let run = observers.take::<RunCollector>().unwrap().into_result();
+        let series: SlotSeries = observers.take().unwrap();
         assert_eq!(series.n_slots(), 6);
         assert_eq!(series.slot_at(2), 2);
         let cold: u64 = series.cold.iter().map(|&c| u64::from(c)).sum();
@@ -1324,11 +1336,12 @@ mod tests {
             ],
             4,
         );
-        let mut audit = EvictionAudit::new(5);
-        Simulation::new(&trace, SimConfig::new(0, 4).with_capacity(1))
-            .observe(&mut audit)
-            .run(&mut KeepForever)
-            .unwrap();
+        let audit = observed(
+            &trace,
+            SimConfig::new(0, 4).with_capacity(1),
+            &mut KeepForever,
+            EvictionAudit::new(5),
+        );
         assert_eq!(audit.capacity_evictions, 3);
         assert_eq!(audit.policy_evictions, 0);
         assert_eq!(audit.reloads, 2);
@@ -1339,11 +1352,12 @@ mod tests {
     #[test]
     fn eviction_audit_attributes_policy_evictions() {
         let trace = trace_of(vec![SparseSeries::from_pairs(vec![(0, 1), (1, 1)])], 3);
-        let mut audit = EvictionAudit::new(1);
-        Simulation::new(&trace, SimConfig::new(0, 3))
-            .observe(&mut audit)
-            .run(&mut NoKeepAlive)
-            .unwrap();
+        let audit = observed(
+            &trace,
+            SimConfig::new(0, 3),
+            &mut NoKeepAlive,
+            EvictionAudit::new(1),
+        );
         // No-keep-alive evicts after each of the two active slots.
         assert_eq!(audit.policy_evictions, 2);
         assert_eq!(audit.capacity_evictions, 0);
@@ -1378,11 +1392,12 @@ mod tests {
             ],
             4,
         );
-        let mut pressure = MemoryPressure::new();
-        Simulation::new(&trace, SimConfig::new(0, 4).with_pressure_budget(1))
-            .observe(&mut pressure)
-            .run(&mut PrewarmAll)
-            .unwrap();
+        let pressure = observed(
+            &trace,
+            SimConfig::new(0, 4).with_pressure_budget(1),
+            &mut PrewarmAll,
+            MemoryPressure::new(),
+        );
         assert_eq!(pressure.budget(), Some(1));
         // 2 rejects per slot (f1, f2); f0's re-load attempt is a no-op.
         assert_eq!(pressure.rejected_loads, 8);
@@ -1404,11 +1419,12 @@ mod tests {
             ],
             4,
         );
-        let mut pressure = MemoryPressure::with_budget(3);
-        Simulation::new(&trace, SimConfig::new(0, 4))
-            .observe(&mut pressure)
-            .run(&mut KeepForever)
-            .unwrap();
+        let pressure = observed(
+            &trace,
+            SimConfig::new(0, 4),
+            &mut KeepForever,
+            MemoryPressure::with_budget(3),
+        );
         assert_eq!(pressure.budget(), Some(3));
         assert_eq!(pressure.rejected_loads, 0);
         assert_eq!(pressure.peak_occupancy, 2);
@@ -1421,11 +1437,12 @@ mod tests {
     #[test]
     fn memory_pressure_without_any_budget_still_tracks_occupancy() {
         let trace = trace_of(vec![SparseSeries::from_pairs(vec![(1, 2)])], 3);
-        let mut pressure = MemoryPressure::new();
-        Simulation::new(&trace, SimConfig::new(0, 3))
-            .observe(&mut pressure)
-            .run(&mut KeepForever)
-            .unwrap();
+        let pressure = observed(
+            &trace,
+            SimConfig::new(0, 3),
+            &mut KeepForever,
+            MemoryPressure::new(),
+        );
         assert_eq!(pressure.budget(), None);
         assert_eq!(pressure.min_headroom, None);
         assert_eq!(pressure.utilization(), None);
@@ -1464,11 +1481,12 @@ mod tests {
     #[test]
     fn fairness_attributes_shares_per_app() {
         let trace = two_app_trace();
-        let mut fairness = Fairness::from_trace(&trace);
-        Simulation::new(&trace, SimConfig::new(0, 3))
-            .observe(&mut fairness)
-            .run(&mut crate::policy::NoKeepAlive)
-            .unwrap();
+        let fairness = observed(
+            &trace,
+            SimConfig::new(0, 3),
+            &mut crate::policy::NoKeepAlive,
+            Fairness::from_trace(&trace),
+        );
         assert_eq!(fairness.n_apps(), 2);
         assert_eq!(fairness.total_invocations(), 20);
         // Every active (function, slot) is cold under no-keep-alive.
@@ -1497,11 +1515,12 @@ mod tests {
         // One app only: its cold share equals its invocation share and
         // the Gini over a single CSR is 0.
         let trace = trace_of(vec![SparseSeries::from_pairs(vec![(0, 1), (2, 1)])], 3);
-        let mut fairness = Fairness::from_trace(&trace);
-        Simulation::new(&trace, SimConfig::new(0, 3))
-            .observe(&mut fairness)
-            .run(&mut KeepForever)
-            .unwrap();
+        let fairness = observed(
+            &trace,
+            SimConfig::new(0, 3),
+            &mut KeepForever,
+            Fairness::from_trace(&trace),
+        );
         assert_eq!(fairness.gini_csr(), 0.0);
         assert!((fairness.max_burden_ratio() - 1.0).abs() < 1e-12);
     }
@@ -1509,11 +1528,12 @@ mod tests {
     #[test]
     fn fairness_respects_the_measurement_window() {
         let trace = two_app_trace();
-        let mut fairness = Fairness::from_trace(&trace);
-        Simulation::new(&trace, SimConfig::new(0, 3).with_metrics_start(2))
-            .observe(&mut fairness)
-            .run(&mut crate::policy::NoKeepAlive)
-            .unwrap();
+        let fairness = observed(
+            &trace,
+            SimConfig::new(0, 3).with_metrics_start(2),
+            &mut crate::policy::NoKeepAlive,
+            Fairness::from_trace(&trace),
+        );
         // Only slot 2 is measured: f0 (app 0) and f2 (app 7).
         assert_eq!(fairness.total_invocations(), 7);
         assert_eq!(fairness.total_cold_starts(), 2);
@@ -1531,11 +1551,12 @@ mod tests {
     #[test]
     fn event_log_captures_the_window_and_ordered_stream() {
         let trace = trace_of(vec![SparseSeries::from_pairs(vec![(1, 2)])], 3);
-        let mut log = EventLog::new();
-        Simulation::new(&trace, SimConfig::new(0, 3).with_metrics_start(2))
-            .observe(&mut log)
-            .run(&mut KeepForever)
-            .unwrap();
+        let log = observed(
+            &trace,
+            SimConfig::new(0, 3).with_metrics_start(2),
+            &mut KeepForever,
+            EventLog::new(),
+        );
         assert_eq!(log.policy_name, "keep-forever");
         assert_eq!((log.start, log.metrics_start, log.end), (0, 2, 3));
         assert_eq!(log.n_functions, 1);

@@ -1148,12 +1148,12 @@ mod tests {
             extra: Vec::new(),
         };
         let journal = JournalObserver::new(Vec::new(), &jmeta).unwrap();
-        let mut log = EventLog::new();
         let mut observers = Simulation::new(&trace, config)
-            .observe(&mut log)
+            .with_observer(Box::new(EventLog::new()))
             .with_observer(Box::new(journal))
             .run(&mut KeepForever)
             .unwrap();
+        let log: EventLog = observers.take().unwrap();
         let journal: JournalObserver<Vec<u8>> = observers.take().unwrap();
         assert!(journal.error().is_none());
         let bytes = journal.into_inner().unwrap();

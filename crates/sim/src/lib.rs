@@ -3,16 +3,17 @@
 //! Simulates a serverless platform at one-minute granularity under the
 //! paper's simulation principles: executions complete within their slot,
 //! cold-start latency is uniform (so cold-start *counts* are the metric),
-//! and a single node holds all loaded instances (the [`cluster`] module
-//! additionally models multi-node placement). Policies implement
+//! and a single node holds all loaded instances. Policies implement
 //! [`Policy`] and are driven by the [`engine`]: a pure event-stream
-//! driver ([`Simulation`]) that narrates each run — cold/warm starts,
-//! loads, evictions, slot ticks — to any set of [`Observer`]s (see
-//! [`events`]). The paper's metrics are one such observer
-//! ([`RunCollector`], producing a [`RunResult`]); others record per-slot
-//! curves ([`SlotSeries`]), eviction forensics ([`EvictionAudit`]), the
-//! raw stream ([`EventLog`]), or replay placement decisions onto a
-//! multi-node fleet ([`cluster::ClusterObserver`]). The [`suite`] module
+//! driver ([`Simulation`] for a trace window, [`SimDriver`] one slot at a
+//! time) that narrates each run — cold/warm starts, loads, evictions,
+//! slot ticks — to any set of owned [`Observer`]s (see [`events`]),
+//! handed back in an [`ObserverSet`] when the run ends. The paper's
+//! metrics are one such observer ([`RunCollector`], producing a
+//! [`RunResult`]); others record per-slot curves ([`SlotSeries`]),
+//! eviction forensics ([`EvictionAudit`]), memory pressure
+//! ([`MemoryPressure`]), fairness ([`Fairness`]), or the raw stream
+//! ([`EventLog`]). The [`suite`] module
 //! adds declarative policy construction: factories, capacity rules, and
 //! a two-phase suite runner over whole policy lists. The [`schedule`]
 //! module holds the scheduling tools the policies share: a slot-keyed
@@ -21,7 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cluster;
 pub mod engine;
 pub mod events;
 pub mod journal;
@@ -34,7 +34,6 @@ pub mod serve;
 pub mod shard;
 pub mod suite;
 
-pub use cluster::{run_on_cluster, Cluster, ClusterObserver, ClusterReport, PlacementStrategy};
 pub use engine::{snapshot_info, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use engine::{try_simulate, SimConfig, SimDriver, SimError, Simulation, SlotOutcome};
 pub use events::{

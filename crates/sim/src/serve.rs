@@ -396,7 +396,7 @@ pub fn serve<R: BufRead, W: Write>(
 /// and snapshot records along the way. The pending invocations belong to
 /// the currently open slot and are delivered when it closes.
 fn advance_to<W: Write>(
-    driver: &mut SimDriver<'_, '_>,
+    driver: &mut SimDriver<'_>,
     pending: &mut Vec<(FunctionId, u32)>,
     target: Slot,
     config: &ServeConfig,
@@ -554,7 +554,7 @@ fn ids(functions: &[FunctionId]) -> Value {
     Value::Array(functions.iter().map(|f| f.0.to_value()).collect())
 }
 
-fn render_ready(driver: &SimDriver<'_, '_>, init: &InitRecord) -> String {
+fn render_ready(driver: &SimDriver<'_>, init: &InitRecord) -> String {
     let fairness = driver.observer::<Fairness>();
     obj(vec![
         ("type", "ready".to_value()),
@@ -587,7 +587,7 @@ fn render_slot(outcome: &SlotOutcome<'_>) -> String {
     ])
 }
 
-fn render_snapshot(driver: &SimDriver<'_, '_>, slot: Slot) -> String {
+fn render_snapshot(driver: &SimDriver<'_>, slot: Slot) -> String {
     let pressure = driver
         .observer::<MemoryPressure>()
         .expect("serve always attaches MemoryPressure");

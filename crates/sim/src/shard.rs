@@ -9,9 +9,9 @@
 //! application**. Partition the functions by app and the runs are
 //! independent: each shard gets its own [`crate::MemoryPool`], its own policy
 //! instance fitted on its own sub-trace, its own observers, and its own
-//! [`SimDriver`] — which means per-shard snapshot/replay and the binary
-//! journal keep working unchanged, because a shard *is* an ordinary
-//! driver.
+//! engine run — which means per-shard snapshot/replay (through a
+//! [`crate::SimDriver`]) and the binary journal keep working unchanged,
+//! because a shard *is* an ordinary run.
 //!
 //! # Determinism and merge order
 //!
@@ -51,8 +51,8 @@
 //! assert_eq!(merged, unsharded);
 //! ```
 
-use crate::engine::{SimConfig, SimDriver, SimError};
-use crate::events::{EventCtx, Observer, SimEvent};
+use crate::engine::{SimConfig, SimError, Simulation};
+use crate::events::{EventCtx, Observer, RunCollector, SimEvent};
 use crate::journal::wire;
 use crate::metrics::RunResult;
 use crate::policy::Policy;
@@ -299,41 +299,36 @@ pub struct ShardRun {
 }
 
 /// Runs one shard to completion on the current thread: a plain
-/// [`SimDriver`] over the shard's sub-trace with a [`ShardCounts`]
-/// observer riding along. Exposed so callers can drive shards manually —
-/// e.g. snapshotting one shard mid-run and resuming it — and still merge
+/// [`Simulation`] over the shard's sub-trace with a [`RunCollector`] and
+/// a [`ShardCounts`] observer riding along. Exposed so callers can drive
+/// shards manually — e.g. stepping one shard through a
+/// [`crate::SimDriver`], snapshotting and resuming it — and still merge
 /// with [`merge_shard_runs`].
 ///
 /// # Errors
 /// [`ShardError::BeyondHorizon`] when the window exceeds the sub-trace
-/// horizon, [`ShardError::Sim`] for driver-level failures, and
-/// [`ShardError::MissingCounts`] if the counts observer disappears
+/// horizon, [`ShardError::Sim`] for other window errors, and
+/// [`ShardError::MissingCounts`] if an attached observer disappears
 /// (unreachable in practice).
 pub fn run_shard(
     sub: &Trace,
     config: SimConfig,
     policy: &mut dyn Policy,
 ) -> Result<ShardRun, ShardError> {
-    if config.end > sub.n_slots {
-        return Err(ShardError::BeyondHorizon {
-            end: config.end,
-            n_slots: sub.n_slots,
-        });
-    }
-    let batches = sub.slot_batches(config.start, config.end);
-    let mut driver = SimDriver::new(
-        sub.n_functions(),
-        config,
-        policy,
-        vec![Box::new(ShardCounts::new())],
-    )?;
-    for t in config.start..config.end {
-        driver.step(t, batches.batch(t))?;
-    }
-    let (result, mut observers) = driver.finish_with_observers();
-    let counts: ShardCounts = observers
-        .take()
-        .ok_or(ShardError::MissingCounts { shard: 0 })?;
+    let mut observers = Simulation::new(sub, config)
+        .with_observer(Box::new(RunCollector::new()))
+        .with_observer(Box::new(ShardCounts::new()))
+        .run(policy)
+        .map_err(|e| match e {
+            SimError::BeyondHorizon { end, n_slots } => ShardError::BeyondHorizon { end, n_slots },
+            e => ShardError::Sim(e),
+        })?;
+    let missing = ShardError::MissingCounts { shard: 0 };
+    let result = observers
+        .take::<RunCollector>()
+        .ok_or_else(|| missing.clone())?
+        .into_result();
+    let counts: ShardCounts = observers.take().ok_or(missing)?;
     Ok(ShardRun {
         result,
         counts: counts.into_counts(),
@@ -471,7 +466,7 @@ pub fn run_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::try_simulate;
+    use crate::engine::{try_simulate, SimDriver};
     use crate::policy::{KeepForever, NoKeepAlive};
     use spes_trace::synth::small_test_trace;
 

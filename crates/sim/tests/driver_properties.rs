@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use spes_sim::{
-    try_simulate, ClusterObserver, DynObserver, EventLog, MemoryPool, MemoryPressure,
-    PlacementStrategy, Policy, SimConfig, SimDriver, SimEvent, Simulation,
+    try_simulate, DynObserver, EventLog, EvictionAudit, MemoryPool, MemoryPressure, Policy,
+    RunCollector, SimConfig, SimDriver, SimEvent, Simulation,
 };
 use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
@@ -129,17 +129,14 @@ fn assert_step_parity(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
     let n = trace.n_functions();
 
     // Batch side: try_simulate's metrics plus a recorded stream.
-    let mut batch_log = EventLog::new();
     let mut batch_policy = make_policy(kind, n, keep);
-    let mut batch = {
-        let mut collector = spes_sim::RunCollector::new();
-        Simulation::new(trace, config)
-            .observe(&mut collector)
-            .observe(&mut batch_log)
-            .run(batch_policy.as_mut())
-            .unwrap();
-        collector.into_result()
-    };
+    let mut observers = Simulation::new(trace, config)
+        .with_observer(Box::new(RunCollector::new()))
+        .with_observer(Box::new(EventLog::new()))
+        .run(batch_policy.as_mut())
+        .unwrap();
+    let mut batch = observers.take::<RunCollector>().unwrap().into_result();
+    let batch_log: EventLog = observers.take().unwrap();
 
     // Stepped side: an externally driven SimDriver over the same slots.
     let mut stepped_policy = make_policy(kind, n, keep);
@@ -170,47 +167,41 @@ fn assert_step_parity(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
     assert_eq!(stepped_log.n_functions, batch_log.n_functions);
 }
 
-/// Derived observers see the same stream on both paths: a batch run
-/// with *borrowed* `ClusterObserver` + `MemoryPressure` observers and a
-/// stepped driver carrying the same pair as *owned* observers agree on
-/// the fleet report and every pressure counter.
+/// Derived observers see the same stream on both paths: a batch
+/// `Simulation::run` and a hand-stepped driver, each carrying an
+/// `EvictionAudit` + `MemoryPressure` pair, agree on every eviction and
+/// pressure counter.
 fn assert_observer_combo_parity(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
     let n = trace.n_functions();
+    let pair = || -> Vec<Box<dyn DynObserver>> {
+        vec![
+            Box::new(EvictionAudit::new(3)),
+            Box::new(MemoryPressure::new()),
+        ]
+    };
 
     let mut batch_policy = make_policy(kind, n, keep);
-    let mut batch_cluster = ClusterObserver::new(3, 2, n, PlacementStrategy::HashAffinity);
-    let mut batch_pressure = MemoryPressure::new();
-    Simulation::new(trace, config)
-        .observe(&mut batch_cluster)
-        .observe(&mut batch_pressure)
+    let mut batch = pair()
+        .into_iter()
+        .fold(Simulation::new(trace, config), Simulation::with_observer)
         .run(batch_policy.as_mut())
         .unwrap();
 
     let mut stepped_policy = make_policy(kind, n, keep);
-    let observers: Vec<Box<dyn DynObserver>> = vec![
-        Box::new(ClusterObserver::new(
-            3,
-            2,
-            n,
-            PlacementStrategy::HashAffinity,
-        )),
-        Box::new(MemoryPressure::new()),
-    ];
-    let mut driver = SimDriver::new(n, config, stepped_policy.as_mut(), observers).unwrap();
+    let mut driver = SimDriver::new(n, config, stepped_policy.as_mut(), pair()).unwrap();
     for (slot, batch) in trace.slot_batches(config.start, config.end).iter() {
         driver.step(slot, batch).unwrap();
     }
-    let stepped_report = driver.observer::<ClusterObserver>().unwrap().report();
-    let stepped_pressure = driver.observer::<MemoryPressure>().cloned().unwrap();
-    let _ = driver.finish();
+    let (_, mut stepped) = driver.finish_with_observers();
 
     assert_eq!(
-        stepped_report,
-        batch_cluster.report(),
-        "cluster report diverged (kind {kind})"
+        stepped.take::<EvictionAudit>().unwrap(),
+        batch.take::<EvictionAudit>().unwrap(),
+        "eviction audit diverged (kind {kind})"
     );
     assert_eq!(
-        stepped_pressure, batch_pressure,
+        stepped.take::<MemoryPressure>().unwrap(),
+        batch.take::<MemoryPressure>().unwrap(),
         "memory pressure diverged (kind {kind})"
     );
 }
@@ -257,10 +248,10 @@ proptest! {
         assert_step_parity(&trace, config, kind, keep);
     }
 
-    /// Observer combinations: `ClusterObserver` + `MemoryPressure`
-    /// derive identical state whether borrowed into the batch loop or
-    /// owned by a hand-stepped driver, across unconstrained,
-    /// capacity-limited, and admission-limited configs.
+    /// Observer combinations: `EvictionAudit` + `MemoryPressure` derive
+    /// identical state whether attached to the batch loop or to a
+    /// hand-stepped driver, across unconstrained, capacity-limited, and
+    /// admission-limited configs.
     #[test]
     fn observer_combos_match_between_batch_and_stepped(
         trace in trace_strategy(6, 40),

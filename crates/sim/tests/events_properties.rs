@@ -198,14 +198,13 @@ proptest! {
         split in 0u32..120,
     ) {
         let mut policy = make_policy(kind, trace.n_functions(), keep);
-        let mut collector = RunCollector::new();
-        let mut log = EventLog::new();
-        Simulation::new(&trace, SimConfig::new(0, 120).with_metrics_start(split))
-            .observe(&mut collector)
-            .observe(&mut log)
+        let mut observers = Simulation::new(&trace, SimConfig::new(0, 120).with_metrics_start(split))
+            .with_observer(Box::new(RunCollector::new()))
+            .with_observer(Box::new(EventLog::new()))
             .run(policy.as_mut())
             .unwrap();
-        let run = collector.into_result();
+        let run = observers.take::<RunCollector>().unwrap().into_result();
+        let log: EventLog = observers.take().unwrap();
         let rebuilt = reconstruct(&log);
 
         prop_assert_eq!(&rebuilt.invocations, &run.invocations);
@@ -225,14 +224,13 @@ proptest! {
         cap in 1usize..8,
     ) {
         let mut policy = spes_sim::KeepForever;
-        let mut collector = RunCollector::new();
-        let mut log = EventLog::new();
-        Simulation::new(&trace, SimConfig::new(0, 80).with_capacity(cap))
-            .observe(&mut collector)
-            .observe(&mut log)
+        let mut observers = Simulation::new(&trace, SimConfig::new(0, 80).with_capacity(cap))
+            .with_observer(Box::new(RunCollector::new()))
+            .with_observer(Box::new(EventLog::new()))
             .run(&mut policy)
             .unwrap();
-        let run = collector.into_result();
+        let run = observers.take::<RunCollector>().unwrap().into_result();
+        let log: EventLog = observers.take().unwrap();
         let rebuilt = reconstruct(&log);
         prop_assert_eq!(&rebuilt.wmt, &run.wmt);
         prop_assert_eq!(rebuilt.loaded_integral, run.loaded_integral);
@@ -249,8 +247,6 @@ proptest! {
         split in 0u32..100,
     ) {
         let mut policy = make_policy(kind, trace.n_functions(), 3);
-        let mut collector = RunCollector::new();
-        let mut log = EventLog::new();
         let mut config = SimConfig::new(0, 100)
             .with_metrics_start(split)
             .with_pressure_budget(budget);
@@ -259,12 +255,13 @@ proptest! {
         if cap_raw >= 3 {
             config = config.with_capacity(cap_raw);
         }
-        Simulation::new(&trace, config)
-            .observe(&mut collector)
-            .observe(&mut log)
+        let mut observers = Simulation::new(&trace, config)
+            .with_observer(Box::new(RunCollector::new()))
+            .with_observer(Box::new(EventLog::new()))
             .run(policy.as_mut())
             .unwrap();
-        let run = collector.into_result();
+        let run = observers.take::<RunCollector>().unwrap().into_result();
+        let log: EventLog = observers.take().unwrap();
         let rebuilt = reconstruct(&log);
 
         // With admission enabled the stream is still the complete source
@@ -314,14 +311,13 @@ proptest! {
         kind in 0u8..3,
     ) {
         let mut policy = make_policy(kind, trace.n_functions(), 3);
-        let mut collector = RunCollector::new();
-        let mut series = SlotSeries::new();
-        Simulation::new(&trace, SimConfig::new(0, 100))
-            .observe(&mut collector)
-            .observe(&mut series)
+        let mut observers = Simulation::new(&trace, SimConfig::new(0, 100))
+            .with_observer(Box::new(RunCollector::new()))
+            .with_observer(Box::new(SlotSeries::new()))
             .run(policy.as_mut())
             .unwrap();
-        let run = collector.into_result();
+        let run = observers.take::<RunCollector>().unwrap().into_result();
+        let series: SlotSeries = observers.take().unwrap();
         prop_assert_eq!(series.n_slots() as u64, run.n_slots());
         let cold: u64 = series.cold.iter().map(|&c| u64::from(c)).sum();
         prop_assert_eq!(cold, run.total_cold_starts());

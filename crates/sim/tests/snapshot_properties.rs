@@ -16,9 +16,8 @@
 
 use proptest::prelude::*;
 use spes_sim::{
-    ClusterObserver, ClusterReport, DynObserver, EventLog, EvictionAudit, Fairness, MemoryPool,
-    MemoryPressure, PlacementStrategy, Policy, SimConfig, SimDriver, SimEvent, SlotSeries,
-    SnapshotError,
+    DynObserver, EventLog, EvictionAudit, Fairness, MemoryPool, MemoryPressure, Policy, SimConfig,
+    SimDriver, SimEvent, SlotSeries, SnapshotError,
 };
 use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
@@ -132,19 +131,13 @@ fn normalised_events(log: &EventLog) -> Vec<(Slot, bool, SimEvent)> {
 /// The full snapshot-bearing observer suite, in a fixed attachment
 /// order (resume matches serialized observer state to the supplied
 /// observers positionally by type name).
-fn observer_suite(n: usize, apps: &[AppId]) -> Vec<Box<dyn DynObserver>> {
+fn observer_suite(apps: &[AppId]) -> Vec<Box<dyn DynObserver>> {
     vec![
         Box::new(EventLog::new()),
         Box::new(SlotSeries::new()),
         Box::new(MemoryPressure::new()),
         Box::new(EvictionAudit::new(5)),
         Box::new(Fairness::new(apps)),
-        Box::new(ClusterObserver::new(
-            3,
-            4,
-            n,
-            PlacementStrategy::HashAffinity,
-        )),
     ]
 }
 
@@ -156,17 +149,15 @@ struct SuiteState {
     pressure: MemoryPressure,
     audit: EvictionAudit,
     fairness: Fairness,
-    cluster: ClusterReport,
 }
 
-fn suite_state(driver: &SimDriver<'_, '_>) -> SuiteState {
+fn suite_state(driver: &SimDriver<'_>) -> SuiteState {
     SuiteState {
         log: driver.observer::<EventLog>().cloned().unwrap(),
         series: driver.observer::<SlotSeries>().cloned().unwrap(),
         pressure: driver.observer::<MemoryPressure>().cloned().unwrap(),
         audit: driver.observer::<EvictionAudit>().cloned().unwrap(),
         fairness: driver.observer::<Fairness>().cloned().unwrap(),
-        cluster: driver.observer::<ClusterObserver>().unwrap().report(),
     }
 }
 
@@ -181,7 +172,7 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
     // Uninterrupted reference run.
     let mut ref_policy = make_policy(kind, n, keep);
     let mut reference =
-        SimDriver::new(n, config, ref_policy.as_mut(), observer_suite(n, &apps)).unwrap();
+        SimDriver::new(n, config, ref_policy.as_mut(), observer_suite(&apps)).unwrap();
     for (slot, batch) in batches.iter() {
         reference.step(slot, batch).unwrap();
     }
@@ -195,7 +186,7 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
         let mut policy = make_policy(kind, n, keep);
         let snapshot = {
             let mut prefix =
-                SimDriver::new(n, config, policy.as_mut(), observer_suite(n, &apps)).unwrap();
+                SimDriver::new(n, config, policy.as_mut(), observer_suite(&apps)).unwrap();
             for (slot, batch) in batches.iter().take(k) {
                 prefix.step(slot, batch).unwrap();
             }
@@ -203,7 +194,7 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
         };
 
         let mut resumed =
-            SimDriver::resume_from(&snapshot, policy.as_mut(), observer_suite(n, &apps)).unwrap();
+            SimDriver::resume_from(&snapshot, policy.as_mut(), observer_suite(&apps)).unwrap();
         assert_eq!(resumed.next_slot(), config.start + k as Slot);
         for (slot, batch) in batches.iter().skip(k) {
             resumed.step(slot, batch).unwrap();
@@ -241,10 +232,6 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
         assert_eq!(
             state.fairness, ref_state.fairness,
             "Fairness diverged at cut {k}"
-        );
-        assert_eq!(
-            state.cluster, ref_state.cluster,
-            "ClusterReport diverged at cut {k}"
         );
     }
 }
