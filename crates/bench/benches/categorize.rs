@@ -13,7 +13,6 @@ fn categorize_benches(c: &mut Criterion) {
     });
     let trace = &data.trace;
     let train_end = 12 * SLOTS_PER_DAY;
-    let config = SpesConfig::default();
 
     // Representative single functions: the busiest, a mid-tier, a sparse.
     let mut by_activity: Vec<usize> = (0..trace.n_functions()).collect();
@@ -25,12 +24,7 @@ fn categorize_benches(c: &mut Criterion) {
     for (name, idx) in [("busiest", busiest), ("mid-tier", mid)] {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
-                categorize_deterministic(
-                    std::hint::black_box(&trace.series[idx]),
-                    0,
-                    train_end,
-                    &config,
-                )
+                categorize_deterministic(std::hint::black_box(&trace.series[idx]), 0, train_end)
             });
         });
     }

@@ -283,11 +283,7 @@ fn run() -> Result<(), String> {
             synth_cfg.seed,
             if args.quick { " (quick mode)" } else { "" }
         );
-        Experiment {
-            synth: synth_cfg,
-            spes: spes_cfg.clone(),
-        }
-        .generate()
+        Experiment { synth: synth_cfg }.generate()
     };
 
     // ---- trace-characterisation figures ----

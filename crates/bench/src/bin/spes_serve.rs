@@ -204,7 +204,7 @@ fn build_policy(args: &Args, init: &InitRecord) -> Result<Box<dyn Policy>, Strin
     let mut exp = experiment_of(args, &args.fit_scenario)?;
     exp.synth.n_functions = init.functions;
     let data = exp.generate();
-    Ok(PolicyCell::new(&args.policy, &exp.spes, &data)?.build())
+    Ok(PolicyCell::new(&args.policy, &data)?.build())
 }
 
 fn serve_config(args: &Args) -> Result<ServeConfig, String> {

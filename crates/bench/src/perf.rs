@@ -150,7 +150,7 @@ pub fn bench_engine(
 
     let mut rows = Vec::new();
     for &name in policy_names {
-        let cell = PolicyCell::new(name, &exp.spes, &data)?.standalone()?;
+        let cell = PolicyCell::new(name, &data)?.standalone()?;
         let mut samples = Vec::with_capacity(iters as usize);
         for _ in 0..iters {
             // A fresh policy per iteration: policies are stateful, and
@@ -333,9 +333,7 @@ pub fn bench_serve(
 
     let mut rows = Vec::new();
     for &name in policy_names {
-        let mut policy = PolicyCell::new(name, &exp.spes, &data)?
-            .standalone()?
-            .build();
+        let mut policy = PolicyCell::new(name, &data)?.standalone()?.build();
         let mut driver =
             spes_sim::SimDriver::new(trace.n_functions(), window, policy.as_mut(), Vec::new())
                 .map_err(|e| e.to_string())?;
@@ -580,9 +578,7 @@ pub fn bench_journal(
 
     let mut rows = Vec::new();
     for &name in policy_names {
-        let mut policy = PolicyCell::new(name, &exp.spes, &data)?
-            .standalone()?
-            .build();
+        let mut policy = PolicyCell::new(name, &data)?.standalone()?.build();
         let log: EventLog = Simulation::new(trace, window)
             .with_observer(Box::new(EventLog::new()))
             .run(policy.as_mut())

@@ -167,17 +167,14 @@ pub struct PolicyCell<'t> {
 }
 
 impl<'t> PolicyCell<'t> {
-    /// Resolves `name` in the registry for fitting on `data`.
+    /// Resolves `name` in the registry for fitting on `data`, with the
+    /// default SPES configuration.
     ///
     /// # Errors
     /// Returns [`UnknownPolicy`] for names outside [`REGISTRY`].
-    pub fn new(
-        name: &str,
-        spes_cfg: &SpesConfig,
-        data: &'t SynthTrace,
-    ) -> Result<Self, UnknownPolicy> {
+    pub fn new(name: &str, data: &'t SynthTrace) -> Result<Self, UnknownPolicy> {
         Ok(Self {
-            spec: try_spec_of(name, spes_cfg)?,
+            spec: try_spec_of(name, &SpesConfig::default())?,
             data,
         })
     }
@@ -246,11 +243,10 @@ mod tests {
 
     #[test]
     fn policy_cells_resolve_fit_and_reject_donors() {
-        let cfg = SpesConfig::default();
         let data = crate::scenario::Experiment::cell("quick", 30, 3, true)
             .unwrap()
             .generate();
-        let err = PolicyCell::new("lru", &cfg, &data).err().unwrap();
+        let err = PolicyCell::new("lru", &data).err().unwrap();
         assert_eq!(err, UnknownPolicy("lru".to_owned()));
         assert_eq!(
             String::from(err),
@@ -259,13 +255,13 @@ mod tests {
                 policy_names().join(", ")
             )
         );
-        let cell = PolicyCell::new("spes", &cfg, &data)
+        let cell = PolicyCell::new("spes", &data)
             .unwrap()
             .standalone()
             .unwrap();
         assert_eq!(cell.build().name(), "spes");
         // FaaSCache resolves, but its pool is sized by a SPES run.
-        let faascache = PolicyCell::new("faascache", &cfg, &data).unwrap();
+        let faascache = PolicyCell::new("faascache", &data).unwrap();
         assert_eq!(faascache.build().name(), "faascache");
         let err = faascache.standalone().err().unwrap();
         assert!(err.contains("capacity donor"), "{err}");

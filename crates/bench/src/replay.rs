@@ -20,7 +20,6 @@
 
 use crate::policies::PolicyCell;
 use crate::scenario::Experiment;
-use spes_core::SpesConfig;
 use spes_sim::{
     snapshot_info, DynObserver, EvictCause, JournalEvent, JournalMeta, JournalObserver,
     JournalReader, LoadCause, Policy, RunResult, SimDriver, SimEvent,
@@ -64,9 +63,7 @@ const EXTRA_SCENARIO: &str = "scenario";
 const EXTRA_QUICK: &str = "quick";
 
 fn build_policy(name: &str, data: &SynthTrace) -> Result<Box<dyn Policy>, String> {
-    Ok(PolicyCell::new(name, &SpesConfig::default(), data)?
-        .standalone()?
-        .build())
+    Ok(PolicyCell::new(name, data)?.standalone()?.build())
 }
 
 /// Runs one registered (scenario, policy) cell with a journal

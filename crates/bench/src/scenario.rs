@@ -13,13 +13,11 @@ use spes_sim::suite::{run_suite, PolicySpec, SuiteError, SuiteOutcome};
 use spes_sim::{EvictionAudit, Fairness, MemoryPressure, RunResult, SlotSeries};
 use spes_trace::{synth, FunctionId, Slot, SynthConfig, SynthTrace};
 
-/// Experiment-wide settings (trace scale, seed, SPES config).
+/// Experiment-wide settings (trace scale and seed).
 #[derive(Debug, Clone, Default)]
 pub struct Experiment {
     /// Synthetic-workload configuration.
     pub synth: SynthConfig,
-    /// SPES configuration.
-    pub spes: SpesConfig,
 }
 
 impl Experiment {
@@ -32,7 +30,6 @@ impl Experiment {
                 seed,
                 ..SynthConfig::default()
             },
-            spes: SpesConfig::default(),
         }
     }
 
@@ -44,10 +41,7 @@ impl Experiment {
         let mut synth = synth::scenario_config(name)?;
         synth.n_functions = n;
         synth.seed = seed;
-        Some(Self {
-            synth,
-            spes: SpesConfig::default(),
-        })
+        Some(Self { synth })
     }
 
     /// The workload of a single-policy cell: [`Experiment::scenario`],

@@ -11,10 +11,31 @@
 //!   the definitions is categorised accordingly; failing that, a repeated
 //!   WT promotes it to "newly-possible".
 
-use crate::categorize::is_regular_sequence;
-use crate::config::SpesConfig;
+use crate::categorize::{self, is_regular_sequence, ModeRules};
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
 use spes_stats::{modes, percentile};
+
+/// Number of online WTs required before adaptive updates fire ("if there
+/// are enough WTs"; the paper gives no number). It also gates the S3
+/// re-categorisation, in place of the offline
+/// [`categorize::MIN_WT_SAMPLES`].
+pub const ADJUST_MIN_SAMPLES: usize = 5;
+/// Chain-echo awareness of the S2 *regular* drift test: a median within
+/// the drift threshold of `m*v + (m-1)` for the known cadence `v` and a
+/// skip multiple `m <= ADJUST_ECHO_HARMONICS` is attributed to intra-app
+/// chaining (the child missed `m-1` parent firings) rather than to drift
+/// — provided the old cadence is still the common case in the buffer —
+/// so it cannot drag the single regular cadence toward the chain echo.
+/// Values below 2 disable the echo test. Appro-regular and dense updates
+/// are deliberately unguarded: they extend a set/range and chain echoes
+/// are predictive there.
+pub const ADJUST_ECHO_HARMONICS: u32 = 3;
+/// Fraction of the online WT buffer that must sit within the drift
+/// threshold of the new median before a "regular" blend fires. The median
+/// of a bimodal chain-mixture buffer (parent period plus skip echoes)
+/// interpolates between the clusters and is supported by neither;
+/// requiring majority support rejects it.
+pub const ADJUST_NEW_SUPPORT: f64 = 0.5;
 
 /// Outcome of an S2 adjustment attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,10 +56,9 @@ const POSSIBLE_VALUE_CAP: usize = 5;
 /// a chained child that misses `m - 1` consecutive parent firings waits
 /// `m*base + (m - 1)` slots (each skipped period contributes `base + 1`
 /// slots), so such WTs carry no drift information about the cadence
-/// itself. Skip multiples up to `harmonics` are tested; below 2 the test
-/// is disabled.
-fn echoes_value(wt: u32, base: u32, tol: f64, harmonics: u32) -> bool {
-    (2..=harmonics).any(|m| {
+/// itself. Skip multiples up to [`ADJUST_ECHO_HARMONICS`] are tested.
+fn echoes_value(wt: u32, base: u32, tol: f64) -> bool {
+    (2..=ADJUST_ECHO_HARMONICS).any(|m| {
         let echo = f64::from(m) * f64::from(base) + f64::from(m - 1);
         (f64::from(wt) - echo).abs() <= tol
     })
@@ -56,7 +76,7 @@ fn echoes_value(wt: u32, base: u32, tol: f64, harmonics: u32) -> bool {
 /// recipe blends its *single* cadence toward the median, so an
 /// echo-contaminated median destroys the one value that still predicts
 /// most invocations. Two guards prevent that: a median supported by less
-/// than [`SpesConfig::adjust_new_support`] of the buffer (the
+/// than [`ADJUST_NEW_SUPPORT`] of the buffer (the
 /// interpolated midpoint of a bimodal mixture) is ignored, and an
 /// echo-valued median is ignored **while the old cadence is still the
 /// common case in the buffer** — after a genuine shift onto a
@@ -73,13 +93,11 @@ pub fn adjust_values(
     values: &mut PredictiveValues,
     online_wts: &[u32],
     offline_std: f64,
-    config: &SpesConfig,
 ) -> AdjustOutcome {
-    if online_wts.len() < config.adjust_min_samples {
+    if online_wts.len() < ADJUST_MIN_SAMPLES {
         return AdjustOutcome::Unchanged;
     }
     let drift_threshold = offline_std.max(1.0);
-    let harmonics = config.adjust_echo_harmonics;
     // Whether a known cadence is still the common case in the online
     // buffer (at least a quarter of it). Echo discounting only applies
     // while it is: a thinned chain keeps firing at the parent period so
@@ -96,13 +114,13 @@ pub fn adjust_values(
     match (ty, &mut *values) {
         (FunctionType::Regular, PredictiveValues::Discrete(vals)) if vals.len() == 1 => {
             let old = f64::from(vals[0]);
-            let new = percentile(online_wts, 50.0).expect("non-empty online wts");
+            let Some(new) = percentile(online_wts, 50.0) else {
+                return AdjustOutcome::Unchanged;
+            };
             if (new - old).abs() <= drift_threshold {
                 return AdjustOutcome::Unchanged;
             }
-            if live(vals[0])
-                && echoes_value(new.round() as u32, vals[0], drift_threshold, harmonics)
-            {
+            if live(vals[0]) && echoes_value(new.round() as u32, vals[0], drift_threshold) {
                 return AdjustOutcome::Unchanged;
             }
             // A chained child that sporadically misses parent firings has
@@ -114,17 +132,14 @@ pub fn adjust_values(
                 .iter()
                 .filter(|&&wt| (f64::from(wt) - new).abs() <= drift_threshold)
                 .count();
-            if (support as f64) < config.adjust_new_support * online_wts.len() as f64 {
+            if (support as f64) < ADJUST_NEW_SUPPORT * online_wts.len() as f64 {
                 return AdjustOutcome::Unchanged;
             }
             vals[0] = ((old + new) / 2.0).round() as u32;
             AdjustOutcome::Updated
         }
         (FunctionType::ApproRegular, PredictiveValues::Discrete(vals)) => {
-            let fresh: Vec<u32> = modes::top_modes(online_wts, config.appro_n_modes)
-                .into_iter()
-                .map(|m| m.value)
-                .collect();
+            let fresh = ModeRules::new(online_wts).appro_modes();
             // A fresh mode counts as drift when it is far from every known
             // value. Chain echoes are allowed through on purpose: the
             // replacement keeps the dominant (parent-period) modes and the
@@ -142,9 +157,9 @@ pub fn adjust_values(
             }
         }
         (FunctionType::Dense, PredictiveValues::Range(lo, hi)) => {
-            let fresh = modes::top_modes(online_wts, config.dense_k_modes);
-            let new_lo = fresh.iter().map(|m| m.value).min().expect("non-empty");
-            let new_hi = fresh.iter().map(|m| m.value).max().expect("non-empty");
+            let Some((new_lo, new_hi)) = ModeRules::new(online_wts).dense_range() else {
+                return AdjustOutcome::Unchanged;
+            };
             let bound_drifted = |nv: u32, ov: u32| f64::from(nv.abs_diff(ov)) > drift_threshold;
             let drifted = bound_drifted(new_lo, *lo) || bound_drifted(new_hi, *hi);
             if drifted {
@@ -188,65 +203,38 @@ pub fn adjust_values(
 }
 
 /// S3: attempts to categorise an unknown/unseen function from its online
-/// WTs. Checks the value-bearing definitions in priority order and falls
-/// back to "newly-possible" when only a repeated WT exists.
+/// WTs. Checks the value-bearing definitions in priority order — regular
+/// without slacking, then Table I's mode rules — and falls back to
+/// "newly-possible" when only a repeated WT exists.
 #[must_use]
-pub fn try_online_categorize(online_wts: &[u32], config: &SpesConfig) -> Option<Categorized> {
-    if online_wts.len() < config.adjust_min_samples {
+pub fn try_online_categorize(online_wts: &[u32]) -> Option<Categorized> {
+    if online_wts.len() < ADJUST_MIN_SAMPLES {
         return None;
     }
-    if is_regular_sequence(online_wts, config) {
-        let median = percentile(online_wts, 50.0)?.round() as u32;
-        return Some(Categorized::new(
-            FunctionType::Regular,
-            PredictiveValues::Discrete(vec![median]),
-        ));
+    if is_regular_sequence(online_wts) {
+        return categorize::regular(online_wts);
     }
-    let coverage = modes::mode_coverage(online_wts, config.appro_n_modes);
-    if coverage as f64 >= config.appro_coverage * online_wts.len() as f64 {
-        let vals: Vec<u32> = modes::top_modes(online_wts, config.appro_n_modes)
-            .into_iter()
-            .map(|m| m.value)
-            .collect();
-        return Some(Categorized::new(
-            FunctionType::ApproRegular,
-            PredictiveValues::Discrete(vals),
-        ));
-    }
-    let p90 = percentile(online_wts, 90.0)?;
-    if p90 <= config.dense_p90_max {
-        let fresh = modes::top_modes(online_wts, config.dense_k_modes);
-        let lo = fresh.iter().map(|m| m.value).min()?;
-        let hi = fresh.iter().map(|m| m.value).max()?;
-        return Some(Categorized::new(
-            FunctionType::Dense,
-            PredictiveValues::Range(lo, hi),
-        ));
-    }
-    let repeated = modes::repeated_values(online_wts);
-    if !repeated.is_empty() {
-        return Some(Categorized::new(
-            FunctionType::NewlyPossible,
-            PredictiveValues::Discrete(repeated),
-        ));
-    }
-    None
+    ModeRules::new(online_wts).categorize().or_else(|| {
+        let repeated = modes::repeated_values(online_wts);
+        (!repeated.is_empty()).then(|| {
+            Categorized::new(
+                FunctionType::NewlyPossible,
+                PredictiveValues::Discrete(repeated),
+            )
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> SpesConfig {
-        SpesConfig::default()
-    }
-
     #[test]
     fn regular_adjusts_on_drift() {
         let mut values = PredictiveValues::Discrete(vec![29]);
         // Online WTs now centre on 59 (period doubled).
         let online = vec![59, 59, 58, 59, 60];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 0.5, &cfg());
+        let out = adjust_values(FunctionType::Regular, &mut values, &online, 0.5);
         assert_eq!(out, AdjustOutcome::Updated);
         assert_eq!(values, PredictiveValues::Discrete(vec![44])); // mean(29, 59)
     }
@@ -255,7 +243,7 @@ mod tests {
     fn regular_no_adjust_within_std() {
         let mut values = PredictiveValues::Discrete(vec![29]);
         let online = vec![29, 30, 29, 29, 30];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0, &cfg());
+        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![29]));
     }
@@ -263,7 +251,7 @@ mod tests {
     #[test]
     fn too_few_samples_never_adjusts() {
         let mut values = PredictiveValues::Discrete(vec![29]);
-        let out = adjust_values(FunctionType::Regular, &mut values, &[99, 99], 0.1, &cfg());
+        let out = adjust_values(FunctionType::Regular, &mut values, &[99, 99], 0.1);
         assert_eq!(out, AdjustOutcome::Unchanged);
     }
 
@@ -271,13 +259,7 @@ mod tests {
     fn appro_regular_replaces_modes_on_drift() {
         let mut values = PredictiveValues::Discrete(vec![3, 4, 5]);
         let online = vec![20, 21, 20, 21, 20, 21];
-        let out = adjust_values(
-            FunctionType::ApproRegular,
-            &mut values,
-            &online,
-            1.0,
-            &cfg(),
-        );
+        let out = adjust_values(FunctionType::ApproRegular, &mut values, &online, 1.0);
         assert_eq!(out, AdjustOutcome::Updated);
         match values {
             PredictiveValues::Discrete(v) => {
@@ -291,7 +273,7 @@ mod tests {
     fn dense_blends_range() {
         let mut values = PredictiveValues::Range(1, 3);
         let online = vec![8, 9, 8, 9, 10, 9];
-        let out = adjust_values(FunctionType::Dense, &mut values, &online, 1.0, &cfg());
+        let out = adjust_values(FunctionType::Dense, &mut values, &online, 1.0);
         assert_eq!(out, AdjustOutcome::Updated);
         match values {
             PredictiveValues::Range(lo, hi) => {
@@ -311,7 +293,7 @@ mod tests {
         // it, so the blend must not fire.
         let mut values = PredictiveValues::Discrete(vec![704]);
         let online = vec![704, 1409, 704, 1409, 704, 1409];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0, &cfg());
+        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![704]));
     }
@@ -324,7 +306,7 @@ mod tests {
         // not a shift.
         let mut values = PredictiveValues::Discrete(vec![704]);
         let online = vec![1409, 1409, 1409, 1409, 1409, 704, 704, 704];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0, &cfg());
+        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![704]));
     }
@@ -336,7 +318,7 @@ mod tests {
         // concept shift and must still blend.
         let mut values = PredictiveValues::Discrete(vec![704]);
         let online = vec![1409, 1409, 1409, 1409, 1409, 1409];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0, &cfg());
+        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
         assert_eq!(out, AdjustOutcome::Updated);
         assert_eq!(values, PredictiveValues::Discrete(vec![1057])); // mean(704, 1409)
     }
@@ -348,13 +330,7 @@ mod tests {
         // no drift, so the set must not be reset.
         let mut values = PredictiveValues::Discrete(vec![10, 21]);
         let online = vec![10, 21, 10, 10, 21, 10];
-        let out = adjust_values(
-            FunctionType::ApproRegular,
-            &mut values,
-            &online,
-            1.0,
-            &cfg(),
-        );
+        let out = adjust_values(FunctionType::ApproRegular, &mut values, &online, 1.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![10, 21]));
     }
@@ -366,7 +342,7 @@ mod tests {
         // hold still.
         let mut values = PredictiveValues::Range(1, 4);
         let online = vec![1, 2, 3, 1, 2, 3, 9];
-        let out = adjust_values(FunctionType::Dense, &mut values, &online, 1.0, &cfg());
+        let out = adjust_values(FunctionType::Dense, &mut values, &online, 1.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Range(1, 4));
     }
@@ -379,7 +355,7 @@ mod tests {
         let offline: Vec<u32> = vec![10, 20, 30, 40, 50, 60, 70];
         let mut values = PredictiveValues::Discrete(offline.clone());
         let online = vec![80, 80, 15, 80, 90];
-        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0, &cfg());
+        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(offline));
     }
@@ -388,7 +364,7 @@ mod tests {
     fn possible_growth_stops_at_cap() {
         let mut values = PredictiveValues::Discrete(vec![10, 20, 30, 40]);
         let online = vec![80, 80, 90, 90, 95, 95];
-        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0, &cfg());
+        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0);
         assert_eq!(out, AdjustOutcome::Updated);
         match &values {
             PredictiveValues::Discrete(v) => {
@@ -403,7 +379,7 @@ mod tests {
     fn possible_accumulates_new_repeated_values() {
         let mut values = PredictiveValues::Discrete(vec![100]);
         let online = vec![40, 40, 7, 40, 100];
-        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0, &cfg());
+        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0);
         assert_eq!(out, AdjustOutcome::Updated);
         match &values {
             PredictiveValues::Discrete(v) => assert!(v.contains(&40) && v.contains(&100)),
@@ -414,27 +390,21 @@ mod tests {
     #[test]
     fn non_value_types_unchanged() {
         let mut values = PredictiveValues::None;
-        let out = adjust_values(
-            FunctionType::Successive,
-            &mut values,
-            &[1, 1, 1, 1, 1],
-            1.0,
-            &cfg(),
-        );
+        let out = adjust_values(FunctionType::Successive, &mut values, &[1, 1, 1, 1, 1], 1.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
     }
 
     #[test]
     fn online_categorize_regular() {
         let online = vec![29, 29, 29, 30, 29, 29];
-        let c = try_online_categorize(&online, &cfg()).unwrap();
+        let c = try_online_categorize(&online).unwrap();
         assert_eq!(c.ty, FunctionType::Regular);
     }
 
     #[test]
     fn online_categorize_dense() {
         let online = vec![1, 3, 2, 4, 1, 2, 3, 1, 4, 2];
-        let c = try_online_categorize(&online, &cfg()).unwrap();
+        let c = try_online_categorize(&online).unwrap();
         // Modes cover >= 90%? values 1,2,3 cover 8/10 = 0.8 < 0.9, so not
         // appro-regular; P90 <= 5 -> dense.
         assert_eq!(c.ty, FunctionType::Dense);
@@ -443,14 +413,14 @@ mod tests {
     #[test]
     fn online_categorize_newly_possible() {
         let online = vec![500, 17, 500, 90, 2000];
-        let c = try_online_categorize(&online, &cfg()).unwrap();
+        let c = try_online_categorize(&online).unwrap();
         assert_eq!(c.ty, FunctionType::NewlyPossible);
         assert_eq!(c.values, PredictiveValues::Discrete(vec![500]));
     }
 
     #[test]
     fn online_categorize_nothing() {
-        assert!(try_online_categorize(&[1, 900, 40, 7000, 23], &cfg()).is_none());
-        assert!(try_online_categorize(&[5, 5], &cfg()).is_none());
+        assert!(try_online_categorize(&[1, 900, 40, 7000, 23]).is_none());
+        assert!(try_online_categorize(&[5, 5]).is_none());
     }
 }

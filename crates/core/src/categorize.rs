@@ -3,46 +3,164 @@
 //! Definitions are checked from easy to difficult — always-warm, regular,
 //! appro-regular, dense, successive — and the first match wins, exactly as
 //! the paper prescribes ("if a function fits a former type, it will not
-//! fit any latter type").
+//! fit any latter type"). Every threshold the rules read is a named
+//! constant below, and [`ModeRules`] implements rules 3–4 once for the
+//! offline fit and the online strategies of [`crate::adaptive`].
 
-use crate::config::SpesConfig;
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
 use crate::slacking;
-use spes_stats::{percentile, Summary};
+use spes_stats::{percentile, ModeEntry, Summary};
 use spes_trace::{Sequences, Slot, SparseSeries};
 
+/// "Always warm" alternative rule: the idle slots of the observing window
+/// must be at most this fraction of it (paper: 1/1000).
+pub const ALWAYS_WARM_IDLE_FRACTION: f64 = 1e-3;
+/// "Regular" rule 1: `P95(WT) - P5(WT)` must be at most this (paper: 1).
+pub const REGULAR_SPREAD_MAX: f64 = 1.0;
+/// "Regular" rule 2: coefficient of variation of WTs at most this
+/// (paper: 0.01).
+pub const REGULAR_CV_MAX: f64 = 0.01;
+/// Minimum number of WT observations before the regular, appro-regular
+/// and dense rules apply offline. The paper gives no minimum; four WTs
+/// are the fewest on which a spread, a CV or a 90% mode coverage says
+/// anything.
+pub const MIN_WT_SAMPLES: usize = 4;
+/// "Appro-regular": number of top WT modes considered (the paper's `n`,
+/// left unspecified; 3).
+pub const APPRO_N_MODES: usize = 3;
+/// "Appro-regular": required coverage of the top modes (paper: 0.9).
+pub const APPRO_COVERAGE: f64 = 0.9;
+/// "Dense": P90 of WTs must be at most this "small constant", in slots
+/// (unspecified in the paper; 5).
+pub const DENSE_P90_MAX: f64 = 5.0;
+/// "Dense": number of top WT modes whose range forms the predictive
+/// values (the paper's `k`, left unspecified; 3).
+pub const DENSE_K_MODES: usize = 3;
+/// "Successive": minimum active-run length γ1, in slots.
+///
+/// Table I prints both bounds (every active run at least γ1 slots long
+/// *and* at least γ2 invocations heavy) while the prose joins them with
+/// "or"; the rule here follows the prose: a function is successive when
+/// every run is long **or** every run is heavy.
+pub const SUCCESSIVE_MIN_AT: u32 = 3;
+/// "Successive": minimum invocations per active run γ2 (γ1 < γ2).
+pub const SUCCESSIVE_MIN_AN: u64 = 10;
+/// Minimum number of active runs before the successive rule applies.
+pub const SUCCESSIVE_MIN_RUNS: usize = 2;
+
+const _: () = assert!(
+    (SUCCESSIVE_MIN_AT as u64) < SUCCESSIVE_MIN_AN,
+    "successive bounds require γ1 < γ2"
+);
+
 /// Whether a WT sequence satisfies the "regular" rule: the 5th-95th
-/// percentile spread is at most `regular_spread_max` or the coefficient of
-/// variation is at most `regular_cv_max`.
+/// percentile spread is at most [`REGULAR_SPREAD_MAX`] or the coefficient
+/// of variation is at most [`REGULAR_CV_MAX`].
 #[must_use]
-pub fn is_regular_sequence(wts: &[u32], config: &SpesConfig) -> bool {
-    if wts.len() < config.min_wt_samples {
+pub fn is_regular_sequence(wts: &[u32]) -> bool {
+    if wts.len() < MIN_WT_SAMPLES {
         return false;
     }
     let Some(summary) = Summary::of(wts) else {
         return false;
     };
-    summary.p95 - summary.p5 <= config.regular_spread_max || summary.cv <= config.regular_cv_max
+    summary.p95 - summary.p5 <= REGULAR_SPREAD_MAX || summary.cv <= REGULAR_CV_MAX
 }
 
 /// Applies the "regular" definition with the two slacking fallbacks
 /// (trim, then merge-adjacent). Returns the processed WT sequence that
 /// passed, so the caller derives the predictive value from it.
 #[must_use]
-pub fn regular_with_slack(wts: &[u32], config: &SpesConfig) -> Option<Vec<u32>> {
-    if is_regular_sequence(wts, config) {
+pub fn regular_with_slack(wts: &[u32]) -> Option<Vec<u32>> {
+    if is_regular_sequence(wts) {
         return Some(wts.to_vec());
     }
     if let Some(trimmed) = slacking::trim_ends(wts) {
-        if is_regular_sequence(&trimmed, config) {
+        if is_regular_sequence(&trimmed) {
             return Some(trimmed);
         }
     }
-    let merged = slacking::merge_adjacent(wts, config);
-    if merged.len() != wts.len() && is_regular_sequence(&merged, config) {
+    let merged = slacking::merge_adjacent(wts);
+    if merged.len() != wts.len() && is_regular_sequence(&merged) {
         return Some(merged);
     }
     None
+}
+
+/// The "regular" outcome for a WT sequence that passed the rule: its
+/// rounded median is the single predictive value. `None` only for an
+/// empty sequence.
+#[must_use]
+pub fn regular(wts: &[u32]) -> Option<Categorized> {
+    let median = percentile(wts, 50.0)?.round() as u32;
+    Some(Categorized::new(
+        FunctionType::Regular,
+        PredictiveValues::Discrete(vec![median]),
+    ))
+}
+
+/// Table I's two mode rules over one WT sequence, read off one mode
+/// table: rule 3 (appro-regular) and rule 4 (dense). Offline
+/// categorisation, the S3 online re-categorisation and the S2
+/// appro-regular/dense updates all derive their values here.
+#[derive(Debug, Clone)]
+pub struct ModeRules<'a> {
+    wts: &'a [u32],
+    /// Modes by descending count, ties by ascending value.
+    table: Vec<ModeEntry>,
+}
+
+impl<'a> ModeRules<'a> {
+    /// Builds the mode table of `wts`.
+    #[must_use]
+    pub fn new(wts: &'a [u32]) -> Self {
+        Self {
+            wts,
+            table: spes_stats::mode_table(wts),
+        }
+    }
+
+    /// Rule 3's predictive values: the top [`APPRO_N_MODES`] modes, most
+    /// frequent first.
+    #[must_use]
+    pub fn appro_modes(&self) -> Vec<u32> {
+        self.table
+            .iter()
+            .take(APPRO_N_MODES)
+            .map(|m| m.value)
+            .collect()
+    }
+
+    /// Rule 4's predictive values: the range spanned by the top
+    /// [`DENSE_K_MODES`] modes; `None` for an empty sequence.
+    #[must_use]
+    pub fn dense_range(&self) -> Option<(u32, u32)> {
+        let top = || self.table.iter().take(DENSE_K_MODES).map(|m| m.value);
+        Some((top().min()?, top().max()?))
+    }
+
+    /// Rules 3 then 4: appro-regular when the top modes cover
+    /// [`APPRO_COVERAGE`] of the WTs, otherwise dense when `P90(WT)` is at
+    /// most [`DENSE_P90_MAX`], otherwise `None`. The caller enforces its
+    /// own sample minimum first.
+    #[must_use]
+    pub fn categorize(&self) -> Option<Categorized> {
+        let coverage: usize = self.table.iter().take(APPRO_N_MODES).map(|m| m.count).sum();
+        if coverage as f64 >= APPRO_COVERAGE * self.wts.len() as f64 {
+            return Some(Categorized::new(
+                FunctionType::ApproRegular,
+                PredictiveValues::Discrete(self.appro_modes()),
+            ));
+        }
+        if percentile(self.wts, 90.0)? <= DENSE_P90_MAX {
+            let (lo, hi) = self.dense_range()?;
+            return Some(Categorized::new(
+                FunctionType::Dense,
+                PredictiveValues::Range(lo, hi),
+            ));
+        }
+        None
+    }
 }
 
 /// Categorises one function from its invocation history in
@@ -54,7 +172,6 @@ pub fn categorize_deterministic(
     series: &SparseSeries,
     start: Slot,
     end: Slot,
-    config: &SpesConfig,
 ) -> Option<Categorized> {
     if end <= start {
         return None;
@@ -70,62 +187,30 @@ pub fn categorize_deterministic(
     // (including leading/trailing ones) so that a briefly-seen function
     // cannot masquerade as always-warm.
     let idle = window - active;
-    if active == window || (idle as f64) <= config.always_warm_idle_fraction * window as f64 {
+    if active == window || (idle as f64) <= ALWAYS_WARM_IDLE_FRACTION * window as f64 {
         return Some(Categorized::plain(FunctionType::AlwaysWarm));
     }
 
     let seq = Sequences::extract(series, start, end);
 
     // 2. Regular (with slacking).
-    if let Some(processed) = regular_with_slack(&seq.wt, config) {
-        let median = percentile(&processed, 50.0).unwrap_or(0.0).round() as u32;
-        return Some(Categorized::new(
-            FunctionType::Regular,
-            PredictiveValues::Discrete(vec![median]),
-        ));
+    if let Some(processed) = regular_with_slack(&seq.wt) {
+        return regular(&processed);
     }
 
-    // 3. Approximatively regular: the first n modes cover >= 90% of WTs.
-    if seq.wt.len() >= config.min_wt_samples {
-        let coverage = spes_stats::modes::mode_coverage(&seq.wt, config.appro_n_modes);
-        if coverage as f64 >= config.appro_coverage * seq.wt.len() as f64 {
-            let modes: Vec<u32> = spes_stats::top_modes(&seq.wt, config.appro_n_modes)
-                .into_iter()
-                .map(|m| m.value)
-                .collect();
-            return Some(Categorized::new(
-                FunctionType::ApproRegular,
-                PredictiveValues::Discrete(modes),
-            ));
-        }
-
-        // 4. Dense: P90 of WTs below the small constant.
-        let p90 = percentile(&seq.wt, 90.0).expect("non-empty wts");
-        if p90 <= config.dense_p90_max {
-            let modes = spes_stats::top_modes(&seq.wt, config.dense_k_modes);
-            let lo = modes.iter().map(|m| m.value).min().expect("non-empty");
-            let hi = modes.iter().map(|m| m.value).max().expect("non-empty");
-            return Some(Categorized::new(
-                FunctionType::Dense,
-                PredictiveValues::Range(lo, hi),
-            ));
+    // 3-4. Approximatively regular, then dense.
+    if seq.wt.len() >= MIN_WT_SAMPLES {
+        if let Some(cat) = ModeRules::new(&seq.wt).categorize() {
+            return Some(cat);
         }
     }
 
     // 5. Successive: every active run is long (>= γ1 slots) or heavy
-    // (>= γ2 invocations); the prose uses OR, Table I lists both, so the
-    // combination is configurable.
-    if seq.at.len() >= config.successive_min_runs {
+    // (>= γ2 invocations); see [`SUCCESSIVE_MIN_AT`] for the reading.
+    if seq.at.len() >= SUCCESSIVE_MIN_RUNS {
         let min_at = seq.at.iter().copied().min().unwrap_or(0);
         let min_an = seq.an.iter().copied().min().unwrap_or(0);
-        let c1 = min_at >= config.successive_min_at;
-        let c2 = min_an >= config.successive_min_an;
-        let hit = if config.successive_require_both {
-            c1 && c2
-        } else {
-            c1 || c2
-        };
-        if hit {
+        if min_at >= SUCCESSIVE_MIN_AT || min_an >= SUCCESSIVE_MIN_AN {
             return Some(Categorized::plain(FunctionType::Successive));
         }
     }
@@ -136,10 +221,6 @@ pub fn categorize_deterministic(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> SpesConfig {
-        SpesConfig::default()
-    }
 
     fn series_every(period: Slot, end: Slot) -> SparseSeries {
         SparseSeries::from_pairs((0..end).step_by(period as usize).map(|s| (s, 1)).collect())
@@ -153,13 +234,13 @@ mod tests {
     #[test]
     fn empty_series_uncategorised() {
         let s = SparseSeries::new();
-        assert!(categorize_deterministic(&s, 0, 100, &cfg()).is_none());
+        assert!(categorize_deterministic(&s, 0, 100).is_none());
     }
 
     #[test]
     fn every_slot_is_always_warm() {
         let s = series_every(1, 500);
-        let c = categorize_deterministic(&s, 0, 500, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, 500).unwrap();
         assert_eq!(c.ty, FunctionType::AlwaysWarm);
         assert!(c.values.is_none());
     }
@@ -172,20 +253,20 @@ mod tests {
             .map(|s| (s, 1))
             .collect();
         let s = SparseSeries::from_pairs(pairs);
-        let c = categorize_deterministic(&s, 0, 10_000, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, 10_000).unwrap();
         assert_eq!(c.ty, FunctionType::AlwaysWarm);
     }
 
     #[test]
     fn single_invocation_is_not_always_warm() {
         let s = SparseSeries::from_pairs(vec![(5, 1)]);
-        assert!(categorize_deterministic(&s, 0, 10_000, &cfg()).is_none());
+        assert!(categorize_deterministic(&s, 0, 10_000).is_none());
     }
 
     #[test]
     fn periodic_is_regular_with_median() {
         let s = series_every(30, 3000);
-        let c = categorize_deterministic(&s, 0, 3000, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, 3000).unwrap();
         assert_eq!(c.ty, FunctionType::Regular);
         assert_eq!(c.values, PredictiveValues::Discrete(vec![29]));
     }
@@ -196,8 +277,8 @@ mod tests {
         // is short enough that the P5/P95 interpolation cannot hide the
         // outliers (long sequences absorb <5% outliers by design).
         let wts = vec![100u32, 29, 29, 29, 29, 29, 29, 3];
-        assert!(!is_regular_sequence(&wts, &cfg()));
-        let processed = regular_with_slack(&wts, &cfg()).unwrap();
+        assert!(!is_regular_sequence(&wts));
+        let processed = regular_with_slack(&wts).unwrap();
         assert_eq!(processed, vec![29; 6]);
     }
 
@@ -205,7 +286,7 @@ mod tests {
     fn regular_via_merge() {
         // The paper's merge example padded to satisfy the sample minimum.
         let wts = vec![1439, 1438, 1, 1439, 1438, 1, 1439, 1438, 1];
-        let processed = regular_with_slack(&wts, &cfg()).unwrap();
+        let processed = regular_with_slack(&wts).unwrap();
         assert!(processed.iter().all(|&w| w == 1439));
     }
 
@@ -219,7 +300,7 @@ mod tests {
             slot += 3 + (i % 3);
         }
         let s = SparseSeries::from_pairs(pairs);
-        let c = categorize_deterministic(&s, 0, slot + 1, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, slot + 1).unwrap();
         assert_eq!(c.ty, FunctionType::ApproRegular);
         match c.values {
             PredictiveValues::Discrete(v) => {
@@ -234,7 +315,7 @@ mod tests {
     #[test]
     fn dense_small_wts() {
         let s = dense_series(2000);
-        let c = categorize_deterministic(&s, 0, 2000, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, 2000).unwrap();
         // All WTs are exactly 1 -> CV = 0 -> caught by the *regular* rule
         // first, by priority. Widen the gaps to make it dense instead.
         assert_eq!(c.ty, FunctionType::Regular);
@@ -247,7 +328,7 @@ mod tests {
             slot += 2 + (i * i + i / 3) % 4; // gaps 2-5 in a scrambled order
         }
         let s = SparseSeries::from_pairs(pairs);
-        let c = categorize_deterministic(&s, 0, slot + 1, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, slot + 1).unwrap();
         assert_eq!(c.ty, FunctionType::Dense);
         match c.values {
             PredictiveValues::Range(lo, hi) => {
@@ -269,7 +350,7 @@ mod tests {
             slot += 5 + 200 + (i * 97) % 400;
         }
         let s = SparseSeries::from_pairs(pairs);
-        let c = categorize_deterministic(&s, 0, slot + 1, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, slot + 1).unwrap();
         assert_eq!(c.ty, FunctionType::Successive);
     }
 
@@ -284,21 +365,15 @@ mod tests {
             slot += 150 + (i * 131) % 300;
         }
         let s = SparseSeries::from_pairs(pairs);
-        let c = categorize_deterministic(&s, 0, slot + 1, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, slot + 1).unwrap();
         assert_eq!(c.ty, FunctionType::Successive);
-
-        let strict = SpesConfig {
-            successive_require_both: true,
-            ..cfg()
-        };
-        assert!(categorize_deterministic(&s, 0, slot + 1, &strict).is_none());
     }
 
     #[test]
     fn irregular_rare_function_uncategorised() {
         // A handful of invocations at wildly varying gaps with light bursts.
         let s = SparseSeries::from_pairs(vec![(0, 1), (50, 1), (51, 1), (700, 1), (3000, 1)]);
-        assert!(categorize_deterministic(&s, 0, 5000, &cfg()).is_none());
+        assert!(categorize_deterministic(&s, 0, 5000).is_none());
     }
 
     #[test]
@@ -306,7 +381,7 @@ mod tests {
         // A perfectly periodic function also satisfies the appro-regular
         // coverage rule; priority must give "regular".
         let s = series_every(10, 1000);
-        let c = categorize_deterministic(&s, 0, 1000, &cfg()).unwrap();
+        let c = categorize_deterministic(&s, 0, 1000).unwrap();
         assert_eq!(c.ty, FunctionType::Regular);
     }
 
@@ -316,11 +391,11 @@ mod tests {
         // window has a giant final gap (still regular via trim? no --
         // trailing idle is not a WT), so both windows say regular.
         let s = series_every(20, 1000);
-        let full = categorize_deterministic(&s, 0, 2000, &cfg()).unwrap();
+        let full = categorize_deterministic(&s, 0, 2000).unwrap();
         assert_eq!(full.ty, FunctionType::Regular);
-        let first_half = categorize_deterministic(&s, 0, 1000, &cfg()).unwrap();
+        let first_half = categorize_deterministic(&s, 0, 1000).unwrap();
         assert_eq!(first_half.ty, FunctionType::Regular);
         // A window covering only silence finds nothing.
-        assert!(categorize_deterministic(&s, 1000, 2000, &cfg()).is_none());
+        assert!(categorize_deterministic(&s, 1000, 2000).is_none());
     }
 }

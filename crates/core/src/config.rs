@@ -1,121 +1,24 @@
-//! SPES configuration: every threshold, slack, and ablation switch.
+//! SPES configuration: the values a figure varies.
 //!
-//! Defaults follow the paper's experiment settings (Section V-A2):
-//! `theta_prewarm = 2`; `theta_givenup = 5` for "dense" and "pulsed" and 1
-//! for the other types. Where the paper leaves a constant unspecified
-//! ("a small constant", "pre-defined lower bounds"), the default is stated
-//! in DESIGN.md under *ambiguity resolutions* and is a plain field here so
-//! the sensitivity sweeps of Fig. 13 can vary it.
+//! Defaults follow the paper's experiment settings (Section V-A2). The
+//! config holds only what the Fig. 13 sensitivity sweeps and the
+//! Figs. 14/15 ablations change; every other threshold is a named constant
+//! next to the rule that reads it — Table I's in [`crate::categorize`],
+//! the slacking tolerances in [`crate::slacking`], the give-up and
+//! correlation thresholds in [`crate::provision`] — and its doc comment
+//! states how the paper's wording was resolved where it leaves the value
+//! open.
 
-use serde::{Deserialize, Serialize};
-use spes_trace::Slot;
+use crate::provision::{THETA_GIVENUP_DEFAULT, THETA_GIVENUP_DENSE, THETA_GIVENUP_PULSED};
 
-/// Full configuration of the SPES scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The configurable part of the SPES scheduler.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpesConfig {
-    // -------- deterministic categorisation (Section IV-A, Table I) --------
-    /// "Always warm" alternative rule: total inter-invocation time must be
-    /// at most this fraction of the observing window (paper: 1/1000).
-    pub always_warm_idle_fraction: f64,
-    /// "Regular" rule 1: `P95(WT) - P5(WT)` must be at most this (paper: 1).
-    pub regular_spread_max: f64,
-    /// "Regular" rule 2: coefficient of variation of WTs at most this
-    /// (paper: 0.01).
-    pub regular_cv_max: f64,
-    /// Minimum number of WT observations before the regular / appro-regular
-    /// / dense rules apply.
-    pub min_wt_samples: usize,
-    /// "Appro-regular": number of top WT modes considered (the paper's `n`).
-    pub appro_n_modes: usize,
-    /// "Appro-regular": required coverage of the top modes (paper: 0.9).
-    pub appro_coverage: f64,
-    /// "Dense": P90 of WTs must be at most this small constant, in slots.
-    pub dense_p90_max: f64,
-    /// "Dense": number of top WT modes whose range forms the predictive
-    /// values (the paper's `k`).
-    pub dense_k_modes: usize,
-    /// "Successive": minimum active-run length γ1, in slots.
-    pub successive_min_at: u32,
-    /// "Successive": minimum invocations per active run γ2 (γ1 < γ2).
-    pub successive_min_an: u64,
-    /// Whether the successive rule requires both bounds (Table I prints
-    /// both; the prose says "or"). Default: `false` (OR).
-    pub successive_require_both: bool,
-    /// Minimum number of active runs before the successive rule applies.
-    pub successive_min_runs: usize,
-
-    // -------- WT slacking rules (Section IV-A2) --------
-    /// A WT is "closely valued to the mode" within this absolute tolerance.
-    pub merge_mode_tolerance: u32,
-    /// A WT is "small" (eligible for merging into a neighbour) when at
-    /// most this many slots.
-    pub merge_small_max: u32,
-
-    // -------- indeterminate assignment (Section IV-B) --------
-    /// T-lagged co-occurrence threshold for linking functions (paper: 0.5).
-    pub cor_threshold: f64,
-    /// Maximum considered lag `T` in slots (paper: T <= 10).
-    pub cor_max_lag: u32,
-    /// Maximum number of same-app/user candidates examined per function.
-    pub cor_max_candidates: usize,
-    /// Minimum *precision* of a link: the fraction of candidate
-    /// invocations followed by a target invocation within the hold window.
-    /// Guards against hyper-frequent candidates, whose lagged COR is
-    /// trivially 1.0 for any target but whose invocations carry no
-    /// information (pre-loading off them would pin the target in memory).
-    pub cor_min_precision: f64,
-    /// Online correlation ignores candidates more active than this
-    /// fraction of training slots, for the same reason.
-    pub online_corr_max_candidate_rate: f64,
-    /// Rise-rate scaling factor α in (0, 1); smaller weights cold starts
-    /// more heavily (Section IV-B2).
-    pub alpha: f64,
-    /// Length of the validation suffix of the training window, in slots,
-    /// used to score the pulsed/correlated/possible strategies.
-    pub validation_slots: Slot,
-
-    // -------- provisioning (Section IV-D) --------
     /// Pre-warm half-window θprewarm: pre-load when a predicted invocation
-    /// falls within `[t - θ, t + θ]` (paper: 2).
+    /// falls within `[t - θ, t + θ]` (paper: 2; the Fig. 13a sweep).
     pub theta_prewarm: u32,
-    /// Give-up threshold for "dense" functions (paper: 5).
-    pub theta_givenup_dense: u32,
-    /// Give-up threshold for "pulsed" functions (paper: 5).
-    pub theta_givenup_pulsed: u32,
-    /// Give-up threshold for every other type (paper: 1).
-    pub theta_givenup_default: u32,
     /// Multiplier applied to all give-up thresholds (the Fig. 13b sweep).
     pub givenup_scaler: u32,
-    /// "Possible" functions: when the spread of predictive values exceeds
-    /// this, they are treated as discrete points; otherwise the whole
-    /// integer range is pre-warmed (Section IV-D).
-    pub possible_range_threshold: u32,
-
-    // -------- adaptive strategies (Section IV-C) --------
-    /// Number of online WTs required before adaptive updates fire
-    /// ("if there are enough WTs").
-    pub adjust_min_samples: usize,
-    /// Chain-echo awareness of the S2 *regular* drift test: a median
-    /// within the drift threshold of `m*v + (m-1)` for the known cadence
-    /// `v` and a skip multiple `m <= adjust_echo_harmonics` is attributed
-    /// to intra-app chaining (the child missed `m-1` parent firings)
-    /// rather than to drift — provided the old cadence is still the
-    /// common case in the buffer — so it cannot drag the single regular
-    /// cadence toward the chain echo. Values below 2 disable the echo
-    /// test. Appro-regular and dense updates are deliberately unguarded:
-    /// they extend a set/range and chain echoes are predictive there.
-    pub adjust_echo_harmonics: u32,
-    /// Fraction of the online WT buffer that must sit within the drift
-    /// threshold of the new median before a "regular" blend fires. The
-    /// median of a bimodal chain-mixture buffer (parent period plus skip
-    /// echoes) interpolates between the clusters and is supported by
-    /// neither; requiring majority support rejects it.
-    pub adjust_new_support: f64,
-    /// Online-correlation candidate pruning: a candidate is suspended when
-    /// its COR falls this far below the current maximum.
-    pub online_corr_drop_gap: f64,
-    /// Maximum candidates tracked per unseen function.
-    pub online_corr_max_candidates: usize,
 
     // -------- ablation switches (Section V-E) --------
     /// Enable the "correlated" assignment during training (w/o Corr when
@@ -134,38 +37,8 @@ pub struct SpesConfig {
 impl Default for SpesConfig {
     fn default() -> Self {
         Self {
-            always_warm_idle_fraction: 1e-3,
-            regular_spread_max: 1.0,
-            regular_cv_max: 0.01,
-            min_wt_samples: 4,
-            appro_n_modes: 3,
-            appro_coverage: 0.9,
-            dense_p90_max: 5.0,
-            dense_k_modes: 3,
-            successive_min_at: 3,
-            successive_min_an: 10,
-            successive_require_both: false,
-            successive_min_runs: 2,
-            merge_mode_tolerance: 1,
-            merge_small_max: 2,
-            cor_threshold: 0.5,
-            cor_max_lag: 10,
-            cor_max_candidates: 50,
-            cor_min_precision: 0.25,
-            online_corr_max_candidate_rate: 0.1,
-            alpha: 0.5,
-            validation_slots: 2 * spes_trace::SLOTS_PER_DAY,
             theta_prewarm: 2,
-            theta_givenup_dense: 5,
-            theta_givenup_pulsed: 5,
-            theta_givenup_default: 1,
             givenup_scaler: 1,
-            possible_range_threshold: 10,
-            adjust_min_samples: 5,
-            adjust_echo_harmonics: 3,
-            adjust_new_support: 0.5,
-            online_corr_drop_gap: 0.3,
-            online_corr_max_candidates: 20,
             enable_correlated: true,
             enable_online_corr: true,
             enable_forgetting: true,
@@ -181,57 +54,11 @@ impl SpesConfig {
     pub fn givenup_for(&self, ty: crate::patterns::FunctionType) -> u32 {
         use crate::patterns::FunctionType as T;
         let base = match ty {
-            T::Dense => self.theta_givenup_dense,
-            T::Pulsed => self.theta_givenup_pulsed,
-            _ => self.theta_givenup_default,
+            T::Dense => THETA_GIVENUP_DENSE,
+            T::Pulsed => THETA_GIVENUP_PULSED,
+            _ => THETA_GIVENUP_DEFAULT,
         };
         base.saturating_mul(self.givenup_scaler.max(1))
-    }
-
-    /// Returns a copy with all ablation switches disabled except the ones
-    /// in the default config — convenience for the Fig. 14/15 harness.
-    #[must_use]
-    pub fn with_ablation(
-        mut self,
-        correlated: bool,
-        online_corr: bool,
-        forgetting: bool,
-        adjusting: bool,
-    ) -> Self {
-        self.enable_correlated = correlated;
-        self.enable_online_corr = online_corr;
-        self.enable_forgetting = forgetting;
-        self.enable_adjusting = adjusting;
-        self
-    }
-
-    /// Validates internal consistency (e.g. γ1 < γ2, α in (0, 1)).
-    ///
-    /// # Errors
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.alpha <= 0.0 || self.alpha >= 1.0 {
-            return Err(format!("alpha must be in (0, 1), got {}", self.alpha));
-        }
-        if u64::from(self.successive_min_at) >= self.successive_min_an {
-            return Err(format!(
-                "successive bounds require γ1 < γ2, got γ1 = {}, γ2 = {}",
-                self.successive_min_at, self.successive_min_an
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.appro_coverage) {
-            return Err("appro_coverage must be a fraction".into());
-        }
-        if self.appro_n_modes == 0 || self.dense_k_modes == 0 {
-            return Err("mode counts must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.adjust_new_support) {
-            return Err(format!(
-                "adjust_new_support must be a fraction, got {}",
-                self.adjust_new_support
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -239,21 +66,17 @@ impl SpesConfig {
 mod tests {
     use super::*;
     use crate::patterns::FunctionType;
-
-    #[test]
-    fn default_config_is_valid() {
-        SpesConfig::default().validate().unwrap();
-    }
+    use crate::provision::{COR_MAX_LAG, COR_THRESHOLD};
 
     #[test]
     fn default_matches_paper_settings() {
         let c = SpesConfig::default();
         assert_eq!(c.theta_prewarm, 2);
-        assert_eq!(c.theta_givenup_dense, 5);
-        assert_eq!(c.theta_givenup_pulsed, 5);
-        assert_eq!(c.theta_givenup_default, 1);
-        assert_eq!(c.cor_threshold, 0.5);
-        assert_eq!(c.cor_max_lag, 10);
+        assert_eq!(THETA_GIVENUP_DENSE, 5);
+        assert_eq!(THETA_GIVENUP_PULSED, 5);
+        assert_eq!(THETA_GIVENUP_DEFAULT, 1);
+        assert_eq!(COR_THRESHOLD, 0.5);
+        assert_eq!(COR_MAX_LAG, 10);
     }
 
     #[test]
@@ -266,33 +89,5 @@ mod tests {
         c.givenup_scaler = 3;
         assert_eq!(c.givenup_for(FunctionType::Dense), 15);
         assert_eq!(c.givenup_for(FunctionType::Regular), 3);
-    }
-
-    #[test]
-    fn invalid_alpha_rejected() {
-        let c = SpesConfig {
-            alpha: 1.5,
-            ..SpesConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn invalid_gammas_rejected() {
-        let c = SpesConfig {
-            successive_min_at: 10,
-            successive_min_an: 5,
-            ..SpesConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("γ1 < γ2"));
-    }
-
-    #[test]
-    fn ablation_builder() {
-        let c = SpesConfig::default().with_ablation(false, true, false, true);
-        assert!(!c.enable_correlated);
-        assert!(c.enable_online_corr);
-        assert!(!c.enable_forgetting);
-        assert!(c.enable_adjusting);
     }
 }

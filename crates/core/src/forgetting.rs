@@ -7,7 +7,6 @@
 //! up to half the observed days, keeping the first match.
 
 use crate::categorize::categorize_deterministic;
-use crate::config::SpesConfig;
 use crate::patterns::Categorized;
 use spes_trace::{Slot, SparseSeries, SLOTS_PER_DAY};
 
@@ -20,7 +19,6 @@ pub fn forget_and_recheck(
     series: &SparseSeries,
     start: Slot,
     end: Slot,
-    config: &SpesConfig,
 ) -> Option<(Categorized, Slot)> {
     if end <= start {
         return None;
@@ -34,7 +32,7 @@ pub fn forget_and_recheck(
         if suffix_start >= end {
             break;
         }
-        if let Some(cat) = categorize_deterministic(series, suffix_start, end, config) {
+        if let Some(cat) = categorize_deterministic(series, suffix_start, end) {
             return Some((cat, suffix_start));
         }
     }
@@ -45,10 +43,6 @@ pub fn forget_and_recheck(
 mod tests {
     use super::*;
     use crate::patterns::FunctionType;
-
-    fn cfg() -> SpesConfig {
-        SpesConfig::default()
-    }
 
     /// Erratic gaps dense enough that the noise exceeds both the P5/P95
     /// interpolation slack and the appro-regular mode coverage.
@@ -77,9 +71,9 @@ mod tests {
         let end = 6 * SLOTS_PER_DAY;
 
         // Full window fails the deterministic definitions...
-        assert!(categorize_deterministic(&s, 0, end, &cfg()).is_none());
+        assert!(categorize_deterministic(&s, 0, end).is_none());
         // ...but forgetting day 0 recovers "regular".
-        let (cat, suffix_start) = forget_and_recheck(&s, 0, end, &cfg()).unwrap();
+        let (cat, suffix_start) = forget_and_recheck(&s, 0, end).unwrap();
         assert_eq!(cat.ty, FunctionType::Regular);
         assert_eq!(suffix_start, SLOTS_PER_DAY);
     }
@@ -96,21 +90,21 @@ mod tests {
             t += 30;
         }
         let s = SparseSeries::from_pairs(pairs);
-        assert!(forget_and_recheck(&s, 0, 6 * SLOTS_PER_DAY, &cfg()).is_none());
+        assert!(forget_and_recheck(&s, 0, 6 * SLOTS_PER_DAY).is_none());
     }
 
     #[test]
     fn short_window_returns_none() {
         let s = SparseSeries::from_pairs(vec![(0, 1)]);
-        assert!(forget_and_recheck(&s, 0, SLOTS_PER_DAY, &cfg()).is_none());
-        assert!(forget_and_recheck(&s, 5, 5, &cfg()).is_none());
+        assert!(forget_and_recheck(&s, 0, SLOTS_PER_DAY).is_none());
+        assert!(forget_and_recheck(&s, 5, 5).is_none());
     }
 
     #[test]
     fn already_regular_function_found_at_first_suffix() {
         let pairs: Vec<(Slot, u32)> = (0..4 * SLOTS_PER_DAY).step_by(60).map(|s| (s, 1)).collect();
         let s = SparseSeries::from_pairs(pairs);
-        let (cat, suffix_start) = forget_and_recheck(&s, 0, 4 * SLOTS_PER_DAY, &cfg()).unwrap();
+        let (cat, suffix_start) = forget_and_recheck(&s, 0, 4 * SLOTS_PER_DAY).unwrap();
         assert_eq!(cat.ty, FunctionType::Regular);
         assert_eq!(suffix_start, SLOTS_PER_DAY);
     }

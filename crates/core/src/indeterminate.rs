@@ -18,7 +18,18 @@
 use crate::config::SpesConfig;
 use crate::correlation::Link;
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
-use spes_trace::{Slot, SparseSeries};
+use crate::provision::{THETA_GIVENUP_DEFAULT, THETA_GIVENUP_PULSED};
+use spes_trace::{Slot, SparseSeries, SLOTS_PER_DAY};
+
+/// Rise-rate scaling factor α in (0, 1); smaller weights cold starts more
+/// heavily (Section IV-B2; the paper leaves the value open, 0.5 weighs
+/// both rise rates equally).
+pub const ALPHA: f64 = 0.5;
+/// Length of the validation suffix of the training window, in slots, used
+/// to score the pulsed/correlated/possible strategies (two days).
+pub const VALIDATION_SLOTS: Slot = 2 * SLOTS_PER_DAY;
+
+const _: () = assert!(ALPHA > 0.0 && ALPHA < 1.0, "α must lie in (0, 1)");
 
 /// Cold-start / wasted-memory score of one strategy on the validation
 /// window. Lower is better on both axes.
@@ -83,7 +94,7 @@ pub fn score_possible(
     config: &SpesConfig,
 ) -> StrategyScore {
     let theta = config.theta_prewarm;
-    let keep = config.theta_givenup_default;
+    let keep = THETA_GIVENUP_DEFAULT;
     let events = series.events_in(vstart, vend);
     let mut cold = 0u64;
     let mut wasted = 0u64;
@@ -186,9 +197,7 @@ pub fn assign_indeterminate<'a, F>(
 where
     F: Fn(usize) -> &'a SparseSeries,
 {
-    let vstart = train_end
-        .saturating_sub(config.validation_slots)
-        .max(train_start);
+    let vstart = train_end.saturating_sub(VALIDATION_SLOTS).max(train_start);
     let vend = train_end;
 
     if series.events_in(vstart, vend).is_empty() {
@@ -199,8 +208,7 @@ where
     }
 
     // Candidate strategies and their scores.
-    let pulsed_keep = config.theta_givenup_pulsed;
-    let d1 = score_pulsed(series, vstart, vend, pulsed_keep);
+    let d1 = score_pulsed(series, vstart, vend, THETA_GIVENUP_PULSED);
 
     let possible_values = spes_stats::modes::repeated_values(
         &spes_trace::Sequences::waiting_times(series, train_start, vend),
@@ -223,7 +231,7 @@ where
         options.push((FunctionType::Possible, score));
     }
 
-    let choice = choose_strategy(&options, config.alpha);
+    let choice = choose_strategy(&options, ALPHA);
     let categorized = match choice {
         FunctionType::Possible => Categorized::new(
             FunctionType::Possible,

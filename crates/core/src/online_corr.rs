@@ -7,9 +7,19 @@
 //! tracked per invocation, and candidates whose COR falls too far below
 //! the running maximum are suspended (resuming if their COR recovers).
 
-use crate::config::SpesConfig;
 use spes_trace::{FunctionId, Slot};
 use std::collections::BTreeMap;
+
+/// Candidate pruning: a candidate is suspended when its COR falls this
+/// far below the current maximum ("too far" is left open by the paper).
+pub const ONLINE_CORR_DROP_GAP: f64 = 0.3;
+/// Maximum candidates tracked per unseen function.
+pub const ONLINE_CORR_MAX_CANDIDATES: usize = 20;
+/// Candidates active in more than this fraction of training slots are
+/// ignored: a hyper-frequent function co-occurs with everything, so its
+/// COR is trivially high while its invocations carry no information
+/// (pre-loading off them would pin the target in memory).
+pub const ONLINE_CORR_MAX_CANDIDATE_RATE: f64 = 0.1;
 
 #[derive(Debug, Clone)]
 struct CandidateState {
@@ -27,33 +37,18 @@ struct TargetState {
 }
 
 /// Tracker of unseen-function correlations ("UCorr" in Algorithm 1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineCorrelation {
     targets: BTreeMap<FunctionId, TargetState>,
     /// Reverse index: candidate -> targets it may pre-load.
     by_candidate: BTreeMap<FunctionId, Vec<FunctionId>>,
-    window: u32,
-    drop_gap: f64,
 }
 
 impl OnlineCorrelation {
-    /// Creates a tracker with the configured hold window (`cor_max_lag`)
-    /// and pruning gap.
+    /// Creates an empty tracker.
     #[must_use]
-    pub fn new(config: &SpesConfig) -> Self {
-        Self {
-            targets: BTreeMap::new(),
-            by_candidate: BTreeMap::new(),
-            window: config.cor_max_lag,
-            drop_gap: config.online_corr_drop_gap,
-        }
-    }
-
-    /// Hold window in slots: a candidate invocation keeps its targets
-    /// loaded this long.
-    #[must_use]
-    pub fn window(&self) -> u32 {
-        self.window
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of tracked unseen targets.
@@ -116,8 +111,9 @@ impl OnlineCorrelation {
 
     /// Records an invocation of a tracked target at slot `now`.
     /// `was_recent` reports whether a candidate was invoked within the
-    /// trailing window `[now - window, now]` (the policy consults its
-    /// last-invocation table).
+    /// trailing window `[now - T, now]`, `T` =
+    /// [`COR_MAX_LAG`](crate::provision::COR_MAX_LAG) (the policy consults
+    /// its last-invocation table).
     pub fn on_target_invoked<F: Fn(FunctionId) -> bool>(
         &mut self,
         target: FunctionId,
@@ -143,7 +139,7 @@ impl OnlineCorrelation {
             .fold(0.0f64, f64::max);
         for cand in &mut state.candidates {
             let cor = cand.hits as f64 / n;
-            cand.active = max_cor - cor <= self.drop_gap;
+            cand.active = max_cor - cor <= ONLINE_CORR_DROP_GAP;
         }
     }
 
@@ -167,7 +163,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> OnlineCorrelation {
-        OnlineCorrelation::new(&SpesConfig::default())
+        OnlineCorrelation::new()
     }
 
     fn f(i: u32) -> FunctionId {

@@ -22,7 +22,9 @@ use crate::config::SpesConfig;
 use crate::correlation::{best_lagged_cor, Link};
 use crate::forgetting::forget_and_recheck;
 use crate::indeterminate::assign_indeterminate;
-use crate::online_corr::OnlineCorrelation;
+use crate::online_corr::{
+    OnlineCorrelation, ONLINE_CORR_MAX_CANDIDATES, ONLINE_CORR_MAX_CANDIDATE_RATE,
+};
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
 use spes_sim::{Agenda, Holds, MemoryPool, Policy};
 use spes_stats::stddev;
@@ -31,6 +33,31 @@ use std::collections::BTreeMap;
 
 /// Maximum online WTs buffered per function for adaptive adjusting.
 const ONLINE_WT_BUFFER: usize = 64;
+
+/// Give-up threshold for "dense" functions, in idle slots (paper: 5).
+pub const THETA_GIVENUP_DENSE: u32 = 5;
+/// Give-up threshold for "pulsed" functions, in idle slots (paper: 5).
+pub const THETA_GIVENUP_PULSED: u32 = 5;
+/// Give-up threshold for every other type, in idle slots (paper: 1).
+pub const THETA_GIVENUP_DEFAULT: u32 = 1;
+/// "Possible" functions: when the spread of predictive values exceeds
+/// this, they are treated as discrete points; otherwise the whole integer
+/// range is pre-warmed (Section IV-D; the paper leaves the bound open).
+pub const POSSIBLE_RANGE_THRESHOLD: u32 = 10;
+
+/// T-lagged co-occurrence threshold for linking functions (paper: 0.5).
+pub const COR_THRESHOLD: f64 = 0.5;
+/// Maximum considered lag `T` in slots (paper: T <= 10); also the hold
+/// window of an online-correlation pre-load.
+pub const COR_MAX_LAG: u32 = 10;
+/// Maximum number of same-app/user candidates examined per function.
+pub const COR_MAX_CANDIDATES: usize = 50;
+/// Minimum *precision* of a link: the fraction of candidate invocations
+/// followed by a target invocation within the hold window. Guards against
+/// hyper-frequent candidates, whose lagged COR is trivially 1.0 for any
+/// target but whose invocations carry no information (pre-loading off
+/// them would pin the target in memory). Not in the paper.
+pub const COR_MIN_PRECISION: f64 = 0.25;
 
 /// Summary of the offline fit, used by the figures and ablation studies.
 #[derive(Debug, Clone, Default)]
@@ -103,10 +130,9 @@ impl SpesPolicy {
     /// `trace`.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid or the window is empty.
+    /// Panics if the window is empty.
     #[must_use]
     pub fn fit(trace: &Trace, train_start: Slot, train_end: Slot, config: SpesConfig) -> Self {
-        config.validate().expect("invalid SPES configuration");
         assert!(train_start < train_end, "empty training window");
         let n = trace.n_functions();
 
@@ -116,10 +142,10 @@ impl SpesPolicy {
         // Phase 1: deterministic categorisation (+ forgetting).
         for f in trace.function_ids() {
             let series = trace.series_of(f);
-            let mut cat = categorize_deterministic(series, train_start, train_end, &config);
+            let mut cat = categorize_deterministic(series, train_start, train_end);
             if cat.is_none() && config.enable_forgetting {
                 if let Some((recovered, _suffix)) =
-                    forget_and_recheck(series, train_start, train_end, &config)
+                    forget_and_recheck(series, train_start, train_end)
                 {
                     fit_stats.recovered_by_forgetting += 1;
                     cat = Some(recovered);
@@ -193,7 +219,7 @@ impl SpesPolicy {
         }
 
         let triggers = trace.metas.iter().map(|m| m.trigger).collect();
-        let ucorr = OnlineCorrelation::new(&config);
+        let ucorr = OnlineCorrelation::new();
         Self {
             types,
             values,
@@ -214,12 +240,6 @@ impl SpesPolicy {
             online_stats: OnlineStatsCounters::default(),
             config,
         }
-    }
-
-    /// The fitted configuration.
-    #[must_use]
-    pub fn config(&self) -> &SpesConfig {
-        &self.config
     }
 
     /// Offline fit summary.
@@ -271,7 +291,7 @@ impl SpesPolicy {
                 };
                 let narrow_possible =
                     matches!(ty, FunctionType::Possible | FunctionType::NewlyPossible)
-                        && hi - lo <= self.config.possible_range_threshold;
+                        && hi - lo <= POSSIBLE_RANGE_THRESHOLD;
                 if narrow_possible {
                     // Treat as one continuous range (Section IV-D).
                     window(lo, hi);
@@ -290,21 +310,20 @@ impl SpesPolicy {
     /// Hyper-frequent functions are excluded: they co-occur with
     /// everything and would pin the target in memory.
     fn unseen_candidates(&self, target: FunctionId, now: Slot) -> Vec<FunctionId> {
-        let window = self.ucorr.window();
         let trigger = self.triggers[target.index()];
-        let lo = now.saturating_sub(window);
+        let lo = now.saturating_sub(COR_MAX_LAG);
         let mut out = Vec::new();
         for (i, &t) in self.triggers.iter().enumerate() {
             if i == target.index() || t != trigger {
                 continue;
             }
-            if self.train_active_rate[i] > self.config.online_corr_max_candidate_rate {
+            if self.train_active_rate[i] > ONLINE_CORR_MAX_CANDIDATE_RATE {
                 continue;
             }
             if let Some(last) = self.last_invoked[i] {
                 if last >= lo {
                     out.push(FunctionId(i as u32));
-                    if out.len() >= self.config.online_corr_max_candidates {
+                    if out.len() >= ONLINE_CORR_MAX_CANDIDATES {
                         break;
                     }
                 }
@@ -377,17 +396,17 @@ fn discover_links(
             push_unique(c, &mut candidates);
         }
     }
-    if candidates.len() < config.cor_max_candidates {
+    if candidates.len() < COR_MAX_CANDIDATES {
         if let Some(user_members) = by_user.get(&meta.user) {
             for &c in user_members {
-                if candidates.len() >= config.cor_max_candidates {
+                if candidates.len() >= COR_MAX_CANDIDATES {
                     break;
                 }
                 push_unique(c, &mut candidates);
             }
         }
     }
-    candidates.truncate(config.cor_max_candidates);
+    candidates.truncate(COR_MAX_CANDIDATES);
 
     let mut links = Vec::new();
     for cand in candidates {
@@ -395,14 +414,8 @@ fn discover_links(
         if cand_series.events_in(train_start, train_end).is_empty() {
             continue;
         }
-        let (lag, cor) = best_lagged_cor(
-            series,
-            cand_series,
-            config.cor_max_lag,
-            train_start,
-            train_end,
-        );
-        if cor < config.cor_threshold {
+        let (lag, cor) = best_lagged_cor(series, cand_series, COR_MAX_LAG, train_start, train_end);
+        if cor < COR_THRESHOLD {
             continue;
         }
         // The lagged COR alone is trivially 1.0 against hyper-frequent
@@ -415,7 +428,7 @@ fn discover_links(
             train_start,
             train_end,
         );
-        if precision < config.cor_min_precision {
+        if precision < COR_MIN_PRECISION {
             continue;
         }
         links.push(Link {
@@ -469,9 +482,7 @@ impl Policy for SpesPolicy {
             if self.config.enable_adjusting {
                 match self.types[idx] {
                     FunctionType::Unknown => {
-                        if let Some(cat) =
-                            adaptive::try_online_categorize(&self.online_wts[idx], &self.config)
-                        {
+                        if let Some(cat) = adaptive::try_online_categorize(&self.online_wts[idx]) {
                             self.types[idx] = cat.ty;
                             self.values[idx] = cat.values;
                             self.online_stats.online_categorized += 1;
@@ -483,7 +494,6 @@ impl Policy for SpesPolicy {
                             &mut self.values[idx],
                             &self.online_wts[idx],
                             self.offline_std[idx],
-                            &self.config,
                         );
                         if outcome == AdjustOutcome::Updated {
                             self.online_stats.adjustments += 1;
@@ -513,23 +523,19 @@ impl Policy for SpesPolicy {
                         }
                     }
                     if self.ucorr.is_tracked(f) {
-                        let window = self.ucorr.window();
                         let last = &self.last_invoked;
                         self.ucorr.on_target_invoked(f, now, |cand| {
                             last[cand.index()]
-                                .is_some_and(|t| t >= now.saturating_sub(window) && t <= now)
+                                .is_some_and(|t| t >= now.saturating_sub(COR_MAX_LAG) && t <= now)
                         });
                     }
                 }
                 // Any invoked function may be a candidate of a tracked
-                // unseen target.
-                let targets = self.ucorr.preload_targets(f);
-                if !targets.is_empty() {
-                    let window = self.ucorr.window();
-                    for tgt in targets {
-                        pool.load(tgt, now);
-                        self.holds.extend(tgt, now.saturating_add(window));
-                    }
+                // unseen target; its pre-load is held for the correlation
+                // window.
+                for tgt in self.ucorr.preload_targets(f) {
+                    pool.load(tgt, now);
+                    self.holds.extend(tgt, now.saturating_add(COR_MAX_LAG));
                 }
             }
         }

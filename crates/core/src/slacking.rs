@@ -13,7 +13,13 @@
 //!    paper's example: `(1439, 1438, 1, 1439, 1438, 1)` becomes
 //!    `(1439, 1439, 1439, 1439)`.
 
-use crate::config::SpesConfig;
+/// A WT is "closely valued to the mode" within this absolute tolerance,
+/// in slots (the paper gives no number; its example merges 1438 into a
+/// 1439 mode, so 1).
+pub const MERGE_MODE_TOLERANCE: u32 = 1;
+/// A WT is "small" (eligible for merging into a neighbour) when at most
+/// this many slots (the paper gives no number; its example merges 1s).
+pub const MERGE_SMALL_MAX: u32 = 2;
 
 /// Drops the first and last WT (slacking rule 1). Returns `None` when the
 /// sequence is too short for trimming to leave anything meaningful.
@@ -43,19 +49,17 @@ pub fn merge_mode(wts: &[u32]) -> Option<u32> {
 
 /// Merges adjacent small WTs into near-mode WTs (slacking rule 2).
 ///
-/// Walks the sequence once. Every WT within `merge_mode_tolerance` of the
-/// mode absorbs the small WTs (at most `merge_small_max` slots each) that
-/// immediately follow it, stopping at the sequence end, at the next
-/// near-mode WT, or once the accumulated value reaches the mode. Small WTs
-/// not adjacent to a near-mode WT are left untouched.
+/// Walks the sequence once. Every WT within [`MERGE_MODE_TOLERANCE`] of
+/// the mode absorbs the small WTs (at most [`MERGE_SMALL_MAX`] slots
+/// each) that immediately follow it, stopping at the sequence end, at the
+/// next near-mode WT, or once the accumulated value reaches the mode.
+/// Small WTs not adjacent to a near-mode WT are left untouched.
 #[must_use]
-pub fn merge_adjacent(wts: &[u32], config: &SpesConfig) -> Vec<u32> {
+pub fn merge_adjacent(wts: &[u32]) -> Vec<u32> {
     let Some(mode) = merge_mode(wts) else {
         return wts.to_vec();
     };
-    let tol = config.merge_mode_tolerance;
-    let small_max = config.merge_small_max;
-    let near = |v: u32| v.abs_diff(mode) <= tol;
+    let near = |v: u32| v.abs_diff(mode) <= MERGE_MODE_TOLERANCE;
 
     let mut merged = Vec::with_capacity(wts.len());
     let mut i = 0;
@@ -64,7 +68,7 @@ pub fn merge_adjacent(wts: &[u32], config: &SpesConfig) -> Vec<u32> {
         if near(w) {
             let mut value = w;
             let mut j = i + 1;
-            while j < wts.len() && wts[j] <= small_max && !near(wts[j]) && value < mode {
+            while j < wts.len() && wts[j] <= MERGE_SMALL_MAX && !near(wts[j]) && value < mode {
                 value = value.saturating_add(wts[j]);
                 j += 1;
             }
@@ -81,10 +85,6 @@ pub fn merge_adjacent(wts: &[u32], config: &SpesConfig) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config() -> SpesConfig {
-        SpesConfig::default()
-    }
 
     #[test]
     fn trim_drops_ends() {
@@ -108,7 +108,7 @@ mod tests {
     fn paper_merge_example() {
         // (1439, 1438, 1, 1439, 1438, 1) -> (1439, 1439, 1439, 1439)
         let wts = [1439, 1438, 1, 1439, 1438, 1];
-        let merged = merge_adjacent(&wts, &config());
+        let merged = merge_adjacent(&wts);
         assert_eq!(merged, vec![1439, 1439, 1439, 1439]);
     }
 
@@ -117,7 +117,7 @@ mod tests {
         // The small WT after a full-mode WT is only absorbed if the
         // accumulator is still below the mode.
         let wts = [10, 10, 1, 10];
-        let merged = merge_adjacent(&wts, &config());
+        let merged = merge_adjacent(&wts);
         // First 10 is already at the mode -> absorbs nothing; second 10
         // likewise; the stray 1 is not adjacent *after* a below-mode WT,
         // so it survives.
@@ -128,14 +128,14 @@ mod tests {
     fn merge_absorbs_after_slightly_low_wt() {
         let wts = [9, 1, 10, 10];
         // Mode 10, tolerance 1: 9 is near-mode and below it -> absorbs 1.
-        let merged = merge_adjacent(&wts, &config());
+        let merged = merge_adjacent(&wts);
         assert_eq!(merged, vec![10, 10, 10]);
     }
 
     #[test]
     fn merge_without_small_neighbours_is_identity() {
         let wts = [30, 30, 30];
-        assert_eq!(merge_adjacent(&wts, &config()), vec![30, 30, 30]);
+        assert_eq!(merge_adjacent(&wts), vec![30, 30, 30]);
     }
 
     #[test]
@@ -143,20 +143,11 @@ mod tests {
         let wts = [100, 100, 55, 2, 100];
         // 55 is not near the mode and not small: untouched. The 2 after it
         // is not preceded by a near-mode WT: untouched.
-        assert_eq!(merge_adjacent(&wts, &config()), vec![100, 100, 55, 2, 100]);
+        assert_eq!(merge_adjacent(&wts), vec![100, 100, 55, 2, 100]);
     }
 
     #[test]
     fn merge_empty_is_empty() {
-        assert!(merge_adjacent(&[], &config()).is_empty());
-    }
-
-    #[test]
-    fn merge_respects_small_max() {
-        let mut cfg = config();
-        cfg.merge_small_max = 0;
-        let wts = [1438, 1, 1439];
-        // With merging disabled via small_max = 0 nothing is absorbed.
-        assert_eq!(merge_adjacent(&wts, &cfg), vec![1438, 1, 1439]);
+        assert!(merge_adjacent(&[]).is_empty());
     }
 }

@@ -1,12 +1,15 @@
 //! Property-based tests of the SPES core: slacking rules, categorisation
-//! priority, correlation metrics, and indeterminate scoring.
+//! priority, the adaptive strategies, correlation metrics, and
+//! indeterminate scoring.
 
 use proptest::prelude::*;
+use spes_core::adaptive::{adjust_values, try_online_categorize, AdjustOutcome};
+use spes_core::categorize::categorize_deterministic;
 use spes_core::correlation::{best_lagged_cor, cor, lagged_cor, link_precision, windowed_cor};
 use spes_core::indeterminate::{choose_strategy, score_pulsed, StrategyScore};
-use spes_core::patterns::{FunctionType, PredictiveValues};
+use spes_core::patterns::{Categorized, FunctionType, PredictiveValues};
 use spes_core::slacking::{merge_adjacent, merge_mode, trim_ends};
-use spes_core::{categorize::categorize_deterministic, SpesConfig};
+use spes_stats::{modes, percentile, Summary};
 use spes_trace::{Slot, SparseSeries};
 use std::collections::HashSet;
 
@@ -122,6 +125,209 @@ fn reference_link_precision(
     hits as f64 / cand_events.len() as f64
 }
 
+// ---- reference definitions of the adaptive strategies ----
+//
+// S2 (`adjust_values`) and S3 (`try_online_categorize`) as they stood
+// when each re-implemented Table I's rules with thresholds read from the
+// config, the default values inlined. The shared rule implementation in
+// `spes_core::categorize` must reproduce them exactly.
+
+fn reference_is_regular(wts: &[u32]) -> bool {
+    if wts.len() < 4 {
+        return false;
+    }
+    let Some(summary) = Summary::of(wts) else {
+        return false;
+    };
+    summary.p95 - summary.p5 <= 1.0 || summary.cv <= 0.01
+}
+
+fn reference_try_online_categorize(online_wts: &[u32]) -> Option<Categorized> {
+    if online_wts.len() < 5 {
+        return None;
+    }
+    if reference_is_regular(online_wts) {
+        let median = percentile(online_wts, 50.0)?.round() as u32;
+        return Some(Categorized::new(
+            FunctionType::Regular,
+            PredictiveValues::Discrete(vec![median]),
+        ));
+    }
+    let coverage = modes::mode_coverage(online_wts, 3);
+    if coverage as f64 >= 0.9 * online_wts.len() as f64 {
+        let vals: Vec<u32> = modes::top_modes(online_wts, 3)
+            .into_iter()
+            .map(|m| m.value)
+            .collect();
+        return Some(Categorized::new(
+            FunctionType::ApproRegular,
+            PredictiveValues::Discrete(vals),
+        ));
+    }
+    let p90 = percentile(online_wts, 90.0)?;
+    if p90 <= 5.0 {
+        let fresh = modes::top_modes(online_wts, 3);
+        let lo = fresh.iter().map(|m| m.value).min()?;
+        let hi = fresh.iter().map(|m| m.value).max()?;
+        return Some(Categorized::new(
+            FunctionType::Dense,
+            PredictiveValues::Range(lo, hi),
+        ));
+    }
+    let repeated = modes::repeated_values(online_wts);
+    if !repeated.is_empty() {
+        return Some(Categorized::new(
+            FunctionType::NewlyPossible,
+            PredictiveValues::Discrete(repeated),
+        ));
+    }
+    None
+}
+
+fn reference_echoes_value(wt: u32, base: u32, tol: f64) -> bool {
+    (2..=3u32).any(|m| {
+        let echo = f64::from(m) * f64::from(base) + f64::from(m - 1);
+        (f64::from(wt) - echo).abs() <= tol
+    })
+}
+
+fn reference_adjust_values(
+    ty: FunctionType,
+    values: &mut PredictiveValues,
+    online_wts: &[u32],
+    offline_std: f64,
+) -> AdjustOutcome {
+    if online_wts.len() < 5 {
+        return AdjustOutcome::Unchanged;
+    }
+    let drift_threshold = offline_std.max(1.0);
+    let live = |base: u32| {
+        let near = online_wts
+            .iter()
+            .filter(|&&wt| (f64::from(wt) - f64::from(base)).abs() <= drift_threshold)
+            .count();
+        near * 4 >= online_wts.len()
+    };
+    match (ty, &mut *values) {
+        (FunctionType::Regular, PredictiveValues::Discrete(vals)) if vals.len() == 1 => {
+            let old = f64::from(vals[0]);
+            let new = percentile(online_wts, 50.0).expect("non-empty online wts");
+            if (new - old).abs() <= drift_threshold {
+                return AdjustOutcome::Unchanged;
+            }
+            if live(vals[0]) && reference_echoes_value(new.round() as u32, vals[0], drift_threshold)
+            {
+                return AdjustOutcome::Unchanged;
+            }
+            let support = online_wts
+                .iter()
+                .filter(|&&wt| (f64::from(wt) - new).abs() <= drift_threshold)
+                .count();
+            if (support as f64) < 0.5 * online_wts.len() as f64 {
+                return AdjustOutcome::Unchanged;
+            }
+            vals[0] = ((old + new) / 2.0).round() as u32;
+            AdjustOutcome::Updated
+        }
+        (FunctionType::ApproRegular, PredictiveValues::Discrete(vals)) => {
+            let fresh: Vec<u32> = modes::top_modes(online_wts, 3)
+                .into_iter()
+                .map(|m| m.value)
+                .collect();
+            let drifted = fresh.iter().any(|&nv| {
+                vals.iter()
+                    .all(|&ov| f64::from(nv.abs_diff(ov)) > drift_threshold)
+            });
+            if drifted && !fresh.is_empty() {
+                *vals = fresh;
+                AdjustOutcome::Updated
+            } else {
+                AdjustOutcome::Unchanged
+            }
+        }
+        (FunctionType::Dense, PredictiveValues::Range(lo, hi)) => {
+            let fresh = modes::top_modes(online_wts, 3);
+            let new_lo = fresh.iter().map(|m| m.value).min().expect("non-empty");
+            let new_hi = fresh.iter().map(|m| m.value).max().expect("non-empty");
+            let bound_drifted = |nv: u32, ov: u32| f64::from(nv.abs_diff(ov)) > drift_threshold;
+            if bound_drifted(new_lo, *lo) || bound_drifted(new_hi, *hi) {
+                *lo = (f64::from(*lo) + f64::from(new_lo)).div_euclid(2.0).round() as u32;
+                *hi = ((f64::from(*hi) + f64::from(new_hi)) / 2.0).round() as u32;
+                if lo > hi {
+                    std::mem::swap(lo, hi);
+                }
+                AdjustOutcome::Updated
+            } else {
+                AdjustOutcome::Unchanged
+            }
+        }
+        (
+            FunctionType::Possible | FunctionType::NewlyPossible,
+            PredictiveValues::Discrete(vals),
+        ) => {
+            let mut changed = false;
+            for v in modes::repeated_values(online_wts) {
+                if vals.len() >= 5 {
+                    break;
+                }
+                if !vals.contains(&v) {
+                    vals.push(v);
+                    changed = true;
+                }
+            }
+            if changed {
+                AdjustOutcome::Updated
+            } else {
+                AdjustOutcome::Unchanged
+            }
+        }
+        _ => AdjustOutcome::Unchanged,
+    }
+}
+
+/// Online WT buffers that reach every S2/S3 branch: small values make the
+/// dense, appro-regular and possible rules fire, wide ones the regular and
+/// no-match paths.
+fn online_wts() -> impl Strategy<Value = Vec<u32>> {
+    (
+        0u8..2,
+        prop::collection::vec(0u32..12, 0..=64),
+        prop::collection::vec(1u32..2000, 0..=64),
+    )
+        .prop_map(|(pick, small, wide)| if pick == 0 { small } else { wide })
+}
+
+fn wt_value() -> impl Strategy<Value = u32> {
+    (0u8..2, 0u32..12, 1u32..2000)
+        .prop_map(|(pick, small, wide)| if pick == 0 { small } else { wide })
+}
+
+/// Every function type, with predictive values of the shape the fit
+/// gives it.
+fn typed_values() -> impl Strategy<Value = (FunctionType, PredictiveValues)> {
+    (
+        0..FunctionType::ALL.len(),
+        prop::collection::vec(wt_value(), 1..=8),
+        wt_value(),
+        wt_value(),
+    )
+        .prop_map(|(i, vals, a, b)| {
+            let ty = FunctionType::ALL[i];
+            let values = match ty {
+                FunctionType::Regular => PredictiveValues::Discrete(vals[..1].to_vec()),
+                FunctionType::ApproRegular => {
+                    PredictiveValues::Discrete(vals.into_iter().take(3).collect())
+                }
+                FunctionType::Dense => PredictiveValues::Range(a.min(b), a.max(b)),
+                FunctionType::Possible | FunctionType::NewlyPossible => {
+                    PredictiveValues::Discrete(vals)
+                }
+                _ => PredictiveValues::None,
+            };
+            (ty, values)
+        })
+}
+
 #[test]
 fn correlation_metrics_match_the_reference_on_empty_sides() {
     let empty = SparseSeries::new();
@@ -149,6 +355,50 @@ fn correlation_metrics_match_the_reference_on_empty_sides() {
 }
 
 proptest! {
+    // Cheap cases: enough of them that every S2/S3 branch, including the
+    // regular blend's support test, is reached many times.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn online_categorize_matches_the_reference(wts in online_wts()) {
+        prop_assert_eq!(try_online_categorize(&wts), reference_try_online_categorize(&wts));
+    }
+
+    #[test]
+    fn adjust_values_matches_the_reference(
+        (ty, values) in typed_values(),
+        wts in online_wts(),
+        offline_std in 0.0f64..20.0,
+    ) {
+        let mut got = values.clone();
+        let mut want = values;
+        let outcome = adjust_values(ty, &mut got, &wts, offline_std);
+        prop_assert_eq!(outcome, reference_adjust_values(ty, &mut want, &wts, offline_std));
+        prop_assert_eq!(got, want);
+    }
+
+    /// A regular cadence `base` whose online buffer mixes the period with
+    /// its chain echoes `m*base + (m - 1)`: the case the echo and support
+    /// guards of the regular blend exist for.
+    #[test]
+    fn regular_blend_on_chain_mixtures_matches_the_reference(
+        base in 1u32..700,
+        skips in prop::collection::vec(1u32..=4, 0..=64),
+        offline_std in 0.0f64..5.0,
+    ) {
+        let wts: Vec<u32> = skips.iter().map(|&m| m * base + (m - 1)).collect();
+        let mut got = PredictiveValues::Discrete(vec![base]);
+        let mut want = got.clone();
+        let outcome = adjust_values(FunctionType::Regular, &mut got, &wts, offline_std);
+        prop_assert_eq!(
+            outcome,
+            reference_adjust_values(FunctionType::Regular, &mut want, &wts, offline_std)
+        );
+        prop_assert_eq!(got, want);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     // ---- slacking ----
@@ -166,8 +416,7 @@ proptest! {
 
     #[test]
     fn merge_preserves_total_waiting_time(wts in wt_seq()) {
-        let config = SpesConfig::default();
-        let merged = merge_adjacent(&wts, &config);
+        let merged = merge_adjacent(&wts);
         let before: u64 = wts.iter().map(|&w| u64::from(w)).sum();
         let after: u64 = merged.iter().map(|&w| u64::from(w)).sum();
         prop_assert_eq!(before, after, "merging must only regroup WTs");
@@ -191,9 +440,8 @@ proptest! {
 
     #[test]
     fn categorisation_is_stable_and_valued_consistently(s in sparse(800)) {
-        let config = SpesConfig::default();
-        let a = categorize_deterministic(&s, 0, 800, &config);
-        let b = categorize_deterministic(&s, 0, 800, &config);
+        let a = categorize_deterministic(&s, 0, 800);
+        let b = categorize_deterministic(&s, 0, 800);
         prop_assert_eq!(&a, &b);
         if let Some(cat) = a {
             prop_assert!(cat.ty.is_deterministic());
@@ -214,8 +462,7 @@ proptest! {
     fn perfectly_periodic_series_is_always_caught(period in 2u32..200, n in 6u32..40) {
         let s = SparseSeries::from_pairs((0..n).map(|i| (i * period, 1)).collect());
         let end = n * period;
-        let config = SpesConfig::default();
-        let cat = categorize_deterministic(&s, 0, end, &config);
+        let cat = categorize_deterministic(&s, 0, end);
         prop_assert!(cat.is_some(), "period {period} x{n} uncategorised");
         let cat = cat.unwrap();
         prop_assert!(

@@ -130,24 +130,6 @@ impl Histogram {
         Some((var / n as f64).sqrt() / mean)
     }
 
-    /// Merges another histogram into this one (used by Hybrid-Application,
-    /// which aggregates the idle times of all functions of an application).
-    ///
-    /// # Panics
-    /// Panics if bin counts differ.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histogram bin mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.oob += other.oob;
-        self.total += other.total;
-    }
-
     /// Drains the histogram back to empty without reallocating.
     pub fn clear(&mut self) {
         self.counts.fill(0);
@@ -250,27 +232,6 @@ mod tests {
             h.observe(x);
         }
         assert!((h.cv().unwrap() - sample_cv(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(4);
-        let mut b = Histogram::new(4);
-        a.observe(1);
-        b.observe(1);
-        b.observe(9); // oob
-        a.merge(&b);
-        assert_eq!(a.count(1), 2);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.in_range(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "histogram bin mismatch")]
-    fn merge_rejects_mismatched_bins() {
-        let mut a = Histogram::new(4);
-        let b = Histogram::new(8);
-        a.merge(&b);
     }
 
     #[test]

@@ -62,17 +62,6 @@ pub fn repeated_values(xs: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// Whether `value` is "close" to the most frequent value of `xs` within an
-/// absolute tolerance. Used by the merge-adjacent slacking rule, which only
-/// merges small WTs into neighbours valued near the mode.
-#[must_use]
-pub fn near_primary_mode(xs: &[u32], value: u32, tolerance: u32) -> bool {
-    match mode_table(xs).first() {
-        Some(primary) => value.abs_diff(primary.value) <= tolerance,
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,18 +120,5 @@ mod tests {
     #[test]
     fn repeated_values_none() {
         assert!(repeated_values(&[1, 2, 3]).is_empty());
-    }
-
-    #[test]
-    fn near_primary_mode_tolerance() {
-        let xs = [100, 100, 100, 5];
-        assert!(near_primary_mode(&xs, 99, 1));
-        assert!(near_primary_mode(&xs, 100, 0));
-        assert!(!near_primary_mode(&xs, 95, 1));
-    }
-
-    #[test]
-    fn near_primary_mode_empty_is_false() {
-        assert!(!near_primary_mode(&[], 1, 10));
     }
 }

@@ -1,10 +1,11 @@
 //! Synthetic Azure-like trace generation.
 //!
-//! The generator reproduces the published statistics of the Azure
-//! Functions 2019 trace that every SPES mechanism depends on (see
-//! DESIGN.md for the substitution argument): trigger mix, heavy-tailed
-//! invocation counts, trigger-conditioned behavioural patterns, intra-app
-//! chaining, temporal locality, concept shifts, and unseen functions.
+//! The generator stands in for the Azure Functions 2019 trace, which is
+//! not bundled with the workspace. SPES's mechanisms read only the
+//! trace's statistics, so the generator reproduces the published ones
+//! every mechanism depends on: trigger mix, heavy-tailed invocation
+//! counts, trigger-conditioned behavioural patterns, intra-app chaining,
+//! temporal locality, concept shifts, and unseen functions.
 //!
 //! Two producers share one generation pipeline. [`generate`] materialises
 //! a full [`SynthTrace`] — per-function [`SparseSeries`] plus ground

@@ -2,7 +2,7 @@
 //!
 //! Re-exports the public API of every member crate so downstream users can
 //! depend on a single `spes` package. See the README for a quickstart and
-//! DESIGN.md for the system inventory.
+//! `docs/ARCHITECTURE.md` for the crate map and engine design.
 
 pub use spes_baselines as baselines;
 pub use spes_bench as bench;

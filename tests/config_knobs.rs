@@ -121,19 +121,3 @@ fn ablations_do_not_improve_q3_csr() {
         );
     }
 }
-
-/// Invalid configurations are rejected before they can misbehave.
-#[test]
-#[should_panic(expected = "invalid SPES configuration")]
-fn invalid_config_rejected_at_fit() {
-    let data = workload(58);
-    let _ = SpesPolicy::fit(
-        &data.trace,
-        0,
-        12 * SLOTS_PER_DAY,
-        SpesConfig {
-            alpha: 7.0,
-            ..SpesConfig::default()
-        },
-    );
-}

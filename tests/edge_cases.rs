@@ -104,7 +104,7 @@ fn training_window_shorter_than_validation_suffix() {
     // Training shorter than the validation window must clamp, not panic.
     let series = SparseSeries::from_pairs((0..1000).step_by(7).map(|s| (s, 1)).collect());
     let trace = Trace::new(1000, vec![meta()], vec![series]);
-    let cfg = SpesConfig::default(); // validation_slots = 2 days > 500
+    let cfg = SpesConfig::default(); // VALIDATION_SLOTS = 2 days > 500
     let mut spes = SpesPolicy::fit(&trace, 0, 500, cfg);
     let run = try_simulate(&trace, &mut spes, SimConfig::new(500, 1000)).unwrap();
     assert!(run.csr_of(0).is_some());
