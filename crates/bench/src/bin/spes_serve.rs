@@ -29,7 +29,9 @@
 //!                    session; inspect with spes-replay)
 //!   --resume PATH    resume the session from a snapshot blob written by
 //!                    --snapshot-out (the init record must declare the
-//!                    snapshotted population)
+//!                    snapshotted population); only policies that
+//!                    snapshot their state (keep-forever, no-keep-alive)
+//!                    can resume, any other exits with an error
 //!   --snapshot-out   write a snapshot of the final driver state at
 //!                    stream end, for a later --resume
 //!   --emit-trace     print a registered scenario as protocol lines and
@@ -38,7 +40,8 @@
 //!
 //! Crash-safe serving is the combination: `--journal` makes the session
 //! replayable after the fact, `--snapshot-out` + `--resume` splits it
-//! across process restarts without replaying from slot zero.
+//! across process restarts without replaying from slot zero (for
+//! policies that snapshot their state).
 //!
 //! Without `--listen` the daemon reads one session from stdin and writes
 //! newline-JSON records to stdout, so a replay is a plain pipe:

@@ -38,19 +38,20 @@
 //! CSR index built in one counting-sort pass over the trace — so a slot
 //! in which 300 of a million functions fire costs ~300 lookups, and the
 //! span-based collectors charge idle time per transition rather than per
-//! loaded instance. Above one driver, [`crate::shard`] partitions a run
-//! by application across `std::thread::scope` workers, one `SimDriver`
-//! per shard, and merges the per-shard results into a [`RunResult`]
-//! bit-identical to the unsharded run (for app-decomposable policies on
-//! uncapacitated configs). `bench_engine --scale` tracks throughput at
-//! 1k/10k/100k/1M functions on this path; see `docs/SCALING.md` for the
-//! model and its validity contract.
+//! loaded instance. `bench_engine --scale` tracks one unsharded
+//! `SimDriver`'s throughput on this path from 1k to 1M functions.
+//! Above one driver, [`crate::shard`] partitions a run by application
+//! across `std::thread::scope` workers, one `SimDriver` per shard, and
+//! merges the per-shard results into a [`RunResult`] bit-identical to
+//! the unsharded run (for app-decomposable policies on uncapacitated
+//! configs); see `docs/SCALING.md` for the model and its validity
+//! contract.
 
 use crate::events::{
     DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunCollector, RunMeta,
     SimEvent,
 };
-use crate::journal::wire;
+use crate::journal::wire::{self, Wire};
 use crate::memory::{MemoryPool, PoolOp};
 use crate::metrics::RunResult;
 use crate::policy::Policy;
@@ -119,6 +120,29 @@ impl SimConfig {
     pub fn with_metrics_start(mut self, metrics_start: Slot) -> Self {
         self.metrics_start = metrics_start;
         self
+    }
+}
+
+impl Wire for SimConfig {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend(wire::encode(&[
+            &self.start,
+            &self.end,
+            &self.metrics_start,
+            &self.capacity,
+            &self.pressure_budget,
+        ]));
+    }
+
+    fn take(cur: &mut wire::Cursor<'_>) -> Result<Self, String> {
+        let (start, end, metrics_start, capacity, pressure_budget) = Wire::take(cur)?;
+        Ok(Self {
+            start,
+            end,
+            metrics_start,
+            capacity,
+            pressure_budget,
+        })
     }
 }
 
@@ -220,7 +244,7 @@ impl std::error::Error for SimError {}
 /// Checks a run's window: `start <= end`, then (when a trace bounds the
 /// run) `end <= horizon`, then `metrics_start` in `[start, end]`. The one
 /// check behind [`Simulation::run`], [`SimDriver::new`] and the snapshot
-/// header reader.
+/// decoder.
 fn validate_window(config: &SimConfig, horizon: Option<Slot>) -> Result<(), SimError> {
     let SimConfig {
         start,
@@ -370,6 +394,36 @@ struct OutcomeScratch {
     policy_evictions: Vec<FunctionId>,
     capacity_evictions: Vec<FunctionId>,
     rejected_loads: Vec<FunctionId>,
+}
+
+impl Wire for OutcomeScratch {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend(wire::encode(&[
+            &self.invocations,
+            &self.cold_starts,
+            &self.warm_starts,
+            &self.demand_loads,
+            &self.policy_loads,
+            &self.policy_evictions,
+            &self.capacity_evictions,
+            &self.rejected_loads,
+        ]));
+    }
+
+    fn take(cur: &mut wire::Cursor<'_>) -> Result<Self, String> {
+        let mut scratch = Self::default();
+        (
+            scratch.invocations,
+            scratch.cold_starts,
+            scratch.warm_starts,
+            scratch.demand_loads,
+            scratch.policy_loads,
+            scratch.policy_evictions,
+            scratch.capacity_evictions,
+            scratch.rejected_loads,
+        ) = Wire::take(cur)?;
+        Ok(scratch)
+    }
 }
 
 impl OutcomeScratch {
@@ -779,55 +833,31 @@ impl<'p> SimDriver<'p> {
     /// bit-identical to the uninterrupted run.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        wire::put_str(&mut payload, self.policy.name());
-        wire::put_varint(&mut payload, self.pool.n_functions() as u64);
-        wire::put_varint(&mut payload, u64::from(self.config.start));
-        wire::put_varint(&mut payload, u64::from(self.config.end));
-        wire::put_varint(&mut payload, u64::from(self.config.metrics_start));
-        wire::put_opt_u64(&mut payload, self.config.capacity.map(|c| c as u64));
-        wire::put_opt_u64(&mut payload, self.config.pressure_budget.map(|b| b as u64));
-        wire::put_varint(&mut payload, u64::from(self.next_slot));
-        payload.push(u8::from(self.finished));
-        payload.push(u8::from(self.clear_scratch));
-        wire::put_varint(&mut payload, self.scratch.invocations);
-        wire::put_varint(&mut payload, u64::from(self.scratch.cold_starts));
-        wire::put_varint(&mut payload, u64::from(self.scratch.warm_starts));
-        for list in [
-            &self.scratch.demand_loads,
-            &self.scratch.policy_loads,
-            &self.scratch.policy_evictions,
-            &self.scratch.capacity_evictions,
-            &self.scratch.rejected_loads,
-        ] {
-            let ids: Vec<u32> = list.iter().map(|f| f.0).collect();
-            wire::put_u32s(&mut payload, &ids);
-        }
-        wire::put_varint(&mut payload, self.pool.loaded().len() as u64);
-        for &f in self.pool.loaded() {
-            wire::put_varint(&mut payload, u64::from(f.0));
-            wire::put_varint(&mut payload, u64::from(self.pool.loaded_since(f)));
-        }
-        match &self.sinks.collector {
-            Some(collector) => {
-                payload.push(1);
-                wire::put_bytes(&mut payload, &collector.snapshot());
-            }
-            None => payload.push(0),
-        }
-        match self.policy.snapshot_state() {
-            Some(state) => {
-                payload.push(1);
-                wire::put_bytes(&mut payload, &state);
-            }
-            None => payload.push(0),
-        }
-        wire::put_varint(&mut payload, self.sinks.observers.len() as u64);
-        for observer in &self.sinks.observers {
-            wire::put_str(&mut payload, observer.type_name());
-            wire::put_bytes(&mut payload, &observer.snapshot());
-        }
-
+        let loaded: Vec<(FunctionId, Slot)> = self
+            .pool
+            .loaded()
+            .iter()
+            .map(|&f| (f, self.pool.loaded_since(f)))
+            .collect();
+        let observers: Vec<(String, Vec<u8>)> = self
+            .sinks
+            .observers
+            .iter()
+            .map(|o| (o.type_name().to_owned(), o.snapshot()))
+            .collect();
+        let payload = wire::encode(&[
+            &self.policy.name().to_owned(),
+            &self.pool.n_functions(),
+            &self.config,
+            &self.next_slot,
+            &self.finished,
+            &self.clear_scratch,
+            &self.scratch,
+            &loaded,
+            &self.sinks.collector.as_ref().map(Observer::snapshot),
+            &self.policy.snapshot_state(),
+            &observers,
+        ]);
         let mut out = Vec::with_capacity(payload.len() + 20);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -866,112 +896,63 @@ impl<'p> SimDriver<'p> {
     pub fn resume_from(
         snapshot: &[u8],
         policy: &'p mut dyn Policy,
-        observers: Vec<Box<dyn DynObserver>>,
+        mut observers: Vec<Box<dyn DynObserver>>,
     ) -> Result<Self, SnapshotError> {
-        let payload = snapshot_payload(snapshot)?;
-        let corrupt = SnapshotError::Corrupt;
-        let mut cur = wire::Cursor::new(&payload);
-        let SnapshotInfo {
+        let (
             policy_name,
             n_functions,
             config,
             next_slot,
-        } = read_header(&mut cur)?;
+            finished,
+            clear_scratch,
+            scratch,
+            loaded,
+            collector,
+            policy_state,
+            observer_states,
+        ) = decode_snapshot(snapshot)?;
         if policy_name != policy.name() {
             return Err(SnapshotError::PolicyMismatch {
                 expected: policy_name,
                 got: policy.name().to_owned(),
             });
         }
-        let finished = cur.take_u8().map_err(corrupt)? != 0;
-        let clear_scratch = cur.take_u8().map_err(corrupt)? != 0;
-        let mut scratch = OutcomeScratch {
-            invocations: cur.take_varint().map_err(corrupt)?,
-            ..OutcomeScratch::default()
-        };
-        scratch.cold_starts = u32::try_from(cur.take_varint().map_err(corrupt)?)
-            .map_err(|_| SnapshotError::Corrupt("cold_starts does not fit u32".to_owned()))?;
-        scratch.warm_starts = u32::try_from(cur.take_varint().map_err(corrupt)?)
-            .map_err(|_| SnapshotError::Corrupt("warm_starts does not fit u32".to_owned()))?;
-        for list in [
-            &mut scratch.demand_loads,
-            &mut scratch.policy_loads,
-            &mut scratch.policy_evictions,
-            &mut scratch.capacity_evictions,
-            &mut scratch.rejected_loads,
-        ] {
-            *list = cur
-                .take_u32s()
-                .map_err(corrupt)?
-                .into_iter()
-                .map(FunctionId)
-                .collect();
-        }
-        let n_loaded = usize::try_from(cur.take_varint().map_err(corrupt)?)
-            .map_err(|_| SnapshotError::Corrupt("loaded count does not fit usize".to_owned()))?;
-        let mut entries = Vec::with_capacity(n_loaded.min(1 << 20));
-        for _ in 0..n_loaded {
-            let f = u32::try_from(cur.take_varint().map_err(corrupt)?)
-                .map_err(|_| SnapshotError::Corrupt("function id does not fit u32".to_owned()))?;
-            let at = take_slot(&mut cur)?;
-            entries.push((FunctionId(f), at));
-        }
-        let collector = match cur.take_u8().map_err(corrupt)? {
-            0 => None,
-            _ => {
-                let blob = cur.take_bytes().map_err(corrupt)?;
+        let collector = collector
+            .map(|blob| {
                 let mut collector = RunCollector::new();
-                collector
-                    .restore(&blob)
-                    .map_err(|message| SnapshotError::ObserverRestore {
-                        observer: "RunCollector".to_owned(),
-                        message,
-                    })?;
-                Some(collector)
-            }
-        };
-        let policy_state = match cur.take_u8().map_err(corrupt)? {
-            0 => None,
-            _ => Some(cur.take_bytes().map_err(corrupt)?),
-        };
+                collector.restore(&blob).map(|()| collector)
+            })
+            .transpose()
+            .map_err(|message| SnapshotError::ObserverRestore {
+                observer: "RunCollector".to_owned(),
+                message,
+            })?;
         if let Some(state) = policy_state {
             policy
                 .restore_state(&state)
                 .map_err(SnapshotError::PolicyRestore)?;
         }
-        let n_observers = usize::try_from(cur.take_varint().map_err(corrupt)?)
-            .map_err(|_| SnapshotError::Corrupt("observer count does not fit usize".to_owned()))?;
-        let mut owned = observers;
-        let mut matched = vec![false; owned.len()];
-        for _ in 0..n_observers {
-            let type_name = cur.take_str().map_err(corrupt)?;
-            let blob = cur.take_bytes().map_err(corrupt)?;
-            let slot = owned
-                .iter()
-                .enumerate()
-                .position(|(i, o)| !matched[i] && o.type_name() == type_name);
+        let mut matched = vec![false; observers.len()];
+        for (type_name, blob) in observer_states {
+            let slot = (0..observers.len())
+                .find(|&i| !matched[i] && observers[i].type_name() == type_name);
             match slot {
                 Some(i) => {
                     matched[i] = true;
-                    owned[i]
-                        .restore(&blob)
-                        .map_err(|message| SnapshotError::ObserverRestore {
+                    observers[i].restore(&blob).map_err(|message| {
+                        SnapshotError::ObserverRestore {
                             observer: type_name.clone(),
                             message,
-                        })?;
+                        }
+                    })?;
                 }
                 None if blob.is_empty() => {} // stateless; nothing lost
                 None => return Err(SnapshotError::UnmatchedObserverState(type_name)),
             }
         }
-        if !cur.is_empty() {
-            return Err(SnapshotError::Corrupt(
-                "trailing bytes after the snapshot state".to_owned(),
-            ));
-        }
 
         let mut pool = MemoryPool::with_capacity(n_functions, config.capacity);
-        pool.restore_loaded(&entries)
+        pool.restore_loaded(&loaded)
             .map_err(SnapshotError::Corrupt)?;
         pool.enable_journal();
         pool.set_admission_budget(config.pressure_budget);
@@ -979,7 +960,7 @@ impl<'p> SimDriver<'p> {
             config,
             policy,
             sinks: Sinks {
-                observers: owned,
+                observers,
                 collector,
             },
             pool,
@@ -1063,37 +1044,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Validates a snapshot blob's magic, version, and checksum, returning
-/// the payload.
-fn snapshot_payload(snapshot: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    if snapshot.len() < 8 || &snapshot[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if snapshot.len() < 20 {
-        return Err(SnapshotError::Corrupt(
-            "truncated snapshot header".to_owned(),
-        ));
-    }
-    let version = u32::from_le_bytes(snapshot[8..12].try_into().expect("4 bytes"));
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let len = u32::from_le_bytes(snapshot[12..16].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(snapshot[16..20].try_into().expect("4 bytes"));
-    let payload = snapshot
-        .get(20..20 + len)
-        .ok_or_else(|| SnapshotError::Corrupt("truncated snapshot payload".to_owned()))?;
-    if snapshot.len() != 20 + len {
-        return Err(SnapshotError::Corrupt(
-            "trailing bytes after the snapshot payload".to_owned(),
-        ));
-    }
-    if wire::crc32(payload) != crc {
-        return Err(SnapshotError::Checksum);
-    }
-    Ok(payload.to_vec())
-}
-
 /// The header of a [`SimDriver::snapshot`] blob — enough to know what
 /// run it belongs to and where it would resume, without restoring it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1106,67 +1056,82 @@ pub struct SnapshotInfo {
     pub config: SimConfig,
     /// The slot the resumed driver will step next.
     pub next_slot: Slot,
+    /// Whether the blob carries the policy's state
+    /// ([`Policy::snapshot_state`]); without it, resuming needs a policy
+    /// the caller already warmed to the cut.
+    pub has_policy_state: bool,
 }
 
-/// Reads a snapshot blob's header (validating magic, version, and
-/// checksum) without restoring the run — what tools like `spes-replay`
-/// use to warm a policy up to the resume point before calling
-/// [`SimDriver::resume_from`].
+/// Reads a snapshot blob's header (validating magic, version, checksum,
+/// and the payload's structure) without restoring the run — what tools
+/// like `spes-replay` use to warm a policy up to the resume point before
+/// calling [`SimDriver::resume_from`].
 ///
 /// # Errors
 /// Returns a [`SnapshotError`] on foreign, corrupt, or truncated blobs,
 /// including a window or resume slot [`SimDriver::new`] would refuse.
 pub fn snapshot_info(snapshot: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let payload = snapshot_payload(snapshot)?;
-    read_header(&mut wire::Cursor::new(&payload))
-}
-
-/// Reads the header fields at the front of a snapshot payload and
-/// checks them like [`SimDriver::new`] checks its config: a window or
-/// resume point the driver would refuse is [`SnapshotError::Corrupt`].
-fn read_header(cur: &mut wire::Cursor<'_>) -> Result<SnapshotInfo, SnapshotError> {
-    let corrupt = SnapshotError::Corrupt;
-    let policy_name = cur.take_str().map_err(corrupt)?;
-    let n_functions = usize::try_from(cur.take_varint().map_err(corrupt)?)
-        .map_err(|_| SnapshotError::Corrupt("n_functions does not fit usize".to_owned()))?;
-    let config = SimConfig {
-        start: take_slot(cur)?,
-        end: take_slot(cur)?,
-        metrics_start: take_slot(cur)?,
-        capacity: take_opt_usize(cur)?,
-        pressure_budget: take_opt_usize(cur)?,
-    };
-    let next_slot = take_slot(cur)?;
-    validate_window(&config, None).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    if !(config.start..=config.end).contains(&next_slot) {
-        return Err(SnapshotError::Corrupt(format!(
-            "next slot {next_slot} outside the window [{}, {}]",
-            config.start, config.end
-        )));
-    }
+    let (policy_name, n_functions, config, next_slot, .., policy_state, _) =
+        decode_snapshot(snapshot)?;
     Ok(SnapshotInfo {
         policy_name,
         n_functions,
         config,
         next_slot,
+        has_policy_state: policy_state.is_some(),
     })
 }
 
-/// Reads one varint slot number.
-fn take_slot(cur: &mut wire::Cursor<'_>) -> Result<Slot, SnapshotError> {
-    let raw = cur.take_varint().map_err(SnapshotError::Corrupt)?;
-    Slot::try_from(raw).map_err(|_| SnapshotError::Corrupt(format!("slot {raw} does not fit u32")))
-}
+/// A [`SimDriver::snapshot`] payload, in wire order.
+type Payload = (
+    String,                  // policy name
+    usize,                   // population
+    SimConfig,               // window and pool limits
+    Slot,                    // next slot
+    bool,                    // finished
+    bool,                    // clear_scratch
+    OutcomeScratch,          // the last step's outcome
+    Vec<(FunctionId, Slot)>, // loaded set with load slots, in pool order
+    Option<Vec<u8>>,         // internal collector state
+    Option<Vec<u8>>,         // policy state
+    Vec<(String, Vec<u8>)>,  // observer states by concrete type name
+);
 
-/// Reads an optional pool limit.
-fn take_opt_usize(cur: &mut wire::Cursor<'_>) -> Result<Option<usize>, SnapshotError> {
-    cur.take_opt_u64()
-        .map_err(SnapshotError::Corrupt)?
-        .map(|v| {
-            usize::try_from(v)
-                .map_err(|_| SnapshotError::Corrupt(format!("{v} does not fit usize")))
-        })
-        .transpose()
+/// Decodes a [`SimDriver::snapshot`] blob — checking its magic, version,
+/// length and checksum first — and checks the window like
+/// [`SimDriver::new`] checks its config: a window or resume point the
+/// driver would refuse is [`SnapshotError::Corrupt`].
+fn decode_snapshot(snapshot: &[u8]) -> Result<Payload, SnapshotError> {
+    let corrupt = SnapshotError::Corrupt;
+    let header = snapshot
+        .strip_prefix(SNAPSHOT_MAGIC)
+        .ok_or(SnapshotError::BadMagic)?;
+    let mut cur = wire::Cursor::new(header);
+    let mut word = || cur.take_array().map(u32::from_le_bytes);
+    let (Ok(version), Ok(len), Ok(crc)) = (word(), word(), word()) else {
+        return Err(corrupt("truncated snapshot header".to_owned()));
+    };
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    let bytes = cur
+        .take_slice(len as usize)
+        .map_err(|_| corrupt("truncated snapshot payload".to_owned()))?;
+    cur.finish()
+        .map_err(|_| corrupt("trailing bytes after the snapshot payload".to_owned()))?;
+    if wire::crc32(bytes) != crc {
+        return Err(SnapshotError::Checksum);
+    }
+    let payload: Payload = wire::decode(bytes).map_err(corrupt)?;
+    let (_, _, config, next_slot, ..) = payload;
+    validate_window(&config, None).map_err(|e| corrupt(e.to_string()))?;
+    if !(config.start..=config.end).contains(&next_slot) {
+        return Err(corrupt(format!(
+            "next slot {next_slot} outside the window [{}, {}]",
+            config.start, config.end
+        )));
+    }
+    Ok(payload)
 }
 
 /// Runs `policy` over `trace` for the window in `config`, collecting the
@@ -1649,6 +1614,21 @@ mod tests {
         let outcome = driver.step(0, &[(FunctionId(1), 2)]).unwrap();
         assert_eq!((outcome.cold_starts, outcome.invocations), (1, 2));
         assert_eq!(driver.finish().total_cold_starts(), 1);
+    }
+
+    #[test]
+    fn snapshot_info_reports_whether_policy_state_travels() {
+        let mut stateless = KeepForever;
+        let driver = SimDriver::new(2, SimConfig::new(0, 10), &mut stateless, Vec::new()).unwrap();
+        assert!(snapshot_info(&driver.snapshot()).unwrap().has_policy_state);
+
+        let mut stateful = TinyKeepAlive::new(2, 3);
+        let mut driver =
+            SimDriver::new(2, SimConfig::new(0, 10), &mut stateful, Vec::new()).unwrap();
+        driver.step(0, &[(FunctionId(1), 1)]).unwrap();
+        let info = snapshot_info(&driver.snapshot()).unwrap();
+        assert!(!info.has_policy_state);
+        assert_eq!((info.policy_name.as_str(), info.next_slot), ("tiny", 1));
     }
 
     #[test]

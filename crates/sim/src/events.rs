@@ -53,29 +53,10 @@
 //! assert_eq!(ticks, trace.n_slots as usize);
 //! ```
 
-use crate::journal::wire;
+use crate::journal::wire::{self, Wire};
 use crate::memory::MemoryPool;
 use crate::metrics::RunResult;
 use spes_trace::{AppId, FunctionId, Slot, Trace};
-
-/// Decodes a varint-carried slot, rejecting values beyond `u32`.
-fn slot_of(raw: u64) -> Result<Slot, String> {
-    Slot::try_from(raw).map_err(|_| format!("slot {raw} does not fit u32"))
-}
-
-/// Decodes a varint-carried count, rejecting values beyond `usize`.
-fn usize_of(raw: u64) -> Result<usize, String> {
-    usize::try_from(raw).map_err(|_| format!("count {raw} does not fit usize"))
-}
-
-/// Rejects snapshot blobs with bytes past their last field.
-fn expect_consumed(cur: &wire::Cursor<'_>) -> Result<(), String> {
-    if cur.is_empty() {
-        Ok(())
-    } else {
-        Err("trailing bytes after the observer state".to_owned())
-    }
-}
 
 /// Why an instance was loaded into the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -476,44 +457,44 @@ impl Observer for RunCollector {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_str(&mut buf, &self.policy_name);
-        wire::put_varint(&mut buf, u64::from(self.start));
-        wire::put_varint(&mut buf, u64::from(self.metrics_start));
-        wire::put_varint(&mut buf, u64::from(self.end));
-        wire::put_u64s(&mut buf, &self.invocations);
-        wire::put_u64s(&mut buf, &self.cold_starts);
-        wire::put_u64s(&mut buf, &self.loaded_slots);
-        wire::put_u64s(&mut buf, &self.invoked_loaded_slots);
-        wire::put_u32s(&mut buf, &self.span_start);
-        let invoked: Vec<u32> = self.invoked_this_slot.iter().map(|f| f.0).collect();
-        wire::put_u32s(&mut buf, &invoked);
-        wire::put_varint(&mut buf, self.loaded_integral);
-        wire::put_f64(&mut buf, self.emcr_sum);
-        wire::put_varint(&mut buf, self.emcr_slots);
-        wire::put_f64(&mut buf, self.overhead_secs);
-        wire::put_varint(&mut buf, self.peak_loaded as u64);
-        buf
+        wire::encode(&[
+            &self.policy_name,
+            &self.start,
+            &self.metrics_start,
+            &self.end,
+            &self.invocations,
+            &self.cold_starts,
+            &self.loaded_slots,
+            &self.invoked_loaded_slots,
+            &self.span_start,
+            &self.invoked_this_slot,
+            &self.loaded_integral,
+            &self.emcr_sum,
+            &self.emcr_slots,
+            &self.overhead_secs,
+            &self.peak_loaded,
+        ])
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut cur = wire::Cursor::new(state);
-        self.policy_name = cur.take_str()?;
-        self.start = slot_of(cur.take_varint()?)?;
-        self.metrics_start = slot_of(cur.take_varint()?)?;
-        self.end = slot_of(cur.take_varint()?)?;
-        self.invocations = cur.take_u64s()?;
-        self.cold_starts = cur.take_u64s()?;
-        self.loaded_slots = cur.take_u64s()?;
-        self.invoked_loaded_slots = cur.take_u64s()?;
-        self.span_start = cur.take_u32s()?;
-        self.invoked_this_slot = cur.take_u32s()?.into_iter().map(FunctionId).collect();
-        self.loaded_integral = cur.take_varint()?;
-        self.emcr_sum = cur.take_f64()?;
-        self.emcr_slots = cur.take_varint()?;
-        self.overhead_secs = cur.take_f64()?;
-        self.peak_loaded = usize_of(cur.take_varint()?)?;
-        expect_consumed(&cur)
+        (
+            self.policy_name,
+            self.start,
+            self.metrics_start,
+            self.end,
+            self.invocations,
+            self.cold_starts,
+            self.loaded_slots,
+            self.invoked_loaded_slots,
+            self.span_start,
+            self.invoked_this_slot,
+            self.loaded_integral,
+            self.emcr_sum,
+            self.emcr_slots,
+            self.overhead_secs,
+            self.peak_loaded,
+        ) = wire::decode(state)?;
+        Ok(())
     }
 }
 
@@ -618,34 +599,34 @@ impl Observer for SlotSeries {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_varint(&mut buf, u64::from(self.start));
-        wire::put_u32s(&mut buf, &self.loaded);
-        wire::put_u32s(&mut buf, &self.cold);
-        wire::put_u32s(&mut buf, &self.warm);
-        wire::put_u32s(&mut buf, &self.evictions);
-        wire::put_f64s(&mut buf, &self.emcr);
-        wire::put_varint(&mut buf, u64::from(self.cold_now));
-        wire::put_varint(&mut buf, u64::from(self.warm_now));
-        wire::put_varint(&mut buf, u64::from(self.evict_now));
-        let invoked: Vec<u32> = self.invoked_now.iter().map(|f| f.0).collect();
-        wire::put_u32s(&mut buf, &invoked);
-        buf
+        wire::encode(&[
+            &self.start,
+            &self.loaded,
+            &self.cold,
+            &self.warm,
+            &self.evictions,
+            &self.emcr,
+            &self.cold_now,
+            &self.warm_now,
+            &self.evict_now,
+            &self.invoked_now,
+        ])
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut cur = wire::Cursor::new(state);
-        self.start = slot_of(cur.take_varint()?)?;
-        self.loaded = cur.take_u32s()?;
-        self.cold = cur.take_u32s()?;
-        self.warm = cur.take_u32s()?;
-        self.evictions = cur.take_u32s()?;
-        self.emcr = cur.take_f64s()?;
-        self.cold_now = u32::try_from(cur.take_varint()?).map_err(|_| "cold_now".to_owned())?;
-        self.warm_now = u32::try_from(cur.take_varint()?).map_err(|_| "warm_now".to_owned())?;
-        self.evict_now = u32::try_from(cur.take_varint()?).map_err(|_| "evict_now".to_owned())?;
-        self.invoked_now = cur.take_u32s()?.into_iter().map(FunctionId).collect();
-        expect_consumed(&cur)
+        (
+            self.start,
+            self.loaded,
+            self.cold,
+            self.warm,
+            self.evictions,
+            self.emcr,
+            self.cold_now,
+            self.warm_now,
+            self.evict_now,
+            self.invoked_now,
+        ) = wire::decode(state)?;
+        Ok(())
     }
 }
 
@@ -734,33 +715,26 @@ impl Observer for EvictionAudit {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_varint(&mut buf, self.policy_evictions);
-        wire::put_varint(&mut buf, self.capacity_evictions);
-        wire::put_varint(&mut buf, self.reloads);
-        wire::put_varint(&mut buf, self.premature_reloads);
-        wire::put_varint(&mut buf, u64::from(self.premature_window));
-        wire::put_varint(&mut buf, self.evicted_at.len() as u64);
-        for &at in &self.evicted_at {
-            wire::put_opt_u64(&mut buf, at.map(u64::from));
-        }
-        buf
+        wire::encode(&[
+            &self.policy_evictions,
+            &self.capacity_evictions,
+            &self.reloads,
+            &self.premature_reloads,
+            &self.premature_window,
+            &self.evicted_at,
+        ])
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut cur = wire::Cursor::new(state);
-        self.policy_evictions = cur.take_varint()?;
-        self.capacity_evictions = cur.take_varint()?;
-        self.reloads = cur.take_varint()?;
-        self.premature_reloads = cur.take_varint()?;
-        self.premature_window = slot_of(cur.take_varint()?)?;
-        let n = usize_of(cur.take_varint()?)?;
-        let mut evicted_at = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            evicted_at.push(cur.take_opt_u64()?.map(slot_of).transpose()?);
-        }
-        self.evicted_at = evicted_at;
-        expect_consumed(&cur)
+        (
+            self.policy_evictions,
+            self.capacity_evictions,
+            self.reloads,
+            self.premature_reloads,
+            self.premature_window,
+            self.evicted_at,
+        ) = wire::decode(state)?;
+        Ok(())
     }
 }
 
@@ -898,33 +872,34 @@ impl Observer for MemoryPressure {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_opt_u64(&mut buf, self.budget.map(|b| b as u64));
-        buf.push(u8::from(self.budget_is_explicit));
-        wire::put_varint(&mut buf, self.occupancy as u64);
-        wire::put_varint(&mut buf, self.peak_occupancy as u64);
-        wire::put_varint(&mut buf, self.rejected_loads);
-        wire::put_varint(&mut buf, self.slots);
-        wire::put_varint(&mut buf, self.loaded_integral);
-        wire::put_varint(&mut buf, self.slots_at_budget);
-        wire::put_varint(&mut buf, self.over_budget_integral);
-        wire::put_opt_u64(&mut buf, self.min_headroom.map(|h| h as u64));
-        buf
+        wire::encode(&[
+            &self.budget,
+            &self.budget_is_explicit,
+            &self.occupancy,
+            &self.peak_occupancy,
+            &self.rejected_loads,
+            &self.slots,
+            &self.loaded_integral,
+            &self.slots_at_budget,
+            &self.over_budget_integral,
+            &self.min_headroom,
+        ])
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut cur = wire::Cursor::new(state);
-        self.budget = cur.take_opt_u64()?.map(usize_of).transpose()?;
-        self.budget_is_explicit = cur.take_u8()? != 0;
-        self.occupancy = usize_of(cur.take_varint()?)?;
-        self.peak_occupancy = usize_of(cur.take_varint()?)?;
-        self.rejected_loads = cur.take_varint()?;
-        self.slots = cur.take_varint()?;
-        self.loaded_integral = cur.take_varint()?;
-        self.slots_at_budget = cur.take_varint()?;
-        self.over_budget_integral = cur.take_varint()?;
-        self.min_headroom = cur.take_opt_u64()?.map(usize_of).transpose()?;
-        expect_consumed(&cur)
+        (
+            self.budget,
+            self.budget_is_explicit,
+            self.occupancy,
+            self.peak_occupancy,
+            self.rejected_loads,
+            self.slots,
+            self.loaded_integral,
+            self.slots_at_budget,
+            self.over_budget_integral,
+            self.min_headroom,
+        ) = wire::decode(state)?;
+        Ok(())
     }
 }
 
@@ -1133,22 +1108,22 @@ impl Observer for Fairness {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_u32s(&mut buf, &self.app_index);
-        let apps: Vec<u32> = self.apps.iter().map(|a| a.0).collect();
-        wire::put_u32s(&mut buf, &apps);
-        wire::put_u64s(&mut buf, &self.invocations);
-        wire::put_u64s(&mut buf, &self.cold_starts);
-        buf
+        wire::encode(&[
+            &self.app_index,
+            &self.apps,
+            &self.invocations,
+            &self.cold_starts,
+        ])
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut cur = wire::Cursor::new(state);
-        self.app_index = cur.take_u32s()?;
-        self.apps = cur.take_u32s()?.into_iter().map(AppId).collect();
-        self.invocations = cur.take_u64s()?;
-        self.cold_starts = cur.take_u64s()?;
-        expect_consumed(&cur)
+        (
+            self.app_index,
+            self.apps,
+            self.invocations,
+            self.cold_starts,
+        ) = wire::decode(state)?;
+        Ok(())
     }
 }
 
@@ -1215,13 +1190,14 @@ impl Observer for EventLog {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_str(&mut buf, &self.policy_name);
-        wire::put_varint(&mut buf, u64::from(self.start));
-        wire::put_varint(&mut buf, u64::from(self.metrics_start));
-        wire::put_varint(&mut buf, u64::from(self.end));
-        wire::put_varint(&mut buf, self.n_functions as u64);
-        wire::put_varint(&mut buf, self.events.len() as u64);
+        let mut buf = wire::encode(&[
+            &self.policy_name,
+            &self.start,
+            &self.metrics_start,
+            &self.end,
+            &self.n_functions,
+            &self.events.len(),
+        ]);
         // The journal's own event codec; the `measured` flags are
         // re-derived on restore (they are always `slot >= metrics_start`).
         let (mut prev_slot, mut prev_f) = (0, 0);
@@ -1239,25 +1215,28 @@ impl Observer for EventLog {
 
     fn restore(&mut self, state: &[u8]) -> Result<(), String> {
         let mut cur = wire::Cursor::new(state);
-        self.policy_name = cur.take_str()?;
-        self.start = slot_of(cur.take_varint()?)?;
-        self.metrics_start = slot_of(cur.take_varint()?)?;
-        self.end = slot_of(cur.take_varint()?)?;
-        self.n_functions = usize_of(cur.take_varint()?)?;
-        let n = usize_of(cur.take_varint()?)?;
-        let mut events = Vec::with_capacity(n.min(1 << 20));
+        let n_events: usize;
+        (
+            self.policy_name,
+            self.start,
+            self.metrics_start,
+            self.end,
+            self.n_functions,
+            n_events,
+        ) = Wire::take(&mut cur)?;
         let (mut prev_slot, mut prev_f) = (0, 0);
-        for _ in 0..n {
-            let (slot, event) =
-                crate::journal::decode_event(&mut cur, &mut prev_slot, &mut prev_f)?;
-            events.push(LoggedEvent {
-                slot,
-                measured: slot >= self.metrics_start,
-                event,
-            });
-        }
-        self.events = events;
-        expect_consumed(&cur)
+        self.events = (0..n_events)
+            .map(|_| {
+                let (slot, event) =
+                    crate::journal::decode_event(&mut cur, &mut prev_slot, &mut prev_f)?;
+                Ok(LoggedEvent {
+                    slot,
+                    measured: slot >= self.metrics_start,
+                    event,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        cur.finish()
     }
 }
 

@@ -50,12 +50,20 @@ const FRAME_EVENTS: u8 = 2;
 const FRAME_TARGET_BYTES: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------
-// Low-level wire helpers (shared with the snapshot codec in `engine`)
+// The state codec (shared with the snapshot codec in `engine`)
 // ---------------------------------------------------------------------
 
 pub(crate) mod wire {
-    //! Byte-level primitives: LEB128 varints, zigzag, length-prefixed
-    //! strings, raw f64 bits, and a checked cursor for decoding.
+    //! The one codec behind every snapshot, observer state and journal
+    //! header: a [`Wire`] value encodes as LEB128 varints (integers),
+    //! raw little-endian bits (`f64`), single bytes (`u8`, `bool`, and
+    //! the `Option` presence tag), and length-prefixed sequences
+    //! (`String`, `Vec`); tuples concatenate their fields. A record
+    //! encodes with [`encode`] over its field list and decodes with one
+    //! destructuring [`decode`], so the two directions cannot drift.
+    //! The journal's per-event codec uses the byte primitives directly.
+
+    use spes_trace::{AppId, FunctionId};
 
     /// CRC32 (IEEE 802.3) lookup table, built at compile time.
     const CRC_TABLE: [u32; 256] = {
@@ -107,58 +115,183 @@ pub(crate) mod wire {
         put_varint(buf, ((value << 1) ^ (value >> 63)) as u64);
     }
 
-    /// Appends a length-prefixed UTF-8 string.
-    pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_varint(buf, s.len() as u64);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
     /// Appends the raw little-endian bits of `value` (exact round-trip,
     /// NaN and infinities included).
     pub(crate) fn put_f64(buf: &mut Vec<u8>, value: f64) {
         buf.extend_from_slice(&value.to_bits().to_le_bytes());
     }
 
-    /// Appends an optional unsigned value as a presence byte + varint.
-    pub(crate) fn put_opt_u64(buf: &mut Vec<u8>, value: Option<u64>) {
-        match value {
-            Some(v) => {
-                buf.push(1);
-                put_varint(buf, v);
+    /// Decoded sequences reserve at most this many elements up front, so
+    /// a corrupt length prefix cannot demand a huge allocation: the
+    /// decode fails at the end of the payload instead.
+    const MAX_RESERVE: usize = 1 << 20;
+
+    /// A value with one binary encoding, read back by [`Wire::take`].
+    pub(crate) trait Wire {
+        /// Appends the value's encoding.
+        fn put(&self, buf: &mut Vec<u8>);
+
+        /// Decodes one value, advancing the cursor.
+        fn take(cur: &mut Cursor<'_>) -> Result<Self, String>
+        where
+            Self: Sized;
+    }
+
+    /// Encodes `fields` back to back — the encoding of the tuple of
+    /// their values.
+    #[must_use]
+    pub(crate) fn encode(fields: &[&dyn Wire]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for field in fields {
+            field.put(&mut buf);
+        }
+        buf
+    }
+
+    /// Decodes one `T` that must span all of `bytes`.
+    pub(crate) fn decode<T: Wire>(bytes: &[u8]) -> Result<T, String> {
+        let mut cur = Cursor::new(bytes);
+        let value = T::take(&mut cur)?;
+        cur.finish()?;
+        Ok(value)
+    }
+
+    impl Wire for u8 {
+        fn put(&self, buf: &mut Vec<u8>) {
+            buf.push(*self);
+        }
+
+        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+            cur.take_u8()
+        }
+    }
+
+    impl Wire for bool {
+        fn put(&self, buf: &mut Vec<u8>) {
+            buf.push(u8::from(*self));
+        }
+
+        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+            match cur.take_u8()? {
+                0 => Ok(false),
+                1 => Ok(true),
+                other => Err(format!("invalid flag byte {other}")),
             }
-            None => buf.push(0),
         }
     }
 
-    /// Appends a length-prefixed byte blob.
-    pub(crate) fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-        put_varint(buf, bytes.len() as u64);
-        buf.extend_from_slice(bytes);
+    /// Unsigned integers encode as varints.
+    macro_rules! wire_uint {
+        ($($ty:ty),*) => {$(
+            impl Wire for $ty {
+                fn put(&self, buf: &mut Vec<u8>) {
+                    put_varint(buf, *self as u64);
+                }
+
+                fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+                    let raw = cur.take_varint()?;
+                    Self::try_from(raw)
+                        .map_err(|_| format!("{raw} does not fit {}", stringify!($ty)))
+                }
+            }
+        )*};
     }
 
-    /// Appends a length-prefixed vector of varints.
-    pub(crate) fn put_u64s(buf: &mut Vec<u8>, values: &[u64]) {
-        put_varint(buf, values.len() as u64);
-        for &v in values {
-            put_varint(buf, v);
+    wire_uint!(u32, u64, usize);
+
+    impl Wire for f64 {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_f64(buf, *self);
+        }
+
+        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+            cur.take_f64()
         }
     }
 
-    /// Appends a length-prefixed vector of varints (u32 source).
-    pub(crate) fn put_u32s(buf: &mut Vec<u8>, values: &[u32]) {
-        put_varint(buf, values.len() as u64);
-        for &v in values {
-            put_varint(buf, u64::from(v));
+    impl Wire for String {
+        fn put(&self, buf: &mut Vec<u8>) {
+            self.len().put(buf);
+            buf.extend_from_slice(self.as_bytes());
+        }
+
+        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+            let len = usize::take(cur)?;
+            let bytes = cur.take_slice(len)?;
+            Self::from_utf8(bytes.to_vec()).map_err(|_| "string is not valid UTF-8".to_owned())
         }
     }
 
-    /// Appends a length-prefixed vector of raw f64 bits.
-    pub(crate) fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
-        put_varint(buf, values.len() as u64);
-        for &v in values {
-            put_f64(buf, v);
+    /// Id newtypes encode as their `u32`.
+    macro_rules! wire_id {
+        ($($ty:ident),*) => {$(
+            impl Wire for $ty {
+                fn put(&self, buf: &mut Vec<u8>) {
+                    self.0.put(buf);
+                }
+
+                fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+                    u32::take(cur).map($ty)
+                }
+            }
+        )*};
+    }
+
+    wire_id!(FunctionId, AppId);
+
+    impl<T: Wire> Wire for Option<T> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            self.is_some().put(buf);
+            if let Some(value) = self {
+                value.put(buf);
+            }
+        }
+
+        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+            bool::take(cur)?.then(|| T::take(cur)).transpose()
         }
     }
+
+    impl<T: Wire> Wire for Vec<T> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            self.len().put(buf);
+            for item in self {
+                item.put(buf);
+            }
+        }
+
+        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+            let len = usize::take(cur)?;
+            let mut items = Vec::with_capacity(len.min(MAX_RESERVE));
+            for _ in 0..len {
+                items.push(T::take(cur)?);
+            }
+            Ok(items)
+        }
+    }
+
+    /// Implements [`Wire`] for the tuple of the given type parameters
+    /// and for every shorter tuple of its trailing ones.
+    macro_rules! wire_tuples {
+        () => {};
+        ($head:ident $($tail:ident)*) => {
+            impl<$head: Wire, $($tail: Wire),*> Wire for ($head, $($tail,)*) {
+                #[allow(non_snake_case)]
+                fn put(&self, buf: &mut Vec<u8>) {
+                    let ($head, $($tail,)*) = self;
+                    $head.put(buf);
+                    $($tail.put(buf);)*
+                }
+
+                fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
+                    Ok(($head::take(cur)?, $($tail::take(cur)?,)*))
+                }
+            }
+            wire_tuples!($($tail)*);
+        };
+    }
+
+    wire_tuples!(A B C D E F G H I J K L M N O);
 
     /// A checked forward-only decoder over a byte slice. Every take
     /// reports truncation/overflow as `Err(String)` instead of
@@ -173,13 +306,17 @@ pub(crate) mod wire {
             Self { buf, pos: 0 }
         }
 
-        pub(crate) fn is_empty(&self) -> bool {
-            self.pos >= self.buf.len()
-        }
-
         /// Bytes consumed so far.
         pub(crate) fn position(&self) -> usize {
             self.pos
+        }
+
+        /// Rejects bytes past the last decoded value.
+        pub(crate) fn finish(&self) -> Result<(), String> {
+            match self.buf.len() - self.pos {
+                0 => Ok(()),
+                n => Err(format!("{n} trailing bytes after the last field")),
+            }
         }
 
         pub(crate) fn take_u8(&mut self) -> Result<u8, String> {
@@ -212,73 +349,33 @@ pub(crate) mod wire {
             Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
         }
 
-        pub(crate) fn take_str(&mut self) -> Result<String, String> {
-            let bytes = self.take_bytes()?;
-            String::from_utf8(bytes).map_err(|_| "string is not valid UTF-8".to_owned())
-        }
-
         pub(crate) fn take_f64(&mut self) -> Result<f64, String> {
-            let mut raw = [0u8; 8];
-            for b in &mut raw {
-                *b = self.take_u8()?;
-            }
-            Ok(f64::from_bits(u64::from_le_bytes(raw)))
+            self.take_array()
+                .map(|raw| f64::from_bits(u64::from_le_bytes(raw)))
         }
 
-        pub(crate) fn take_opt_u64(&mut self) -> Result<Option<u64>, String> {
-            match self.take_u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(self.take_varint()?)),
-                other => Err(format!("invalid option tag {other}")),
-            }
+        /// The next `N` bytes, as a fixed-width field.
+        pub(crate) fn take_array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+            let mut raw = [0u8; N];
+            raw.copy_from_slice(self.take_slice(N)?);
+            Ok(raw)
         }
 
-        pub(crate) fn take_u64s(&mut self) -> Result<Vec<u64>, String> {
-            let len = self.take_varint()? as usize;
-            let mut values = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                values.push(self.take_varint()?);
-            }
-            Ok(values)
-        }
-
-        pub(crate) fn take_u32s(&mut self) -> Result<Vec<u32>, String> {
-            let len = self.take_varint()? as usize;
-            let mut values = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                values.push(
-                    u32::try_from(self.take_varint()?)
-                        .map_err(|_| "value does not fit u32".to_owned())?,
-                );
-            }
-            Ok(values)
-        }
-
-        pub(crate) fn take_f64s(&mut self) -> Result<Vec<f64>, String> {
-            let len = self.take_varint()? as usize;
-            let mut values = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                values.push(self.take_f64()?);
-            }
-            Ok(values)
-        }
-
-        pub(crate) fn take_bytes(&mut self) -> Result<Vec<u8>, String> {
-            let len = usize::try_from(self.take_varint()?)
-                .map_err(|_| "length does not fit usize".to_owned())?;
+        /// The next `len` bytes.
+        pub(crate) fn take_slice(&mut self, len: usize) -> Result<&'a [u8], String> {
             let end = self
                 .pos
                 .checked_add(len)
                 .filter(|&end| end <= self.buf.len())
-                .ok_or_else(|| "length-prefixed field overruns payload".to_owned())?;
-            let bytes = self.buf[self.pos..end].to_vec();
+                .ok_or_else(|| "unexpected end of payload".to_owned())?;
+            let bytes = &self.buf[self.pos..end];
             self.pos = end;
             Ok(bytes)
         }
     }
 }
 
-use wire::{crc32, put_f64, put_opt_u64, put_str, put_varint, put_zigzag, Cursor};
+use wire::{crc32, put_f64, put_varint, put_zigzag, Cursor};
 
 // ---------------------------------------------------------------------
 // Errors
@@ -365,68 +462,27 @@ impl JournalMeta {
     }
 
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_str(&mut buf, &self.policy_name);
-        put_varint(&mut buf, self.n_functions as u64);
-        put_varint(&mut buf, u64::from(self.config.start));
-        put_varint(&mut buf, u64::from(self.config.end));
-        put_varint(&mut buf, u64::from(self.config.metrics_start));
-        put_opt_u64(&mut buf, self.config.capacity.map(|c| c as u64));
-        put_opt_u64(&mut buf, self.config.pressure_budget.map(|b| b as u64));
-        put_varint(&mut buf, self.trace_digest);
-        put_varint(&mut buf, self.seed);
-        put_varint(&mut buf, self.extra.len() as u64);
-        for (key, value) in &self.extra {
-            put_str(&mut buf, key);
-            put_str(&mut buf, value);
-        }
-        buf
+        wire::encode(&[
+            &self.policy_name,
+            &self.n_functions,
+            &self.config,
+            &self.trace_digest,
+            &self.seed,
+            &self.extra,
+        ])
     }
 
     fn decode(payload: &[u8]) -> Result<Self, String> {
-        let mut cur = Cursor::new(payload);
-        let policy_name = cur.take_str()?;
-        let n_functions = usize::try_from(cur.take_varint()?)
-            .map_err(|_| "n_functions does not fit usize".to_owned())?;
-        let start = slot_of(cur.take_varint()?)?;
-        let end = slot_of(cur.take_varint()?)?;
-        let metrics_start = slot_of(cur.take_varint()?)?;
-        let capacity = cur
-            .take_opt_u64()?
-            .map(|c| usize::try_from(c).map_err(|_| "capacity does not fit usize".to_owned()))
-            .transpose()?;
-        let pressure_budget = cur
-            .take_opt_u64()?
-            .map(|b| usize::try_from(b).map_err(|_| "budget does not fit usize".to_owned()))
-            .transpose()?;
-        let trace_digest = cur.take_varint()?;
-        let seed = cur.take_varint()?;
-        let n_extra = cur.take_varint()?;
-        let mut extra = Vec::with_capacity(n_extra.min(64) as usize);
-        for _ in 0..n_extra {
-            let key = cur.take_str()?;
-            let value = cur.take_str()?;
-            extra.push((key, value));
-        }
+        let (policy_name, n_functions, config, trace_digest, seed, extra) = wire::decode(payload)?;
         Ok(Self {
             policy_name,
             n_functions,
-            config: SimConfig {
-                start,
-                end,
-                metrics_start,
-                capacity,
-                pressure_budget,
-            },
+            config,
             trace_digest,
             seed,
             extra,
         })
     }
-}
-
-fn slot_of(raw: u64) -> Result<Slot, String> {
-    Slot::try_from(raw).map_err(|_| format!("slot {raw} does not fit u32"))
 }
 
 // ---------------------------------------------------------------------
@@ -830,17 +886,18 @@ fn read_frame<R: Read>(
         1 => {}
         _ => unreachable!("single-byte read"),
     }
-    let mut header = [0u8; 8];
-    inner.read_exact(&mut header).map_err(|_| {
-        JournalError::Corrupt(format!("frame {frame_index} is truncated mid-header"))
-    })?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; len];
+    let (mut len, mut crc) = ([0u8; 4], [0u8; 4]);
+    inner
+        .read_exact(&mut len)
+        .and_then(|()| inner.read_exact(&mut crc))
+        .map_err(|_| {
+            JournalError::Corrupt(format!("frame {frame_index} is truncated mid-header"))
+        })?;
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
     inner.read_exact(&mut payload).map_err(|_| {
         JournalError::Corrupt(format!("frame {frame_index} is truncated mid-payload"))
     })?;
-    if crc32(&payload) != crc {
+    if crc32(&payload) != u32::from_le_bytes(crc) {
         return Err(JournalError::Checksum { frame: frame_index });
     }
     Ok(Some((kind[0], payload)))

@@ -38,8 +38,11 @@
 //! so a crashed session leaves a replayable record for `spes-replay`.
 //! [`ServeConfig::snapshot_out`] persists a [`SimDriver::snapshot`]
 //! when the stream ends, and [`ServeConfig::resume`] starts the next
-//! session from such a blob — metrics, observers, and pool state
-//! continue where the previous session stopped.
+//! session from such a blob — metrics, observers, pool and policy state
+//! continue where the previous session stopped. Only policies that
+//! snapshot their own state ([`Policy::snapshot_state`]) can resume;
+//! for any other, [`serve`] returns [`ServeError::Resume`] rather than
+//! continue with a policy that never saw the first session.
 
 use crate::engine::{snapshot_info, SimConfig, SimDriver, SimError, SlotOutcome, SnapshotError};
 use crate::events::{DynObserver, EvictionAudit, Fairness, MemoryPressure};
@@ -86,8 +89,9 @@ pub struct ServeConfig {
     pub journal: Option<PathBuf>,
     /// Resume a previous session from a [`SimDriver::snapshot`] blob
     /// instead of starting fresh. The snapshot's own window and pool
-    /// limits rule — `sim` is ignored on resume — and the init record
-    /// must declare the snapshotted population.
+    /// limits rule — `sim` is ignored on resume — the init record must
+    /// declare the snapshotted population, and the blob must carry the
+    /// policy's state ([`crate::SnapshotInfo::has_policy_state`]).
     pub resume: Option<Vec<u8>>,
     /// Write a final [`SimDriver::snapshot`] here when the stream
     /// ends, so the next session can `resume` where this one stopped.
@@ -194,7 +198,8 @@ enum ProtoEvent {
 ///
 /// # Errors
 /// Returns a [`ServeError`] for stream-level failures: I/O, a missing or
-/// malformed init record, a rejected policy, or a malformed window.
+/// malformed init record, a rejected policy, a malformed window, or a
+/// `resume` snapshot that cannot be restored or carries no policy state.
 /// Malformed *event* lines do not fail the session — they are answered
 /// in-band with `{"type":"error",…}` records.
 pub fn serve<R: BufRead, W: Write>(
@@ -217,22 +222,37 @@ pub fn serve<R: BufRead, W: Write>(
         break parse_init(line.trim()).map_err(ServeError::Protocol)?;
     };
     let mut policy = make_policy(&init).map_err(ServeError::Policy)?;
+    let resume = match &config.resume {
+        Some(snapshot) => {
+            let info = snapshot_info(snapshot).map_err(ServeError::Resume)?;
+            if info.n_functions != init.functions {
+                return Err(ServeError::Protocol(format!(
+                    "init declares {} functions but the resume snapshot has {}",
+                    init.functions, info.n_functions
+                )));
+            }
+            if !info.has_policy_state {
+                return Err(ServeError::Resume(SnapshotError::PolicyRestore(format!(
+                    "policy {:?} does not snapshot its state, so its session cannot be resumed",
+                    info.policy_name
+                ))));
+            }
+            Some((snapshot, info.config))
+        }
+        None => None,
+    };
     let mut observers: Vec<Box<dyn DynObserver>> = vec![
         Box::new(MemoryPressure::new()),
         Box::new(Fairness::new(&init.apps)),
         Box::new(EvictionAudit::new(PREMATURE_RELOAD_WINDOW)),
     ];
     if let Some(path) = &config.journal {
-        // On resume the snapshot's window rules; stamp the journal
-        // header with what the session will actually run under.
-        let sim = match &config.resume {
-            Some(snapshot) => snapshot_info(snapshot).map_err(ServeError::Resume)?.config,
-            None => config.sim,
-        };
         let meta = JournalMeta {
             policy_name: policy.name().to_owned(),
             n_functions: init.functions,
-            config: sim,
+            // On resume the snapshot's window rules; stamp the journal
+            // header with what the session will actually run under.
+            config: resume.map_or(config.sim, |(_, sim)| sim),
             trace_digest: 0,
             seed: 0,
             extra: vec![("source".to_owned(), "spes-serve".to_owned())],
@@ -242,18 +262,9 @@ pub fn serve<R: BufRead, W: Write>(
             .map_err(|e| ServeError::Journal(e.to_string()))?;
         observers.push(Box::new(journal));
     }
-    let mut driver = match &config.resume {
-        Some(snapshot) => {
-            let info = snapshot_info(snapshot).map_err(ServeError::Resume)?;
-            if info.n_functions != init.functions {
-                return Err(ServeError::Protocol(format!(
-                    "init declares {} functions but the resume snapshot has {}",
-                    init.functions, info.n_functions
-                )));
-            }
-            SimDriver::resume_from(snapshot, policy.as_mut(), observers)
-                .map_err(ServeError::Resume)?
-        }
+    let mut driver = match resume {
+        Some((snapshot, _)) => SimDriver::resume_from(snapshot, policy.as_mut(), observers)
+            .map_err(ServeError::Resume)?,
         None => SimDriver::new(init.functions, config.sim, policy.as_mut(), observers)
             .map_err(ServeError::Window)?,
     };
@@ -663,6 +674,7 @@ fn render_summary(
 mod tests {
     use super::*;
     use crate::engine::try_simulate;
+    use crate::memory::MemoryPool;
     use crate::policy::{KeepForever, NoKeepAlive};
     use spes_trace::{FunctionMeta, SparseSeries, Trace, TriggerType, UserId};
 
@@ -930,6 +942,62 @@ not json at all
         one_shot.overhead_secs = 0.0;
         assert_eq!(resumed, one_shot);
         assert_eq!(second.slots, 3, "slots 3..=5 served after the cut");
+    }
+
+    /// Keeps a function warm for one slot after its last invocation —
+    /// run state that, like most fitted policies, is not snapshotted.
+    struct KeepOneSlot(Vec<Option<Slot>>);
+
+    impl Policy for KeepOneSlot {
+        fn name(&self) -> &str {
+            "keep-one-slot"
+        }
+
+        fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
+            for &(f, _) in invoked {
+                self.0[f.index()] = Some(now);
+            }
+            for f in pool.loaded().to_vec() {
+                if self.0[f.index()].is_some_and(|last| last < now) {
+                    pool.evict(f);
+                }
+            }
+        }
+    }
+
+    /// Resuming would hand the second session a policy that never saw
+    /// the first session's invocations, so serve refuses it.
+    #[test]
+    fn resume_refuses_a_snapshot_without_policy_state() {
+        let keep_one_slot = |init: &InitRecord| -> Result<Box<dyn Policy>, String> {
+            Ok(Box::new(KeepOneSlot(vec![None; init.functions])))
+        };
+        let snap_path = ScratchPath::new("stateful.snapshot");
+        let config = ServeConfig {
+            snapshot_out: Some(snap_path.0.clone()),
+            ..ServeConfig::default()
+        };
+        let first = r#"{"type":"init","functions":2}
+{"type":"inv","slot":0,"f":0}
+{"type":"inv","slot":1,"f":1}
+"#;
+        serve(first.as_bytes(), &mut Vec::new(), &config, keep_one_slot).unwrap();
+
+        let config = ServeConfig {
+            resume: Some(std::fs::read(&snap_path.0).unwrap()),
+            ..ServeConfig::default()
+        };
+        let second = "{\"type\":\"init\",\"functions\":2}\n{\"type\":\"tick\",\"slot\":4}\n";
+        let mut output = Vec::new();
+        let err = serve(second.as_bytes(), &mut output, &config, keep_one_slot).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Resume(SnapshotError::PolicyRestore(m)) if m.contains("\"keep-one-slot\"")),
+            "{err}"
+        );
+        assert!(
+            output.is_empty(),
+            "nothing is served after a refused resume"
+        );
     }
 
     #[test]

@@ -258,33 +258,12 @@ impl Observer for ShardCounts {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        wire::put_varint(&mut buf, self.counts.len() as u64);
-        for &(loaded, invoked) in &self.counts {
-            wire::put_varint(&mut buf, loaded);
-            wire::put_varint(&mut buf, invoked);
-        }
-        let invoked: Vec<u32> = self.invoked_this_slot.iter().map(|f| f.0).collect();
-        wire::put_u32s(&mut buf, &invoked);
-        buf
+        wire::encode(&[&self.counts, &self.invoked_this_slot])
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut cur = wire::Cursor::new(state);
-        let n = usize::try_from(cur.take_varint()?).map_err(|_| "count overflow".to_owned())?;
-        let mut counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let loaded = cur.take_varint()?;
-            let invoked = cur.take_varint()?;
-            counts.push((loaded, invoked));
-        }
-        self.counts = counts;
-        self.invoked_this_slot = cur.take_u32s()?.into_iter().map(FunctionId).collect();
-        if cur.is_empty() {
-            Ok(())
-        } else {
-            Err("trailing bytes after the shard counts".to_owned())
-        }
+        (self.counts, self.invoked_this_slot) = wire::decode(state)?;
+        Ok(())
     }
 }
 
@@ -472,6 +451,15 @@ mod tests {
 
     fn quickish() -> Trace {
         small_test_trace(80, 11).trace
+    }
+
+    /// A corrupt blob that declares 2^40 count pairs fails at the end of
+    /// its payload instead of reserving terabytes up front.
+    #[test]
+    fn restore_rejects_an_impossible_length_without_allocating_it() {
+        let blob = wire::encode(&[&(1u64 << 40)]);
+        let err = ShardCounts::new().restore(&blob).unwrap_err();
+        assert!(err.contains("end of payload"), "{err}");
     }
 
     #[test]
