@@ -1,155 +1,199 @@
-//! The skeleton every `bench_*` binary shares: one flag parser, one row
-//! table, one `BENCH_*.json` writer, and one `--baseline`/`--gate` tail
-//! over [`gate_against_baseline`].
+//! The front end every workspace binary shares: one pull-style flag
+//! parser ([`Args`]), one error exit ([`main`]), one JSON document
+//! writer and reader ([`write_json`], [`read_json`]), and the skeleton
+//! of the `bench_*` tools ([`BenchTool`]).
 //!
-//! A binary describes itself with a [`BenchTool`] (its document, extra
-//! flags, table columns, the throughput its gate reads, any `--assert`
-//! floors) and supplies only the measurement:
+//! A binary keeps its usage block in one `const USAGE` and reads the
+//! flags it accepts; anything it does not read is an error:
 //!
 //! ```text
 //! fn main() -> ExitCode {
-//!     TOOL.main(measure)
+//!     bench_cli::main(USAGE, |mut args| {
+//!         let seed = args.seed("--seed")?.unwrap_or(7);
+//!         let quick = args.flag("--quick");
+//!         args.finish()?;
+//!         ...
+//!     })
 //! }
 //! ```
 
 use crate::perf::{gate_against_baseline, BenchReport, BenchRow};
+use serde::{Deserialize, Serialize};
 use spes_sim::text_table;
 use std::fmt::Display;
+use std::num::ParseIntError;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
+
+/// Runs a binary on the process arguments: `--help` or `-h` anywhere
+/// prints `usage` and exits 0, an error prints as `error: ...` and
+/// exits 1.
+pub fn main(usage: &str, run: impl FnOnce(Args) -> Result<ExitCode, String>) -> ExitCode {
+    let Some(args) = Args::new(std::env::args().skip(1)) else {
+        println!("{usage}");
+        return ExitCode::SUCCESS;
+    };
+    run(args).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        ExitCode::FAILURE
+    })
+}
+
+/// A command line, consumed flag by flag. Each accessor removes what it
+/// reads and [`Args::finish`] rejects the rest, so a binary accepts
+/// exactly the flags it reads. A repeated flag keeps its last value.
+#[derive(Debug)]
+pub struct Args(Vec<String>);
+
+impl Args {
+    /// Wraps `argv` (without the program name); `None` when it asks for
+    /// `--help` or `-h`.
+    pub fn new(argv: impl IntoIterator<Item = String>) -> Option<Self> {
+        let argv: Vec<String> = argv.into_iter().collect();
+        let help = argv.iter().any(|a| a == "--help" || a == "-h");
+        (!help).then_some(Self(argv))
+    }
+
+    /// Whether the switch `name` was given.
+    pub fn flag(&mut self, name: &str) -> bool {
+        let before = self.0.len();
+        self.0.retain(|a| a != name);
+        self.0.len() < before
+    }
+
+    /// The value after `name`, parsed as `T`; `None` when `name` is
+    /// absent.
+    ///
+    /// # Errors
+    /// Names the flag when its value is missing or does not parse.
+    pub fn value<T>(&mut self, name: &str) -> Result<Option<T>, String>
+    where
+        T: FromStr,
+        T::Err: Display,
+    {
+        let mut text = None;
+        while let Some(at) = self.0.iter().position(|a| a == name) {
+            if at + 1 == self.0.len() {
+                return Err(format!("missing value for {name}"));
+            }
+            text = Some(self.0.remove(at + 1));
+            self.0.remove(at);
+        }
+        text.map(|t| t.parse().map_err(|e| format!("invalid {name}: {e}")))
+            .transpose()
+    }
+
+    /// A seed after `name`, in decimal or `0x` hex.
+    ///
+    /// # Errors
+    /// As [`Args::value`].
+    pub fn seed(&mut self, name: &str) -> Result<Option<u64>, String> {
+        Ok(self.value::<Seed>(name)?.map(|Seed(seed)| seed))
+    }
+
+    /// The comma-separated values after `name`, each trimmed and parsed
+    /// as `T`; empty entries are skipped.
+    ///
+    /// # Errors
+    /// As [`Args::value`], naming the entry that does not parse.
+    pub fn list<T>(&mut self, name: &str) -> Result<Option<Vec<T>>, String>
+    where
+        T: FromStr,
+        T::Err: Display,
+    {
+        let Some(text) = self.value::<String>(name)? else {
+            return Ok(None);
+        };
+        text.split(',')
+            .map(str::trim)
+            .filter(|entry| !entry.is_empty())
+            .map(|entry| {
+                entry
+                    .parse()
+                    .map_err(|e| format!("invalid {name} entry {entry:?}: {e}"))
+            })
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
+    /// The first argument that is not a flag. Read it after every
+    /// [`Args::value`], which would otherwise lose its value to it.
+    pub fn positional(&mut self) -> Option<String> {
+        let at = self.0.iter().position(|a| !a.starts_with('-'))?;
+        Some(self.0.remove(at))
+    }
+
+    /// Ends parsing.
+    ///
+    /// # Errors
+    /// Names the first flag or argument nothing read.
+    pub fn finish(self) -> Result<(), String> {
+        match self.0.first() {
+            None => Ok(()),
+            Some(flag) if flag.starts_with('-') => Err(format!("unknown flag {flag}")),
+            Some(arg) => Err(format!("unexpected argument {arg:?}")),
+        }
+    }
+}
+
+/// A seed written in decimal or as `0x` hex: `12648430` and `0xC0FFEE`
+/// are the same seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seed(pub u64);
+
+impl FromStr for Seed {
+    type Err = ParseIntError;
+
+    fn from_str(text: &str) -> Result<Self, Self::Err> {
+        match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => text.parse(),
+        }
+        .map(Self)
+    }
+}
+
+/// Writes `value` to `dir/file` as pretty JSON plus a final newline,
+/// creating `dir` first, and prints the path.
+///
+/// # Errors
+/// Names the path that could not be created or written.
+pub fn write_json<T: Serialize>(dir: &Path, file: &str, value: &T) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let path = dir.join(file);
+    let mut body = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    body.push('\n');
+    std::fs::write(&path, body).map_err(|e| format!("write {}: {e}", path.display()))?;
+    println!("-> {}", path.display());
+    Ok(())
+}
+
+/// Reads a JSON document such as [`write_json`] writes.
+///
+/// # Errors
+/// Names the path that could not be read or parsed as `T`.
+pub fn read_json<T: Deserialize>(path: &Path) -> Result<T, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+}
 
 /// The `--quick` population cap. Every committed quick row of
 /// `BENCH_engine.json`, `BENCH_serve.json` and `BENCH_journal.json` was
 /// measured at this size.
 pub const QUICK_FUNCTIONS: usize = 120;
 
-/// A flag beyond the ones every bench binary takes (`--functions`,
-/// `--seed`, `--out`, `--quick`, `--help`).
+/// The flags every bench measurement reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flag {
-    /// `--iters K`: timed iterations per cell.
-    Iters,
-    /// `--scale` and `--scale-full`: the engine's population sweep.
-    Scale,
-    /// `--baseline FILE` and `--gate PCT`.
-    Baseline,
-    /// `--assert`: enforce the tool's floors.
-    Assert,
-}
-
-/// The parsed flags of a bench binary.
-#[derive(Debug, Clone, PartialEq)]
 pub struct BenchArgs {
-    /// Population of each generated trace, already capped at
-    /// [`QUICK_FUNCTIONS`] under `--quick` (default 800).
+    /// Population of each generated trace (`--functions`, default 800),
+    /// already capped at [`QUICK_FUNCTIONS`] under `--quick`.
     pub functions: usize,
-    /// Workload seed (default 7).
+    /// Workload seed (`--seed`, default 7).
     pub seed: u64,
-    /// Timed iterations per cell (default 5).
-    pub iters: u32,
-    /// Directory the document is written to (default `.`).
-    pub out: PathBuf,
-    /// Shrink every scenario to its 7-day CI shape.
+    /// Shrink every scenario to its 7-day CI shape (`--quick`).
     pub quick: bool,
-    /// Run the population sweep instead of the scenario cells.
-    pub scale: bool,
-    /// With `scale`: add the million-function cell.
-    pub scale_full: bool,
-    /// Committed document to diff against.
-    pub baseline: Option<PathBuf>,
-    /// With `baseline`: allowed throughput drop in percent before the
-    /// run fails.
-    pub gate_pct: Option<f64>,
-    /// Fail unless every row meets the tool's floors.
-    pub assert: bool,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        Self {
-            functions: 800,
-            seed: 7,
-            iters: 5,
-            out: PathBuf::from("."),
-            quick: false,
-            scale: false,
-            scale_full: false,
-            baseline: None,
-            gate_pct: None,
-            assert: false,
-        }
-    }
-}
-
-fn parse_value<T>(flag: &str, text: &str) -> Result<T, String>
-where
-    T: FromStr,
-    T::Err: Display,
-{
-    text.parse().map_err(|e| format!("invalid {flag}: {e}"))
-}
-
-impl BenchArgs {
-    /// Parses `argv` (without the program name), accepting the common
-    /// flags plus `extra`. `Ok(None)` means `--help` was asked for.
-    ///
-    /// # Errors
-    /// Names the offending flag: an unknown flag, a missing or malformed
-    /// value, a `--gate` that is not a finite non-negative percentage,
-    /// `--gate` without `--baseline`, or `--scale-full` without
-    /// `--scale`.
-    fn parse(
-        extra: &[Flag],
-        argv: impl IntoIterator<Item = String>,
-    ) -> Result<Option<Self>, String> {
-        let mut args = Self::default();
-        let mut argv = argv.into_iter();
-        while let Some(flag) = argv.next() {
-            let mut value = || {
-                argv.next()
-                    .ok_or_else(|| format!("missing value for {flag}"))
-            };
-            let accepts = |f: Flag| extra.contains(&f);
-            match flag.as_str() {
-                "--functions" => args.functions = parse_value(&flag, &value()?)?,
-                "--seed" => args.seed = parse_value(&flag, &value()?)?,
-                "--out" => args.out = PathBuf::from(value()?),
-                "--quick" => args.quick = true,
-                "--help" | "-h" => return Ok(None),
-                "--iters" if accepts(Flag::Iters) => args.iters = parse_value(&flag, &value()?)?,
-                "--scale" if accepts(Flag::Scale) => args.scale = true,
-                "--scale-full" if accepts(Flag::Scale) => args.scale_full = true,
-                "--baseline" if accepts(Flag::Baseline) => {
-                    args.baseline = Some(PathBuf::from(value()?));
-                }
-                "--gate" if accepts(Flag::Baseline) => {
-                    let pct: f64 = parse_value(&flag, &value()?)?;
-                    // `f64::from_str` takes NaN, inf and negatives: NaN
-                    // would pass every cell, a negative would fail any
-                    // cell that is not that much faster.
-                    if !(pct.is_finite() && pct >= 0.0) {
-                        return Err(format!(
-                            "invalid --gate: {pct} is not a finite, non-negative percentage"
-                        ));
-                    }
-                    args.gate_pct = Some(pct);
-                }
-                "--assert" if accepts(Flag::Assert) => args.assert = true,
-                other => return Err(format!("unknown flag {other}")),
-            }
-        }
-        if args.gate_pct.is_some() && args.baseline.is_none() {
-            return Err("--gate requires --baseline".to_owned());
-        }
-        if args.scale_full && !args.scale {
-            return Err("--scale-full requires --scale".to_owned());
-        }
-        if args.quick {
-            args.functions = args.functions.min(QUICK_FUNCTIONS);
-        }
-        Ok(Some(args))
-    }
 }
 
 /// How a tool's `--baseline`/`--gate` tail reads and words its rows.
@@ -173,83 +217,91 @@ pub struct Floors<Row> {
 }
 
 /// One bench binary: everything that differs between `bench_engine`,
-/// `bench_serve` and `bench_journal`.
+/// `bench_serve` and `bench_journal` apart from the flags a tool reads
+/// itself (`--iters`, `--scale`).
 pub struct BenchTool<R: BenchReport> {
-    /// Binary name, for `--help` and the regenerate hint.
+    /// Binary name, for the regenerate hint.
     pub bin: &'static str,
     /// Document written under `--out` (`BENCH_engine.json`).
     pub file: &'static str,
-    /// [`Flag::Iters`] and [`Flag::Scale`] when accepted. `--baseline`
-    /// and `--gate` come with [`BenchTool::gate`], `--assert` with
-    /// [`BenchTool::floors`].
-    pub flags: &'static [Flag],
     /// Heading of the row table.
     pub title: &'static str,
     /// Columns of the row table.
     pub columns: &'static [&'static str],
     /// One row's table cells, aligned with `columns`.
     pub cells: fn(&R::Row) -> Vec<String>,
-    /// The baseline gate, for tools that take `--baseline`.
+    /// The baseline gate; a tool with one takes `--baseline` and `--gate`.
     pub gate: Option<Gate<R::Row>>,
-    /// The floors, for tools that take `--assert`.
+    /// The floors; a tool with them takes `--assert`.
     pub floors: Option<Floors<R::Row>>,
 }
 
 impl<R: BenchReport> BenchTool<R> {
-    /// Runs the binary on the process arguments; an error prints as
-    /// `error: ...` and exits 1.
-    pub fn main(
-        &self,
-        measure: impl FnOnce(&BenchArgs) -> Result<Vec<R::Row>, String>,
-    ) -> ExitCode {
-        match self.run(std::env::args().skip(1), measure) {
-            Ok(code) => code,
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-
-    /// Parses `argv`, measures, prints the row table, writes the
-    /// document under `--out`, then judges it: against `--baseline` (the
-    /// delta table prints either way; only a `--gate` failure exits 1)
-    /// and, with `--assert`, against the floors.
+    /// Reads the shared flags (`--functions`, `--seed`, `--out`,
+    /// `--quick`, and `--baseline`/`--gate`/`--assert` where the tool
+    /// has a gate or floors), rejects the rest, measures, prints the row
+    /// table, writes the document under `--out`, then judges it: against
+    /// `--baseline` (the delta table prints either way; only a `--gate`
+    /// failure exits 1) and, with `--assert`, against the floors.
     ///
     /// # Errors
     /// Returns a message for bad flags, a failed measurement, an
     /// unwritable output, or an unreadable baseline.
-    fn run(
+    pub fn run(
         &self,
-        argv: impl IntoIterator<Item = String>,
-        measure: impl FnOnce(&BenchArgs) -> Result<Vec<R::Row>, String>,
+        mut args: Args,
+        measure: impl FnOnce(BenchArgs) -> Result<Vec<R::Row>, String>,
     ) -> Result<ExitCode, String> {
-        let mut accepted = self.flags.to_vec();
-        if self.gate.is_some() {
-            accepted.push(Flag::Baseline);
-        }
-        if self.floors.is_some() {
-            accepted.push(Flag::Assert);
-        }
-        let Some(args) = BenchArgs::parse(&accepted, argv)? else {
-            println!("see the module docs of {}.rs for usage", self.bin);
-            return Ok(ExitCode::SUCCESS);
+        let quick = args.flag("--quick");
+        let functions = args.value("--functions")?.unwrap_or(800);
+        let bench = BenchArgs {
+            functions: if quick {
+                functions.min(QUICK_FUNCTIONS)
+            } else {
+                functions
+            },
+            seed: args.seed("--seed")?.unwrap_or(7),
+            quick,
         };
-        let report = R::from_rows(measure(&args)?);
+        let out: PathBuf = args.value("--out")?.unwrap_or_else(|| PathBuf::from("."));
+        let (baseline, gate_pct) = if self.gate.is_some() {
+            (
+                args.value::<PathBuf>("--baseline")?,
+                args.value::<f64>("--gate")?,
+            )
+        } else {
+            (None, None)
+        };
+        let assert = self.floors.is_some() && args.flag("--assert");
+        args.finish()?;
+        if let Some(pct) = gate_pct {
+            // `f64::from_str` takes NaN, inf and negatives: NaN would
+            // pass every cell, a negative would fail any cell that is
+            // not that much faster.
+            if !(pct.is_finite() && pct >= 0.0) {
+                return Err(format!(
+                    "invalid --gate: {pct} is not a finite, non-negative percentage"
+                ));
+            }
+            if baseline.is_none() {
+                return Err("--gate requires --baseline".to_owned());
+            }
+        }
+
+        let report = R::from_rows(measure(bench)?);
         let table: Vec<Vec<String>> = report.rows().iter().map(self.cells).collect();
         println!(
             "\n== {} ==\n{}",
             self.title,
             text_table(self.columns, &table)
         );
-        let path = write_report(&args.out, self.file, &report)?;
-        println!("-> {}", path.display());
+        write_json(&out, self.file, &report)?;
 
         let mut passed = true;
-        if let (Some(gate), Some(baseline)) = (&self.gate, &args.baseline) {
-            passed &= self.judge(gate, baseline, args.gate_pct, &report)?;
+        if let (Some(gate), Some(baseline)) = (&self.gate, &baseline) {
+            passed &= self.judge(gate, baseline, gate_pct, &report)?;
         }
-        if let (Some(floors), true) = (&self.floors, args.assert) {
+        if let (Some(floors), true) = (&self.floors, assert) {
             passed &= floors_hold(floors, &report);
         }
         Ok(if passed {
@@ -269,10 +321,7 @@ impl<R: BenchReport> BenchTool<R> {
         gate_pct: Option<f64>,
         report: &R,
     ) -> Result<bool, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read baseline {path:?}: {e}"))?;
-        let baseline: R =
-            serde_json::from_str(&text).map_err(|e| format!("parse baseline {path:?}: {e:?}"))?;
+        let baseline: R = read_json(path).map_err(|e| format!("baseline: {e}"))?;
         let tolerance = gate_pct.unwrap_or(f64::INFINITY);
         let verdict = gate_against_baseline(&baseline, report, tolerance, gate.throughput);
 
@@ -354,108 +403,170 @@ fn floors_hold<R: BenchReport>(floors: &Floors<R::Row>, report: &R) -> bool {
     held
 }
 
-/// Pretty-prints `report` to `dir/file`, creating `dir` first.
-///
-/// # Errors
-/// Returns a message naming the path that could not be created or
-/// written.
-fn write_report<R: BenchReport>(dir: &Path, file: &str, report: &R) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("create out dir: {e}"))?;
-    let path = dir.join(file);
-    let mut body = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
-    body.push('\n');
-    std::fs::write(&path, body).map_err(|e| format!("write {path:?}: {e}"))?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::perf::{EngineBenchReport, EngineBenchRow};
 
-    fn parse(extra: &[Flag], argv: &[&str]) -> Result<Option<BenchArgs>, String> {
-        BenchArgs::parse(extra, argv.iter().map(|&a| a.to_owned()))
+    fn args(argv: &[&str]) -> Option<Args> {
+        Args::new(argv.iter().map(|&a| a.to_owned()))
     }
 
-    const ALL: [Flag; 4] = [Flag::Iters, Flag::Scale, Flag::Baseline, Flag::Assert];
+    /// What a binary reading `--seed`, `--functions`, `--quick` and one
+    /// positional argument makes of `argv`; `None` for `--help`.
+    type Parsed = (Option<u64>, Option<usize>, bool, Option<String>);
+    type Outcome = Result<Option<Parsed>, String>;
+
+    fn parse(argv: &[&str]) -> Outcome {
+        let Some(mut args) = args(argv) else {
+            return Ok(None);
+        };
+        let parsed = (
+            args.seed("--seed")?,
+            args.value("--functions")?,
+            args.flag("--quick"),
+            args.positional(),
+        );
+        args.finish()?;
+        Ok(Some(parsed))
+    }
+
+    #[test]
+    fn the_parser_names_every_bad_flag() {
+        let ok = |seed, functions, quick, positional: Option<&str>| {
+            Ok(Some((
+                seed,
+                functions,
+                quick,
+                positional.map(str::to_owned),
+            )))
+        };
+        let err = |message: &str| Err(message.to_owned());
+        let cases: [(&[&str], Outcome); 14] = [
+            (&[], ok(None, None, false, None)),
+            (
+                &["--seed", "12648430"],
+                ok(Some(12_648_430), None, false, None),
+            ),
+            (
+                &["--seed", "0xC0FFEE"],
+                ok(Some(12_648_430), None, false, None),
+            ),
+            (&["--seed", "0Xff"], ok(Some(255), None, false, None)),
+            (
+                &["--seed", "0xC0FFEG"],
+                err("invalid --seed: invalid digit found in string"),
+            ),
+            (
+                &["--functions", "many"],
+                err("invalid --functions: invalid digit found in string"),
+            ),
+            (
+                &["--quick", "--functions"],
+                err("missing value for --functions"),
+            ),
+            (&["--bogus"], err("unknown flag --bogus")),
+            (
+                &["--functions", "3", "--functions", "5"],
+                ok(None, Some(5), false, None),
+            ),
+            (
+                &["run.jnl", "--quick", "--seed", "4"],
+                ok(Some(4), None, true, Some("run.jnl")),
+            ),
+            (&["a.jnl", "b.jnl"], err("unexpected argument \"b.jnl\"")),
+            (&["--help"], Ok(None)),
+            (&["--bogus", "-h"], Ok(None)),
+            (
+                &["--seed", "-1"],
+                err("invalid --seed: invalid digit found in string"),
+            ),
+        ];
+        for (argv, expected) in cases {
+            assert_eq!(parse(argv), expected, "{argv:?}");
+        }
+        let mut policies = args(&["--policies", " spes, ,oracle "]).unwrap();
+        let names: Option<Vec<String>> = policies.list("--policies").unwrap();
+        assert_eq!(names.unwrap(), ["spes", "oracle"]);
+        let mut seeds = args(&["--eval-seeds", "1,0x10,x"]).unwrap();
+        assert_eq!(
+            seeds.list::<Seed>("--eval-seeds").unwrap_err(),
+            "invalid --eval-seeds entry \"x\": invalid digit found in string"
+        );
+    }
+
+    /// The shared flags `tool` hands its measurement for `argv`, or the
+    /// error that stopped it first.
+    fn measured(tool: &BenchTool<EngineBenchReport>, argv: &[&str]) -> Result<BenchArgs, String> {
+        let mut seen = None;
+        let stopped = tool
+            .run(args(argv).unwrap(), |bench| {
+                seen = Some(bench);
+                Err("measured".to_owned())
+            })
+            .unwrap_err();
+        seen.ok_or(stopped)
+    }
 
     #[test]
     fn defaults_and_values_parse() {
-        let args = parse(&ALL, &[]).unwrap().unwrap();
-        assert_eq!(args, BenchArgs::default());
-        let args = parse(
-            &ALL,
-            &[
-                "--functions",
-                "300",
-                "--seed",
-                "9",
-                "--iters",
-                "2",
-                "--out",
-                "dir",
-                "--scale",
-                "--scale-full",
-                "--baseline",
-                "b.json",
-                "--gate",
-                "40",
-                "--assert",
-            ],
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(args.functions, 300);
-        assert_eq!((args.seed, args.iters), (9, 2));
-        assert_eq!(args.out, PathBuf::from("dir"));
-        assert!(args.scale && args.scale_full && args.assert);
-        assert_eq!(args.baseline, Some(PathBuf::from("b.json")));
-        assert_eq!(args.gate_pct, Some(40.0));
-        assert_eq!(parse(&[], &["--help"]).unwrap(), None);
+        let defaults = BenchArgs {
+            functions: 800,
+            seed: 7,
+            quick: false,
+        };
+        assert_eq!(measured(&TOOL, &[]), Ok(defaults));
+        let argv = [
+            "--functions",
+            "300",
+            "--seed",
+            "0x9",
+            "--out",
+            "dir",
+            "--baseline",
+            "b.json",
+            "--gate",
+            "40",
+            "--assert",
+        ];
+        let expected = BenchArgs {
+            functions: 300,
+            seed: 9,
+            ..defaults
+        };
+        assert_eq!(measured(&TOOL, &argv), Ok(expected));
     }
 
     #[test]
     fn quick_caps_the_population_once() {
-        let args = parse(&[], &["--quick"]).unwrap().unwrap();
-        assert_eq!(args.functions, QUICK_FUNCTIONS);
-        let args = parse(&[], &["--functions", "40", "--quick"])
-            .unwrap()
-            .unwrap();
-        assert_eq!(args.functions, 40);
-        let args = parse(&[], &["--functions", "5000"]).unwrap().unwrap();
-        assert_eq!(args.functions, 5000);
+        let functions = |argv: &[&str]| measured(&TOOL, argv).unwrap().functions;
+        assert_eq!(functions(&["--quick"]), QUICK_FUNCTIONS);
+        assert_eq!(functions(&["--functions", "40", "--quick"]), 40);
+        assert_eq!(functions(&["--functions", "5000"]), 5000);
     }
 
     #[test]
     fn bad_flags_are_named() {
-        let err = |extra: &[Flag], argv: &[&str]| parse(extra, argv).unwrap_err();
-        assert_eq!(err(&ALL, &["--gate", "40"]), "--gate requires --baseline");
-        assert_eq!(
-            err(&ALL, &["--scale-full"]),
-            "--scale-full requires --scale"
-        );
-        assert_eq!(err(&ALL, &["--bogus"]), "unknown flag --bogus");
-        assert_eq!(err(&ALL, &["--seed"]), "missing value for --seed");
-        assert!(err(&ALL, &["--functions", "many"]).starts_with("invalid --functions"));
-        // Flags outside a tool's set are unknown to it.
-        assert_eq!(err(&[], &["--iters", "3"]), "unknown flag --iters");
-        assert_eq!(err(&[Flag::Iters], &["--assert"]), "unknown flag --assert");
-        assert_eq!(
-            err(&[Flag::Assert], &["--baseline", "b"]),
-            "unknown flag --baseline"
-        );
+        let err = |tool, argv: &[&str]| measured(tool, argv).unwrap_err();
+        assert_eq!(err(&TOOL, &["--gate", "40"]), "--gate requires --baseline");
+        assert_eq!(err(&TOOL, &["--bogus"]), "unknown flag --bogus");
+        assert_eq!(err(&TOOL, &["--seed"]), "missing value for --seed");
+        assert!(err(&TOOL, &["--functions", "many"]).starts_with("invalid --functions"));
+        // A tool reads only its own flags: `--iters` belongs to the
+        // binaries that read it, `--baseline` and `--assert` to tools
+        // with a gate or floors.
+        assert_eq!(err(&TOOL, &["--iters", "3"]), "unknown flag --iters");
+        assert_eq!(err(&PLAIN, &["--assert"]), "unknown flag --assert");
+        assert_eq!(err(&PLAIN, &["--baseline", "b"]), "unknown flag --baseline");
     }
 
     #[test]
     fn gate_rejects_values_that_switch_it_off() {
         for bad in ["NaN", "inf", "-inf", "-5"] {
-            let err = parse(&ALL, &["--baseline", "b.json", "--gate", bad]).unwrap_err();
+            let err = measured(&TOOL, &["--baseline", "b.json", "--gate", bad]).unwrap_err();
             assert!(err.starts_with("invalid --gate"), "{bad}: {err}");
         }
-        let args = parse(&ALL, &["--baseline", "b.json", "--gate", "0"])
-            .unwrap()
-            .unwrap();
-        assert_eq!(args.gate_pct, Some(0.0));
+        assert!(measured(&TOOL, &["--baseline", "b.json", "--gate", "0"]).is_ok());
     }
 
     fn row(policy: &str, slots_per_sec: f64) -> EngineBenchRow {
@@ -476,7 +587,6 @@ mod tests {
     const TOOL: BenchTool<EngineBenchReport> = BenchTool {
         bin: "bench_test",
         file: "BENCH_test.json",
-        flags: &[],
         title: "test rows",
         columns: &["scenario", "policy"],
         cells: |r| vec![r.scenario.clone(), r.policy.clone()],
@@ -498,6 +608,13 @@ mod tests {
         }),
     };
 
+    /// A tool with neither a gate nor floors.
+    const PLAIN: BenchTool<EngineBenchReport> = BenchTool {
+        gate: None,
+        floors: None,
+        ..TOOL
+    };
+
     #[test]
     fn run_writes_the_document_and_judges_it() {
         let dir = std::env::temp_dir().join(format!("spes-bench-cli-{}", std::process::id()));
@@ -508,8 +625,7 @@ mod tests {
             .to_string_lossy()
             .into_owned();
         let code = |argv: &[&str], rows: Vec<EngineBenchRow>| {
-            let argv = argv.iter().map(|&a| a.to_owned());
-            TOOL.run(argv, |_| Ok(rows)).unwrap()
+            TOOL.run(args(argv).unwrap(), |_| Ok(rows)).unwrap()
         };
 
         // The written document reads back as the report.
@@ -519,7 +635,7 @@ mod tests {
         );
         let text = std::fs::read_to_string(&baseline).unwrap();
         assert!(text.ends_with("}\n"), "{text}");
-        let back: EngineBenchReport = serde_json::from_str(&text).unwrap();
+        let back: EngineBenchReport = read_json(Path::new(&baseline)).unwrap();
         assert_eq!(back.rows, vec![row("a", 100.0)]);
 
         let gated = |rows| {
@@ -544,9 +660,9 @@ mod tests {
         assert_eq!(asserted, ExitCode::FAILURE);
         // An unreadable baseline is an error, not a verdict.
         let missing = dir.join("absent.json").to_string_lossy().into_owned();
-        let argv = ["--out", &out, "--baseline", &missing].map(str::to_owned);
+        let argv = args(&["--out", &out, "--baseline", &missing]).unwrap();
         let err = TOOL.run(argv, |_| Ok(vec![row("a", 1.0)])).unwrap_err();
-        assert!(err.starts_with("read baseline"), "{err}");
+        assert!(err.starts_with("baseline: read"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

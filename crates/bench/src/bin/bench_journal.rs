@@ -2,27 +2,27 @@
 //! serde-shim JSON-lines path, per (scenario, policy) cell, written to
 //! `BENCH_journal.json`.
 //!
-//! ```text
-//! bench_journal [--functions N] [--seed S] [--iters K] [--out DIR]
-//!               [--quick] [--assert]
-//!
-//!   --functions  population size of each generated trace (default 800)
-//!   --seed       workload seed (default 7)
-//!   --iters      timed iterations per (scenario, policy) cell (default 5)
-//!   --out        directory for BENCH_journal.json (default: .)
-//!   --quick      CI mode: shrink scenarios to tiny 7-day traces of at
-//!                most 120 functions
-//!   --assert     fail (exit 1) unless every cell is >=10x smaller and
-//!                >=5x faster (encode and decode) than the JSON path
-//! ```
-//!
 //! Both codecs are round-trip verified against the engine's event
 //! stream before anything is timed, so the table compares formats that
-//! demonstrably reproduce the run.
+//! demonstrably reproduce the run. `bench_journal --help` lists the
+//! flags.
 
-use spes_bench::bench_cli::{BenchArgs, BenchTool, Flag, Floors};
+use spes_bench::bench_cli::{self, BenchArgs, BenchTool, Floors};
 use spes_bench::perf::{bench_journal, JournalBenchReport, JournalBenchRow};
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+bench_journal [--functions N] [--seed S] [--iters K] [--out DIR]
+              [--quick] [--assert]
+
+  --functions  population size of each generated trace (default 800)
+  --seed       workload seed, decimal or 0x hex (default 7)
+  --iters      timed iterations per (scenario, policy) cell (default 5)
+  --out        directory for BENCH_journal.json (default: .)
+  --quick      CI mode: shrink scenarios to tiny 7-day traces of at
+               most 120 functions
+  --assert     fail (exit 1) unless every cell is >=10x smaller and
+               >=5x faster (encode and decode) than the JSON path";
 
 const SCENARIOS: [&str; 2] = ["quick", "chain-heavy"];
 const POLICIES: [&str; 2] = ["keep-forever", "fixed-keep-alive"];
@@ -34,7 +34,6 @@ const MIN_SPEEDUP: f64 = 5.0;
 const TOOL: BenchTool<JournalBenchReport> = BenchTool {
     bin: "bench_journal",
     file: "BENCH_journal.json",
-    flags: &[Flag::Iters],
     title: "journal codec vs serde-shim JSON lines",
     columns: &[
         "scenario",
@@ -66,16 +65,18 @@ const TOOL: BenchTool<JournalBenchReport> = BenchTool {
 };
 
 fn main() -> ExitCode {
-    TOOL.main(measure)
+    bench_cli::main(USAGE, |mut args| {
+        let iters = args.value("--iters")?.unwrap_or(5);
+        TOOL.run(args, |bench| measure(bench, iters))
+    })
 }
 
-fn measure(args: &BenchArgs) -> Result<Vec<JournalBenchRow>, String> {
+fn measure(args: BenchArgs, iters: u32) -> Result<Vec<JournalBenchRow>, String> {
     let mut rows = Vec::new();
     for scenario in SCENARIOS {
         println!(
-            "benchmarking journal codec on {scenario} ({} functions, {} iters{}) ...",
+            "benchmarking journal codec on {scenario} ({} functions, {iters} iters{}) ...",
             args.functions,
-            args.iters,
             if args.quick { ", quick" } else { "" }
         );
         rows.extend(bench_journal(
@@ -84,7 +85,7 @@ fn measure(args: &BenchArgs) -> Result<Vec<JournalBenchRow>, String> {
             args.seed,
             &POLICIES,
             args.quick,
-            args.iters,
+            iters,
         )?);
     }
     Ok(rows)

@@ -1,37 +1,12 @@
 //! Regenerates every table and figure of the SPES paper's evaluation.
 //!
-//! ```text
-//! repro [--fig <id>] [--scenario NAME] [--policies a,b,c] [--functions N]
-//!       [--seed S] [--out DIR] [--trace FILE] [--quick] [--list-policies]
-//!       [--list-figs]
-//!
-//!   --fig        3 | 4 | 5 | 6 | empirical | table1 | 8 | 9 | 10 | 11 |
-//!                12 | 13 | 14 | 15 | overhead | series | evictions |
-//!                fairness | pressure | all  (default: all); unknown ids
-//!                are rejected up front
-//!   --list-figs  print the figure registry and exit
-//!   --scenario   named workload from the scenario registry
-//!                (paper-default | quick | chain-heavy | bursty | diurnal |
-//!                unseen-heavy | shift-heavy; default: paper-default)
-//!   --policies   comma-separated policy names from the policy registry
-//!                (default: the paper's six-way comparison suite); any
-//!                registered subset works, e.g. spes,defuse,oracle
-//!   --list-policies  print the policy registry and exit
-//!   --functions  population size of the synthetic trace (default 2000)
-//!   --seed       workload seed (default 0xC0FFEE)
-//!   --out        directory for JSON outputs (default: results)
-//!   --trace      load a real trace (long-form CSV) instead of synthesising
-//!   --quick      CI smoke mode: shrink the selected scenario to a tiny
-//!                trace (<=200 functions, 7 days, 6-day training) so every
-//!                figure regenerates in seconds; composes with --scenario
-//!                and --policies
-//! ```
-//!
 //! Each figure prints a text table and writes `<out>/figN.json`.
 //! Unknown scenario or policy names exit with an error instead of
 //! panicking. Figures that describe SPES's fit (table1, 10, 12) are
-//! skipped with a note when `--policies` leaves SPES out.
+//! skipped with a note when `--policies` leaves SPES out. `repro --help`
+//! lists the flags and the scenario, policy and figure registries.
 
+use spes_bench::bench_cli::{self, write_json, Args};
 use spes_bench::figures_main::{self, Fig8};
 use spes_bench::figures_sweep::{self, AblationRow, SweepPoint};
 use spes_bench::figures_trace;
@@ -40,8 +15,33 @@ use spes_bench::scenario::{run_suite_comparison, ComparisonRun, Experiment};
 use spes_core::SpesConfig;
 use spes_sim::text_table;
 use spes_trace::{synth, SynthTrace};
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
+use std::num::NonZeroUsize;
+use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+repro [--fig <id>] [--scenario NAME] [--policies a,b,c] [--functions N]
+      [--seed S] [--out DIR] [--trace FILE] [--quick] [--list-policies]
+      [--list-figs]
+
+  --fig        one id of the figure registry below (default: all);
+               unknown ids are rejected up front
+  --list-figs  print the figure registry and exit
+  --scenario   named workload of the scenario registry below
+               (default: paper-default)
+  --policies   comma-separated names of the policy registry below
+               (default: the paper's six-way comparison suite, marked
+               *); any registered subset works, e.g. spes,defuse,oracle
+  --list-policies  print the policy registry and exit
+  --functions  population size of the synthetic trace (default 2000)
+  --seed       workload seed, decimal or 0x hex (default 0xC0FFEE)
+  --out        directory for JSON outputs (default: results)
+  --trace      load a real trace (long-form CSV) instead of synthesising
+  --quick      CI smoke mode: shrink the selected scenario to a tiny
+               trace (<=200 functions, 7 days, 6-day training) so every
+               figure regenerates in seconds; composes with --scenario
+               and --policies";
 
 /// The figure registry: every `--fig` id with a one-line summary, in
 /// presentation order. `all` selects everything below it.
@@ -73,104 +73,22 @@ fn fig_ids() -> Vec<&'static str> {
     FIGS.iter().map(|&(id, _)| id).collect()
 }
 
-struct Args {
-    fig: String,
-    scenario: String,
-    policies: Option<Vec<String>>,
-    list_policies: bool,
-    list_figs: bool,
-    functions: Option<usize>,
-    seed: u64,
-    out: PathBuf,
-    trace: Option<PathBuf>,
-    quick: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        fig: "all".to_owned(),
-        scenario: "paper-default".to_owned(),
-        policies: None,
-        list_policies: false,
-        list_figs: false,
-        functions: None,
-        seed: 0xC0FFEE,
-        out: PathBuf::from("results"),
-        trace: None,
-        quick: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--fig" => args.fig = value("--fig")?,
-            "--scenario" => args.scenario = value("--scenario")?,
-            "--policies" => {
-                args.policies = Some(
-                    value("--policies")?
-                        .split(',')
-                        .map(|s| s.trim().to_owned())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                )
-            }
-            "--list-policies" => args.list_policies = true,
-            "--list-figs" => args.list_figs = true,
-            "--functions" => {
-                args.functions = Some(
-                    value("--functions")?
-                        .parse()
-                        .map_err(|e| format!("invalid --functions: {e}"))?,
-                )
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
-            "--quick" => args.quick = true,
-            "--help" | "-h" => {
-                println!("see the module docs of repro.rs / README for usage");
-                println!("\nregistered scenarios:");
-                for s in synth::SCENARIOS {
-                    println!("  {:<14} {}", s.name, s.summary);
-                }
-                println!("\nregistered policies (see also --list-policies):");
-                print_policy_registry();
-                println!("\nregistered figures (see also --list-figs):");
-                print_fig_registry();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
-}
-
-fn print_policy_registry() {
+/// The policy registry, one line per policy.
+fn policy_registry() -> String {
+    let mut text = String::new();
     for p in policies::REGISTRY {
         let marker = if p.in_default_suite { "*" } else { " " };
-        println!("  {marker} {:<19} {}", p.name, p.summary);
+        let _ = writeln!(text, "  {marker} {:<19} {}", p.name, p.summary);
     }
-    println!("  (* = in the default comparison suite)");
+    text + "  (* = in the default comparison suite)"
 }
 
-fn print_fig_registry() {
-    for (id, summary) in FIGS {
-        println!("  {id:<11} {summary}");
-    }
-}
-
-fn save_json<T: serde::Serialize>(out_dir: &Path, name: &str, value: &T) -> Result<(), String> {
-    std::fs::create_dir_all(out_dir)
-        .map_err(|e| format!("create results dir {}: {e}", out_dir.display()))?;
-    let path = out_dir.join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).map_err(|e| format!("serialise {name}: {e}"))?;
-    std::fs::write(&path, body).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("  -> {}", path.display());
-    Ok(())
+/// The figure registry, one line per id.
+fn fig_registry() -> String {
+    FIGS.iter()
+        .map(|(id, summary)| format!("  {id:<11} {summary}"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 fn pct(x: f64) -> String {
@@ -178,44 +96,62 @@ fn pct(x: f64) -> String {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    let scenarios: Vec<String> = synth::SCENARIOS
+        .iter()
+        .map(|s| format!("  {:<14} {}", s.name, s.summary))
+        .collect();
+    let help = format!(
+        "{USAGE}\n\nregistered scenarios:\n{}\n\n\
+         registered policies (see also --list-policies):\n{}\n\n\
+         registered figures (see also --list-figs):\n{}",
+        scenarios.join("\n"),
+        policy_registry(),
+        fig_registry()
+    );
+    bench_cli::main(&help, run)
 }
 
 #[allow(clippy::too_many_lines)]
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    if args.list_policies {
-        println!("registered policies:");
-        print_policy_registry();
-        return Ok(());
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    let list_policies = args.flag("--list-policies");
+    let list_figs = args.flag("--list-figs");
+    let fig = args.value("--fig")?.unwrap_or_else(|| "all".to_owned());
+    let scenario = args
+        .value("--scenario")?
+        .unwrap_or_else(|| "paper-default".to_owned());
+    let selected: Option<Vec<String>> = args.list("--policies")?;
+    let functions: Option<NonZeroUsize> = args.value("--functions")?;
+    let seed = args.seed("--seed")?.unwrap_or(0xC0FFEE);
+    let out: PathBuf = args
+        .value("--out")?
+        .unwrap_or_else(|| PathBuf::from("results"));
+    let trace: Option<PathBuf> = args.value("--trace")?;
+    let quick = args.flag("--quick");
+    args.finish()?;
+    if list_policies {
+        println!("registered policies:\n{}", policy_registry());
+        return Ok(ExitCode::SUCCESS);
     }
-    if args.list_figs {
-        println!("registered figures:");
-        print_fig_registry();
-        return Ok(());
+    if list_figs {
+        println!("registered figures:\n{}", fig_registry());
+        return Ok(ExitCode::SUCCESS);
     }
     // Validate the figure id up front so a typo fails in milliseconds,
     // with the same exit-code convention as unknown policy names.
-    if !fig_ids().contains(&args.fig.as_str()) {
+    if !fig_ids().contains(&fig.as_str()) {
         return Err(format!(
             "unknown figure {:?}; registered: {}",
-            args.fig,
+            fig,
             fig_ids().join(", ")
         ));
     }
-    let wants = |id: &str| args.fig == "all" || args.fig == id;
-    if args.quick && args.trace.is_some() {
+    let wants = |id: &str| fig == "all" || fig == id;
+    if quick && trace.is_some() {
         return Err(
             "--quick synthesises its own tiny trace and cannot be combined with --trace".to_owned(),
         );
     }
-    if args.trace.is_some() && args.scenario != "paper-default" {
+    if trace.is_some() && scenario != "paper-default" {
         return Err(
             "--scenario selects a synthetic workload and cannot be combined with --trace"
                 .to_owned(),
@@ -225,7 +161,7 @@ fn run() -> Result<(), String> {
     // Resolve the policy suite up front so unknown names fail before any
     // trace is generated.
     let spes_cfg = SpesConfig::default();
-    let policy_names: Vec<&str> = match &args.policies {
+    let policy_names: Vec<&str> = match &selected {
         Some(names) => names.iter().map(String::as_str).collect(),
         None => policies::REGISTRY
             .iter()
@@ -242,7 +178,7 @@ fn run() -> Result<(), String> {
     let suite = policies::suite_of(&policy_names, &spes_cfg).map_err(|e| e.to_string())?;
     spes_sim::validate_suite(&suite).map_err(|e| e.to_string())?;
 
-    let data: SynthTrace = if let Some(path) = &args.trace {
+    let data: SynthTrace = if let Some(path) = &trace {
         let file = std::fs::File::open(path).map_err(|e| format!("open trace file: {e}"))?;
         let trace = spes_trace::io::read_csv(std::io::BufReader::new(file), None)
             .map_err(|e| format!("parse trace CSV: {e}"))?;
@@ -257,14 +193,14 @@ fn run() -> Result<(), String> {
         // errors, not panics.
         SynthTrace::try_from_external(trace).map_err(|e| format!("unusable trace: {e}"))?
     } else {
-        let mut synth_cfg = synth::scenario_config(&args.scenario).ok_or_else(|| {
+        let mut synth_cfg = synth::scenario_config(&scenario).ok_or_else(|| {
             format!(
                 "unknown scenario {:?}; registered: {}",
-                args.scenario,
+                scenario,
                 synth::scenario_names().join(", ")
             )
         })?;
-        if args.quick {
+        if quick {
             // Shrinking the scenario keeps the full figure pipeline (and
             // the scenario's behavioural knobs) exercised while finishing
             // in CI seconds. The trace carries its own 6-day training
@@ -272,16 +208,16 @@ fn run() -> Result<(), String> {
             // construction.
             synth_cfg = synth_cfg.quick();
         }
-        if let Some(n) = args.functions {
-            synth_cfg.n_functions = n;
+        if let Some(n) = functions {
+            synth_cfg.n_functions = n.get();
         }
-        synth_cfg.seed = args.seed;
+        synth_cfg.seed = seed;
         println!(
             "SPES reproduction harness: scenario {}, {} functions, seed {:#x}{}",
-            args.scenario,
+            scenario,
             synth_cfg.n_functions,
             synth_cfg.seed,
-            if args.quick { " (quick mode)" } else { "" }
+            if quick { " (quick mode)" } else { "" }
         );
         Experiment { synth: synth_cfg }.generate()
     };
@@ -297,7 +233,7 @@ fn run() -> Result<(), String> {
             .collect();
         println!("{}", text_table(&["invocations", "functions"], &rows));
         println!("silent functions: {}", fig.silent);
-        save_json(&args.out, "fig3", &fig)?;
+        write_json(&out, "fig3.json", &fig)?;
     }
 
     if wants("4") {
@@ -309,7 +245,7 @@ fn run() -> Result<(), String> {
                 row.function, row.before, row.after, row.shift_at, row.daily
             );
         }
-        save_json(&args.out, "fig4", &rows)?;
+        write_json(&out, "fig4.json", &rows)?;
     }
 
     if wants("5") {
@@ -321,7 +257,7 @@ fn run() -> Result<(), String> {
             .map(|(t, f)| vec![t.clone(), pct(*f)])
             .collect();
         println!("{}", text_table(&["trigger", "fraction"], &rows));
-        save_json(&args.out, "fig5", &fig)?;
+        write_json(&out, "fig5.json", &fig)?;
     }
 
     if wants("6") {
@@ -333,7 +269,7 @@ fn run() -> Result<(), String> {
                 row.function, row.total, row.active_periods
             );
         }
-        save_json(&args.out, "fig6", &rows)?;
+        write_json(&out, "fig6.json", &rows)?;
     }
 
     if wants("empirical") {
@@ -357,7 +293,7 @@ fn run() -> Result<(), String> {
             "same-trigger vs different-trigger candidate COR: {:.4} vs {:.4} (paper: 0.2710 vs 0.1307)",
             e.cor_same_trigger, e.cor_diff_trigger
         );
-        save_json(&args.out, "empirical", &e)?;
+        write_json(&out, "empirical.json", &e)?;
     }
 
     // ---- main evaluation (one shared suite run) ----
@@ -407,7 +343,7 @@ fn run() -> Result<(), String> {
                         "recovered by forgetting: {}; unseen in training: {}",
                         census.recovered_by_forgetting, census.unseen
                     );
-                    save_json(&args.out, "table1", &census)?;
+                    write_json(&out, "table1.json", &census)?;
                 }
             }
         }
@@ -437,7 +373,7 @@ fn run() -> Result<(), String> {
                 "SPES Q3-CSR improvement over best baseline: {:.2}% (paper: 49.77%)",
                 fig.q3_improvement_pct
             );
-            save_json(&args.out, "fig8", &fig)?;
+            write_json(&out, "fig8.json", &fig)?;
         }
 
         if wants("9") {
@@ -455,7 +391,7 @@ fn run() -> Result<(), String> {
                 "{}",
                 text_table(&["policy", "memory (ref=1)", "always-cold"], &rows)
             );
-            save_json(&args.out, "fig9", &fig)?;
+            write_json(&out, "fig9.json", &fig)?;
         }
 
         if wants("10") {
@@ -469,7 +405,7 @@ fn run() -> Result<(), String> {
                         .map(|(t, csr, n)| vec![t.clone(), format!("{csr:.3}"), n.to_string()])
                         .collect();
                     println!("{}", text_table(&["type", "mean CSR", "functions"], &rows));
-                    save_json(&args.out, "fig10", &fig)?;
+                    write_json(&out, "fig10.json", &fig)?;
                 }
             }
         }
@@ -484,7 +420,7 @@ fn run() -> Result<(), String> {
                 .map(|((name, wmt), (_, emcr))| vec![name.clone(), format!("{wmt:.3}"), pct(*emcr)])
                 .collect();
             println!("{}", text_table(&["policy", "WMT (ref=1)", "EMCR"], &rows));
-            save_json(&args.out, "fig11", &fig)?;
+            write_json(&out, "fig11.json", &fig)?;
         }
 
         if wants("12") {
@@ -498,7 +434,7 @@ fn run() -> Result<(), String> {
                         .map(|(t, r)| vec![t.clone(), format!("{r:.2}")])
                         .collect();
                     println!("{}", text_table(&["type", "WMT ratio"], &rows));
-                    save_json(&args.out, "fig12", &fig)?;
+                    write_json(&out, "fig12.json", &fig)?;
                 }
             }
         }
@@ -537,7 +473,7 @@ fn run() -> Result<(), String> {
                     &rows
                 )
             );
-            save_json(&args.out, "series", &t)?;
+            write_json(&out, "series.json", &t)?;
         }
 
         if wants("evictions") {
@@ -576,7 +512,7 @@ fn run() -> Result<(), String> {
                     &rows
                 )
             );
-            save_json(&args.out, "evictions", &fig)?;
+            write_json(&out, "evictions.json", &fig)?;
         }
 
         if wants("fairness") {
@@ -612,7 +548,7 @@ fn run() -> Result<(), String> {
                     &rows
                 )
             );
-            save_json(&args.out, "fairness", &fig)?;
+            write_json(&out, "fairness.json", &fig)?;
         }
 
         if wants("pressure") {
@@ -652,7 +588,7 @@ fn run() -> Result<(), String> {
                     &rows
                 )
             );
-            save_json(&args.out, "pressure", &fig)?;
+            write_json(&out, "pressure.json", &fig)?;
         }
 
         if wants("overhead") {
@@ -664,7 +600,7 @@ fn run() -> Result<(), String> {
                 .map(|(name, secs)| vec![name.clone(), format!("{:.3} ms", secs * 1e3)])
                 .collect();
             println!("{}", text_table(&["policy", "decision time / min"], &rows));
-            save_json(&args.out, "overhead", &table)?;
+            write_json(&out, "overhead.json", &table)?;
         }
     }
 
@@ -687,7 +623,7 @@ fn run() -> Result<(), String> {
             "{}",
             text_table(&["theta", "memory (theta=2)", "Q3-CSR"], &rows)
         );
-        save_json(&args.out, "fig13a", &prewarm)?;
+        write_json(&out, "fig13a.json", &prewarm)?;
 
         let givenup: Vec<SweepPoint> = figures_sweep::fig13_givenup(&data, &spes_cfg);
         let rows: Vec<Vec<String>> = givenup
@@ -705,7 +641,7 @@ fn run() -> Result<(), String> {
             "{}",
             text_table(&["scaler", "memory (x1)", "Q3-CSR"], &rows)
         );
-        save_json(&args.out, "fig13b", &givenup)?;
+        write_json(&out, "fig13b.json", &givenup)?;
     }
 
     let print_ablation = |title: &str, rows: &[AblationRow]| {
@@ -733,15 +669,15 @@ fn run() -> Result<(), String> {
     if wants("14") {
         let rows = figures_sweep::fig14(&data, &spes_cfg);
         print_ablation("Fig. 14: correlation-strategy ablation", &rows);
-        save_json(&args.out, "fig14", &rows)?;
+        write_json(&out, "fig14.json", &rows)?;
     }
 
     if wants("15") {
         let rows = figures_sweep::fig15(&data, &spes_cfg);
         print_ablation("Fig. 15: concept-shift-strategy ablation", &rows);
-        save_json(&args.out, "fig15", &rows)?;
+        write_json(&out, "fig15.json", &rows)?;
     }
 
     println!("\ndone.");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,121 +1,67 @@
 //! `spes-fuzz`: adversarial scenario search over the synthetic-workload
 //! knobs, written to `FUZZ_report.json`.
 //!
-//! ```text
-//! spes_fuzz [--seed S] [--walks N] [--steps N] [--functions N]
-//!           [--eval-seeds CSV] [--threshold X] [--quick] [--out DIR]
-//! spes_fuzz --validate FILE
-//!
-//!   --seed        master seed of the walk RNG (default 57); the same
-//!                 seed reproduces the same walks and byte-identical JSON
-//!   --walks       independent hill-climbing walks (default 8); walk 0
-//!                 always starts at the chain-heavy preset, the seed-57
-//!                 inversion's neighbourhood
-//!   --steps       mutation steps per walk (default 4)
-//!   --functions   starting population size per trace (default 150)
-//!   --eval-seeds  comma-separated workload seeds per evaluation
-//!                 (default 57)
-//!   --threshold   minimum adjusting inversion to count as a finding
-//!                 (default 0.005)
-//!   --quick       CI mode: 7-day horizon per trace
-//!   --out         directory for FUZZ_report.json (default: .)
-//!   --validate    parse FILE as a FUZZ_report.json and check its
-//!                 structural invariants; exits non-zero on violation
-//! ```
-//!
 //! Walks hill-climb on SPES regret vs the clairvoyant oracle; any point
 //! where full SPES loses to the `w/o Adjusting` ablation by more than
 //! the threshold is minimised toward paper-default knobs and reported
-//! with a paste-ready scenario-registry snippet.
+//! with a paste-ready scenario-registry snippet. `spes-fuzz --help`
+//! lists the flags.
 
+use spes_bench::bench_cli::{self, read_json, write_json, Args, Seed};
 use spes_bench::fuzz::{run_fuzz, scenario_snippet, validate_report, FuzzConfig, FuzzReport};
 use spes_sim::text_table;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    config: FuzzConfig,
-    out: PathBuf,
-    validate: Option<PathBuf>,
-}
+const USAGE: &str = "\
+spes-fuzz [--seed S] [--walks N] [--steps N] [--functions N]
+          [--eval-seeds CSV] [--threshold X] [--quick] [--out DIR]
+spes-fuzz --validate FILE
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        config: FuzzConfig::default(),
-        out: PathBuf::from("."),
-        validate: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--seed" => {
-                args.config.master_seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?;
-            }
-            "--walks" => {
-                args.config.walks = value("--walks")?
-                    .parse()
-                    .map_err(|e| format!("invalid --walks: {e}"))?;
-            }
-            "--steps" => {
-                args.config.steps = value("--steps")?
-                    .parse()
-                    .map_err(|e| format!("invalid --steps: {e}"))?;
-            }
-            "--functions" => {
-                args.config.n_functions = value("--functions")?
-                    .parse()
-                    .map_err(|e| format!("invalid --functions: {e}"))?;
-            }
-            "--eval-seeds" => {
-                args.config.eval_seeds = value("--eval-seeds")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|e| format!("invalid --eval-seeds entry {s:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?;
-            }
-            "--threshold" => {
-                args.config.inversion_threshold = value("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("invalid --threshold: {e}"))?;
-            }
-            "--quick" => args.config.quick = true,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--validate" => args.validate = Some(PathBuf::from(value("--validate")?)),
-            "--help" | "-h" => {
-                println!("see the module docs of spes_fuzz.rs for usage");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
-}
+  --seed        master seed of the walk RNG, decimal or 0x hex
+                (default 57); the same seed reproduces the same walks
+                and byte-identical JSON
+  --walks       independent hill-climbing walks (default 8); walk 0
+                always starts at the chain-heavy preset, the seed-57
+                inversion's neighbourhood
+  --steps       mutation steps per walk (default 4)
+  --functions   starting population size per trace (default 150)
+  --eval-seeds  comma-separated workload seeds per evaluation
+                (default 57)
+  --threshold   minimum adjusting inversion to count as a finding
+                (default 0.005)
+  --quick       CI mode: 7-day horizon per trace
+  --out         directory for FUZZ_report.json (default: .)
+  --validate    parse FILE as a FUZZ_report.json and check its
+                structural invariants; exits non-zero on violation";
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    bench_cli::main(USAGE, run)
 }
 
-fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    let defaults = FuzzConfig::default();
+    let eval_seeds = args.list::<Seed>("--eval-seeds")?;
+    let config = FuzzConfig {
+        master_seed: args.seed("--seed")?.unwrap_or(defaults.master_seed),
+        walks: args.value("--walks")?.unwrap_or(defaults.walks),
+        steps: args.value("--steps")?.unwrap_or(defaults.steps),
+        n_functions: args.value("--functions")?.unwrap_or(defaults.n_functions),
+        quick: args.flag("--quick") || defaults.quick,
+        eval_seeds: eval_seeds.map_or(defaults.eval_seeds, |seeds| {
+            seeds.into_iter().map(|Seed(seed)| seed).collect()
+        }),
+        inversion_threshold: args
+            .value("--threshold")?
+            .unwrap_or(defaults.inversion_threshold),
+        minimise_budget: defaults.minimise_budget,
+    };
+    let out: PathBuf = args.value("--out")?.unwrap_or_else(|| PathBuf::from("."));
+    let validate: Option<PathBuf> = args.value("--validate")?;
+    args.finish()?;
 
-    if let Some(path) = &args.validate {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read report {path:?}: {e}"))?;
-        let report: FuzzReport =
-            serde_json::from_str(&text).map_err(|e| format!("parse report {path:?}: {e:?}"))?;
+    if let Some(path) = &validate {
+        let report: FuzzReport = read_json(path)?;
         validate_report(&report).map_err(|e| format!("invalid report {path:?}: {e}"))?;
         println!(
             "{}: valid (seed {}, {} walks, {} evals, {} findings)",
@@ -128,7 +74,7 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let report = run_fuzz(&args.config, |line| println!("{line}"))?;
+    let report = run_fuzz(&config, |line| println!("{line}"))?;
 
     println!("\n== spes-fuzz findings (adjusting inversions) ==");
     if report.findings.is_empty() {
@@ -174,12 +120,6 @@ fn run() -> Result<ExitCode, String> {
         report.best.score.regret, report.best.score.inversion, report.best.point, report.evals
     );
 
-    std::fs::create_dir_all(&args.out).map_err(|e| format!("create out dir: {e}"))?;
-    let path = args.out.join("FUZZ_report.json");
-    let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    let mut file = std::fs::File::create(&path).map_err(|e| format!("create {path:?}: {e}"))?;
-    file.write_all(body.as_bytes())
-        .map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("-> {}", path.display());
+    write_json(&out, "FUZZ_report.json", &report)?;
     Ok(ExitCode::SUCCESS)
 }

@@ -1,31 +1,5 @@
 //! `spes-replay`: time-travel tooling over binary run journals.
 //!
-//! ```text
-//! spes-replay --record --journal-out J [--scenario S] [--policy P]
-//!             [--functions N] [--seed K] [--quick]
-//!             [--snapshot-slot T --snapshot-out SNAP]
-//! spes-replay --summary JOURNAL
-//! spes-replay --slot N JOURNAL
-//! spes-replay --why-evict f@slot JOURNAL
-//! spes-replay --check JOURNAL [--snapshot SNAP]
-//!
-//!   --record         run a registered (scenario, policy) cell with a
-//!                    journal write-through and write it to --journal-out
-//!   --snapshot-slot  while recording, also snapshot the driver at this
-//!                    slot boundary (written to --snapshot-out)
-//!   --summary        one streaming pass: header metadata plus event,
-//!                    slot, load, and eviction counts
-//!   --slot N         print every event of slot N in emission order
-//!   --why-evict      explain one eviction causally: who loaded the
-//!                    instance, when it was last used, what displaced
-//!                    it, and what the eviction cost (format: 12@340
-//!                    for function 12 at slot 340)
-//!   --check          re-simulate the run from the journal's own
-//!                    metadata and diff the regenerated event stream;
-//!                    with --snapshot, resume from the blob instead of
-//!                    replaying from the start. Exits 1 on divergence.
-//! ```
-//!
 //! A full record → verify round trip:
 //!
 //! ```text
@@ -34,11 +8,44 @@
 //! spes-replay --summary run.jnl
 //! spes-replay --check run.jnl --snapshot run.snap
 //! ```
+//!
+//! `spes-replay --help` lists the flags.
 
-use spes_bench::replay;
+use spes_bench::bench_cli::{self, Args};
+use spes_bench::replay::{self, RecordConfig};
 use spes_trace::{FunctionId, Slot};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+spes-replay --record --journal-out J [--scenario S] [--policy P]
+            [--functions N] [--seed K] [--quick]
+            [--snapshot-slot T --snapshot-out SNAP]
+spes-replay --summary JOURNAL
+spes-replay --slot N JOURNAL
+spes-replay --why-evict f@slot JOURNAL
+spes-replay --check JOURNAL [--snapshot SNAP]
+
+  --record         run a registered (scenario, policy) cell with a
+                   journal write-through and write it to --journal-out
+                   (defaults: --scenario quick, --policy
+                   fixed-keep-alive, --functions 400, --seed 7, decimal
+                   or 0x hex)
+  --snapshot-slot  while recording, also snapshot the driver at this
+                   slot boundary (written to --snapshot-out)
+  --summary        one streaming pass: header metadata plus event,
+                   slot, load, and eviction counts
+  --slot N         print every event of slot N in emission order
+  --why-evict      explain one eviction causally: who loaded the
+                   instance, when it was last used, what displaced
+                   it, and what the eviction cost (format: 12@340
+                   for function 12 at slot 340)
+  --check          re-simulate the run from the journal's own
+                   metadata and diff the regenerated event stream;
+                   with --snapshot, resume from the blob instead of
+                   replaying from the start. Exits 1 on divergence.";
+
+const PICK_ONE: &str = "pick one of --record / --summary / --slot / --why-evict / --check";
 
 enum Mode {
     Record,
@@ -46,20 +53,6 @@ enum Mode {
     Slot(Slot),
     WhyEvict(FunctionId, Slot),
     Check,
-}
-
-struct Args {
-    mode: Mode,
-    journal: Option<PathBuf>,
-    scenario: String,
-    policy: String,
-    functions: usize,
-    seed: u64,
-    quick: bool,
-    snapshot_slot: Option<Slot>,
-    journal_out: Option<PathBuf>,
-    snapshot_out: Option<PathBuf>,
-    snapshot: Option<PathBuf>,
 }
 
 /// Parses `12@340` into (function 12, slot 340).
@@ -75,113 +68,27 @@ fn parse_target(spec: &str) -> Result<(FunctionId, Slot), String> {
     Ok((FunctionId(f), slot))
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut mode = None;
-    let mut args = Args {
-        mode: Mode::Summary,
-        journal: None,
-        scenario: "quick".to_owned(),
-        policy: "fixed-keep-alive".to_owned(),
-        functions: 400,
-        seed: 7,
-        quick: false,
-        snapshot_slot: None,
-        journal_out: None,
-        snapshot_out: None,
-        snapshot: None,
-    };
-    let mut it = std::env::args().skip(1);
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let set_mode = |m: Mode, current: &mut Option<Mode>| -> Result<(), String> {
-        if current.is_some() {
-            return Err(
-                "pick one of --record / --summary / --slot / --why-evict / --check".to_owned(),
-            );
-        }
-        *current = Some(m);
-        Ok(())
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--record" => set_mode(Mode::Record, &mut mode)?,
-            "--summary" => set_mode(Mode::Summary, &mut mode)?,
-            "--slot" => {
-                let slot = value("--slot", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--slot: {e}"))?;
-                set_mode(Mode::Slot(slot), &mut mode)?;
-            }
-            "--why-evict" => {
-                let (f, slot) = parse_target(&value("--why-evict", &mut it)?)?;
-                set_mode(Mode::WhyEvict(f, slot), &mut mode)?;
-            }
-            "--check" => set_mode(Mode::Check, &mut mode)?,
-            "--scenario" => args.scenario = value("--scenario", &mut it)?,
-            "--policy" => args.policy = value("--policy", &mut it)?,
-            "--functions" => {
-                args.functions = value("--functions", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--functions: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--quick" => args.quick = true,
-            "--snapshot-slot" => {
-                args.snapshot_slot = Some(
-                    value("--snapshot-slot", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--snapshot-slot: {e}"))?,
-                );
-            }
-            "--journal-out" => args.journal_out = Some(value("--journal-out", &mut it)?.into()),
-            "--snapshot-out" => args.snapshot_out = Some(value("--snapshot-out", &mut it)?.into()),
-            "--snapshot" => args.snapshot = Some(value("--snapshot", &mut it)?.into()),
-            other if !other.starts_with("--") && args.journal.is_none() => {
-                args.journal = Some(other.into());
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    args.mode = mode.ok_or("pick one of --record / --summary / --slot / --why-evict / --check")?;
-    Ok(args)
-}
-
-fn read_file(path: &PathBuf) -> Result<Vec<u8>, String> {
+fn read_file(path: &Path) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn journal_bytes(args: &Args) -> Result<Vec<u8>, String> {
-    let path = args
-        .journal
-        .as_ref()
-        .ok_or("this mode needs a JOURNAL path argument")?;
-    read_file(path)
+fn journal_bytes(journal: Option<&Path>) -> Result<Vec<u8>, String> {
+    read_file(journal.ok_or("this mode needs a JOURNAL path argument")?)
 }
 
-fn record(args: &Args) -> Result<(), String> {
-    let journal_out = args
-        .journal_out
-        .as_ref()
-        .ok_or("--record needs --journal-out PATH")?;
-    if args.snapshot_slot.is_some() && args.snapshot_out.is_none() {
+fn record(
+    config: &RecordConfig,
+    journal_out: Option<&Path>,
+    snapshot_out: Option<&Path>,
+) -> Result<(), String> {
+    let journal_out = journal_out.ok_or("--record needs --journal-out PATH")?;
+    if config.snapshot_slot.is_some() && snapshot_out.is_none() {
         return Err("--snapshot-slot needs --snapshot-out PATH".to_owned());
     }
-    let recording = replay::record(&replay::RecordConfig {
-        scenario: args.scenario.clone(),
-        policy: args.policy.clone(),
-        n_functions: args.functions,
-        seed: args.seed,
-        quick: args.quick,
-        snapshot_slot: args.snapshot_slot,
-    })?;
+    let recording = replay::record(config)?;
     std::fs::write(journal_out, &recording.journal)
         .map_err(|e| format!("{}: {e}", journal_out.display()))?;
-    if let Some(path) = &args.snapshot_out {
+    if let Some(path) = snapshot_out {
         let snapshot = recording
             .snapshot
             .as_ref()
@@ -189,7 +96,7 @@ fn record(args: &Args) -> Result<(), String> {
         std::fs::write(path, snapshot).map_err(|e| format!("{}: {e}", path.display()))?;
         eprintln!(
             "snapshot at slot {}: {} bytes -> {}",
-            args.snapshot_slot.unwrap_or(0),
+            config.snapshot_slot.unwrap_or(0),
             snapshot.len(),
             path.display()
         );
@@ -209,19 +116,55 @@ fn record(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<bool, String> {
-    let args = parse_args()?;
-    match args.mode {
-        Mode::Record => {
-            record(&args)?;
-            Ok(true)
-        }
-        Mode::Summary => {
-            println!("{}", replay::summarize(&journal_bytes(&args)?)?);
-            Ok(true)
-        }
+fn main() -> ExitCode {
+    bench_cli::main(USAGE, run)
+}
+
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    let mut modes = Vec::new();
+    if args.flag("--record") {
+        modes.push(Mode::Record);
+    }
+    if args.flag("--summary") {
+        modes.push(Mode::Summary);
+    }
+    if let Some(slot) = args.value("--slot")? {
+        modes.push(Mode::Slot(slot));
+    }
+    if let Some(target) = args.value::<String>("--why-evict")? {
+        let (f, slot) = parse_target(&target)?;
+        modes.push(Mode::WhyEvict(f, slot));
+    }
+    if args.flag("--check") {
+        modes.push(Mode::Check);
+    }
+    let config = RecordConfig {
+        scenario: args
+            .value("--scenario")?
+            .unwrap_or_else(|| "quick".to_owned()),
+        policy: args
+            .value("--policy")?
+            .unwrap_or_else(|| "fixed-keep-alive".to_owned()),
+        n_functions: args.value("--functions")?.unwrap_or(400),
+        seed: args.seed("--seed")?.unwrap_or(7),
+        quick: args.flag("--quick"),
+        snapshot_slot: args.value("--snapshot-slot")?,
+    };
+    let journal_out: Option<PathBuf> = args.value("--journal-out")?;
+    let snapshot_out: Option<PathBuf> = args.value("--snapshot-out")?;
+    let snapshot: Option<PathBuf> = args.value("--snapshot")?;
+    let journal = args.positional().map(PathBuf::from);
+    args.finish()?;
+    let [mode] = <[Mode; 1]>::try_from(modes).map_err(|_| PICK_ONE)?;
+
+    match mode {
+        Mode::Record => record(&config, journal_out.as_deref(), snapshot_out.as_deref())?,
+        Mode::Summary => println!(
+            "{}",
+            replay::summarize(&journal_bytes(journal.as_deref())?)?
+        ),
         Mode::Slot(slot) => {
-            let events = replay::slot_events(&journal_bytes(&args)?, slot)?;
+            let events = replay::slot_events(&journal_bytes(journal.as_deref())?, slot)?;
             if events.is_empty() {
                 println!("slot {slot}: no events (idle slot)");
             }
@@ -229,43 +172,28 @@ fn run() -> Result<bool, String> {
                 let marker = if event.measured { " " } else { "~" };
                 println!("{marker} {}", replay::describe_event(&event.event));
             }
-            Ok(true)
         }
         Mode::WhyEvict(f, slot) => {
-            println!("{}", replay::why_evict(&journal_bytes(&args)?, f, slot)?);
-            Ok(true)
+            let journal = journal_bytes(journal.as_deref())?;
+            println!("{}", replay::why_evict(&journal, f, slot)?);
         }
         Mode::Check => {
-            let journal = journal_bytes(&args)?;
-            let snapshot = args.snapshot.as_ref().map(read_file).transpose()?;
+            let journal = journal_bytes(journal.as_deref())?;
+            let snapshot = snapshot.as_deref().map(read_file).transpose()?;
             let report = replay::check(&journal, snapshot.as_deref())?;
-            match &report.divergence {
-                None => {
-                    println!(
-                        "OK: {} events reproduced bit-identically{}",
-                        report.events,
-                        report
-                            .resumed_at
-                            .map_or_else(String::new, |at| format!(" (resumed at slot {at})"))
-                    );
-                    Ok(true)
-                }
-                Some(divergence) => {
-                    println!("{divergence}");
-                    Ok(false)
-                }
-            }
+            let Some(divergence) = &report.divergence else {
+                println!(
+                    "OK: {} events reproduced bit-identically{}",
+                    report.events,
+                    report
+                        .resumed_at
+                        .map_or_else(String::new, |at| format!(" (resumed at slot {at})"))
+                );
+                return Ok(ExitCode::SUCCESS);
+            };
+            println!("{divergence}");
+            return Ok(ExitCode::FAILURE);
         }
     }
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }

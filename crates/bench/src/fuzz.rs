@@ -393,11 +393,17 @@ pub fn minimise_finding(
 /// evaluated point (the binary prints it; tests pass a sink).
 ///
 /// # Errors
-/// Propagates evaluation failures.
+/// Rejects zero walks, zero functions, no evaluation seeds, and a
+/// threshold that is NaN, infinite or negative; propagates evaluation
+/// failures.
 pub fn run_fuzz(config: &FuzzConfig, mut progress: impl FnMut(&str)) -> Result<FuzzReport, String> {
     if config.walks == 0 {
         return Err("walks must be at least 1".to_owned());
     }
+    if config.n_functions == 0 {
+        return Err("n_functions must be at least 1".to_owned());
+    }
+    check_threshold(config.inversion_threshold)?;
     if config.eval_seeds.is_empty() {
         return Err("at least one evaluation seed is required".to_owned());
     }
@@ -499,10 +505,22 @@ pub fn scenario_snippet(finding: &FuzzFinding) -> String {
     )
 }
 
+/// A NaN threshold makes every comparison false, so every point becomes
+/// a finding; a negative one turns non-inversions into findings.
+fn check_threshold(threshold: f64) -> Result<(), String> {
+    if threshold.is_finite() && threshold >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "inversion threshold {threshold} is not a finite, non-negative number"
+        ))
+    }
+}
+
 /// Structural validation of a parsed report — the CI smoke contract.
 /// Checks the invariants serde cannot: positive walk/eval counts, seeds
-/// present, every finding above the threshold, and minimised points
-/// inside the knob bounds.
+/// present, a finite non-negative threshold, every finding above it,
+/// and minimised points inside the knob bounds.
 ///
 /// # Errors
 /// Returns the first violated invariant.
@@ -519,6 +537,7 @@ pub fn validate_report(report: &FuzzReport) -> Result<(), String> {
     if report.eval_seeds.is_empty() {
         return Err("report has no evaluation seeds".to_owned());
     }
+    check_threshold(report.inversion_threshold)?;
     if !report.best.score.regret.is_finite() {
         return Err("best regret is not finite".to_owned());
     }
@@ -655,6 +674,22 @@ mod tests {
             |_| {}
         )
         .is_err());
+        let empty = FuzzConfig {
+            n_functions: 0,
+            ..tiny_config()
+        };
+        assert_eq!(
+            run_fuzz(&empty, |_| {}).unwrap_err(),
+            "n_functions must be at least 1"
+        );
+        for threshold in [f64::NAN, f64::INFINITY, -0.01] {
+            let config = FuzzConfig {
+                inversion_threshold: threshold,
+                ..tiny_config()
+            };
+            let err = run_fuzz(&config, |_| {}).unwrap_err();
+            assert!(err.starts_with("inversion threshold"), "{threshold}: {err}");
+        }
     }
 
     #[test]
@@ -667,6 +702,19 @@ mod tests {
         let mut starved = good.clone();
         starved.evals = 0;
         assert!(validate_report(&starved).is_err());
+        for threshold in [f64::NAN, f64::INFINITY, -0.01] {
+            let mut report = good.clone();
+            report.inversion_threshold = threshold;
+            assert!(validate_report(&report).is_err(), "{threshold}");
+        }
+        // A NaN threshold is written as `null`; read back, it must still
+        // fail validation.
+        let mut nan = good.clone();
+        nan.inversion_threshold = f64::NAN;
+        let text = serde_json::to_string(&nan).unwrap();
+        assert!(text.contains("\"inversion_threshold\":null"), "{text}");
+        let back: FuzzReport = serde_json::from_str(&text).unwrap();
+        assert!(validate_report(&back).is_err());
         let mut bogus_finding = good;
         bogus_finding.findings.push(FuzzFinding {
             walk: 0,

@@ -49,8 +49,12 @@ impl Experiment {
     /// functions) when `quick` is set.
     ///
     /// # Errors
-    /// Names the registered scenarios when `name` is not one of them.
+    /// Names the registered scenarios when `name` is not one of them,
+    /// and rejects an empty population.
     pub fn cell(name: &str, n: usize, seed: u64, quick: bool) -> Result<Self, String> {
+        if n == 0 {
+            return Err(format!("scenario {name:?} needs at least one function"));
+        }
         let mut exp = Self::scenario(name, n, seed).ok_or_else(|| {
             format!(
                 "unknown scenario {name:?}; registered: {}",
@@ -270,6 +274,8 @@ mod tests {
             err.contains("no-such") && err.contains("chain-heavy"),
             "{err}"
         );
+        let err = Experiment::cell("chain-heavy", 0, 9, false).unwrap_err();
+        assert!(err.contains("at least one function"), "{err}");
     }
 
     #[test]
