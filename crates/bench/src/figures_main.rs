@@ -2,6 +2,7 @@
 //! overhead table, and the per-slot [`Timeline`], all computed from one
 //! [`ComparisonRun`].
 
+use crate::figures::{paper, pct, table, Rendered};
 use crate::scenario::ComparisonRun;
 use serde::{Deserialize, Serialize};
 use spes_sim::{per_category_stats, NormalizedComparison};
@@ -36,6 +37,21 @@ pub fn table1(cmp: &ComparisonRun) -> Option<Table1Census> {
     })
 }
 
+pub(crate) fn render_table1(cmp: &ComparisonRun) -> Option<Rendered> {
+    let census = table1(cmp)?;
+    let rows = census
+        .rows
+        .iter()
+        .map(|(t, c)| vec![t.clone(), c.to_string()]);
+    let text = format!(
+        "{}recovered by forgetting: {}; unseen in training: {}\n",
+        table(&["type", "functions"], rows),
+        census.recovered_by_forgetting,
+        census.unseen
+    );
+    Some(Rendered::one("table1.json", &census, text))
+}
+
 /// Fig. 8: the CDF of function-wise cold-start rates per policy, plus the
 /// headline percentile comparisons.
 #[derive(Debug, Clone, Serialize)]
@@ -50,8 +66,9 @@ pub struct Fig8 {
     pub p90_csr: Vec<(String, f64)>,
     /// Fraction of invoked functions with zero cold starts per policy.
     pub warm_fraction: Vec<(String, f64)>,
-    /// SPES Q3-CSR improvement over the best baseline, in percent
-    /// (paper: 49.77% over Defuse).
+    /// SPES Q3-CSR improvement over the best baseline, in percent (the
+    /// paper's value is [`crate::figures::paper::Q3_CSR_GAIN`]); 0 when
+    /// the suite lacks `spes` or a baseline.
     pub q3_improvement_pct: f64,
 }
 
@@ -73,10 +90,7 @@ pub fn fig8(cmp: &ComparisonRun) -> Fig8 {
         p90_csr.push((name.clone(), run.csr_percentile(90.0).unwrap_or(0.0)));
         warm_fraction.push((name, run.warm_function_fraction()));
     }
-    let spes_q3 = q3_csr
-        .iter()
-        .find(|(n, _)| n == "spes")
-        .map_or(0.0, |&(_, v)| v);
+    let spes_q3 = q3_csr.iter().find(|(n, _)| n == "spes").map(|&(_, v)| v);
     // "Best baseline" means the paper's comparison set: bounds (the
     // oracle, the trivial brackets, any unregistered custom policy) must
     // not distort the headline number, so only default-suite members
@@ -92,10 +106,11 @@ pub fn fig8(cmp: &ComparisonRun) -> Fig8 {
         .filter(|(n, _)| is_baseline(n))
         .map(|&(_, v)| v)
         .fold(f64::INFINITY, f64::min);
-    let q3_improvement_pct = if best_baseline_q3.is_finite() && best_baseline_q3 > 0.0 {
-        (best_baseline_q3 - spes_q3) / best_baseline_q3 * 100.0
-    } else {
-        0.0
+    let q3_improvement_pct = match spes_q3 {
+        Some(spes_q3) if best_baseline_q3.is_finite() && best_baseline_q3 > 0.0 => {
+            (best_baseline_q3 - spes_q3) / best_baseline_q3 * 100.0
+        }
+        _ => 0.0,
     };
     Fig8 {
         points,
@@ -105,6 +120,36 @@ pub fn fig8(cmp: &ComparisonRun) -> Fig8 {
         warm_fraction,
         q3_improvement_pct,
     }
+}
+
+/// Renders Fig. 8 for `repro`: the percentile table and, when the suite
+/// has SPES, its gain over the best baseline.
+pub(crate) fn render_fig8(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = fig8(cmp);
+    let rows = fig
+        .q3_csr
+        .iter()
+        .zip(&fig.p90_csr)
+        .zip(&fig.warm_fraction)
+        .map(|(((name, q3), (_, p90)), (_, warm))| {
+            vec![
+                name.clone(),
+                format!("{q3:.3}"),
+                format!("{p90:.3}"),
+                pct(*warm),
+            ]
+        });
+    let gain = if fig.q3_csr.iter().any(|(n, _)| n == "spes") {
+        format!("{:.2}%", fig.q3_improvement_pct)
+    } else {
+        "does not apply without spes".to_owned()
+    };
+    let text = format!(
+        "{}SPES Q3-CSR improvement over best baseline: {gain} (paper: {})\n",
+        table(&["policy", "Q3-CSR", "P90-CSR", "fully-warm"], rows),
+        paper::Q3_CSR_GAIN
+    );
+    Some(Rendered::one("fig8.json", &fig, text))
 }
 
 /// Fig. 9: normalised memory usage (a) and always-cold percentage (b).
@@ -144,6 +189,19 @@ pub fn fig9(cmp: &ComparisonRun) -> Fig9 {
     }
 }
 
+pub(crate) fn render_fig9(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = fig9(cmp);
+    let rows =
+        fig.normalized_memory
+            .iter()
+            .zip(&fig.always_cold_pct)
+            .map(|((name, mem), (_, cold))| {
+                vec![name.clone(), format!("{mem:.3}"), format!("{cold:.2}%")]
+            });
+    let text = table(&["policy", "memory (ref=1)", "always-cold"], rows);
+    Some(Rendered::one("fig9.json", &fig, text))
+}
+
 /// Fig. 10: mean CSR per SPES function type.
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig10 {
@@ -162,6 +220,16 @@ pub fn fig10(cmp: &ComparisonRun) -> Option<Fig10> {
         .map(|(label, s)| (label.to_owned(), s.mean_csr, s.functions))
         .collect();
     Some(Fig10 { rows })
+}
+
+pub(crate) fn render_fig10(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = fig10(cmp)?;
+    let rows = fig
+        .rows
+        .iter()
+        .map(|(t, csr, n)| vec![t.clone(), format!("{csr:.3}"), n.to_string()]);
+    let text = table(&["type", "mean CSR", "functions"], rows);
+    Some(Rendered::one("fig10.json", &fig, text))
 }
 
 /// Fig. 11: normalised wasted memory time (a) and EMCR (b).
@@ -192,6 +260,17 @@ pub fn fig11(cmp: &ComparisonRun) -> Fig11 {
     }
 }
 
+pub(crate) fn render_fig11(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = fig11(cmp);
+    let rows = fig
+        .normalized_wmt
+        .iter()
+        .zip(&fig.emcr)
+        .map(|((name, wmt), (_, emcr))| vec![name.clone(), format!("{wmt:.3}"), pct(*emcr)]);
+    let text = table(&["policy", "WMT (ref=1)", "EMCR"], rows);
+    Some(Rendered::one("fig11.json", &fig, text))
+}
+
 /// Fig. 12: WMT / invocations ratio per SPES function type.
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig12 {
@@ -209,6 +288,16 @@ pub fn fig12(cmp: &ComparisonRun) -> Option<Fig12> {
         .map(|(label, s)| (label.to_owned(), s.mean_wmt_ratio))
         .collect();
     Some(Fig12 { rows })
+}
+
+pub(crate) fn render_fig12(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = fig12(cmp)?;
+    let rows = fig
+        .rows
+        .iter()
+        .map(|(t, r)| vec![t.clone(), format!("{r:.2}")]);
+    let text = table(&["type", "WMT ratio"], rows);
+    Some(Rendered::one("fig12.json", &fig, text))
 }
 
 /// Per-slot time series of the measured window, downsampled to `stride`
@@ -280,6 +369,31 @@ pub fn timeline(cmp: &ComparisonRun, stride: u32) -> Timeline {
     }
 }
 
+/// Renders the hourly [`Timeline`] for `repro`: each policy's curve
+/// length, peak, and cold-start totals.
+pub(crate) fn render_series(cmp: &ComparisonRun) -> Option<Rendered> {
+    let timeline = timeline(cmp, 60);
+    let rows = timeline.policies.iter().map(|p| {
+        let peak_mem = p.mean_loaded.iter().copied().fold(0.0f64, f64::max);
+        vec![
+            p.policy.clone(),
+            p.mean_loaded.len().to_string(),
+            format!("{peak_mem:.1}"),
+            p.cold.iter().sum::<u64>().to_string(),
+            p.cold.iter().copied().max().unwrap_or(0).to_string(),
+        ]
+    });
+    let header = [
+        "policy",
+        "hours",
+        "peak mem (hourly)",
+        "cold total",
+        "cold max/hour",
+    ];
+    let text = table(&header, rows);
+    Some(Rendered::one("series.json", &timeline, text))
+}
+
 /// Eviction forensics per policy, from the [`spes_sim::EvictionAudit`]
 /// observers that rode along the comparison's one simulation per policy.
 #[derive(Debug, Clone, Serialize)]
@@ -326,6 +440,34 @@ pub fn evictions(cmp: &ComparisonRun) -> FigEvictions {
             })
             .collect(),
     }
+}
+
+pub(crate) fn render_evictions(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = evictions(cmp);
+    let rows = fig.rows.iter().map(|r| {
+        vec![
+            r.policy.clone(),
+            r.policy_evictions.to_string(),
+            r.capacity_evictions.to_string(),
+            r.reloads.to_string(),
+            r.premature_reloads.to_string(),
+            pct(r.premature_fraction),
+        ]
+    });
+    let header = [
+        "policy",
+        "policy evicts",
+        "capacity evicts",
+        "reloads",
+        "premature",
+        "premature frac",
+    ];
+    let text = format!(
+        "premature = reloaded within {} slots\n{}",
+        fig.premature_window,
+        table(&header, rows)
+    );
+    Some(Rendered::one("evictions.json", &fig, text))
 }
 
 /// Per-app fairness of the cold-start burden per policy, from the
@@ -407,6 +549,29 @@ pub fn fairness(cmp: &ComparisonRun) -> FigFairness {
     }
 }
 
+pub(crate) fn render_fairness(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = fairness(cmp);
+    let rows = fig.rows.iter().map(|r| {
+        vec![
+            r.policy.clone(),
+            r.invoked_apps.to_string(),
+            format!("{:.3}", r.gini_csr),
+            format!("{:.2}", r.max_burden_ratio),
+            r.worst_apps
+                .first()
+                .map_or_else(|| "-".to_owned(), |w| format!("app {}", w.app)),
+        ]
+    });
+    let header = [
+        "policy",
+        "invoked apps",
+        "Gini(CSR)",
+        "max burden",
+        "worst app",
+    ];
+    Some(Rendered::one("fairness.json", &fig, table(&header, rows)))
+}
+
 /// Pool headroom per policy, from the [`spes_sim::MemoryPressure`]
 /// observers of the same one-suite simulation. Policies running
 /// unlimited report occupancy statistics with no headroom columns.
@@ -457,6 +622,33 @@ pub fn pressure(cmp: &ComparisonRun) -> FigPressure {
     }
 }
 
+pub(crate) fn render_pressure(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = pressure(cmp);
+    let rows = fig.rows.iter().map(|r| {
+        vec![
+            r.policy.clone(),
+            r.budget
+                .map_or_else(|| "unlimited".to_owned(), |b| b.to_string()),
+            r.peak_occupancy.to_string(),
+            format!("{:.1}", r.mean_occupancy),
+            r.min_headroom
+                .map_or_else(|| "-".to_owned(), |h| h.to_string()),
+            pct(r.pressure_fraction),
+            r.rejected_loads.to_string(),
+        ]
+    });
+    let header = [
+        "policy",
+        "budget",
+        "peak",
+        "mean loaded",
+        "min headroom",
+        "slots at budget",
+        "rejected",
+    ];
+    Some(Rendered::one("pressure.json", &fig, table(&header, rows)))
+}
+
 /// RQ2: per-minute scheduling overhead of every policy.
 #[derive(Debug, Clone, Serialize)]
 pub struct OverheadTable {
@@ -474,6 +666,16 @@ pub fn overhead(cmp: &ComparisonRun) -> OverheadTable {
             .map(|r| (r.policy_name.clone(), r.overhead_per_slot()))
             .collect(),
     }
+}
+
+pub(crate) fn render_overhead(cmp: &ComparisonRun) -> Option<Rendered> {
+    let fig = overhead(cmp);
+    let rows = fig
+        .rows
+        .iter()
+        .map(|(name, secs)| vec![name.clone(), format!("{:.3} ms", secs * 1e3)]);
+    let text = table(&["policy", "decision time / min"], rows);
+    Some(Rendered::one("overhead.json", &fig, text))
 }
 
 #[cfg(test)]
@@ -507,6 +709,12 @@ mod tests {
         assert!(table1(&cmp).is_none());
         assert!(fig10(&cmp).is_none());
         assert!(fig12(&cmp).is_none());
+        // No SPES, no SPES gain: the headline falls back to 0, as it does
+        // without a baseline, and the text says the comparison does not
+        // apply.
+        assert_eq!(fig8(&cmp).q3_improvement_pct, 0.0);
+        let text = render_fig8(&cmp).unwrap().text;
+        assert!(text.contains("does not apply"), "{text}");
         // Normalised figures fall back to the first suite member.
         let f9 = fig9(&cmp);
         let reference = f9

@@ -3,9 +3,11 @@
 //! The sweeps run independent SPES configurations over the same trace, in
 //! parallel via std scoped threads (the trace is shared read-only).
 
+use crate::figures::{table, Rendered};
 use crate::scenario::run_spes_only;
 use serde::Serialize;
 use spes_core::SpesConfig;
+use spes_sim::RunResult;
 use spes_trace::SynthTrace;
 
 /// One point of a Fig. 13 trade-off curve.
@@ -20,78 +22,88 @@ pub struct SweepPoint {
 }
 
 /// Runs SPES once per configuration, in parallel, preserving input order.
-fn sweep(data: &SynthTrace, configs: Vec<(u32, SpesConfig)>) -> Vec<(u32, f64, f64)> {
+fn run_each(data: &SynthTrace, configs: Vec<SpesConfig>) -> Vec<RunResult> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = configs
             .into_iter()
-            .map(|(param, cfg)| {
-                scope.spawn(move || {
-                    let (run, _) = run_spes_only(data, &cfg);
-                    let q3 = run.csr_percentile(75.0).unwrap_or(0.0);
-                    (param, run.mean_loaded(), q3)
-                })
-            })
+            .map(|cfg| scope.spawn(move || run_spes_only(data, &cfg).0))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep thread panicked"))
+            .map(|h| h.join().expect("SPES run thread panicked"))
             .collect()
     })
+}
+
+/// Runs one SPES configuration per parameter value, memory normalised to
+/// the `reference` value's run.
+fn sweep(
+    data: &SynthTrace,
+    params: [u32; 5],
+    reference: u32,
+    config: impl Fn(u32) -> SpesConfig,
+) -> Vec<SweepPoint> {
+    let runs = run_each(data, params.iter().map(|&p| config(p)).collect());
+    let reference = params
+        .iter()
+        .zip(&runs)
+        .find(|&(&p, _)| p == reference)
+        .map_or(1.0, |(_, run)| run.mean_loaded())
+        .max(f64::MIN_POSITIVE);
+    params
+        .into_iter()
+        .zip(&runs)
+        .map(|(param, run)| SweepPoint {
+            param,
+            normalized_memory: run.mean_loaded() / reference,
+            q3_csr: run.csr_percentile(75.0).unwrap_or(0.0),
+        })
+        .collect()
 }
 
 /// Fig. 13a: θprewarm sweep over {1, 2, 3, 5, 10}, memory normalised to
 /// the default θprewarm = 2 run.
 #[must_use]
 pub fn fig13_prewarm(data: &SynthTrace, base: &SpesConfig) -> Vec<SweepPoint> {
-    let params = [1u32, 2, 3, 5, 10];
-    let configs = params
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                SpesConfig {
-                    theta_prewarm: p,
-                    ..base.clone()
-                },
-            )
-        })
-        .collect();
-    normalize_sweep(sweep(data, configs), 2)
+    sweep(data, [1, 2, 3, 5, 10], 2, |p| SpesConfig {
+        theta_prewarm: p,
+        ..base.clone()
+    })
 }
 
 /// Fig. 13b: give-up scaler sweep over {1, .., 5}, memory normalised to
 /// the default scaler = 1 run.
 #[must_use]
 pub fn fig13_givenup(data: &SynthTrace, base: &SpesConfig) -> Vec<SweepPoint> {
-    let params = [1u32, 2, 3, 4, 5];
-    let configs = params
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                SpesConfig {
-                    givenup_scaler: p,
-                    ..base.clone()
-                },
-            )
-        })
-        .collect();
-    normalize_sweep(sweep(data, configs), 1)
+    sweep(data, [1, 2, 3, 4, 5], 1, |p| SpesConfig {
+        givenup_scaler: p,
+        ..base.clone()
+    })
 }
 
-fn normalize_sweep(raw: Vec<(u32, f64, f64)>, reference_param: u32) -> Vec<SweepPoint> {
-    let reference = raw
-        .iter()
-        .find(|&&(p, _, _)| p == reference_param)
-        .map_or(1.0, |&(_, mem, _)| mem)
-        .max(f64::MIN_POSITIVE);
-    raw.into_iter()
-        .map(|(param, mem, q3)| SweepPoint {
-            param,
-            normalized_memory: mem / reference,
-            q3_csr: q3,
-        })
-        .collect()
+pub(crate) fn render_fig13(data: &SynthTrace, base: &SpesConfig) -> Rendered {
+    let prewarm = fig13_prewarm(data, base);
+    let givenup = fig13_givenup(data, base);
+    let curve = |param: &str, memory: &str, points: &[SweepPoint]| {
+        let rows = points.iter().map(|p| {
+            vec![
+                p.param.to_string(),
+                format!("{:.3}", p.normalized_memory),
+                format!("{:.3}", p.q3_csr),
+            ]
+        });
+        table(&[param, memory, "Q3-CSR"], rows)
+    };
+    let text = format!(
+        "(a) theta_prewarm sweep\n{}(b) give-up scaler sweep\n{}",
+        curve("theta", "memory (theta=2)", &prewarm),
+        curve("scaler", "memory (x1)", &givenup)
+    );
+    let documents = vec![
+        ("fig13a.json", prewarm.to_value()),
+        ("fig13b.json", givenup.to_value()),
+    ];
+    Rendered { text, documents }
 }
 
 /// One ablation variant's headline metrics (Figs. 14 and 15).
@@ -107,37 +119,26 @@ pub struct AblationRow {
     pub normalized_wmt: f64,
 }
 
-fn ablation(data: &SynthTrace, variants: Vec<(String, SpesConfig)>) -> Vec<AblationRow> {
-    let rows: Vec<(String, f64, f64, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = variants
-            .into_iter()
-            .map(|(name, cfg)| {
-                scope.spawn(move || {
-                    let (run, _) = run_spes_only(data, &cfg);
-                    (
-                        name,
-                        run.csr_percentile(75.0).unwrap_or(0.0),
-                        run.mean_loaded(),
-                        run.total_wmt() as f64,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ablation thread panicked"))
-            .collect()
-    });
-    let (ref_mem, ref_wmt) = rows
-        .first()
-        .map(|&(_, _, mem, wmt)| (mem.max(f64::MIN_POSITIVE), wmt.max(f64::MIN_POSITIVE)))
-        .unwrap_or((1.0, 1.0));
-    rows.into_iter()
-        .map(|(variant, q3, mem, wmt)| AblationRow {
-            variant,
-            q3_csr: q3,
-            normalized_memory: mem / ref_mem,
-            normalized_wmt: wmt / ref_wmt,
+/// An ablation variant: its name and how it disables one design.
+type Variant = (&'static str, fn(&mut SpesConfig));
+
+/// Runs full SPES (the reference row) and two variants of it.
+fn ablation(data: &SynthTrace, base: &SpesConfig, variants: [Variant; 2]) -> Vec<AblationRow> {
+    let mut configs = vec![base.clone(); 3];
+    for (cfg, (_, off)) in configs[1..].iter_mut().zip(variants) {
+        off(cfg);
+    }
+    let runs = run_each(data, configs);
+    let ref_mem = runs[0].mean_loaded().max(f64::MIN_POSITIVE);
+    let ref_wmt = (runs[0].total_wmt() as f64).max(f64::MIN_POSITIVE);
+    let names = std::iter::once("spes").chain(variants.map(|(name, _)| name));
+    names
+        .zip(&runs)
+        .map(|(variant, run)| AblationRow {
+            variant: variant.to_owned(),
+            q3_csr: run.csr_percentile(75.0).unwrap_or(0.0),
+            normalized_memory: run.mean_loaded() / ref_mem,
+            normalized_wmt: run.total_wmt() as f64 / ref_wmt,
         })
         .collect()
 }
@@ -149,22 +150,10 @@ fn ablation(data: &SynthTrace, variants: Vec<(String, SpesConfig)>) -> Vec<Ablat
 pub fn fig14(data: &SynthTrace, base: &SpesConfig) -> Vec<AblationRow> {
     ablation(
         data,
-        vec![
-            ("spes".to_owned(), base.clone()),
-            (
-                "w/o Corr".to_owned(),
-                SpesConfig {
-                    enable_correlated: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "w/o Online-Corr".to_owned(),
-                SpesConfig {
-                    enable_online_corr: false,
-                    ..base.clone()
-                },
-            ),
+        base,
+        [
+            ("w/o Corr", |c| c.enable_correlated = false),
+            ("w/o Online-Corr", |c| c.enable_online_corr = false),
         ],
     )
 }
@@ -175,23 +164,36 @@ pub fn fig14(data: &SynthTrace, base: &SpesConfig) -> Vec<AblationRow> {
 pub fn fig15(data: &SynthTrace, base: &SpesConfig) -> Vec<AblationRow> {
     ablation(
         data,
-        vec![
-            ("spes".to_owned(), base.clone()),
-            (
-                "w/o Forgetting".to_owned(),
-                SpesConfig {
-                    enable_forgetting: false,
-                    ..base.clone()
-                },
-            ),
-            (
-                "w/o Adjusting".to_owned(),
-                SpesConfig {
-                    enable_adjusting: false,
-                    ..base.clone()
-                },
-            ),
+        base,
+        [
+            ("w/o Forgetting", |c| c.enable_forgetting = false),
+            ("w/o Adjusting", |c| c.enable_adjusting = false),
         ],
+    )
+}
+
+pub(crate) fn render_fig14(data: &SynthTrace, base: &SpesConfig) -> Rendered {
+    let rows = fig14(data, base);
+    Rendered::one("fig14.json", &rows, ablation_text(&rows))
+}
+
+pub(crate) fn render_fig15(data: &SynthTrace, base: &SpesConfig) -> Rendered {
+    let rows = fig15(data, base);
+    Rendered::one("fig15.json", &rows, ablation_text(&rows))
+}
+
+fn ablation_text(rows: &[AblationRow]) -> String {
+    let rows = rows.iter().map(|r| {
+        vec![
+            r.variant.clone(),
+            format!("{:.3}", r.q3_csr),
+            format!("{:.3}", r.normalized_memory),
+            format!("{:.3}", r.normalized_wmt),
+        ]
+    });
+    table(
+        &["variant", "Q3-CSR", "memory (SPES=1)", "WMT (SPES=1)"],
+        rows,
     )
 }
 

@@ -1,6 +1,7 @@
 //! Trace-characterisation figures: Figs. 3-6 and the Section III
 //! empirical-analysis statistics.
 
+use crate::figures::{paper, pct, table, Rendered};
 use serde::Serialize;
 use spes_core::cor;
 use spes_stats::kstest;
@@ -39,6 +40,20 @@ pub fn fig3(data: &SynthTrace) -> Fig3 {
         .map(|(d, c)| (format!("1e{d}-1e{}", d + 1), c))
         .collect();
     Fig3 { buckets, silent }
+}
+
+pub(crate) fn render_fig3(data: &SynthTrace) -> Rendered {
+    let fig = fig3(data);
+    let rows = fig
+        .buckets
+        .iter()
+        .map(|(b, c)| vec![b.clone(), c.to_string()]);
+    let text = format!(
+        "{}silent functions: {}\n",
+        table(&["invocations", "functions"], rows),
+        fig.silent
+    );
+    Rendered::one("fig3.json", &fig, text)
 }
 
 /// Fig. 4: concept-shift examples — per-day invocation counts of shifted
@@ -97,6 +112,21 @@ pub fn fig4(data: &SynthTrace, limit: usize) -> Vec<Fig4Row> {
     rows
 }
 
+/// Renders Fig. 4 for `repro`: up to three shifted functions.
+pub(crate) fn render_fig4(data: &SynthTrace) -> Rendered {
+    let rows = fig4(data, 3);
+    let text = rows
+        .iter()
+        .map(|row| {
+            format!(
+                "function {} shifts {} -> {} at slot {}: daily = {:?}\n",
+                row.function, row.before, row.after, row.shift_at, row.daily
+            )
+        })
+        .collect();
+    Rendered::one("fig4.json", &rows, text)
+}
+
 /// Fig. 5: trigger-type proportions of the population.
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig5 {
@@ -120,6 +150,13 @@ pub fn fig5(data: &SynthTrace) -> Fig5 {
     }
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     Fig5 { rows }
+}
+
+pub(crate) fn render_fig5(data: &SynthTrace) -> Rendered {
+    let fig = fig5(data);
+    let rows = fig.rows.iter().map(|(t, f)| vec![t.clone(), pct(*f)]);
+    let text = table(&["trigger", "fraction"], rows);
+    Rendered::one("fig5.json", &fig, text)
 }
 
 /// Fig. 6: temporal locality — active periods of infrequently invoked
@@ -161,6 +198,21 @@ pub fn fig6(data: &SynthTrace, limit: usize) -> Vec<Fig6Row> {
     rows
 }
 
+/// Renders Fig. 6 for `repro`: up to five infrequent functions.
+pub(crate) fn render_fig6(data: &SynthTrace) -> Rendered {
+    let rows = fig6(data, 5);
+    let text = rows
+        .iter()
+        .map(|row| {
+            format!(
+                "function {} ({} invocations) active periods: {:?}\n",
+                row.function, row.total, row.active_periods
+            )
+        })
+        .collect();
+    Rendered::one("fig6.json", &rows, text)
+}
+
 /// Maximal invocation runs allowing gaps up to `cooldown` slots.
 fn active_periods(series: &SparseSeries, cooldown: Slot) -> Vec<(Slot, Slot)> {
     let mut periods = Vec::new();
@@ -181,28 +233,29 @@ fn active_periods(series: &SparseSeries, cooldown: Slot) -> Vec<(Slot, Slot)> {
     periods
 }
 
-/// Section III-B empirical statistics.
+/// Section III-B empirical statistics. The paper's value for each
+/// statistic is in [`crate::figures::paper`].
 #[derive(Debug, Clone, Serialize)]
 pub struct Empirical {
     /// Fraction of timer functions (>= 10 invocations) whose inter-arrival
-    /// times pass the KS periodicity test (paper: 68.12%).
+    /// times pass the KS periodicity test.
     pub timer_periodic_fraction: f64,
     /// Timer functions examined.
     pub timer_examined: usize,
     /// Fraction of HTTP functions whose per-slot counts pass the KS
-    /// Poisson test (paper: 45.02%).
+    /// Poisson test.
     pub http_poisson_fraction: f64,
     /// HTTP functions examined.
     pub http_examined: usize,
-    /// Mean COR against same-app/user candidate functions (paper: 0.2312).
+    /// Mean COR against same-app/user candidate functions.
     pub cor_candidates: f64,
-    /// Mean COR against negative samples (paper: 0.0504).
+    /// Mean COR against negative samples.
     pub cor_negative: f64,
-    /// Candidate / negative ratio (paper: ~4.6x).
+    /// Candidate / negative ratio.
     pub cor_ratio: f64,
-    /// Mean COR of same-trigger candidates (paper: 0.2710).
+    /// Mean COR of same-trigger candidates.
     pub cor_same_trigger: f64,
-    /// Mean COR of different-trigger candidates (paper: 0.1307).
+    /// Mean COR of different-trigger candidates.
     pub cor_diff_trigger: f64,
 }
 
@@ -387,6 +440,32 @@ pub fn empirical(data: &SynthTrace, max_functions: usize) -> Empirical {
             diff_sum / diff_n as f64
         },
     }
+}
+
+/// Renders the Section III statistics for `repro`, each next to the
+/// paper's value.
+pub(crate) fn render_empirical(data: &SynthTrace) -> Rendered {
+    let e = empirical(data, 300);
+    let text = format!(
+        "timer functions (quasi-)periodic: {} of {} examined (paper: {})\n\
+         HTTP functions Poisson: {} of {} examined (paper: {})\n\
+         mean COR candidates vs negatives: {:.4} vs {:.4} ({:.1}x; paper: {})\n\
+         same-trigger vs different-trigger candidate COR: {:.4} vs {:.4} (paper: {})\n",
+        pct(e.timer_periodic_fraction),
+        e.timer_examined,
+        paper::TIMER_PERIODIC,
+        pct(e.http_poisson_fraction),
+        e.http_examined,
+        paper::HTTP_POISSON,
+        e.cor_candidates,
+        e.cor_negative,
+        e.cor_ratio,
+        paper::COR_CANDIDATES_VS_NEGATIVES,
+        e.cor_same_trigger,
+        e.cor_diff_trigger,
+        paper::COR_SAME_VS_DIFF_TRIGGER,
+    );
+    Rendered::one("empirical.json", &e, text)
 }
 
 fn fraction(num: usize, den: usize) -> f64 {

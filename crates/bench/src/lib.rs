@@ -1,14 +1,16 @@
 //! Experiment harness for the SPES reproduction.
 //!
 //! One module per figure group, plus the shared scenario runner. The
-//! `repro` binary ties everything together: it regenerates every table
-//! and figure of the paper's evaluation section on the synthetic
-//! Azure-like workload (or a real trace loaded from CSV) and emits both
-//! text tables and JSON (`results/*.json`).
+//! figure registry ([`figures::FIGURES`]) lists them; the `repro` binary
+//! loops over it to regenerate every table and figure of the paper's
+//! evaluation section on the synthetic Azure-like workload (or a real
+//! trace loaded from CSV) and emits both text tables and JSON
+//! (`results/*.json`).
 
 #![forbid(unsafe_code)]
 
 pub mod bench_cli;
+pub mod figures;
 pub mod figures_main;
 pub mod figures_sweep;
 pub mod figures_trace;

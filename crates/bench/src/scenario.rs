@@ -128,16 +128,6 @@ impl ComparisonRun {
         self.runs.iter().find(|r| r.policy_name == name)
     }
 
-    /// The per-slot series of one policy by name, if it was part of the
-    /// suite.
-    #[must_use]
-    pub fn try_series_of(&self, name: &str) -> Option<&SlotSeries> {
-        self.runs
-            .iter()
-            .position(|r| r.policy_name == name)
-            .map(|i| &self.slot_series[i])
-    }
-
     /// The eviction audit of one policy by name, if it was part of the
     /// suite.
     #[must_use]
@@ -156,16 +146,6 @@ impl ComparisonRun {
             .iter()
             .position(|r| r.policy_name == name)
             .map(|i| &self.fairness[i])
-    }
-
-    /// The pressure tracking of one policy by name, if it was part of
-    /// the suite.
-    #[must_use]
-    pub fn try_pressure_of(&self, name: &str) -> Option<&MemoryPressure> {
-        self.runs
-            .iter()
-            .position(|r| r.policy_name == name)
-            .map(|i| &self.pressure[i])
     }
 
     fn from_suite(outcome: SuiteOutcome, n_functions: usize) -> Self {

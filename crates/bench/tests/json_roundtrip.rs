@@ -4,6 +4,7 @@
 //! `Value` whose re-rendering is byte-identical.
 
 use serde_json::Value;
+use spes_bench::figures::FIGURES;
 use spes_bench::figures_main::{self, Timeline};
 use spes_bench::perf::{EngineBenchReport, EngineBenchRow};
 use spes_bench::scenario::{run_comparison, Experiment};
@@ -12,30 +13,29 @@ use spes_core::SpesConfig;
 #[test]
 fn figure_json_round_trips_as_values() {
     let data = Experiment::scenario("quick", 60, 11).unwrap().generate();
-    let cmp = run_comparison(&data, &SpesConfig::default());
+    let cfg = SpesConfig::default();
+    let cmp = run_comparison(&data, &cfg);
 
-    // Every figure document the repro binary writes for the main
-    // comparison, rendered and re-parsed: the parse must succeed and
-    // re-rendering must be byte-identical (the Value model keeps numbers
-    // as source text, so this is exact).
-    let documents: Vec<String> = vec![
-        serde_json::to_string_pretty(&figures_main::table1(&cmp).expect("spes in suite")).unwrap(),
-        serde_json::to_string_pretty(&figures_main::fig8(&cmp)).unwrap(),
-        serde_json::to_string_pretty(&figures_main::fig9(&cmp)).unwrap(),
-        serde_json::to_string_pretty(&figures_main::fig10(&cmp).expect("spes in suite")).unwrap(),
-        serde_json::to_string_pretty(&figures_main::fig11(&cmp)).unwrap(),
-        serde_json::to_string_pretty(&figures_main::fig12(&cmp).expect("spes in suite")).unwrap(),
-        serde_json::to_string_pretty(&figures_main::overhead(&cmp)).unwrap(),
-        serde_json::to_string_pretty(&figures_main::timeline(&cmp, 60)).unwrap(),
-        serde_json::to_string_pretty(&figures_main::evictions(&cmp)).unwrap(),
-        serde_json::to_string_pretty(&figures_main::fairness(&cmp)).unwrap(),
-        serde_json::to_string_pretty(&figures_main::pressure(&cmp)).unwrap(),
-    ];
-    for text in documents {
-        let value: Value = serde_json::from_str(&text).expect("figure JSON parses");
-        let rendered = serde_json::to_string_pretty(&value).unwrap();
-        assert_eq!(rendered, text, "re-rendered JSON drifted");
+    // Every document of every registered figure, as `repro` writes it,
+    // rendered and re-parsed: the parse must succeed and re-rendering
+    // must be byte-identical (the Value model keeps numbers as source
+    // text, so this is exact).
+    let mut files = Vec::new();
+    for fig in &FIGURES {
+        let rendered = fig.render(&data, &cfg, Some(&cmp)).expect("spes in suite");
+        for (file, document) in rendered.documents {
+            let text = serde_json::to_string_pretty(&document).unwrap();
+            let value: Value = serde_json::from_str(&text).expect("figure JSON parses");
+            let rendered = serde_json::to_string_pretty(&value).unwrap();
+            assert_eq!(rendered, text, "{file}: re-rendered JSON drifted");
+            files.push(file);
+        }
     }
+    // No two documents share a file, or one would overwrite the other.
+    let written = files.len();
+    files.sort_unstable();
+    files.dedup();
+    assert_eq!(files.len(), written, "a file name repeats: {files:?}");
 }
 
 #[test]
