@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bench_cli;
+mod factory;
 pub mod figures;
 pub mod figures_main;
 pub mod figures_sweep;

@@ -2,11 +2,12 @@
 //!
 //! Mirrors the scenario registry (`spes_trace::synth::scenarios`) on the
 //! policy axis: every provisioning policy the workspace knows how to run
-//! is registered here under a stable name, with a one-line summary for
-//! `repro --list-policies` and a flag saying whether it belongs to the
-//! paper's six-way comparison. Adding a policy to every scenario of the
-//! matrix is now a one-entry change in this file (plus the factory next
-//! to the policy itself).
+//! is one [`REGISTRY`] row holding its stable name, a one-line summary
+//! for `repro --list-policies`, whether it belongs to the paper's
+//! six-way comparison, how to build it from a [`FitContext`], and the
+//! suite member whose peak memory sizes its pool, if any. Adding a
+//! policy is its [`Policy`] impl plus one row here (plus
+//! [`crate::scenario::POLICY_ORDER`] if it joins the default suite).
 //!
 //! The default suite reproduces the paper's Section V comparison
 //! (SPES + five baselines, in [`crate::scenario::POLICY_ORDER`]).
@@ -14,18 +15,17 @@
 //! `no-keep-alive` / `keep-forever` brackets — runnable by name, excluded
 //! from paper-facing defaults.
 
-use spes_baselines::{
-    DefuseFactory, FaasCacheFactory, FixedKeepAliveFactory, Granularity, HybridFactory,
-    OracleFactory,
-};
-use spes_core::{SpesConfig, SpesFactory};
-use spes_sim::suite::{FitContext, KeepForeverFactory, NoKeepAliveFactory, PolicySpec};
-use spes_sim::Policy;
+use crate::factory::RowFactory;
+use spes_baselines::{Defuse, FaasCache, FixedKeepAlive, Granularity, HybridHistogram, Oracle};
+use spes_core::{SpesConfig, SpesPolicy};
+use spes_sim::suite::{FitContext, PolicySpec};
+use spes_sim::{KeepForever, NoKeepAlive, Policy};
 use spes_trace::SynthTrace;
 
-/// One registry row: the policy's name, a one-line summary, and whether
-/// it is part of the paper's default comparison suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One registry row: the policy's name, a one-line summary, whether it
+/// is part of the paper's default comparison suite, how to build it, and
+/// where its memory budget comes from.
+#[derive(Debug, Clone, Copy)]
 pub struct RegisteredPolicy {
     /// Registry key (also the policy's report name).
     pub name: &'static str,
@@ -33,6 +33,25 @@ pub struct RegisteredPolicy {
     pub summary: &'static str,
     /// Whether the policy is in [`default_suite`].
     pub in_default_suite: bool,
+    /// Builds the policy fitted for a suite run. The [`SpesConfig`]
+    /// parameterises SPES itself; the other policies ignore it.
+    pub build: fn(&FitContext, &SpesConfig) -> Box<dyn Policy>,
+    /// The suite member whose peak loaded-instance count is this
+    /// policy's capacity
+    /// ([`CapacityRule::PeakOf`](spes_sim::suite::CapacityRule::PeakOf));
+    /// `None` runs it unlimited.
+    pub capacity_donor: Option<&'static str>,
+}
+
+impl RegisteredPolicy {
+    /// The row as a suite member, with `spes_cfg` for SPES.
+    #[must_use]
+    fn spec(self, spes_cfg: &SpesConfig) -> PolicySpec {
+        PolicySpec::new(RowFactory {
+            row: self,
+            spes_cfg: spes_cfg.clone(),
+        })
+    }
 }
 
 /// Every registered policy, default-suite members first, in
@@ -42,46 +61,96 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
         name: "spes",
         summary: "the paper's pattern-based pre-warm/evict scheduler",
         in_default_suite: true,
+        build: |ctx, cfg| {
+            Box::new(SpesPolicy::fit(
+                ctx.trace,
+                ctx.train_start,
+                ctx.train_end,
+                cfg.clone(),
+            ))
+        },
+        capacity_donor: None,
     },
     RegisteredPolicy {
         name: "defuse",
         summary: "dependency-guided keep-alive (Defuse)",
         in_default_suite: true,
+        build: |ctx, _| {
+            Box::new(Defuse::paper_default(
+                ctx.trace,
+                ctx.train_start,
+                ctx.train_end,
+            ))
+        },
+        capacity_donor: None,
     },
     RegisteredPolicy {
         name: "hybrid-function",
         summary: "Shahrad et al. histogram policy, per function",
         in_default_suite: true,
+        build: |ctx, _| {
+            Box::new(HybridHistogram::fit(
+                ctx.trace,
+                ctx.train_start,
+                ctx.train_end,
+                Granularity::Function,
+            ))
+        },
+        capacity_donor: None,
     },
     RegisteredPolicy {
         name: "hybrid-application",
         summary: "Shahrad et al. histogram policy, per application",
         in_default_suite: true,
+        build: |ctx, _| {
+            Box::new(HybridHistogram::fit(
+                ctx.trace,
+                ctx.train_start,
+                ctx.train_end,
+                Granularity::Application,
+            ))
+        },
+        capacity_donor: None,
     },
     RegisteredPolicy {
         name: "fixed-keep-alive",
         summary: "industry-standard fixed 10-minute keep-alive",
         in_default_suite: true,
+        build: |ctx, _| Box::new(FixedKeepAlive::paper_default(ctx.n_functions())),
+        capacity_donor: None,
     },
+    // Section V-A1 gives FaaSCache SPES's peak memory as its budget; the
+    // suite runner resolves that in its second phase, so a suite with
+    // faascache but no spes fails validation.
     RegisteredPolicy {
         name: "faascache",
         summary: "greedy-dual caching under SPES's peak-memory budget",
         in_default_suite: true,
+        build: |ctx, _| Box::new(FaasCache::new(ctx.n_functions())),
+        capacity_donor: Some("spes"),
     },
+    // The only row that reads the trace past the training boundary,
+    // which is exactly its job; it rides out one-slot gaps only.
     RegisteredPolicy {
         name: "oracle",
         summary: "clairvoyant upper bound (reads the future; not a baseline)",
         in_default_suite: false,
+        build: |ctx, _| Box::new(Oracle::frugal(ctx.trace)),
+        capacity_donor: None,
     },
     RegisteredPolicy {
         name: "no-keep-alive",
         summary: "always-evict lower bound: every re-invocation is cold",
         in_default_suite: false,
+        build: |_, _| Box::new(NoKeepAlive),
+        capacity_donor: None,
     },
     RegisteredPolicy {
         name: "keep-forever",
         summary: "never-evict upper bracket: maximal memory, no re-colds",
         in_default_suite: false,
+        build: |_, _| Box::new(KeepForever),
+        capacity_donor: None,
     },
 ];
 
@@ -95,22 +164,10 @@ pub fn policy_names() -> Vec<&'static str> {
 /// `spes_cfg` parameterises SPES itself (the baselines ignore it).
 #[must_use]
 pub fn spec_of(name: &str, spes_cfg: &SpesConfig) -> Option<PolicySpec> {
-    Some(match name {
-        "spes" => PolicySpec::new(SpesFactory::new(spes_cfg.clone())),
-        "defuse" => PolicySpec::new(DefuseFactory),
-        "hybrid-function" => PolicySpec::new(HybridFactory {
-            granularity: Granularity::Function,
-        }),
-        "hybrid-application" => PolicySpec::new(HybridFactory {
-            granularity: Granularity::Application,
-        }),
-        "fixed-keep-alive" => PolicySpec::new(FixedKeepAliveFactory::default()),
-        "faascache" => PolicySpec::new(FaasCacheFactory),
-        "oracle" => PolicySpec::new(OracleFactory::default()),
-        "no-keep-alive" => PolicySpec::new(NoKeepAliveFactory),
-        "keep-forever" => PolicySpec::new(KeepForeverFactory),
-        _ => return None,
-    })
+    REGISTRY
+        .iter()
+        .find(|p| p.name == name)
+        .map(|p| p.spec(spes_cfg))
 }
 
 /// An unknown policy name, with the registered alternatives for the
@@ -215,7 +272,7 @@ pub fn default_suite(spes_cfg: &SpesConfig) -> Vec<PolicySpec> {
     REGISTRY
         .iter()
         .filter(|p| p.in_default_suite)
-        .map(|p| spec_of(p.name, spes_cfg).expect("registry entry has a spec"))
+        .map(|p| p.spec(spes_cfg))
         .collect()
 }
 

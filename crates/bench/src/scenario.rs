@@ -231,7 +231,7 @@ pub fn run_spes_only(data: &SynthTrace, spes_cfg: &SpesConfig) -> (RunResult, Sp
         .policy
         .as_any()
         .and_then(|any| any.downcast_ref::<SpesPolicy>())
-        .expect("the spes factory builds a SpesPolicy")
+        .expect("the spes row builds a SpesPolicy")
         .clone();
     (entry.run, spes)
 }

@@ -44,4 +44,4 @@ pub mod slacking;
 pub use config::SpesConfig;
 pub use correlation::{best_lagged_cor, cor, lagged_cor, windowed_cor, Link};
 pub use patterns::{Categorized, FunctionType, PredictiveValues};
-pub use provision::{FitStats, OnlineStatsCounters, SpesFactory, SpesPolicy};
+pub use provision::{FitStats, OnlineStatsCounters, SpesPolicy};

@@ -582,37 +582,6 @@ impl Policy for SpesPolicy {
     }
 }
 
-/// Builds a [`SpesPolicy`] fitted on the suite's training window — the
-/// [`spes_sim::suite::PolicyFactory`] for the paper's own scheduler.
-#[derive(Debug, Clone, Default)]
-pub struct SpesFactory {
-    /// Configuration of the built policy.
-    pub config: SpesConfig,
-}
-
-impl SpesFactory {
-    /// Factory with an explicit configuration.
-    #[must_use]
-    pub fn new(config: SpesConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl spes_sim::suite::PolicyFactory for SpesFactory {
-    fn name(&self) -> &'static str {
-        "spes"
-    }
-
-    fn build(&self, ctx: &spes_sim::suite::FitContext) -> Box<dyn Policy> {
-        Box::new(SpesPolicy::fit(
-            ctx.trace,
-            ctx.train_start,
-            ctx.train_end,
-            self.config.clone(),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,6 +55,6 @@ pub use shard::{
     merge_shard_runs, run_shard, run_sharded, ShardCounts, ShardError, ShardPlan, ShardRun,
 };
 pub use suite::{
-    run_suite, validate_suite, CapacityRule, FitContext, KeepForeverFactory, NoKeepAliveFactory,
-    PolicyFactory, PolicySpec, SuiteEntry, SuiteError, SuiteOutcome, PREMATURE_RELOAD_WINDOW,
+    run_suite, validate_suite, CapacityRule, FitContext, PolicyFactory, PolicySpec, SuiteEntry,
+    SuiteError, SuiteOutcome, PREMATURE_RELOAD_WINDOW,
 };

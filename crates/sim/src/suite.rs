@@ -1,22 +1,21 @@
 //! First-class policy suites: declarative construction and a two-phase
 //! suite runner.
 //!
-//! Every policy used to have its own ad-hoc constructor signature, so the
-//! comparison harness could only ever run one hard-coded list. This module
-//! makes policy construction a value: a [`PolicyFactory`] knows how to
+//! Policy construction is a value: a [`PolicyFactory`] knows how to
 //! build a fitted [`Policy`] from a [`FitContext`] (the trace, its
 //! training boundary, and the runs completed so far), and a [`PolicySpec`]
 //! is a named, shareable handle on a factory plus a declarative
-//! [`CapacityRule`]. [`run_suite`] executes any list of specs on a trace
-//! under the paper's train/simulate protocol:
+//! [`CapacityRule`]. The registered policies' factories are the rows of
+//! the policy registry in `spes_bench`, each a build function and an
+//! optional capacity donor. [`run_suite`] executes any list of specs on a
+//! trace under the paper's train/simulate protocol:
 //!
 //! 1. **Phase one** builds and runs every spec whose capacity is
 //!    self-contained ([`CapacityRule::Unlimited`] or
 //!    [`CapacityRule::Fixed`]).
 //! 2. **Phase two** builds and runs the specs whose capacity references a
 //!    phase-one run ([`CapacityRule::PeakOf`] — e.g. FaaSCache's
-//!    "budget = SPES's peak memory" from Section V-A1, previously
-//!    imperative plumbing inside the comparison runner).
+//!    "budget = SPES's peak memory" from Section V-A1).
 //!
 //! Results come back in spec order regardless of execution phase, so a
 //! suite's output order is exactly its declaration order.
@@ -24,7 +23,7 @@
 use crate::engine::{SimConfig, Simulation};
 use crate::events::{EvictionAudit, Fairness, MemoryPressure, RunCollector, SlotSeries};
 use crate::metrics::RunResult;
-use crate::policy::{KeepForever, NoKeepAlive, Policy};
+use crate::policy::Policy;
 use spes_trace::{Slot, SynthTrace, Trace};
 use std::sync::Arc;
 
@@ -88,10 +87,10 @@ impl<'a> FitContext<'a> {
     }
 }
 
-/// Builds a fitted [`Policy`] from a [`FitContext`]. Implementations live
-/// next to their policies (`spes_core` for SPES, `spes_baselines` for the
-/// paper's baselines and the oracle, this crate for the trivial bounds);
-/// the name-keyed registry assembling them lives in `spes_bench`.
+/// Builds a fitted [`Policy`] from a [`FitContext`]. The name-keyed
+/// policy registry in `spes_bench` implements it once for all of its
+/// rows; a harness may wrap a spec in its own factory (e.g. to time each
+/// fit).
 pub trait PolicyFactory: Send + Sync {
     /// Registry key and report name of the built policy. Must match
     /// `Policy::name` of the built instance.
@@ -235,12 +234,6 @@ impl SuiteOutcome {
             .iter()
             .find(|e| e.name == name)
             .map(|e| &e.series)
-    }
-
-    /// Extracts the runs, in spec order, dropping the policy instances.
-    #[must_use]
-    pub fn into_runs(self) -> Vec<RunResult> {
-        self.entries.into_iter().map(|e| e.run).collect()
     }
 }
 
@@ -409,38 +402,43 @@ pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<SuiteOutcome
     })
 }
 
-/// Factory for the trivial always-evict lower bound ([`NoKeepAlive`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoKeepAliveFactory;
-
-impl PolicyFactory for NoKeepAliveFactory {
-    fn name(&self) -> &'static str {
-        "no-keep-alive"
-    }
-
-    fn build(&self, _ctx: &FitContext) -> Box<dyn Policy> {
-        Box::new(NoKeepAlive)
-    }
-}
-
-/// Factory for the trivial never-evict upper bound ([`KeepForever`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KeepForeverFactory;
-
-impl PolicyFactory for KeepForeverFactory {
-    fn name(&self) -> &'static str {
-        "keep-forever"
-    }
-
-    fn build(&self, _ctx: &FitContext) -> Box<dyn Policy> {
-        Box::new(KeepForever)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{KeepForever, NoKeepAlive};
     use spes_trace::{synth, SynthConfig};
+
+    /// The trivial brackets: [`KeepForever`] when `keep`, else
+    /// [`NoKeepAlive`].
+    struct Bound {
+        keep: bool,
+    }
+
+    impl PolicyFactory for Bound {
+        fn name(&self) -> &'static str {
+            if self.keep {
+                "keep-forever"
+            } else {
+                "no-keep-alive"
+            }
+        }
+
+        fn build(&self, _ctx: &FitContext) -> Box<dyn Policy> {
+            if self.keep {
+                Box::new(KeepForever)
+            } else {
+                Box::new(NoKeepAlive)
+            }
+        }
+    }
+
+    fn keep_forever() -> PolicySpec {
+        PolicySpec::new(Bound { keep: true })
+    }
+
+    fn no_keep_alive() -> PolicySpec {
+        PolicySpec::new(Bound { keep: false })
+    }
 
     fn tiny_trace() -> SynthTrace {
         synth::generate(&SynthConfig {
@@ -458,9 +456,8 @@ mod tests {
         // Capacity-dependent member declared first: it still comes back
         // first, despite running in phase two.
         let specs = vec![
-            PolicySpec::new(NoKeepAliveFactory)
-                .with_capacity(CapacityRule::peak_of("keep-forever")),
-            PolicySpec::new(KeepForeverFactory),
+            no_keep_alive().with_capacity(CapacityRule::peak_of("keep-forever")),
+            keep_forever(),
         ];
         let out = run_suite(&data, &specs).unwrap();
         assert_eq!(out.entries[0].name, "no-keep-alive");
@@ -473,7 +470,7 @@ mod tests {
     #[test]
     fn fixed_capacity_caps_the_run() {
         let data = tiny_trace();
-        let specs = vec![PolicySpec::new(KeepForeverFactory).with_capacity(CapacityRule::Fixed(3))];
+        let specs = vec![keep_forever().with_capacity(CapacityRule::Fixed(3))];
         let out = run_suite(&data, &specs).unwrap();
         assert!(out.run_of("keep-forever").peak_loaded <= 3);
     }
@@ -481,10 +478,7 @@ mod tests {
     #[test]
     fn duplicate_names_rejected() {
         let data = tiny_trace();
-        let specs = vec![
-            PolicySpec::new(KeepForeverFactory),
-            PolicySpec::new(KeepForeverFactory),
-        ];
+        let specs = vec![keep_forever(), keep_forever()];
         assert_eq!(
             run_suite(&data, &specs).unwrap_err(),
             SuiteError::DuplicateName("keep-forever".to_owned())
@@ -493,8 +487,7 @@ mod tests {
 
     #[test]
     fn dangling_capacity_reference_rejected() {
-        let specs =
-            vec![PolicySpec::new(NoKeepAliveFactory).with_capacity(CapacityRule::peak_of("spes"))];
+        let specs = vec![no_keep_alive().with_capacity(CapacityRule::peak_of("spes"))];
         assert_eq!(
             validate_suite(&specs).unwrap_err(),
             SuiteError::UnknownCapacityRef {
@@ -507,10 +500,8 @@ mod tests {
     #[test]
     fn chained_capacity_reference_rejected() {
         let specs = vec![
-            PolicySpec::new(NoKeepAliveFactory)
-                .with_capacity(CapacityRule::peak_of("keep-forever")),
-            PolicySpec::new(KeepForeverFactory)
-                .with_capacity(CapacityRule::peak_of("no-keep-alive")),
+            no_keep_alive().with_capacity(CapacityRule::peak_of("keep-forever")),
+            keep_forever().with_capacity(CapacityRule::peak_of("no-keep-alive")),
         ];
         assert!(matches!(
             validate_suite(&specs).unwrap_err(),
@@ -521,7 +512,7 @@ mod tests {
     #[test]
     fn runs_measure_on_the_trace_boundary() {
         let data = tiny_trace();
-        let out = run_suite(&data, &[PolicySpec::new(KeepForeverFactory)]).unwrap();
+        let out = run_suite(&data, &[keep_forever()]).unwrap();
         let run = out.run_of("keep-forever");
         assert_eq!(run.start, data.train_end);
         assert_eq!(run.end, data.trace.n_slots);
@@ -530,10 +521,7 @@ mod tests {
     #[test]
     fn specs_are_shareable_across_threads() {
         let data = tiny_trace();
-        let specs = vec![
-            PolicySpec::new(KeepForeverFactory),
-            PolicySpec::new(NoKeepAliveFactory),
-        ];
+        let specs = vec![keep_forever(), no_keep_alive()];
         let totals: Vec<u64> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|_| {

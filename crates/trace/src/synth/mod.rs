@@ -232,27 +232,6 @@ impl SynthTrace {
         Ok(Self::wrap_external(trace, train_end))
     }
 
-    /// Panicking convenience over [`SynthTrace::try_from_external`], for
-    /// tests and tools that control their input.
-    ///
-    /// # Panics
-    /// Panics on any [`ExternalTraceError`].
-    #[must_use]
-    pub fn from_external(trace: Trace) -> Self {
-        Self::try_from_external(trace).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Panicking convenience over
-    /// [`SynthTrace::try_from_external_with_boundary`].
-    ///
-    /// # Panics
-    /// Panics if `train_end` is outside `(0, trace.n_slots)` or the
-    /// trace is empty.
-    #[must_use]
-    pub fn from_external_with_boundary(trace: Trace, train_end: Slot) -> Self {
-        Self::try_from_external_with_boundary(trace, train_end).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn wrap_external(trace: Trace, train_end: Slot) -> Self {
         let specs = trace
             .metas
@@ -629,17 +608,17 @@ mod tests {
     fn external_trace_gets_fallback_boundary() {
         let data = small_test_trace(40, 1);
         let n_slots = data.trace.n_slots;
-        let wrapped = SynthTrace::from_external(data.trace);
+        let wrapped = SynthTrace::try_from_external(data.trace).unwrap();
         assert_eq!(wrapped.train_end, fallback_train_end(n_slots));
         assert_eq!(wrapped.specs.len(), wrapped.trace.n_functions());
     }
 
     #[test]
-    #[should_panic(expected = "training boundary")]
     fn external_trace_rejects_bad_boundary() {
         let data = small_test_trace(10, 2);
         let n_slots = data.trace.n_slots;
-        let _ = SynthTrace::from_external_with_boundary(data.trace, n_slots);
+        let err = SynthTrace::try_from_external_with_boundary(data.trace, n_slots).unwrap_err();
+        assert!(err.to_string().contains("training boundary"), "{err}");
     }
 
     #[test]
@@ -688,9 +667,9 @@ mod tests {
             assert!(err.to_string().contains("boundary"), "{err}");
         }
 
-        // The happy path agrees with the panicking wrapper.
+        // The happy path is deterministic in its input.
         let a = SynthTrace::try_from_external(small_test_trace(40, 2).trace).unwrap();
-        let b = SynthTrace::from_external(small_test_trace(40, 2).trace);
+        let b = SynthTrace::try_from_external(small_test_trace(40, 2).trace).unwrap();
         assert_eq!(a.train_end, b.train_end);
         assert_eq!(a.trace.n_slots, b.trace.n_slots);
     }

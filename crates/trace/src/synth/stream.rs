@@ -168,12 +168,6 @@ impl SynthStream {
     pub fn batch(&self, slot: Slot) -> &[(FunctionId, u32)] {
         self.batches.batch(slot)
     }
-
-    /// Consumes the stream, returning the index and metadata.
-    #[must_use]
-    pub fn into_parts(self) -> (SlotBatches, Vec<FunctionMeta>) {
-        (self.batches, self.metas)
-    }
 }
 
 /// Generates one app's series (two passes: non-chained, then chained
