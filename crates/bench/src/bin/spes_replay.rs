@@ -30,11 +30,14 @@ spes-replay --check JOURNAL [--snapshot SNAP]
                    journal write-through and write it to --journal-out
                    (defaults: --scenario quick, --policy
                    fixed-keep-alive, --functions 400, --seed 7, decimal
-                   or 0x hex)
+                   or 0x hex); prints the run's summary, the same
+                   text --summary prints for the journal
   --snapshot-slot  while recording, also snapshot the driver at this
                    slot boundary (written to --snapshot-out)
-  --summary        one streaming pass: header metadata plus event,
-                   slot, load, and eviction counts
+  --summary        replay the journal through the live run's observers:
+                   header metadata, event and slot counts, the paper's
+                   metrics over the measured window (equal to the live
+                   run's), pre-warm loads, and eviction forensics
   --slot N         print every event of slot N in emission order
   --why-evict      explain one eviction causally: who loaded the
                    instance, when it was last used, what displaced
@@ -101,18 +104,7 @@ fn record(
             path.display()
         );
     }
-    let summary = replay::summarize(&recording.journal)?;
-    eprintln!(
-        "recorded {} events / {} slots ({} bytes) -> {}",
-        summary.events,
-        summary.slots,
-        recording.journal.len(),
-        journal_out.display()
-    );
-    println!(
-        "cold starts (measured window): {}",
-        recording.run.total_cold_starts()
-    );
+    println!("{}", recording.summary);
     Ok(())
 }
 

@@ -9,7 +9,8 @@
 //!
 //! - [`record`] runs a registered (scenario, policy) cell with a
 //!   journal write-through and an optional mid-run snapshot;
-//! - [`summarize`] and [`slot_events`] inspect a journal without
+//! - [`summarize`] replays a journal through the observers a live run
+//!   reports with, and [`slot_events`] lists one slot, without
 //!   re-simulating anything;
 //! - [`why_evict`] walks the causal chain around one eviction — what
 //!   loaded the instance, when it was last used, what displaced it,
@@ -21,8 +22,9 @@
 use crate::policies::PolicyCell;
 use crate::scenario::Experiment;
 use spes_sim::{
-    snapshot_info, DynObserver, EvictCause, JournalEvent, JournalMeta, JournalObserver,
-    JournalReader, LoadCause, Policy, RunResult, SimDriver, SimEvent,
+    snapshot_info, DynObserver, EventCtx, EventLog, EvictCause, EvictionAudit, JournalEvent,
+    JournalMeta, JournalObserver, JournalReader, LoadCause, MemoryPressure, Observer, ObserverSet,
+    Policy, RunCollector, RunResult, SimDriver, SimEvent, PREMATURE_RELOAD_WINDOW,
 };
 use spes_trace::{FunctionId, Slot, SynthTrace};
 
@@ -46,15 +48,16 @@ pub struct RecordConfig {
 }
 
 /// A recorded run: the journal bytes, the optional snapshot blob, and
-/// the run's metrics.
+/// the run's summary.
 #[derive(Debug)]
 pub struct Recording {
     /// The complete binary journal of the run.
     pub journal: Vec<u8>,
     /// The snapshot taken at [`RecordConfig::snapshot_slot`].
     pub snapshot: Option<Vec<u8>>,
-    /// The paper's metrics over the run's measured window.
-    pub run: RunResult,
+    /// The run's summary, from the live observers; [`summarize`] of
+    /// [`Recording::journal`] returns the same value.
+    pub summary: JournalSummary,
 }
 
 /// The journal-meta keys [`record`] stamps so [`check`] can rebuild the
@@ -101,9 +104,10 @@ pub fn record(cfg: &RecordConfig) -> Result<Recording, String> {
             ),
         ],
     };
-    let journal =
-        JournalObserver::new(Vec::new(), &meta).map_err(|e| format!("journal header: {e}"))?;
-    let observers: Vec<Box<dyn DynObserver>> = vec![Box::new(journal)];
+    let mut observers = summary_observers();
+    observers.push(Box::new(
+        JournalObserver::new(Vec::new(), &meta).map_err(|e| format!("journal header: {e}"))?,
+    ));
     let mut driver = SimDriver::new(trace.n_functions(), window, policy.as_mut(), observers)
         .map_err(|e| e.to_string())?;
     let mut snapshot = None;
@@ -117,101 +121,107 @@ pub fn record(cfg: &RecordConfig) -> Result<Recording, String> {
         snapshot = Some(driver.snapshot());
     }
     let (run, mut observers) = driver.finish_with_observers();
-    let journal = observers
-        .take::<JournalObserver<Vec<u8>>>()
-        .expect("the journal observer was attached above")
+    let journal = take::<JournalObserver<Vec<u8>>>(&mut observers)?
         .into_inner()
         .map_err(|e| format!("journal flush: {e}"))?;
     Ok(Recording {
         journal,
         snapshot,
-        run,
+        summary: JournalSummary::collect(meta, run, &mut observers)?,
     })
+}
+
+/// Moves the observer of type `T` out of a finished run's set.
+fn take<T: Observer + 'static>(observers: &mut ObserverSet) -> Result<T, String> {
+    observers
+        .take()
+        .ok_or_else(|| format!("observer {} is missing", std::any::type_name::<T>()))
 }
 
 // ---------------------------------------------------------------------
 // Inspection: --summary and --slot
 // ---------------------------------------------------------------------
 
-/// Aggregate view of one journal, cheap enough for `--summary` on large
-/// files (a single streaming pass, no re-simulation).
+/// One run as `--record` and `--summary` report it, from the live run's
+/// observers ([`record`]) or the same observers replayed over its
+/// journal ([`summarize`]) — the two are equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalSummary {
     /// The journal's header metadata.
     pub meta: JournalMeta,
-    /// Total events in the journal.
+    /// Events in the stream.
     pub events: u64,
-    /// `SlotEnd` events (slots the run closed).
-    pub slots: u64,
-    /// Invocations served (cold + warm counts).
-    pub invocations: u64,
-    /// Cold-started (function, slot) pairs.
-    pub cold_starts: u64,
-    /// Warm-served (function, slot) pairs.
-    pub warm_starts: u64,
-    /// Demand loads (cold invocations forcing an instance in).
-    pub demand_loads: u64,
-    /// Policy pre-warm loads.
-    pub policy_loads: u64,
-    /// Evictions decided by the policy.
-    pub policy_evictions: u64,
-    /// Evictions forced by pool capacity.
-    pub capacity_evictions: u64,
-    /// Pre-warm loads refused by admission control.
-    pub rejected_loads: u64,
-    /// First event's slot, when the journal has events.
-    pub first_slot: Option<Slot>,
-    /// Last event's slot.
-    pub last_slot: Option<Slot>,
+    /// First and last slot with an event, when there is one.
+    pub span: Option<(Slot, Slot)>,
+    /// Policy pre-warm loads over the whole horizon.
+    pub prewarm_loads: u64,
+    /// The paper's metrics over the measured window.
+    pub run: RunResult,
+    /// Evictions and re-loads over the whole horizon.
+    pub audit: EvictionAudit,
+    /// Occupancy and refused loads over the whole horizon.
+    pub pressure: MemoryPressure,
 }
 
-/// Streams a journal once and aggregates it.
-///
-/// # Errors
-/// Returns a message for corrupt or truncated journals.
-pub fn summarize(journal: &[u8]) -> Result<JournalSummary, String> {
-    let mut reader = JournalReader::new(journal).map_err(|e| e.to_string())?;
-    let mut summary = JournalSummary {
-        meta: reader.meta().clone(),
-        events: 0,
-        slots: 0,
-        invocations: 0,
-        cold_starts: 0,
-        warm_starts: 0,
-        demand_loads: 0,
-        policy_loads: 0,
-        policy_evictions: 0,
-        capacity_evictions: 0,
-        rejected_loads: 0,
-        first_slot: None,
-        last_slot: None,
-    };
-    while let Some(event) = reader.next_event().map_err(|e| e.to_string())? {
-        summary.events += 1;
-        summary.first_slot.get_or_insert(event.slot);
-        summary.last_slot = Some(event.slot);
-        match event.event {
-            SimEvent::ColdStart { count, .. } => {
-                summary.cold_starts += 1;
-                summary.invocations += u64::from(count);
-            }
-            SimEvent::WarmStart { count, .. } => {
-                summary.warm_starts += 1;
-                summary.invocations += u64::from(count);
-            }
-            SimEvent::Load { cause, .. } => match cause {
-                LoadCause::Demand => summary.demand_loads += 1,
-                LoadCause::Policy => summary.policy_loads += 1,
-            },
-            SimEvent::Evict { cause, .. } => match cause {
-                EvictCause::Policy => summary.policy_evictions += 1,
-                EvictCause::Capacity => summary.capacity_evictions += 1,
-            },
-            SimEvent::LoadRejected { .. } => summary.rejected_loads += 1,
-            SimEvent::SlotEnd { .. } => summary.slots += 1,
+/// What no workspace observer keeps: the event count, the slot span and
+/// the pre-warm loads.
+#[derive(Debug, Default)]
+struct StreamCounts {
+    events: u64,
+    span: Option<(Slot, Slot)>,
+    prewarm_loads: u64,
+}
+
+impl Observer for StreamCounts {
+    fn on_event(&mut self, ctx: &EventCtx<'_>, event: &SimEvent) {
+        self.events += 1;
+        self.span = Some((self.span.map_or(ctx.slot, |(first, _)| first), ctx.slot));
+        if let SimEvent::Load { cause, .. } = event {
+            self.prewarm_loads += u64::from(*cause == LoadCause::Policy);
         }
     }
-    Ok(summary)
+}
+
+/// The observers behind a [`JournalSummary`], besides the run's
+/// [`spes_sim::RunCollector`].
+fn summary_observers() -> Vec<Box<dyn DynObserver>> {
+    vec![
+        Box::new(EvictionAudit::new(PREMATURE_RELOAD_WINDOW)),
+        Box::new(MemoryPressure::new()),
+        Box::new(StreamCounts::default()),
+    ]
+}
+
+impl JournalSummary {
+    /// Assembles the summary from a finished run's [`summary_observers`].
+    fn collect(meta: JournalMeta, run: RunResult, set: &mut ObserverSet) -> Result<Self, String> {
+        let counts: StreamCounts = take(set)?;
+        Ok(Self {
+            meta,
+            events: counts.events,
+            span: counts.span,
+            prewarm_loads: counts.prewarm_loads,
+            run,
+            audit: take(set)?,
+            pressure: take(set)?,
+        })
+    }
+}
+
+/// Replays a journal through the observers [`record`] reports with (see
+/// [`spes_sim::journal::replay`]).
+///
+/// # Errors
+/// Returns a message for corrupt or truncated journals, or for a stream
+/// no run from an empty pool can record.
+pub fn summarize(journal: &[u8]) -> Result<JournalSummary, String> {
+    let reader = JournalReader::new(journal).map_err(|e| e.to_string())?;
+    let meta = reader.meta().clone();
+    let mut observers = summary_observers();
+    observers.push(Box::new(RunCollector::new()));
+    let mut observers = spes_sim::journal::replay(reader, observers).map_err(|e| e.to_string())?;
+    let run = take::<RunCollector>(&mut observers)?.into_result();
+    JournalSummary::collect(meta, run, &mut observers)
 }
 
 impl std::fmt::Display for JournalSummary {
@@ -242,26 +252,35 @@ impl std::fmt::Display for JournalSummary {
             f,
             "{} events over {} slots{}",
             self.events,
-            self.slots,
-            match (self.first_slot, self.last_slot) {
-                (Some(first), Some(last)) => format!(" (slots {first}..={last})"),
-                _ => String::new(),
-            }
+            self.pressure.slots,
+            self.span.map_or_else(String::new, |(first, last)| format!(
+                " (slots {first}..={last})"
+            ))
+        )?;
+        let run = &self.run;
+        writeln!(
+            f,
+            "measured slots [{}, {}): {} invocations, {} cold starts, Q3-CSR {}, WMT {}, EMCR {:.4}, peak {} loaded",
+            run.start,
+            run.end,
+            run.total_invocations(),
+            run.total_cold_starts(),
+            run.csr_percentile(75.0)
+                .map_or_else(|| "n/a".to_owned(), |csr| format!("{csr:.4}")),
+            run.total_wmt(),
+            run.emcr(),
+            run.peak_loaded
         )?;
         writeln!(
             f,
-            "invocations {} = {} cold + {} warm (function,slot) services",
-            self.invocations, self.cold_starts, self.warm_starts
+            "pre-warm loads: {} ({} rejected)",
+            self.prewarm_loads, self.pressure.rejected_loads
         )?;
-        writeln!(
-            f,
-            "loads: {} demand, {} pre-warm ({} rejected)",
-            self.demand_loads, self.policy_loads, self.rejected_loads
-        )?;
+        let audit = &self.audit;
         write!(
             f,
-            "evictions: {} policy, {} capacity",
-            self.policy_evictions, self.capacity_evictions
+            "evictions: {} policy, {} capacity; {} reloaded, {} within {PREMATURE_RELOAD_WINDOW} slots",
+            audit.policy_evictions, audit.capacity_evictions, audit.reloads, audit.premature_reloads
         )
     }
 }
@@ -272,16 +291,15 @@ impl std::fmt::Display for JournalSummary {
 /// Returns a message for corrupt journals or a slot outside the
 /// journalled range.
 pub fn slot_events(journal: &[u8], slot: Slot) -> Result<Vec<JournalEvent>, String> {
-    let reader = JournalReader::new(journal).map_err(|e| e.to_string())?;
-    let meta = reader.meta().clone();
-    if slot < meta.config.start || slot >= meta.config.end {
+    let mut reader = JournalReader::new(journal).map_err(|e| e.to_string())?;
+    let config = reader.meta().config;
+    if slot < config.start || slot >= config.end {
         return Err(format!(
             "slot {slot} is outside the journalled window [{}, {})",
-            meta.config.start, meta.config.end
+            config.start, config.end
         ));
     }
     let mut events = Vec::new();
-    let mut reader = reader;
     while let Some(event) = reader.next_event().map_err(|e| e.to_string())? {
         if event.slot > slot {
             break;
@@ -611,10 +629,11 @@ fn rebuild_workload(meta: &JournalMeta) -> Result<SynthTrace, String> {
     Ok(data)
 }
 
-/// Re-records a run over the slots from `from` on and returns its
-/// journal events. When `resume` carries a snapshot blob, the policy is
-/// first warmed by driving the slots before `from` through a throwaway
-/// driver, then the run continues from the snapshot.
+/// Re-runs a recorded run over the slots from `from` on, with the
+/// observers [`record`] attached, and returns its events. When `resume`
+/// carries a snapshot blob, the policy is first warmed by driving the
+/// slots before `from` through a throwaway driver, then the run
+/// continues from the snapshot.
 fn resimulate(
     meta: &JournalMeta,
     data: &SynthTrace,
@@ -624,8 +643,8 @@ fn resimulate(
     let trace = &data.trace;
     let batches = trace.slot_batches(meta.config.start, meta.config.end);
     let mut policy = build_policy(&meta.policy_name, data)?;
-    let journal = JournalObserver::new(Vec::new(), meta).map_err(|e| e.to_string())?;
-    let observers: Vec<Box<dyn DynObserver>> = vec![Box::new(journal)];
+    let mut observers = summary_observers();
+    observers.push(Box::new(EventLog::new()));
     let cut = (from - meta.config.start) as usize;
     let mut driver = match resume {
         Some(snapshot) => {
@@ -656,14 +675,7 @@ fn resimulate(
         driver.step(slot, batch).map_err(|e| e.to_string())?;
     }
     let (_, mut observers) = driver.finish_with_observers();
-    let bytes = observers
-        .take::<JournalObserver<Vec<u8>>>()
-        .expect("attached above")
-        .into_inner()
-        .map_err(|e| e.to_string())?;
-    JournalReader::new(bytes.as_slice())
-        .and_then(JournalReader::read_all)
-        .map_err(|e| format!("re-simulated journal: {e}"))
+    Ok(take::<EventLog>(&mut observers)?.events)
 }
 
 /// Re-simulates a journalled run from its own metadata and diffs the
@@ -771,17 +783,24 @@ mod tests {
         let summary = summarize(&recording.journal).unwrap();
         assert_eq!(summary.meta.policy_name, "fixed-keep-alive");
         assert_eq!(summary.meta.extra_value("scenario"), Some("quick"));
-        assert!(summary.slots > 0);
-        assert!(summary.invocations > 0);
+        assert!(summary.pressure.slots > 0);
+        assert!(summary.run.total_invocations() > 0);
+        // The replayed summary is the live run's, bit for bit: each
+        // SlotEnd journals its policy_secs exactly.
+        let (live, replayed) = (&recording.summary.run, &summary.run);
+        assert_eq!(replayed.emcr_sum.to_bits(), live.emcr_sum.to_bits());
         assert_eq!(
-            summary.invocations,
-            recording.run.total_invocations()
-                + (summary.invocations - recording.run.total_invocations()),
-            "measured invocations are a subset of journalled ones"
+            replayed.overhead_secs.to_bits(),
+            live.overhead_secs.to_bits()
         );
+        assert_eq!(summary, recording.summary);
         let text = summary.to_string();
         assert!(text.contains("fixed-keep-alive"), "{text}");
         assert!(text.contains("scenario quick"), "{text}");
+        assert!(
+            text.contains(&format!("{} cold starts", live.total_cold_starts())),
+            "{text}"
+        );
     }
 
     #[test]

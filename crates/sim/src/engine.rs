@@ -72,8 +72,10 @@ pub struct SimConfig {
     /// recorded). The paper's protocol simulates the whole 14-day trace
     /// and reports on the final 2 days, with warm state carried across.
     pub metrics_start: Slot,
-    /// Memory capacity in instances; `None` means unlimited (the paper's
-    /// default assumption).
+    /// Memory capacity in instances, at least 1; `None` means unlimited
+    /// (the paper's default assumption). Demand loads make room by
+    /// evicting; a policy load into a full pool is refused and surfaced
+    /// as [`SimEvent::LoadRejected`].
     pub capacity: Option<usize>,
     /// Pressure-admission budget in instances; `None` disables admission
     /// control. With a budget, policy loads (pre-warms) that would push
@@ -189,6 +191,9 @@ pub enum SimError {
         /// The first slot that can no longer be stepped.
         end: Slot,
     },
+    /// `capacity` is `Some(0)`: the first cold start would have nowhere
+    /// to go.
+    ZeroCapacity,
     /// [`SimDriver::step`] was handed an invocation of a function outside
     /// the driver's universe; the batch is rejected before anything in it
     /// is served.
@@ -227,6 +232,7 @@ impl std::fmt::Display for SimError {
             Self::StepAfterEnd { slot, end } => {
                 write!(f, "step at slot {slot} beyond the run end {end}")
             }
+            Self::ZeroCapacity => write!(f, "pool capacity must be at least 1 instance"),
             Self::UnknownFunction {
                 f: function,
                 n_functions,
@@ -242,14 +248,15 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Checks a run's window: `start <= end`, then (when a trace bounds the
-/// run) `end <= horizon`, then `metrics_start` in `[start, end]`. The one
-/// check behind [`Simulation::run`], [`SimDriver::new`] and the snapshot
-/// decoder.
-fn validate_window(config: &SimConfig, horizon: Option<Slot>) -> Result<(), SimError> {
+/// run) `end <= horizon`, then `metrics_start` in `[start, end]`, then a
+/// capacity of at least 1. The one check behind [`Simulation::run`],
+/// [`SimDriver::new`] and the snapshot decoder.
+pub(crate) fn validate_window(config: &SimConfig, horizon: Option<Slot>) -> Result<(), SimError> {
     let SimConfig {
         start,
         end,
         metrics_start,
+        capacity,
         ..
     } = *config;
     if start > end {
@@ -264,6 +271,9 @@ fn validate_window(config: &SimConfig, horizon: Option<Slot>) -> Result<(), SimE
             start,
             end,
         });
+    }
+    if capacity == Some(0) {
+        return Err(SimError::ZeroCapacity);
     }
     Ok(())
 }
@@ -440,14 +450,15 @@ impl OutcomeScratch {
 }
 
 /// The attached event sinks of one run: the attached observers and the
-/// driver's own optional metrics collector.
-struct Sinks {
-    observers: Vec<Box<dyn DynObserver>>,
-    collector: Option<RunCollector>,
+/// driver's own optional metrics collector. [`crate::journal::replay`]
+/// delivers a recorded run through the same sinks.
+pub(crate) struct Sinks {
+    pub(crate) observers: Vec<Box<dyn DynObserver>>,
+    pub(crate) collector: Option<RunCollector>,
 }
 
 impl Sinks {
-    fn run_start(&mut self, meta: &RunMeta<'_>, pool: &MemoryPool) {
+    pub(crate) fn run_start(&mut self, meta: &RunMeta<'_>, pool: &MemoryPool) {
         for observer in self.observers.iter_mut() {
             observer.on_run_start(meta, pool);
         }
@@ -456,7 +467,7 @@ impl Sinks {
         }
     }
 
-    fn emit(&mut self, pool: &MemoryPool, slot: Slot, measured: bool, event: &SimEvent) {
+    pub(crate) fn emit(&mut self, pool: &MemoryPool, slot: Slot, measured: bool, event: &SimEvent) {
         let ctx = EventCtx {
             slot,
             measured,
@@ -470,7 +481,7 @@ impl Sinks {
         }
     }
 
-    fn run_end(&mut self, end: Slot, pool: &MemoryPool) {
+    pub(crate) fn run_end(&mut self, end: Slot, pool: &MemoryPool) {
         for observer in self.observers.iter_mut() {
             observer.on_run_end(end, pool);
         }
@@ -1167,7 +1178,7 @@ fn make_room(policy: &mut dyn Policy, pool: &mut MemoryPool) {
             Some(v) => {
                 pool.evict(v);
             }
-            None => return, // empty pool with capacity 0; nothing to do
+            None => return, // unreachable: a full pool of capacity >= 1 is non-empty
         }
     }
 }
@@ -1402,6 +1413,30 @@ mod tests {
                 n_slots: 10
             }
         );
+    }
+
+    #[test]
+    fn zero_capacity_is_rejected_before_anything_runs() {
+        let trace = trace_of(vec![SparseSeries::from_pairs(vec![(0, 1)])], 10);
+        let config = SimConfig::new(0, 10).with_capacity(0);
+        let err = try_simulate(&trace, &mut KeepForever, config).unwrap_err();
+        assert_eq!(err, SimError::ZeroCapacity);
+        assert!(err.to_string().contains("at least 1"), "{err}");
+        let err = SimDriver::new(1, config, &mut KeepForever, Vec::new()).unwrap_err();
+        assert_eq!(err, SimError::ZeroCapacity);
+    }
+
+    #[test]
+    fn prestart_loads_into_a_full_pool_are_rejected() {
+        let mut policy = StandingSet(vec![FunctionId(0), FunctionId(2)]);
+        let config = SimConfig::new(0, Slot::MAX).with_capacity(1);
+        let mut driver = SimDriver::new(3, config, &mut policy, Vec::new()).unwrap();
+        let outcome = driver.step(0, &[(FunctionId(1), 1)]).unwrap();
+        assert_eq!(outcome.policy_loads, &[FunctionId(0)]);
+        assert_eq!(outcome.rejected_loads, &[FunctionId(2)]);
+        // The demand load made room for f1 by evicting f0.
+        assert_eq!(outcome.capacity_evictions, &[FunctionId(0)]);
+        assert_eq!(outcome.occupancy, 1);
     }
 
     #[test]

@@ -54,6 +54,7 @@
 //! ```
 
 use crate::journal::wire::{self, Wire};
+use crate::journal::JournalEvent;
 use crate::memory::MemoryPool;
 use crate::metrics::RunResult;
 use spes_trace::{AppId, FunctionId, Slot, Trace};
@@ -111,11 +112,12 @@ pub enum SimEvent {
         /// Who evicted it.
         cause: EvictCause,
     },
-    /// A policy load was refused by pressure admission control
-    /// ([`crate::engine::SimConfig::with_pressure_budget`]): projected
-    /// occupancy exceeded the budget, so the pool is unchanged. Demand
-    /// loads (serving a cold start) are never rejected, so this event
-    /// only ever follows a policy's own `load` call.
+    /// A policy load was refused, so the pool is unchanged: the pool was
+    /// at its capacity ([`crate::engine::SimConfig::capacity`]) or at the
+    /// pressure-admission budget
+    /// ([`crate::engine::SimConfig::with_pressure_budget`]). Demand loads
+    /// (serving a cold start) are never rejected, so this event only ever
+    /// follows a policy's own `load` call.
     LoadRejected {
         /// The function whose load was refused.
         f: FunctionId,
@@ -154,10 +156,13 @@ pub struct EventCtx<'a> {
     /// one engine phase (the capacity evicts + demand load serving one
     /// invocation, or everything a policy hook did) are delivered as a
     /// batch after the phase, so a `Load`/`Evict` event's snapshot may
-    /// already include later transitions of the same batch; observers
-    /// needing exact mid-slot occupancy should track it from the events
-    /// themselves (see [`EventLog`] and the reconstruction property
-    /// tests). At [`SimEvent::SlotEnd`] the snapshot is exact.
+    /// already include later transitions of the same batch, which a run
+    /// replayed from its journal ([`crate::journal::replay`]) has not
+    /// applied yet; observers needing exact mid-slot occupancy should
+    /// track it from the events themselves (see [`EventLog`] and the
+    /// reconstruction property tests). At run start, at every
+    /// [`SimEvent::SlotEnd`] and at run end the snapshot is exact, live
+    /// or replayed.
     pub pool: &'a MemoryPool,
 }
 
@@ -761,7 +766,8 @@ pub struct MemoryPressure {
     /// Highest occupancy observed at any point of the run (mid-slot
     /// included).
     pub peak_occupancy: usize,
-    /// Policy loads refused by admission control.
+    /// Policy loads refused because the pool was full or at the
+    /// admission budget.
     pub rejected_loads: u64,
     /// Simulated slots observed.
     pub slots: u64,
@@ -1131,17 +1137,6 @@ impl Observer for Fairness {
 // EventLog: the raw stream, recorded
 // ---------------------------------------------------------------------
 
-/// One recorded event with its timing context.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoggedEvent {
-    /// The slot during which the event happened.
-    pub slot: Slot,
-    /// Whether the slot was inside the metrics window.
-    pub measured: bool,
-    /// The event itself.
-    pub event: SimEvent,
-}
-
 /// Records the complete event stream of a run, plus the run's window.
 ///
 /// The stream is self-contained: the tests reconstruct every paper
@@ -1161,7 +1156,7 @@ pub struct EventLog {
     /// Number of functions in the trace.
     pub n_functions: usize,
     /// Every event, in emission order.
-    pub events: Vec<LoggedEvent>,
+    pub events: Vec<JournalEvent>,
 }
 
 impl EventLog {
@@ -1182,7 +1177,7 @@ impl Observer for EventLog {
     }
 
     fn on_event(&mut self, ctx: &EventCtx<'_>, event: &SimEvent) {
-        self.events.push(LoggedEvent {
+        self.events.push(JournalEvent {
             slot: ctx.slot,
             measured: ctx.measured,
             event: *event,
@@ -1229,7 +1224,7 @@ impl Observer for EventLog {
             .map(|_| {
                 let (slot, event) =
                     crate::journal::decode_event(&mut cur, &mut prev_slot, &mut prev_f)?;
-                Ok(LoggedEvent {
+                Ok(JournalEvent {
                     slot,
                     measured: slot >= self.metrics_start,
                     event,

@@ -28,12 +28,16 @@
 //! as raw little-endian `f64` bits; everything else is varints).
 //!
 //! Writing is an [`Observer`]: attach a [`JournalObserver`] to any run
-//! and the stream is persisted as it happens. Reading is an iterator:
-//! [`JournalReader`] yields [`JournalEvent`]s (the `measured` flag is
-//! re-derived from the header's metrics window, not stored).
+//! and the stream is persisted as it happens. Reading is an iterator or
+//! [`replay`]: [`JournalReader`] yields [`JournalEvent`]s (the `measured`
+//! flag is re-derived from the header's metrics window, not stored), and
+//! [`replay`] feeds them through any observers as the engine would.
 
-use crate::engine::SimConfig;
-use crate::events::{EventCtx, EvictCause, LoadCause, Observer, SimEvent};
+use crate::engine::{validate_window, SimConfig, Sinks};
+use crate::events::{
+    DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunMeta, SimEvent,
+};
+use crate::memory::MemoryPool;
 use spes_trace::{FunctionId, Slot};
 use std::io::{Read, Write};
 
@@ -731,13 +735,14 @@ fn write_frame<W: Write>(inner: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
 // Reader
 // ---------------------------------------------------------------------
 
-/// One event read back from a journal.
+/// One recorded event with its timing context: read back from a journal,
+/// or captured live by an [`crate::events::EventLog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JournalEvent {
     /// The slot during which the event happened.
     pub slot: Slot,
-    /// Whether the slot is inside the journalled run's metrics window
-    /// (re-derived from the header, not stored per event).
+    /// Whether the slot is inside the run's metrics window (a journal
+    /// re-derives it from the header instead of storing it per event).
     pub measured: bool,
     /// The event itself.
     pub event: SimEvent,
@@ -997,11 +1002,109 @@ impl<W: Write> std::fmt::Debug for JournalObserver<W> {
     }
 }
 
+// ---------------------------------------------------------------------
+// Replay
+// ---------------------------------------------------------------------
+
+/// Replays a journalled run through `observers`, as the engine would
+/// have delivered it, and hands them back.
+///
+/// The pool is rebuilt from the header (`n_functions`, and the capacity
+/// and pressure budget of its [`SimConfig`]) and each `Load`/`Evict` is
+/// applied to it before the event is delivered. `on_run_start`, every
+/// event and `on_run_end` go through the engine's own sinks; the run ends
+/// at the slot after the last `SlotEnd`, where a step-driven run ends.
+///
+/// The pool an observer sees is exact at run start, at every `SlotEnd`
+/// and at run end — the only points any workspace observer reads it —
+/// so replayed observers end bit-identical to live ones. Between
+/// `SlotEnd`s it can differ: the engine delivers a phase's transitions
+/// after the phase, so its pool may already hold transitions of the
+/// batch that `replay` has not applied yet (see [`EventCtx::pool`]).
+///
+/// # Errors
+/// Propagates the reader's decoding errors, and returns
+/// [`JournalError::Corrupt`] naming the slot for a stream no run from an
+/// empty pool can produce: a function outside `n_functions`, a `Load`
+/// of a loaded function or into a full pool, or an `Evict` of an
+/// unloaded one (e.g. the journal of a resumed session).
+pub fn replay<R: Read>(
+    mut reader: JournalReader<R>,
+    observers: Vec<Box<dyn DynObserver>>,
+) -> Result<ObserverSet, JournalError> {
+    let meta = reader.meta().clone();
+    let config = meta.config;
+    validate_window(&config, None).map_err(|e| JournalError::Corrupt(e.to_string()))?;
+    let mut pool = MemoryPool::with_capacity(meta.n_functions, config.capacity);
+    pool.set_admission_budget(config.pressure_budget);
+    let mut sinks = Sinks {
+        observers,
+        collector: None,
+    };
+    let run = RunMeta {
+        policy_name: &meta.policy_name,
+        start: config.start,
+        metrics_start: config.metrics_start,
+        end: config.end,
+    };
+    sinks.run_start(&run, &pool);
+    let mut run_end = config.start;
+    while let Some(JournalEvent {
+        slot,
+        measured,
+        event,
+    }) = reader.next_event()?
+    {
+        apply(&mut pool, slot, &event)
+            .map_err(|what| JournalError::Corrupt(format!("slot {slot}: {what}")))?;
+        if matches!(event, SimEvent::SlotEnd { .. }) {
+            run_end = slot.saturating_add(1);
+        }
+        sinks.emit(&pool, slot, measured, &event);
+    }
+    sinks.run_end(run_end, &pool);
+    Ok(ObserverSet::new(sinks.observers))
+}
+
+/// Applies one recorded event to [`replay`]'s pool, refusing what no run
+/// from an empty pool can record.
+fn apply(pool: &mut MemoryPool, slot: Slot, event: &SimEvent) -> Result<(), String> {
+    let f = match *event {
+        SimEvent::ColdStart { f, .. }
+        | SimEvent::WarmStart { f, .. }
+        | SimEvent::Load { f, .. }
+        | SimEvent::Evict { f, .. }
+        | SimEvent::LoadRejected { f } => f,
+        SimEvent::SlotEnd { .. } => return Ok(()),
+    };
+    if f.index() >= pool.n_functions() {
+        return Err(format!(
+            "f{} is outside the run's {} functions",
+            f.0,
+            pool.n_functions()
+        ));
+    }
+    match *event {
+        SimEvent::Load { .. } if pool.contains(f) => {
+            Err(format!("loads f{}, which is already loaded", f.0))
+        }
+        SimEvent::Load { .. } if pool.is_full() => Err(format!("loads f{} into a full pool", f.0)),
+        SimEvent::Load { .. } => {
+            pool.demand_load(f, slot);
+            Ok(())
+        }
+        SimEvent::Evict { .. } if !pool.evict(f) => {
+            Err(format!("evicts f{}, which is not loaded", f.0))
+        }
+        _ => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulation};
-    use crate::events::EventLog;
+    use crate::events::{EventLog, RunCollector};
     use crate::policy::KeepForever;
     use spes_trace::{AppId, FunctionMeta, SparseSeries, Trace, TriggerType, UserId};
 
@@ -1224,5 +1327,79 @@ mod tests {
             assert_eq!(got.measured, logged.measured);
             assert_eq!(got.event, logged.event);
         }
+    }
+
+    /// Replays a hand-written journal through an [`EventLog`] and a
+    /// [`RunCollector`].
+    fn replayed(
+        config: SimConfig,
+        n_functions: usize,
+        events: &[(Slot, SimEvent)],
+    ) -> Result<ObserverSet, JournalError> {
+        let mut writer = JournalWriter::new(Vec::new(), &meta_of(config, n_functions)).unwrap();
+        for (slot, event) in events {
+            writer.append(*slot, event).unwrap();
+        }
+        let bytes = writer.finish().unwrap();
+        let reader = JournalReader::new(bytes.as_slice()).unwrap();
+        let observers: Vec<Box<dyn DynObserver>> =
+            vec![Box::new(EventLog::new()), Box::new(RunCollector::new())];
+        replay(reader, observers)
+    }
+
+    fn load(f: u32) -> SimEvent {
+        SimEvent::Load {
+            f: FunctionId(f),
+            cause: LoadCause::Policy,
+        }
+    }
+
+    #[test]
+    fn replay_delivers_the_header_window_and_every_event() {
+        let config = SimConfig::new(0, 100).with_metrics_start(1);
+        let mut observers = replayed(config, 8, &sample_events()).unwrap();
+        let log: EventLog = observers.take().unwrap();
+        assert_eq!(log.policy_name, "keep-forever");
+        assert_eq!((log.start, log.metrics_start, log.end), (0, 1, 100));
+        assert_eq!(log.n_functions, 8);
+        assert_eq!(log.events.len(), sample_events().len());
+        // The run ends after the last SlotEnd (slot 40), and f3's one
+        // measured invocation at slot 1 was warm.
+        let run = observers.take::<RunCollector>().unwrap().into_result();
+        assert_eq!((run.start, run.end), (1, 41));
+        assert_eq!((run.total_invocations(), run.total_cold_starts()), (1, 0));
+    }
+
+    #[test]
+    fn replay_refuses_streams_no_run_can_record() {
+        let end = SimEvent::SlotEnd { policy_secs: 0.0 };
+        let evict = SimEvent::Evict {
+            f: FunctionId(1),
+            cause: EvictCause::Policy,
+        };
+        let cases = [
+            (None, vec![(0, end), (1, load(8))], "slot 1: f8 is outside"),
+            (None, vec![(2, load(1)), (3, load(1))], "already loaded"),
+            (None, vec![(0, load(0)), (4, evict)], "slot 4: evicts f1"),
+            (
+                Some(1),
+                vec![(0, load(0)), (0, load(1))],
+                "into a full pool",
+            ),
+        ];
+        for (capacity, events, message) in cases {
+            let mut config = SimConfig::new(0, 10);
+            config.capacity = capacity;
+            match replayed(config, 8, &events) {
+                Err(JournalError::Corrupt(m)) => assert!(m.contains(message), "{m}"),
+                other => panic!("expected a corrupt journal for {message:?}, got {other:?}"),
+            }
+        }
+        // A header window no run can have is refused before any event.
+        let err = replayed(SimConfig::new(5, 3), 8, &[]).unwrap_err();
+        assert!(
+            err.to_string().contains("invalid simulation window"),
+            "{err}"
+        );
     }
 }

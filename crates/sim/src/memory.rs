@@ -15,7 +15,8 @@ pub(crate) enum PoolOp {
     Load(FunctionId),
     /// A loaded instance was evicted.
     Evict(FunctionId),
-    /// A load was refused by pressure admission control; nothing changed.
+    /// A load was refused (pool full or over the admission budget);
+    /// nothing changed.
     Reject(FunctionId),
 }
 
@@ -37,11 +38,11 @@ pub struct MemoryPool {
     loaded: Vec<FunctionId>,
     capacity: Option<usize>,
     /// Soft pressure budget for admission control; `None` admits every
-    /// load. Unlike `capacity` (a hard limit that panics when violated),
-    /// the budget makes [`MemoryPool::load`] *refuse* loads that would
-    /// push occupancy past it — the engine uses this to reject policy
-    /// pre-warms under memory pressure while demand loads (which must
-    /// serve a cold start) bypass it.
+    /// load. Unlike `capacity` (a hard limit that demand loads must make
+    /// room under), the budget makes [`MemoryPool::load`] *refuse* loads
+    /// that would push occupancy past it — the engine uses this to reject
+    /// policy pre-warms under memory pressure while demand loads (which
+    /// must serve a cold start) bypass it.
     admission: Option<usize>,
     /// Slot at which each currently loaded instance was loaded.
     loaded_at: Vec<Slot>,
@@ -135,18 +136,15 @@ impl MemoryPool {
     }
 
     /// Loads `f` at slot `now`. Returns `true` if it was newly loaded,
-    /// `false` if it was already present (a no-op) or refused by the
-    /// pressure-admission budget (the refusal is journalled, so under the
-    /// engine it surfaces as a `SimEvent::LoadRejected`).
-    ///
-    /// # Panics
-    /// Panics when loading a new instance into a full pool; callers must
-    /// make room first (see [`crate::policy::Policy::pick_victim`]).
+    /// `false` if it was already present (a no-op) or refused because the
+    /// pool is full or at the pressure-admission budget (the refusal is
+    /// journalled, so under the engine it surfaces as a
+    /// `SimEvent::LoadRejected`). A policy that wants room evicts first.
     pub fn load(&mut self, f: FunctionId, now: Slot) -> bool {
         if self.member[f.index()] {
             return false;
         }
-        if self.admission.is_some_and(|b| self.loaded.len() >= b) {
+        if self.is_full() || self.admission.is_some_and(|b| self.loaded.len() >= b) {
             self.record(PoolOp::Reject(f));
             return false;
         }
@@ -155,8 +153,11 @@ impl MemoryPool {
     }
 
     /// Loads `f` bypassing the admission budget (engine-internal: demand
-    /// loads serve a cold start and cannot be deferred). The hard
-    /// `capacity` limit still applies.
+    /// loads serve a cold start and cannot be deferred).
+    ///
+    /// # Panics
+    /// Panics when loading a new instance into a full pool; the engine
+    /// makes room first.
     pub(crate) fn demand_load(&mut self, f: FunctionId, now: Slot) -> bool {
         if self.member[f.index()] {
             return false;
@@ -352,8 +353,23 @@ mod tests {
     #[should_panic(expected = "full pool")]
     fn overfull_load_panics() {
         let mut pool = MemoryPool::with_capacity(8, Some(1));
-        pool.load(FunctionId(0), 0);
-        pool.load(FunctionId(1), 0);
+        pool.demand_load(FunctionId(0), 0);
+        pool.demand_load(FunctionId(1), 0);
+    }
+
+    #[test]
+    fn overfull_policy_load_is_rejected() {
+        let mut pool = MemoryPool::with_capacity(8, Some(1));
+        pool.enable_journal();
+        assert!(pool.load(FunctionId(0), 0));
+        assert!(!pool.load(FunctionId(1), 0));
+        assert_eq!(pool.loaded(), &[FunctionId(0)]);
+        let mut ops = Vec::new();
+        pool.drain_journal_into(&mut ops);
+        assert_eq!(
+            ops,
+            vec![PoolOp::Load(FunctionId(0)), PoolOp::Reject(FunctionId(1))]
+        );
     }
 
     #[test]

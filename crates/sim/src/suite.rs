@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub enum CapacityRule {
     /// No capacity limit (the paper's default assumption).
     Unlimited,
-    /// A fixed instance budget.
+    /// A fixed instance budget of at least 1.
     Fixed(usize),
     /// The peak loaded-instance count of another suite member's run
     /// (clamped to at least 1). The referenced policy must be in the same
@@ -243,6 +243,9 @@ pub enum SuiteError {
     /// Two specs share a name; results are name-keyed, so names must be
     /// unique.
     DuplicateName(String),
+    /// A [`CapacityRule::Fixed`] budget of 0: the policy's first cold
+    /// start would have nowhere to go.
+    ZeroCapacity(String),
     /// A [`CapacityRule::PeakOf`] references a policy absent from the
     /// suite.
     UnknownCapacityRef {
@@ -265,6 +268,7 @@ impl std::fmt::Display for SuiteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::DuplicateName(name) => write!(f, "duplicate policy name {name:?} in suite"),
+            Self::ZeroCapacity(name) => write!(f, "policy {name:?} has a fixed capacity of 0"),
             Self::UnknownCapacityRef { policy, reference } => write!(
                 f,
                 "policy {policy:?} takes its capacity from {reference:?}, \
@@ -281,14 +285,17 @@ impl std::fmt::Display for SuiteError {
 
 impl std::error::Error for SuiteError {}
 
-/// Checks a suite's static invariants (unique names, resolvable capacity
-/// references) without running anything. [`run_suite`] performs the same
-/// checks; validating up front lets batch drivers (the matrix runner)
-/// fail once before fanning out.
+/// Checks a suite's static invariants (unique names, non-zero fixed
+/// capacities, resolvable capacity references) without running
+/// anything. [`run_suite`] performs the same checks; validating up front
+/// lets batch drivers (the matrix runner) fail once before fanning out.
 pub fn validate_suite(specs: &[PolicySpec]) -> Result<(), SuiteError> {
     for (i, spec) in specs.iter().enumerate() {
         if specs[..i].iter().any(|s| s.name() == spec.name()) {
             return Err(SuiteError::DuplicateName(spec.name().to_owned()));
+        }
+        if spec.capacity() == &CapacityRule::Fixed(0) {
+            return Err(SuiteError::ZeroCapacity(spec.name().to_owned()));
         }
         if let CapacityRule::PeakOf(reference) = spec.capacity() {
             match specs.iter().find(|s| s.name() == reference.as_str()) {
@@ -494,6 +501,15 @@ mod tests {
                 policy: "no-keep-alive".to_owned(),
                 reference: "spes".to_owned(),
             }
+        );
+    }
+
+    #[test]
+    fn zero_fixed_capacity_rejected() {
+        let specs = vec![keep_forever().with_capacity(CapacityRule::Fixed(0))];
+        assert_eq!(
+            validate_suite(&specs).unwrap_err(),
+            SuiteError::ZeroCapacity("keep-forever".to_owned())
         );
     }
 
