@@ -125,8 +125,8 @@ impl HybridHistogram {
     }
 
     /// As [`HybridHistogram::fit`] with a custom histogram range in
-    /// 1-minute bins (Defuse optimises keep-alive over day-scale
-    /// histories, so it uses a 24-hour range).
+    /// 1-minute bins (Defuse passes `12 * 60`, a 12-hour range, so idle
+    /// periods past the original 4 hours stay in range).
     #[must_use]
     pub fn fit_with_bins(
         trace: &Trace,

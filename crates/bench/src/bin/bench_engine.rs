@@ -2,14 +2,17 @@
 //! (scenario, policy) cell, written to `BENCH_engine.json` — and,
 //! against a committed baseline, the CI perf-regression gate.
 //!
-//! The policies are engine-dominated by construction (keep-forever,
-//! fixed-keep-alive, no-keep-alive): their decision hooks are trivial,
-//! so the slots/sec numbers track the engine's event loop rather than a
-//! policy's own cost. keep-forever in particular exercises the sparse
-//! case the span-based idle accounting exists for — a large loaded set
-//! with few invocations per slot. Each cell is timed over `--iters`
-//! fresh simulations and reported with mean/min/max/stddev, so a single
-//! noisy iteration is visible instead of silently skewing the number.
+//! Two kinds of policy share the quick cells. keep-forever,
+//! fixed-keep-alive and no-keep-alive have trivial decision hooks, so
+//! their slots/sec track the engine's event loop; keep-forever in
+//! particular exercises the sparse case the span-based idle accounting
+//! exists for — a large loaded set with few invocations per slot. spes,
+//! defuse and hybrid-function are the hooks a `repro` run spends most of
+//! its time in (histogram queries, S2/S3 adaptation), so their cells gate
+//! the policy layer as well as the engine. Fitting stays outside the
+//! timed section. Each cell is timed over `--iters` fresh simulations and
+//! reported with mean/min/max/stddev, so a single noisy iteration is
+//! visible instead of silently skewing the number.
 //! `bench_engine --help` lists the flags.
 
 use spes_bench::bench_cli::{self, BenchArgs, BenchTool, Gate};
@@ -40,7 +43,14 @@ bench_engine [--functions N] [--seed S] [--iters K] [--out DIR]
                baseline is missing/stale for a measured cell";
 
 const SCENARIOS: [&str; 2] = ["paper-default", "chain-heavy"];
-const POLICIES: [&str; 3] = ["keep-forever", "fixed-keep-alive", "no-keep-alive"];
+const POLICIES: [&str; 6] = [
+    "keep-forever",
+    "fixed-keep-alive",
+    "no-keep-alive",
+    "spes",
+    "defuse",
+    "hybrid-function",
+];
 
 const TOOL: BenchTool<EngineBenchReport> = BenchTool {
     bin: "bench_engine",

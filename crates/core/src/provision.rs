@@ -113,6 +113,12 @@ pub struct SpesPolicy {
     /// Invocation sequence number; stale agenda entries are skipped.
     generation: Vec<u32>,
     online_wts: Vec<Vec<u32>>,
+    /// Whether S2/S3 may act on the function: set when its WT buffer or
+    /// predictive state changed since the last call left it unchanged.
+    /// Both rules are pure in (type, values, buffer, offline std), so a
+    /// call on the inputs of a call that changed nothing would change
+    /// nothing either and is skipped.
+    adapt_pending: Vec<bool>,
     /// Pre-warm and pre-load windows that keep an instance from eviction.
     holds: Holds,
     /// Pre-warm agenda: first predicted slot -> (function, hold-until,
@@ -232,6 +238,7 @@ impl SpesPolicy {
             last_invoked: vec![None; n],
             generation: vec![0; n],
             online_wts: vec![Vec::new(); n],
+            adapt_pending: vec![true; n],
             holds: Holds::default(),
             agenda: Agenda::default(),
             ucorr,
@@ -473,19 +480,23 @@ impl Policy for SpesPolicy {
                         buf.remove(0);
                     }
                     buf.push(gap);
+                    self.adapt_pending[idx] = true;
                 }
             }
             self.last_invoked[idx] = Some(now);
             self.generation[idx] = self.generation[idx].wrapping_add(1);
 
             // Adaptive strategies (Section IV-C1).
-            if self.config.enable_adjusting {
+            if self.config.enable_adjusting && self.adapt_pending[idx] {
+                self.adapt_pending[idx] = false;
                 match self.types[idx] {
                     FunctionType::Unknown => {
                         if let Some(cat) = adaptive::try_online_categorize(&self.online_wts[idx]) {
                             self.types[idx] = cat.ty;
                             self.values[idx] = cat.values;
                             self.online_stats.online_categorized += 1;
+                            // The next call is S2 on the new type.
+                            self.adapt_pending[idx] = true;
                         }
                     }
                     ty => {
@@ -498,6 +509,7 @@ impl Policy for SpesPolicy {
                         if outcome == AdjustOutcome::Updated {
                             self.online_stats.adjustments += 1;
                             self.online_wts[idx].clear();
+                            self.adapt_pending[idx] = true;
                         }
                     }
                 }

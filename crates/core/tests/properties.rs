@@ -377,6 +377,27 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// The premise that lets SPES skip S2 until its WT buffer changes: a
+    /// call that returns `Unchanged` leaves the values as they were, so a
+    /// second call on the same buffer sees the same inputs and returns
+    /// `Unchanged` again.
+    #[test]
+    fn unchanged_adjustment_is_a_fixed_point(
+        (ty, values) in typed_values(),
+        wts in online_wts(),
+        offline_std in 0.0f64..20.0,
+    ) {
+        let mut got = values.clone();
+        if adjust_values(ty, &mut got, &wts, offline_std) == AdjustOutcome::Unchanged {
+            prop_assert_eq!(&got, &values);
+            prop_assert_eq!(
+                adjust_values(ty, &mut got, &wts, offline_std),
+                AdjustOutcome::Unchanged
+            );
+            prop_assert_eq!(got, values);
+        }
+    }
+
     /// A regular cadence `base` whose online buffer mixes the period with
     /// its chain echoes `m*base + (m - 1)`: the case the echo and support
     /// guards of the regular blend exist for.

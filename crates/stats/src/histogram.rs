@@ -12,9 +12,15 @@ use crate::descriptive;
 
 /// A histogram over `0..bins` minute-valued observations with an
 /// out-of-bounds overflow counter.
+///
+/// Queries ([`Histogram::percentile`], [`Histogram::cv`]) cost
+/// O(occupied bins), not O(bins): an occupied-bin bitset lets them skip
+/// empty bins, which add nothing to any sum they compute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
+    /// One bit per bin, set while the bin's count is non-zero.
+    occupied: Vec<u64>,
     oob: u64,
     total: u64,
 }
@@ -26,6 +32,7 @@ impl Histogram {
     pub fn new(bins: usize) -> Self {
         Self {
             counts: vec![0; bins],
+            occupied: vec![0; bins.div_ceil(64)],
             oob: 0,
             total: 0,
         }
@@ -40,10 +47,34 @@ impl Histogram {
     /// Records an observation, bucketing values `>= bins` as out-of-bounds.
     pub fn observe(&mut self, value: u32) {
         self.total += 1;
-        match self.counts.get_mut(value as usize) {
-            Some(slot) => *slot += 1,
+        let bin = value as usize;
+        match self.counts.get_mut(bin) {
+            Some(slot) => {
+                *slot += 1;
+                if let Some(word) = self.occupied.get_mut(bin / 64) {
+                    *word |= 1 << (bin % 64);
+                }
+            }
             None => self.oob += 1,
         }
+    }
+
+    /// The occupied bins with their counts, in ascending bin order.
+    fn occupied_bins(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.occupied
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        w * 64 + bit
+                    })
+                })
+            })
+            .map(|bin| (bin, self.count(bin)))
     }
 
     /// Total number of observations, including out-of-bounds ones.
@@ -78,7 +109,8 @@ impl Histogram {
     /// The value at percentile `p` of the *in-range* observations, or
     /// `None` when there are none. Uses the cumulative-count convention of
     /// the Hybrid policy: the smallest bin whose cumulative count reaches
-    /// `p`% of the in-range total.
+    /// `p`% of the in-range total. Visits only occupied bins: the first
+    /// bin to reach a target of at least one observation is occupied.
     #[must_use]
     pub fn percentile(&self, p: f64) -> Option<u32> {
         let in_range = self.in_range();
@@ -88,19 +120,18 @@ impl Histogram {
         let p = p.clamp(0.0, 100.0);
         let target = (p / 100.0 * in_range as f64).ceil().max(1.0) as u64;
         let mut cum = 0u64;
-        for (bin, &c) in self.counts.iter().enumerate() {
+        let mut last = None;
+        for (bin, c) in self.occupied_bins() {
             cum += c;
             if cum >= target {
                 return Some(bin as u32);
             }
+            last = Some(bin as u32);
         }
         // All in-range mass consumed without reaching target can only
         // happen through floating-point edge cases; return the last
         // non-empty bin.
-        self.counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|bin| bin as u32)
+        last
     }
 
     /// Coefficient of variation of the in-range observations.
@@ -108,6 +139,8 @@ impl Histogram {
     /// The Hybrid policy treats a histogram as "representative" when its CV
     /// is low enough; otherwise it falls back to a fixed keep-alive.
     /// Returns `None` when the histogram holds no in-range observations.
+    /// Both sums visit only occupied bins; an empty bin would add exactly
+    /// `+0.0` to either, so the result is the same as a full scan's.
     #[must_use]
     pub fn cv(&self) -> Option<f64> {
         let n = self.in_range();
@@ -115,7 +148,7 @@ impl Histogram {
             return None;
         }
         let mut sum = 0.0;
-        for (bin, &c) in self.counts.iter().enumerate() {
+        for (bin, c) in self.occupied_bins() {
             sum += bin as f64 * c as f64;
         }
         let mean = sum / n as f64;
@@ -123,7 +156,7 @@ impl Histogram {
             return Some(0.0);
         }
         let mut var = 0.0;
-        for (bin, &c) in self.counts.iter().enumerate() {
+        for (bin, c) in self.occupied_bins() {
             let d = bin as f64 - mean;
             var += d * d * c as f64;
         }
@@ -133,6 +166,7 @@ impl Histogram {
     /// Drains the histogram back to empty without reallocating.
     pub fn clear(&mut self) {
         self.counts.fill(0);
+        self.occupied.fill(0);
         self.oob = 0;
         self.total = 0;
     }
@@ -232,6 +266,31 @@ mod tests {
             h.observe(x);
         }
         assert!((h.cv().unwrap() - sample_cv(&xs)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn occupied_walk_visits_exactly_the_occupied_bins() {
+        // Neither bin count is a multiple of 64, so the last word is partial.
+        for bins in [240usize, 720] {
+            let mut h = Histogram::new(bins);
+            let hits = [bins - 1, 64, 0, 63, 64, 130, bins - 1];
+            for &b in &hits {
+                h.observe(b as u32);
+            }
+            h.observe(bins as u32); // out of bounds: no bin
+            h.observe(u32::MAX);
+            let mut expected: Vec<usize> = hits.to_vec();
+            expected.sort_unstable();
+            expected.dedup();
+            let walked: Vec<(usize, u64)> = h.occupied_bins().collect();
+            let want: Vec<(usize, u64)> = expected.iter().map(|&b| (b, h.count(b))).collect();
+            assert_eq!(walked, want, "bins = {bins}");
+            // Every bin with a count is walked, and nothing else.
+            let scanned = (0..bins).filter(|&b| h.count(b) > 0).count();
+            assert_eq!(walked.len(), scanned);
+            h.clear();
+            assert_eq!(h.occupied_bins().count(), 0, "bins = {bins}");
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! and "dense" functions use the top modes as predictive values. The
 //! "possible" assignment uses every WT value that occurs more than once.
 
-use std::collections::HashMap;
-
 /// A value together with its occurrence count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeEntry {
@@ -18,17 +16,20 @@ pub struct ModeEntry {
 
 /// Full frequency table of `xs`, sorted by descending count and then by
 /// ascending value so that ties break deterministically.
+///
+/// Counts runs in a sorted copy of `xs`, so no hashing is involved; the
+/// final sort's key is a total order on the distinct values.
 #[must_use]
 pub fn mode_table(xs: &[u32]) -> Vec<ModeEntry> {
-    let mut freq: HashMap<u32, usize> = HashMap::with_capacity(xs.len());
-    for &x in xs {
-        *freq.entry(x).or_insert(0) += 1;
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable();
+    let mut table: Vec<ModeEntry> = Vec::new();
+    for value in sorted {
+        match table.last_mut() {
+            Some(last) if last.value == value => last.count += 1,
+            _ => table.push(ModeEntry { value, count: 1 }),
+        }
     }
-    let mut table: Vec<ModeEntry> = freq
-        // lint: allow(D001) order-insensitive: the sort below imposes a total order (count desc, value asc)
-        .into_iter()
-        .map(|(value, count)| ModeEntry { value, count })
-        .collect();
     table.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.value.cmp(&b.value)));
     table
 }

@@ -5,9 +5,75 @@ use spes_stats::{
     descriptive::{coefficient_of_variation, mean, percentile, stddev, Summary},
     histogram::Histogram,
     kstest::{kolmogorov_p_value, ks_statistic, poisson_cdf},
-    modes::{mode_coverage, mode_table, top_modes},
+    modes::{mode_coverage, mode_table, top_modes, ModeEntry},
     online::OnlineStats,
 };
+use std::collections::HashMap;
+
+/// `Histogram::percentile` as a full scan over every bin, the way it was
+/// computed before queries walked only the occupied bins.
+fn reference_percentile(h: &Histogram, p: f64) -> Option<u32> {
+    let in_range = h.in_range();
+    if in_range == 0 {
+        return None;
+    }
+    let p = p.clamp(0.0, 100.0);
+    let target = (p / 100.0 * in_range as f64).ceil().max(1.0) as u64;
+    let mut cum = 0u64;
+    for bin in 0..h.bins() {
+        cum += h.count(bin);
+        if cum >= target {
+            return Some(bin as u32);
+        }
+    }
+    (0..h.bins())
+        .rev()
+        .find(|&bin| h.count(bin) > 0)
+        .map(|bin| bin as u32)
+}
+
+/// `Histogram::cv` as a full scan over every bin.
+fn reference_cv(h: &Histogram) -> Option<f64> {
+    let n = h.in_range();
+    if n == 0 {
+        return None;
+    }
+    let mut sum = 0.0;
+    for bin in 0..h.bins() {
+        sum += bin as f64 * h.count(bin) as f64;
+    }
+    let mean = sum / n as f64;
+    if mean == 0.0 {
+        return Some(0.0);
+    }
+    let mut var = 0.0;
+    for bin in 0..h.bins() {
+        let d = bin as f64 - mean;
+        var += d * d * h.count(bin) as f64;
+    }
+    Some((var / n as f64).sqrt() / mean)
+}
+
+/// `mode_table` as a `HashMap` count, the way it was computed before it
+/// counted runs in a sorted copy. Entries are taken out in first-seen
+/// order rather than by iterating the map; the sort decides the order.
+fn reference_mode_table(xs: &[u32]) -> Vec<ModeEntry> {
+    let mut freq: HashMap<u32, usize> = HashMap::with_capacity(xs.len());
+    for &x in xs {
+        *freq.entry(x).or_insert(0) += 1;
+    }
+    let mut table: Vec<ModeEntry> = xs
+        .iter()
+        .filter_map(|&value| freq.remove(&value).map(|count| ModeEntry { value, count }))
+        .collect();
+    table.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.value.cmp(&b.value)));
+    table
+}
+
+/// Bin counts of the histogram equivalence test: one, around a word
+/// boundary, and the two ranges the policies use (neither a multiple of
+/// 64).
+const BIN_COUNTS: [usize; 6] = [1, 63, 64, 65, 240, 720];
 
 proptest! {
     #[test]
@@ -108,6 +174,43 @@ proptest! {
         prop_assert_eq!(h.total(), xs.len() as u64);
         let oob = xs.iter().filter(|&&x| x >= 100).count() as u64;
         prop_assert_eq!(h.in_range(), xs.len() as u64 - oob);
+    }
+
+    #[test]
+    fn histogram_queries_match_the_full_scan(
+        which in 0usize..BIN_COUNTS.len(),
+        ops in prop::collection::vec((0u32..16, 0u32..1_000), 0..200),
+        p_random in 0.0f64..100.0,
+    ) {
+        let bins = BIN_COUNTS[which];
+        let mut h = Histogram::new(bins);
+        for (op, value) in ops {
+            match op {
+                // An occasional clear between observations.
+                0 => h.clear(),
+                // Mostly values near the range, one or two bins past it.
+                1..=11 => h.observe(value % (bins as u32 + 2)),
+                // Far out-of-bounds values, and in-range ones for 720 bins.
+                _ => h.observe(value),
+            }
+            prop_assert_eq!(
+                h.cv().map(f64::to_bits),
+                reference_cv(&h).map(f64::to_bits),
+                "cv, bins = {}", bins
+            );
+            for p in [0.0, 5.0, 99.0, 100.0, p_random] {
+                prop_assert_eq!(
+                    h.percentile(p),
+                    reference_percentile(&h, p),
+                    "p{}, bins = {}", p, bins
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mode_table_matches_the_hash_count(xs in prop::collection::vec(0u32..40, 0..120)) {
+        prop_assert_eq!(mode_table(&xs), reference_mode_table(&xs));
     }
 
     #[test]
