@@ -22,9 +22,9 @@
 use crate::policies::PolicyCell;
 use crate::scenario::Experiment;
 use spes_sim::{
-    snapshot_info, DynObserver, EventCtx, EventLog, EvictCause, EvictionAudit, JournalEvent,
-    JournalMeta, JournalObserver, JournalReader, LoadCause, MemoryPressure, Observer, ObserverSet,
-    Policy, RunCollector, RunResult, SimDriver, SimEvent, PREMATURE_RELOAD_WINDOW,
+    snapshot_info, DynObserver, EventCtx, EvictCause, EvictionAudit, JournalEvent, JournalMeta,
+    JournalObserver, JournalReader, LoadCause, MemoryPressure, Observer, ObserverSet, Policy,
+    RunCollector, RunResult, SimDriver, SimEvent, PREMATURE_RELOAD_WINDOW,
 };
 use spes_trace::{FunctionId, Slot, SynthTrace};
 
@@ -629,6 +629,25 @@ fn rebuild_workload(meta: &JournalMeta) -> Result<SynthTrace, String> {
     Ok(data)
 }
 
+/// The events a re-run emits, kept in memory rather than written
+/// through the journal codec, so [`check`] compares the recorded
+/// journal's decoding against events that never went through the
+/// encoder — a defect the encoder and decoder share still shows.
+/// Keeps the default empty `snapshot`, so `resume_from` attaches it to
+/// a snapshot that has no state for it.
+#[derive(Debug, Default)]
+struct Tail(Vec<JournalEvent>);
+
+impl Observer for Tail {
+    fn on_event(&mut self, ctx: &EventCtx<'_>, event: &SimEvent) {
+        self.0.push(JournalEvent {
+            slot: ctx.slot,
+            measured: ctx.measured,
+            event: *event,
+        });
+    }
+}
+
 /// Re-runs a recorded run over the slots from `from` on, with the
 /// observers [`record`] attached, and returns its events. When `resume`
 /// carries a snapshot blob, the policy is first warmed by driving the
@@ -644,7 +663,7 @@ fn resimulate(
     let batches = trace.slot_batches(meta.config.start, meta.config.end);
     let mut policy = build_policy(&meta.policy_name, data)?;
     let mut observers = summary_observers();
-    observers.push(Box::new(EventLog::new()));
+    observers.push(Box::new(Tail::default()));
     let cut = (from - meta.config.start) as usize;
     let mut driver = match resume {
         Some(snapshot) => {
@@ -675,7 +694,7 @@ fn resimulate(
         driver.step(slot, batch).map_err(|e| e.to_string())?;
     }
     let (_, mut observers) = driver.finish_with_observers();
-    Ok(take::<EventLog>(&mut observers)?.events)
+    Ok(take::<Tail>(&mut observers)?.0)
 }
 
 /// Re-simulates a journalled run from its own metadata and diffs the

@@ -416,17 +416,20 @@ fn p001_panic_paths(ctx: &FileContext, findings: &mut Vec<Finding>) {
 /// S001 — `use`/`extern crate` of a crate outside the workspace.
 ///
 /// Rust 2018 uniform paths let a `use` start with a module declared in
-/// the same file (`mod wire; … use wire::Frame;`), so every `mod NAME`
-/// declaration is collected as a valid path root first.
+/// the same file (`mod wire; … use wire::Frame;`) or with a
+/// `macro_rules!` macro defined there (`pub(crate) use name;` is the
+/// standard re-export of one), so every `mod NAME` and
+/// `macro_rules! NAME` is collected as a valid path root first.
 fn s001_foreign_crates(ctx: &FileContext, findings: &mut Vec<Finding>) {
     let toks = ctx.tokens;
-    let mut local_mods: BTreeSet<&str> = BTreeSet::new();
+    let mut local_roots: BTreeSet<&str> = BTreeSet::new();
     for i in 0..toks.len() {
-        if ctx.ident(i) == Some("mod") {
-            if let Some(name) = ctx.ident(i + 1) {
-                local_mods.insert(name);
-            }
-        }
+        let name = match ctx.ident(i) {
+            Some("mod") => ctx.ident(i + 1),
+            Some("macro_rules") if ctx.is_punct(i + 1, "!") => ctx.ident(i + 2),
+            _ => None,
+        };
+        local_roots.extend(name);
     }
     for i in 0..toks.len() {
         let after_dot = i.checked_sub(1).is_some_and(|j| ctx.is_punct(j, "."));
@@ -444,7 +447,7 @@ fn s001_foreign_crates(ctx: &FileContext, findings: &mut Vec<Finding>) {
             None
         };
         let Some((idx, segment)) = root else { continue };
-        if !WORKSPACE_CRATES.contains(&segment) && !local_mods.contains(segment) {
+        if !WORKSPACE_CRATES.contains(&segment) && !local_roots.contains(segment) {
             ctx.emit(
                 findings,
                 "S001",
@@ -662,6 +665,23 @@ mod tests {
         // `mod wire;` and must not read as a foreign crate.
         let src = "mod wire;\npub mod model {}\nuse wire::Frame;\npub use model::Trace;\n\
                    use weird::Thing;\n";
+        let found = codes("crates/sim/src/x.rs", src);
+        assert_eq!(
+            found
+                .iter()
+                .filter(|(c, _, _)| *c == "S001")
+                .map(|&(_, l, _)| l)
+                .collect::<Vec<_>>(),
+            vec![5]
+        );
+    }
+
+    #[test]
+    fn s001_permits_re_exports_of_local_macros() {
+        // `pub(crate) use wire_record;` re-exports the macro defined
+        // above it; `use regex;` names no local item and still fires.
+        let src = "macro_rules! wire_record {\n    () => {};\n}\npub(crate) use wire_record;\n\
+                   use regex;\n";
         let found = codes("crates/sim/src/x.rs", src);
         assert_eq!(
             found

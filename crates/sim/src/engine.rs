@@ -51,10 +51,10 @@ use crate::events::{
     DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunCollector, RunMeta,
     SimEvent,
 };
-use crate::journal::wire::{self, Wire};
 use crate::memory::{MemoryPool, PoolOp};
 use crate::metrics::RunResult;
 use crate::policy::Policy;
+use crate::wire;
 use spes_trace::{FunctionId, Slot, Trace};
 use std::time::Instant;
 
@@ -125,28 +125,13 @@ impl SimConfig {
     }
 }
 
-impl Wire for SimConfig {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.extend(wire::encode(&[
-            &self.start,
-            &self.end,
-            &self.metrics_start,
-            &self.capacity,
-            &self.pressure_budget,
-        ]));
-    }
-
-    fn take(cur: &mut wire::Cursor<'_>) -> Result<Self, String> {
-        let (start, end, metrics_start, capacity, pressure_budget) = Wire::take(cur)?;
-        Ok(Self {
-            start,
-            end,
-            metrics_start,
-            capacity,
-            pressure_budget,
-        })
-    }
-}
+wire_record!(SimConfig {
+    start,
+    end,
+    metrics_start,
+    capacity,
+    pressure_budget,
+});
 
 /// Why a simulation could not run (or a step could not be taken).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,8 +379,8 @@ pub struct SlotOutcome<'a> {
 }
 
 /// Per-slot decision scratch, reused across steps.
-#[derive(Debug, Default)]
-struct OutcomeScratch {
+#[derive(Debug, Default, Clone)]
+pub(crate) struct OutcomeScratch {
     invocations: u64,
     cold_starts: u32,
     warm_starts: u32,
@@ -406,35 +391,16 @@ struct OutcomeScratch {
     rejected_loads: Vec<FunctionId>,
 }
 
-impl Wire for OutcomeScratch {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.extend(wire::encode(&[
-            &self.invocations,
-            &self.cold_starts,
-            &self.warm_starts,
-            &self.demand_loads,
-            &self.policy_loads,
-            &self.policy_evictions,
-            &self.capacity_evictions,
-            &self.rejected_loads,
-        ]));
-    }
-
-    fn take(cur: &mut wire::Cursor<'_>) -> Result<Self, String> {
-        let mut scratch = Self::default();
-        (
-            scratch.invocations,
-            scratch.cold_starts,
-            scratch.warm_starts,
-            scratch.demand_loads,
-            scratch.policy_loads,
-            scratch.policy_evictions,
-            scratch.capacity_evictions,
-            scratch.rejected_loads,
-        ) = Wire::take(cur)?;
-        Ok(scratch)
-    }
-}
+wire_record!(OutcomeScratch {
+    invocations,
+    cold_starts,
+    warm_starts,
+    demand_loads,
+    policy_loads,
+    policy_evictions,
+    capacity_evictions,
+    rejected_loads,
+});
 
 impl OutcomeScratch {
     fn clear(&mut self) {
@@ -844,31 +810,29 @@ impl<'p> SimDriver<'p> {
     /// bit-identical to the uninterrupted run.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
-        let loaded: Vec<(FunctionId, Slot)> = self
-            .pool
-            .loaded()
-            .iter()
-            .map(|&f| (f, self.pool.loaded_since(f)))
-            .collect();
-        let observers: Vec<(String, Vec<u8>)> = self
-            .sinks
-            .observers
-            .iter()
-            .map(|o| (o.type_name().to_owned(), o.snapshot()))
-            .collect();
-        let payload = wire::encode(&[
-            &self.policy.name().to_owned(),
-            &self.pool.n_functions(),
-            &self.config,
-            &self.next_slot,
-            &self.finished,
-            &self.clear_scratch,
-            &self.scratch,
-            &loaded,
-            &self.sinks.collector.as_ref().map(Observer::snapshot),
-            &self.policy.snapshot_state(),
-            &observers,
-        ]);
+        let payload = wire::encode(&[&Payload {
+            policy_name: self.policy.name().to_owned(),
+            n_functions: self.pool.n_functions(),
+            config: self.config,
+            next_slot: self.next_slot,
+            finished: self.finished,
+            clear_scratch: self.clear_scratch,
+            scratch: self.scratch.clone(),
+            loaded: self
+                .pool
+                .loaded()
+                .iter()
+                .map(|&f| (f, self.pool.loaded_since(f)))
+                .collect(),
+            collector: self.sinks.collector.as_ref().map(Observer::snapshot),
+            policy_state: self.policy.snapshot_state(),
+            observers: self
+                .sinks
+                .observers
+                .iter()
+                .map(|o| (o.type_name().to_owned(), o.snapshot()))
+                .collect(),
+        }]);
         let mut out = Vec::with_capacity(payload.len() + 20);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -894,41 +858,37 @@ impl<'p> SimDriver<'p> {
     /// - `observers` are matched to the snapshot's state blobs by
     ///   concrete type name, in order; matched observers are restored
     ///   via [`Observer::restore`]. A stored non-empty blob with no
-    ///   matching observer is an error (state would be silently lost);
-    ///   extra fresh observers are attached as-is. Observer order — the
-    ///   event delivery order — follows `observers`, so pass them in
-    ///   the original attachment order to keep replays bit-identical.
+    ///   matching observer is an error (state would be silently lost).
+    ///   An extra observer joins mid-run without its `on_run_start`,
+    ///   so it is refused when its [`Observer::snapshot`] is non-empty
+    ///   and attached as-is when it is empty. An empty snapshot is the
+    ///   only test: an observer that needs `on_run_start` is protected
+    ///   only if it also implements `snapshot`, and one that keeps
+    ///   state behind the default empty snapshot joins fresh.
+    ///   Observer order — the event delivery order — follows
+    ///   `observers`, so pass them in the original attachment order to
+    ///   keep replays bit-identical.
     ///
     /// # Errors
     /// Returns a [`SnapshotError`] on foreign/corrupt/truncated blobs
     /// (including a window or resume slot [`SimDriver::new`] would
-    /// refuse), a checksum mismatch, a policy name mismatch, or a failed
-    /// policy/observer state restore.
+    /// refuse), a checksum mismatch, a policy name mismatch, a failed
+    /// policy/observer state restore, or a stateful observer without
+    /// state in the blob.
     pub fn resume_from(
         snapshot: &[u8],
         policy: &'p mut dyn Policy,
         mut observers: Vec<Box<dyn DynObserver>>,
     ) -> Result<Self, SnapshotError> {
-        let (
-            policy_name,
-            n_functions,
-            config,
-            next_slot,
-            finished,
-            clear_scratch,
-            scratch,
-            loaded,
-            collector,
-            policy_state,
-            observer_states,
-        ) = decode_snapshot(snapshot)?;
-        if policy_name != policy.name() {
+        let payload = decode_snapshot(snapshot)?;
+        if payload.policy_name != policy.name() {
             return Err(SnapshotError::PolicyMismatch {
-                expected: policy_name,
+                expected: payload.policy_name,
                 got: policy.name().to_owned(),
             });
         }
-        let collector = collector
+        let collector = payload
+            .collector
             .map(|blob| {
                 let mut collector = RunCollector::new();
                 collector.restore(&blob).map(|()| collector)
@@ -938,13 +898,13 @@ impl<'p> SimDriver<'p> {
                 observer: "RunCollector".to_owned(),
                 message,
             })?;
-        if let Some(state) = policy_state {
+        if let Some(state) = payload.policy_state {
             policy
                 .restore_state(&state)
                 .map_err(SnapshotError::PolicyRestore)?;
         }
         let mut matched = vec![false; observers.len()];
-        for (type_name, blob) in observer_states {
+        for (type_name, blob) in payload.observers {
             let slot = (0..observers.len())
                 .find(|&i| !matched[i] && observers[i].type_name() == type_name);
             match slot {
@@ -961,9 +921,19 @@ impl<'p> SimDriver<'p> {
                 None => return Err(SnapshotError::UnmatchedObserverState(type_name)),
             }
         }
+        // An unmatched observer never sees `on_run_start`; only a
+        // stateless sink can start mid-run.
+        if let Some(i) =
+            (0..observers.len()).find(|&i| !matched[i] && !observers[i].snapshot().is_empty())
+        {
+            return Err(SnapshotError::UnstartedObserver(
+                observers[i].type_name().to_owned(),
+            ));
+        }
 
-        let mut pool = MemoryPool::with_capacity(n_functions, config.capacity);
-        pool.restore_loaded(&loaded)
+        let config = payload.config;
+        let mut pool = MemoryPool::with_capacity(payload.n_functions, config.capacity);
+        pool.restore_loaded(&payload.loaded)
             .map_err(SnapshotError::Corrupt)?;
         pool.enable_journal();
         pool.set_admission_budget(config.pressure_budget);
@@ -976,10 +946,10 @@ impl<'p> SimDriver<'p> {
             },
             pool,
             ops: Vec::new(),
-            scratch,
-            clear_scratch,
-            next_slot,
-            finished,
+            scratch: payload.scratch,
+            clear_scratch: payload.clear_scratch,
+            next_slot: payload.next_slot,
+            finished: payload.finished,
         })
     }
 }
@@ -1019,6 +989,10 @@ pub enum SnapshotError {
     /// The snapshot carries state for an observer type the caller did
     /// not supply — resuming would silently drop accumulated state.
     UnmatchedObserverState(String),
+    /// The caller supplied a stateful observer (one whose
+    /// [`Observer::snapshot`] is non-empty) that the snapshot has no
+    /// state for. It would join mid-run without its `on_run_start`.
+    UnstartedObserver(String),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -1047,6 +1021,12 @@ impl std::fmt::Display for SnapshotError {
                 write!(
                     f,
                     "snapshot carries state for unprovided observer {observer}"
+                )
+            }
+            Self::UnstartedObserver(observer) => {
+                write!(
+                    f,
+                    "snapshot has no state for stateful observer {observer}, which cannot start mid-run"
                 )
             }
         }
@@ -1082,31 +1062,49 @@ pub struct SnapshotInfo {
 /// Returns a [`SnapshotError`] on foreign, corrupt, or truncated blobs,
 /// including a window or resume slot [`SimDriver::new`] would refuse.
 pub fn snapshot_info(snapshot: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let (policy_name, n_functions, config, next_slot, .., policy_state, _) =
-        decode_snapshot(snapshot)?;
+    let payload = decode_snapshot(snapshot)?;
     Ok(SnapshotInfo {
-        policy_name,
-        n_functions,
-        config,
-        next_slot,
-        has_policy_state: policy_state.is_some(),
+        policy_name: payload.policy_name,
+        n_functions: payload.n_functions,
+        config: payload.config,
+        next_slot: payload.next_slot,
+        has_policy_state: payload.policy_state.is_some(),
     })
 }
 
-/// A [`SimDriver::snapshot`] payload, in wire order.
-type Payload = (
-    String,                  // policy name
-    usize,                   // population
-    SimConfig,               // window and pool limits
-    Slot,                    // next slot
-    bool,                    // finished
-    bool,                    // clear_scratch
-    OutcomeScratch,          // the last step's outcome
-    Vec<(FunctionId, Slot)>, // loaded set with load slots, in pool order
-    Option<Vec<u8>>,         // internal collector state
-    Option<Vec<u8>>,         // policy state
-    Vec<(String, Vec<u8>)>,  // observer states by concrete type name
-);
+/// A [`SimDriver::snapshot`] payload: the driver's whole mutable state.
+pub(crate) struct Payload {
+    pub(crate) policy_name: String,
+    /// The population.
+    pub(crate) n_functions: usize,
+    pub(crate) config: SimConfig,
+    pub(crate) next_slot: Slot,
+    pub(crate) finished: bool,
+    pub(crate) clear_scratch: bool,
+    /// The last step's outcome.
+    pub(crate) scratch: OutcomeScratch,
+    /// The loaded set with load slots, in pool order.
+    pub(crate) loaded: Vec<(FunctionId, Slot)>,
+    /// The internal collector's state.
+    pub(crate) collector: Option<Vec<u8>>,
+    pub(crate) policy_state: Option<Vec<u8>>,
+    /// Observer states by concrete type name.
+    pub(crate) observers: Vec<(String, Vec<u8>)>,
+}
+
+wire_record!(Payload {
+    policy_name,
+    n_functions,
+    config,
+    next_slot,
+    finished,
+    clear_scratch,
+    scratch,
+    loaded,
+    collector,
+    policy_state,
+    observers,
+});
 
 /// Decodes a [`SimDriver::snapshot`] blob — checking its magic, version,
 /// length and checksum first — and checks the window like
@@ -1134,7 +1132,7 @@ fn decode_snapshot(snapshot: &[u8]) -> Result<Payload, SnapshotError> {
         return Err(SnapshotError::Checksum);
     }
     let payload: Payload = wire::decode(bytes).map_err(corrupt)?;
-    let (_, _, config, next_slot, ..) = payload;
+    let (config, next_slot) = (payload.config, payload.next_slot);
     validate_window(&config, None).map_err(|e| corrupt(e.to_string()))?;
     if !(config.start..=config.end).contains(&next_slot) {
         return Err(corrupt(format!(

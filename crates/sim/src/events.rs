@@ -53,10 +53,10 @@
 //! assert_eq!(ticks, trace.n_slots as usize);
 //! ```
 
-use crate::journal::wire::{self, Wire};
 use crate::journal::JournalEvent;
 use crate::memory::MemoryPool;
 use crate::metrics::RunResult;
+use crate::wire::{self, Wire};
 use spes_trace::{AppId, FunctionId, Slot, Trace};
 
 /// Why an instance was loaded into the pool.
@@ -191,7 +191,10 @@ pub trait Observer {
     /// taken at slot boundaries, not run ends. The default returns an
     /// empty blob, which marks the observer as carrying no state (fine
     /// for write-through sinks like [`crate::journal::JournalObserver`];
-    /// wrong for accumulators, which should implement both hooks).
+    /// wrong for accumulators, which should implement both hooks). An
+    /// observer that needs [`Observer::on_run_start`] must implement
+    /// it too: `resume_from` refuses an observer it has no state for
+    /// only when its snapshot is non-empty.
     fn snapshot(&self) -> Vec<u8> {
         Vec::new()
     }
@@ -461,47 +464,26 @@ impl Observer for RunCollector {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        wire::encode(&[
-            &self.policy_name,
-            &self.start,
-            &self.metrics_start,
-            &self.end,
-            &self.invocations,
-            &self.cold_starts,
-            &self.loaded_slots,
-            &self.invoked_loaded_slots,
-            &self.span_start,
-            &self.invoked_this_slot,
-            &self.loaded_integral,
-            &self.emcr_sum,
-            &self.emcr_slots,
-            &self.overhead_secs,
-            &self.peak_loaded,
-        ])
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        (
-            self.policy_name,
-            self.start,
-            self.metrics_start,
-            self.end,
-            self.invocations,
-            self.cold_starts,
-            self.loaded_slots,
-            self.invoked_loaded_slots,
-            self.span_start,
-            self.invoked_this_slot,
-            self.loaded_integral,
-            self.emcr_sum,
-            self.emcr_slots,
-            self.overhead_secs,
-            self.peak_loaded,
-        ) = wire::decode(state)?;
-        Ok(())
-    }
+    observer_state!();
 }
+
+wire_record!(RunCollector {
+    policy_name,
+    start,
+    metrics_start,
+    end,
+    invocations,
+    cold_starts,
+    loaded_slots,
+    invoked_loaded_slots,
+    span_start,
+    invoked_this_slot,
+    loaded_integral,
+    emcr_sum,
+    emcr_slots,
+    overhead_secs,
+    peak_loaded,
+});
 
 // ---------------------------------------------------------------------
 // SlotSeries: per-slot time series for figures
@@ -603,37 +585,21 @@ impl Observer for SlotSeries {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        wire::encode(&[
-            &self.start,
-            &self.loaded,
-            &self.cold,
-            &self.warm,
-            &self.evictions,
-            &self.emcr,
-            &self.cold_now,
-            &self.warm_now,
-            &self.evict_now,
-            &self.invoked_now,
-        ])
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        (
-            self.start,
-            self.loaded,
-            self.cold,
-            self.warm,
-            self.evictions,
-            self.emcr,
-            self.cold_now,
-            self.warm_now,
-            self.evict_now,
-            self.invoked_now,
-        ) = wire::decode(state)?;
-        Ok(())
-    }
+    observer_state!();
 }
+
+wire_record!(SlotSeries {
+    start,
+    loaded,
+    cold,
+    warm,
+    evictions,
+    emcr,
+    cold_now,
+    warm_now,
+    evict_now,
+    invoked_now,
+});
 
 // ---------------------------------------------------------------------
 // EvictionAudit: eviction forensics
@@ -719,29 +685,17 @@ impl Observer for EvictionAudit {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        wire::encode(&[
-            &self.policy_evictions,
-            &self.capacity_evictions,
-            &self.reloads,
-            &self.premature_reloads,
-            &self.premature_window,
-            &self.evicted_at,
-        ])
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        (
-            self.policy_evictions,
-            self.capacity_evictions,
-            self.reloads,
-            self.premature_reloads,
-            self.premature_window,
-            self.evicted_at,
-        ) = wire::decode(state)?;
-        Ok(())
-    }
+    observer_state!();
 }
+
+wire_record!(EvictionAudit {
+    policy_evictions,
+    capacity_evictions,
+    reloads,
+    premature_reloads,
+    premature_window,
+    evicted_at,
+});
 
 // ---------------------------------------------------------------------
 // MemoryPressure: pool headroom and admission forensics
@@ -877,37 +831,21 @@ impl Observer for MemoryPressure {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        wire::encode(&[
-            &self.budget,
-            &self.budget_is_explicit,
-            &self.occupancy,
-            &self.peak_occupancy,
-            &self.rejected_loads,
-            &self.slots,
-            &self.loaded_integral,
-            &self.slots_at_budget,
-            &self.over_budget_integral,
-            &self.min_headroom,
-        ])
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        (
-            self.budget,
-            self.budget_is_explicit,
-            self.occupancy,
-            self.peak_occupancy,
-            self.rejected_loads,
-            self.slots,
-            self.loaded_integral,
-            self.slots_at_budget,
-            self.over_budget_integral,
-            self.min_headroom,
-        ) = wire::decode(state)?;
-        Ok(())
-    }
+    observer_state!();
 }
+
+wire_record!(MemoryPressure {
+    budget,
+    budget_is_explicit,
+    occupancy,
+    peak_occupancy,
+    rejected_loads,
+    slots,
+    loaded_integral,
+    slots_at_budget,
+    over_budget_integral,
+    min_headroom,
+});
 
 // ---------------------------------------------------------------------
 // Fairness: per-app cold-start burden vs. invocation share
@@ -1113,25 +1051,15 @@ impl Observer for Fairness {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        wire::encode(&[
-            &self.app_index,
-            &self.apps,
-            &self.invocations,
-            &self.cold_starts,
-        ])
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        (
-            self.app_index,
-            self.apps,
-            self.invocations,
-            self.cold_starts,
-        ) = wire::decode(state)?;
-        Ok(())
-    }
+    observer_state!();
 }
+
+wire_record!(Fairness {
+    app_index,
+    apps,
+    invocations,
+    cold_starts,
+});
 
 // ---------------------------------------------------------------------
 // EventLog: the raw stream, recorded

@@ -38,6 +38,7 @@ use crate::events::{
     DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunMeta, SimEvent,
 };
 use crate::memory::MemoryPool;
+use crate::wire::{self, crc32, put_f64, put_varint, put_zigzag, Cursor};
 use spes_trace::{FunctionId, Slot};
 use std::io::{Read, Write};
 
@@ -52,334 +53,6 @@ const FRAME_EVENTS: u8 = 2;
 /// Flush threshold: an event frame is closed once its payload reaches
 /// this size (events are a handful of bytes, so frames hold thousands).
 const FRAME_TARGET_BYTES: usize = 64 * 1024;
-
-// ---------------------------------------------------------------------
-// The state codec (shared with the snapshot codec in `engine`)
-// ---------------------------------------------------------------------
-
-pub(crate) mod wire {
-    //! The one codec behind every snapshot, observer state and journal
-    //! header: a [`Wire`] value encodes as LEB128 varints (integers),
-    //! raw little-endian bits (`f64`), single bytes (`u8`, `bool`, and
-    //! the `Option` presence tag), and length-prefixed sequences
-    //! (`String`, `Vec`); tuples concatenate their fields. A record
-    //! encodes with [`encode`] over its field list and decodes with one
-    //! destructuring [`decode`], so the two directions cannot drift.
-    //! The journal's per-event codec uses the byte primitives directly.
-
-    use spes_trace::{AppId, FunctionId};
-
-    /// CRC32 (IEEE 802.3) lookup table, built at compile time.
-    const CRC_TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    };
-
-    /// CRC32 (IEEE) of `bytes`.
-    #[must_use]
-    pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-        }
-        !crc
-    }
-
-    /// Appends `value` as an LEB128 varint.
-    pub(crate) fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
-        loop {
-            let byte = (value & 0x7F) as u8;
-            value >>= 7;
-            if value == 0 {
-                buf.push(byte);
-                return;
-            }
-            buf.push(byte | 0x80);
-        }
-    }
-
-    /// Appends `value` zigzag-mapped to a varint (small magnitudes of
-    /// either sign stay short).
-    pub(crate) fn put_zigzag(buf: &mut Vec<u8>, value: i64) {
-        put_varint(buf, ((value << 1) ^ (value >> 63)) as u64);
-    }
-
-    /// Appends the raw little-endian bits of `value` (exact round-trip,
-    /// NaN and infinities included).
-    pub(crate) fn put_f64(buf: &mut Vec<u8>, value: f64) {
-        buf.extend_from_slice(&value.to_bits().to_le_bytes());
-    }
-
-    /// Decoded sequences reserve at most this many elements up front, so
-    /// a corrupt length prefix cannot demand a huge allocation: the
-    /// decode fails at the end of the payload instead.
-    const MAX_RESERVE: usize = 1 << 20;
-
-    /// A value with one binary encoding, read back by [`Wire::take`].
-    pub(crate) trait Wire {
-        /// Appends the value's encoding.
-        fn put(&self, buf: &mut Vec<u8>);
-
-        /// Decodes one value, advancing the cursor.
-        fn take(cur: &mut Cursor<'_>) -> Result<Self, String>
-        where
-            Self: Sized;
-    }
-
-    /// Encodes `fields` back to back — the encoding of the tuple of
-    /// their values.
-    #[must_use]
-    pub(crate) fn encode(fields: &[&dyn Wire]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for field in fields {
-            field.put(&mut buf);
-        }
-        buf
-    }
-
-    /// Decodes one `T` that must span all of `bytes`.
-    pub(crate) fn decode<T: Wire>(bytes: &[u8]) -> Result<T, String> {
-        let mut cur = Cursor::new(bytes);
-        let value = T::take(&mut cur)?;
-        cur.finish()?;
-        Ok(value)
-    }
-
-    impl Wire for u8 {
-        fn put(&self, buf: &mut Vec<u8>) {
-            buf.push(*self);
-        }
-
-        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-            cur.take_u8()
-        }
-    }
-
-    impl Wire for bool {
-        fn put(&self, buf: &mut Vec<u8>) {
-            buf.push(u8::from(*self));
-        }
-
-        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-            match cur.take_u8()? {
-                0 => Ok(false),
-                1 => Ok(true),
-                other => Err(format!("invalid flag byte {other}")),
-            }
-        }
-    }
-
-    /// Unsigned integers encode as varints.
-    macro_rules! wire_uint {
-        ($($ty:ty),*) => {$(
-            impl Wire for $ty {
-                fn put(&self, buf: &mut Vec<u8>) {
-                    put_varint(buf, *self as u64);
-                }
-
-                fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-                    let raw = cur.take_varint()?;
-                    Self::try_from(raw)
-                        .map_err(|_| format!("{raw} does not fit {}", stringify!($ty)))
-                }
-            }
-        )*};
-    }
-
-    wire_uint!(u32, u64, usize);
-
-    impl Wire for f64 {
-        fn put(&self, buf: &mut Vec<u8>) {
-            put_f64(buf, *self);
-        }
-
-        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-            cur.take_f64()
-        }
-    }
-
-    impl Wire for String {
-        fn put(&self, buf: &mut Vec<u8>) {
-            self.len().put(buf);
-            buf.extend_from_slice(self.as_bytes());
-        }
-
-        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-            let len = usize::take(cur)?;
-            let bytes = cur.take_slice(len)?;
-            Self::from_utf8(bytes.to_vec()).map_err(|_| "string is not valid UTF-8".to_owned())
-        }
-    }
-
-    /// Id newtypes encode as their `u32`.
-    macro_rules! wire_id {
-        ($($ty:ident),*) => {$(
-            impl Wire for $ty {
-                fn put(&self, buf: &mut Vec<u8>) {
-                    self.0.put(buf);
-                }
-
-                fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-                    u32::take(cur).map($ty)
-                }
-            }
-        )*};
-    }
-
-    wire_id!(FunctionId, AppId);
-
-    impl<T: Wire> Wire for Option<T> {
-        fn put(&self, buf: &mut Vec<u8>) {
-            self.is_some().put(buf);
-            if let Some(value) = self {
-                value.put(buf);
-            }
-        }
-
-        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-            bool::take(cur)?.then(|| T::take(cur)).transpose()
-        }
-    }
-
-    impl<T: Wire> Wire for Vec<T> {
-        fn put(&self, buf: &mut Vec<u8>) {
-            self.len().put(buf);
-            for item in self {
-                item.put(buf);
-            }
-        }
-
-        fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-            let len = usize::take(cur)?;
-            let mut items = Vec::with_capacity(len.min(MAX_RESERVE));
-            for _ in 0..len {
-                items.push(T::take(cur)?);
-            }
-            Ok(items)
-        }
-    }
-
-    /// Implements [`Wire`] for the tuple of the given type parameters
-    /// and for every shorter tuple of its trailing ones.
-    macro_rules! wire_tuples {
-        () => {};
-        ($head:ident $($tail:ident)*) => {
-            impl<$head: Wire, $($tail: Wire),*> Wire for ($head, $($tail,)*) {
-                #[allow(non_snake_case)]
-                fn put(&self, buf: &mut Vec<u8>) {
-                    let ($head, $($tail,)*) = self;
-                    $head.put(buf);
-                    $($tail.put(buf);)*
-                }
-
-                fn take(cur: &mut Cursor<'_>) -> Result<Self, String> {
-                    Ok(($head::take(cur)?, $($tail::take(cur)?,)*))
-                }
-            }
-            wire_tuples!($($tail)*);
-        };
-    }
-
-    wire_tuples!(A B C D E F G H I J K L M N O);
-
-    /// A checked forward-only decoder over a byte slice. Every take
-    /// reports truncation/overflow as `Err(String)` instead of
-    /// panicking, so corrupt frames surface as typed errors.
-    pub(crate) struct Cursor<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        pub(crate) fn new(buf: &'a [u8]) -> Self {
-            Self { buf, pos: 0 }
-        }
-
-        /// Bytes consumed so far.
-        pub(crate) fn position(&self) -> usize {
-            self.pos
-        }
-
-        /// Rejects bytes past the last decoded value.
-        pub(crate) fn finish(&self) -> Result<(), String> {
-            match self.buf.len() - self.pos {
-                0 => Ok(()),
-                n => Err(format!("{n} trailing bytes after the last field")),
-            }
-        }
-
-        pub(crate) fn take_u8(&mut self) -> Result<u8, String> {
-            let b = *self
-                .buf
-                .get(self.pos)
-                .ok_or_else(|| "unexpected end of payload".to_owned())?;
-            self.pos += 1;
-            Ok(b)
-        }
-
-        pub(crate) fn take_varint(&mut self) -> Result<u64, String> {
-            let mut value = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let byte = self.take_u8()?;
-                if shift >= 64 || (shift == 63 && byte > 1) {
-                    return Err("varint overflows u64".to_owned());
-                }
-                value |= u64::from(byte & 0x7F) << shift;
-                if byte & 0x80 == 0 {
-                    return Ok(value);
-                }
-                shift += 7;
-            }
-        }
-
-        pub(crate) fn take_zigzag(&mut self) -> Result<i64, String> {
-            let raw = self.take_varint()?;
-            Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
-        }
-
-        pub(crate) fn take_f64(&mut self) -> Result<f64, String> {
-            self.take_array()
-                .map(|raw| f64::from_bits(u64::from_le_bytes(raw)))
-        }
-
-        /// The next `N` bytes, as a fixed-width field.
-        pub(crate) fn take_array<const N: usize>(&mut self) -> Result<[u8; N], String> {
-            let mut raw = [0u8; N];
-            raw.copy_from_slice(self.take_slice(N)?);
-            Ok(raw)
-        }
-
-        /// The next `len` bytes.
-        pub(crate) fn take_slice(&mut self, len: usize) -> Result<&'a [u8], String> {
-            let end = self
-                .pos
-                .checked_add(len)
-                .filter(|&end| end <= self.buf.len())
-                .ok_or_else(|| "unexpected end of payload".to_owned())?;
-            let bytes = &self.buf[self.pos..end];
-            self.pos = end;
-            Ok(bytes)
-        }
-    }
-}
-
-use wire::{crc32, put_f64, put_varint, put_zigzag, Cursor};
 
 // ---------------------------------------------------------------------
 // Errors
@@ -464,30 +137,16 @@ impl JournalMeta {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
-
-    fn encode(&self) -> Vec<u8> {
-        wire::encode(&[
-            &self.policy_name,
-            &self.n_functions,
-            &self.config,
-            &self.trace_digest,
-            &self.seed,
-            &self.extra,
-        ])
-    }
-
-    fn decode(payload: &[u8]) -> Result<Self, String> {
-        let (policy_name, n_functions, config, trace_digest, seed, extra) = wire::decode(payload)?;
-        Ok(Self {
-            policy_name,
-            n_functions,
-            config,
-            trace_digest,
-            seed,
-            extra,
-        })
-    }
 }
+
+wire_record!(JournalMeta {
+    policy_name,
+    n_functions,
+    config,
+    trace_digest,
+    seed,
+    extra,
+});
 
 // ---------------------------------------------------------------------
 // Event codec
@@ -646,7 +305,7 @@ impl<W: Write> JournalWriter<W> {
     pub fn new(mut inner: W, meta: &JournalMeta) -> Result<Self, JournalError> {
         inner.write_all(JOURNAL_MAGIC)?;
         inner.write_all(&JOURNAL_VERSION.to_le_bytes())?;
-        write_frame(&mut inner, FRAME_META, &meta.encode())?;
+        write_frame(&mut inner, FRAME_META, &wire::encode(&[meta]))?;
         Ok(Self {
             inner,
             buf: Vec::with_capacity(FRAME_TARGET_BYTES + 64),
@@ -789,7 +448,7 @@ impl<R: Read> JournalReader<R> {
                 "first frame must be the meta frame, found kind {kind}"
             )));
         }
-        let meta = JournalMeta::decode(&payload).map_err(JournalError::Corrupt)?;
+        let meta: JournalMeta = wire::decode(&payload).map_err(JournalError::Corrupt)?;
         Ok(Self {
             inner,
             meta,

@@ -22,6 +22,9 @@
 
 #![forbid(unsafe_code)]
 
+#[macro_use]
+mod wire;
+
 pub mod engine;
 pub mod events;
 pub mod journal;

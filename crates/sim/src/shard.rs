@@ -53,7 +53,6 @@
 
 use crate::engine::{SimConfig, SimError, Simulation};
 use crate::events::{EventCtx, Observer, RunCollector, SimEvent};
-use crate::journal::wire;
 use crate::metrics::RunResult;
 use crate::policy::Policy;
 use spes_trace::{FunctionId, Slot, Trace};
@@ -257,15 +256,13 @@ impl Observer for ShardCounts {
         }
     }
 
-    fn snapshot(&self) -> Vec<u8> {
-        wire::encode(&[&self.counts, &self.invoked_this_slot])
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
-        (self.counts, self.invoked_this_slot) = wire::decode(state)?;
-        Ok(())
-    }
+    observer_state!();
 }
+
+wire_record!(ShardCounts {
+    counts,
+    invoked_this_slot,
+});
 
 /// One shard's finished run: its local [`RunResult`] (function indices
 /// are shard-local) plus the per-slot counts the merge needs.
@@ -447,6 +444,7 @@ mod tests {
     use super::*;
     use crate::engine::{try_simulate, SimDriver};
     use crate::policy::{KeepForever, NoKeepAlive};
+    use crate::wire;
     use spes_trace::synth::small_test_trace;
 
     fn quickish() -> Trace {

@@ -16,8 +16,8 @@
 
 use proptest::prelude::*;
 use spes_sim::{
-    DynObserver, EventLog, EvictionAudit, Fairness, MemoryPool, MemoryPressure, Policy, SimConfig,
-    SimDriver, SimEvent, SlotSeries, SnapshotError,
+    DynObserver, EventLog, EvictionAudit, Fairness, JournalMeta, JournalObserver, JournalReader,
+    MemoryPool, MemoryPressure, Policy, SimConfig, SimDriver, SimEvent, SlotSeries, SnapshotError,
 };
 use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
@@ -376,6 +376,67 @@ fn resume_rejects_dropped_observer_state() {
         Err(other) => panic!("expected UnmatchedObserverState, got {other}"),
         Ok(_) => panic!("expected UnmatchedObserverState, got a resumed driver"),
     }
+}
+
+/// The converse hole: an observer the snapshot has no state for never
+/// sees `on_run_start`, so a stateful one (`EvictionAudit` sizes itself
+/// there) is refused instead of panicking at its first event. A
+/// stateless sink still attaches mid-run.
+#[test]
+fn resume_rejects_a_stateful_observer_it_cannot_start() {
+    let trace = tiny_trace();
+    let config = SimConfig::new(0, 6);
+    let batches = trace.slot_batches(0, 6);
+    let mut policy = spes_sim::KeepForever;
+    let observers: Vec<Box<dyn DynObserver>> = vec![Box::new(MemoryPressure::new())];
+    let mut driver = SimDriver::new(2, config, &mut policy, observers).unwrap();
+    for (slot, batch) in batches.iter().take(3) {
+        driver.step(slot, batch).unwrap();
+    }
+    let snap = driver.snapshot();
+
+    let extra: Vec<Box<dyn DynObserver>> = vec![
+        Box::new(MemoryPressure::new()),
+        Box::new(EvictionAudit::new(3)),
+    ];
+    match SimDriver::resume_from(&snap, &mut policy, extra) {
+        Err(SnapshotError::UnstartedObserver(name)) => {
+            assert!(
+                name.contains("EvictionAudit"),
+                "unexpected observer: {name}"
+            );
+        }
+        Err(other) => panic!("expected UnstartedObserver, got {other}"),
+        Ok(_) => panic!("expected UnstartedObserver, got a resumed driver"),
+    }
+
+    let meta = JournalMeta {
+        policy_name: "keep-forever".to_owned(),
+        n_functions: 2,
+        config,
+        trace_digest: 0,
+        seed: 0,
+        extra: Vec::new(),
+    };
+    let sink: Vec<Box<dyn DynObserver>> = vec![
+        Box::new(MemoryPressure::new()),
+        Box::new(JournalObserver::new(Vec::new(), &meta).unwrap()),
+    ];
+    let mut resumed = SimDriver::resume_from(&snap, &mut policy, sink).unwrap();
+    for (slot, batch) in batches.iter().skip(3) {
+        resumed.step(slot, batch).unwrap();
+    }
+    let (_, mut observers) = resumed.finish_with_observers();
+    let journal = observers
+        .take::<JournalObserver<Vec<u8>>>()
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    let events = JournalReader::new(journal.as_slice())
+        .unwrap()
+        .read_all()
+        .unwrap();
+    assert_eq!(events.first().map(|e| e.slot), Some(3));
 }
 
 /// A snapshot taken before the first step (cut at slot 0) still carries
