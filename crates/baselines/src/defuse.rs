@@ -22,6 +22,14 @@ use spes_trace::{FunctionId, Slot, Trace};
 /// Minimum number of source invocations before a dependency is trusted.
 const MIN_SUPPORT_EVENTS: usize = 5;
 
+/// Both the lagged correlation and the episode confidence of a mined
+/// dependency must reach this threshold, as in the SPES comparison.
+const MIN_CONFIDENCE: f64 = 0.5;
+
+/// Longest lag, in slots (minutes), a mined dependency may span: a
+/// 10-minute window, as in the SPES comparison.
+const MAX_LAG: u32 = 10;
+
 /// A mined dependency edge: invoking `source` predicts `target` within
 /// `lag` slots.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,16 +59,11 @@ pub struct Defuse {
 }
 
 impl Defuse {
-    /// Mines dependencies and trains the histogram layer on
-    /// `[train_start, train_end)`.
+    /// Mines dependencies with the thresholds used in the SPES
+    /// comparison (`MIN_CONFIDENCE`, `MAX_LAG`) and trains the
+    /// histogram layer on `[train_start, train_end)`.
     #[must_use]
-    pub fn fit(
-        trace: &Trace,
-        train_start: Slot,
-        train_end: Slot,
-        confidence: f64,
-        max_lag: u32,
-    ) -> Self {
+    pub fn paper_default(trace: &Trace, train_start: Slot, train_end: Slot) -> Self {
         // Defuse derives keep-alive windows from day-scale invocation
         // histories rather than Shahrad's 4-hour histogram, which is what
         // lets it cover overnight idle periods (at a memory premium).
@@ -112,7 +115,7 @@ impl Defuse {
                     let (lag, cor) = spes_core::best_lagged_cor(
                         target_series,
                         source_series,
-                        max_lag,
+                        MAX_LAG,
                         train_start,
                         train_end,
                     );
@@ -127,7 +130,7 @@ impl Defuse {
                         train_start,
                         train_end,
                     );
-                    if cor >= confidence && episode_confidence >= confidence && lag > 0 {
+                    if cor >= MIN_CONFIDENCE && episode_confidence >= MIN_CONFIDENCE && lag > 0 {
                         dependents[source.index()].push(Dependency {
                             source,
                             target,
@@ -146,13 +149,6 @@ impl Defuse {
             holds: Holds::default(),
             edges,
         }
-    }
-
-    /// Defuse with the thresholds used in the SPES comparison: confidence
-    /// 0.5, lag window 10 minutes.
-    #[must_use]
-    pub fn paper_default(trace: &Trace, train_start: Slot, train_end: Slot) -> Self {
-        Self::fit(trace, train_start, train_end, 0.5, 10)
     }
 
     /// Number of mined dependency edges.

@@ -43,7 +43,11 @@ repro [--fig <id>] [--scenario NAME] [--policies a,b,c] [--functions N]
 fn policy_registry() -> String {
     let mut text = String::new();
     for p in policies::REGISTRY {
-        let marker = if p.in_default_suite { "*" } else { " " };
+        let marker = if POLICY_ORDER.contains(&p.name) {
+            "*"
+        } else {
+            " "
+        };
         let _ = writeln!(text, "  {marker} {:<19} {}", p.name, p.summary);
     }
     text + "  (* = in the default comparison suite)"

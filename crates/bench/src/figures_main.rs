@@ -3,9 +3,9 @@
 //! [`ComparisonRun`].
 
 use crate::figures::{paper, pct, table, Rendered};
-use crate::scenario::ComparisonRun;
+use crate::scenario::{ComparisonRun, POLICY_ORDER};
 use serde::{Deserialize, Serialize};
-use spes_sim::{per_category_stats, NormalizedComparison};
+use spes_sim::{normalized, per_category_stats};
 use spes_trace::Slot;
 
 /// Table I census: how many functions landed in each SPES type.
@@ -95,12 +95,7 @@ pub fn fig8(cmp: &ComparisonRun) -> Fig8 {
     // oracle, the trivial brackets, any unregistered custom policy) must
     // not distort the headline number, so only default-suite members
     // count.
-    let is_baseline = |name: &str| {
-        name != "spes"
-            && crate::policies::REGISTRY
-                .iter()
-                .any(|p| p.in_default_suite && p.name == name)
-    };
+    let is_baseline = |name: &str| name != "spes" && POLICY_ORDER.contains(&name);
     let best_baseline_q3 = q3_csr
         .iter()
         .filter(|(n, _)| is_baseline(n))
@@ -174,13 +169,8 @@ fn reference_policy(cmp: &ComparisonRun) -> &str {
 /// Builds Fig. 9.
 #[must_use]
 pub fn fig9(cmp: &ComparisonRun) -> Fig9 {
-    let memory = NormalizedComparison::build(&cmp.runs, reference_policy(cmp), |r| r.mean_loaded());
     Fig9 {
-        normalized_memory: memory
-            .rows
-            .iter()
-            .map(|(n, _, norm)| (n.clone(), *norm))
-            .collect(),
+        normalized_memory: normalized(&cmp.runs, reference_policy(cmp), |r| r.mean_loaded()),
         always_cold_pct: cmp
             .runs
             .iter()
@@ -244,14 +234,8 @@ pub struct Fig11 {
 /// Builds Fig. 11.
 #[must_use]
 pub fn fig11(cmp: &ComparisonRun) -> Fig11 {
-    let wmt =
-        NormalizedComparison::build(&cmp.runs, reference_policy(cmp), |r| r.total_wmt() as f64);
     Fig11 {
-        normalized_wmt: wmt
-            .rows
-            .iter()
-            .map(|(n, _, norm)| (n.clone(), *norm))
-            .collect(),
+        normalized_wmt: normalized(&cmp.runs, reference_policy(cmp), |r| r.total_wmt() as f64),
         emcr: cmp
             .runs
             .iter()
@@ -681,12 +665,13 @@ pub(crate) fn render_overhead(cmp: &ComparisonRun) -> Option<Rendered> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_comparison, Experiment};
+    use crate::policies::default_suite;
+    use crate::scenario::{run_suite_comparison, Experiment};
     use spes_core::SpesConfig;
 
     fn comparison() -> ComparisonRun {
         let data = Experiment::sized(250, 41).generate();
-        run_comparison(&data, &SpesConfig::default())
+        run_suite_comparison(&data, &default_suite(&SpesConfig::default())).unwrap()
     }
 
     #[test]

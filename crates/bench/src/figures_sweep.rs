@@ -4,10 +4,9 @@
 //! parallel via std scoped threads (the trace is shared read-only).
 
 use crate::figures::{table, Rendered};
-use crate::scenario::run_spes_only;
 use serde::Serialize;
-use spes_core::SpesConfig;
-use spes_sim::RunResult;
+use spes_core::{SpesConfig, SpesPolicy};
+use spes_sim::{try_simulate, RunResult, SimConfig};
 use spes_trace::SynthTrace;
 
 /// One point of a Fig. 13 trade-off curve.
@@ -21,16 +20,31 @@ pub struct SweepPoint {
     pub q3_csr: f64,
 }
 
-/// Runs SPES once per configuration, in parallel, preserving input order.
+/// Runs SPES once per configuration, in parallel, preserving input
+/// order: each run fits SPES on the trace's training window and
+/// simulates the whole horizon, measuring from the training boundary,
+/// exactly as SPES runs in a suite.
 fn run_each(data: &SynthTrace, configs: Vec<SpesConfig>) -> Vec<RunResult> {
+    let trace = &data.trace;
+    let window = SimConfig::new(0, trace.n_slots).with_metrics_start(data.train_end);
     std::thread::scope(|scope| {
         let handles: Vec<_> = configs
             .into_iter()
-            .map(|cfg| scope.spawn(move || run_spes_only(data, &cfg).0))
+            .map(|cfg| {
+                scope.spawn(move || {
+                    let mut spes = SpesPolicy::fit(trace, 0, data.train_end, cfg);
+                    try_simulate(trace, &mut spes, window)
+                })
+            })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("SPES run thread panicked"))
+            .map(|h| {
+                h.join()
+                    .ok()
+                    .and_then(Result::ok)
+                    .expect("a SPES run on the trace-carried window completes")
+            })
             .collect()
     })
 }
@@ -200,10 +214,34 @@ fn ablation_text(rows: &[AblationRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Experiment;
+    use crate::policies::spec_of;
+    use crate::scenario::{run_suite_comparison, Experiment};
 
     fn data() -> SynthTrace {
         Experiment::sized(180, 51).generate()
+    }
+
+    /// The sweeps' runs stand in for SPES's run in a suite: on the same
+    /// trace and config, `run_each` must return the suite's `spes` run in
+    /// every field but the wall-clock `overhead_secs`.
+    #[test]
+    fn run_each_matches_the_suite_run_of_spes() {
+        let data = Experiment::cell("quick", 60, 7, true).unwrap().generate();
+        let without_adjusting = SpesConfig {
+            enable_adjusting: false,
+            ..SpesConfig::default()
+        };
+        let configs = vec![SpesConfig::default(), without_adjusting];
+        let runs = run_each(&data, configs.clone());
+        assert_eq!(runs.len(), configs.len());
+        for (mut run, cfg) in runs.into_iter().zip(&configs) {
+            let suite = [spec_of("spes", cfg).unwrap()];
+            let cmp = run_suite_comparison(&data, &suite).unwrap();
+            let expected = &cmp.runs[0];
+            assert!(expected.total_invocations() > 0);
+            run.overhead_secs = expected.overhead_secs;
+            assert_eq!(&run, expected);
+        }
     }
 
     #[test]

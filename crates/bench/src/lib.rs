@@ -26,9 +26,7 @@ pub use fuzz::{
     evaluate_point, minimise_finding, run_fuzz, scenario_snippet, validate_report, BestPoint,
     FuzzConfig, FuzzFinding, FuzzReport, KnobPoint, PointScore,
 };
-pub use matrix::{
-    aggregate_cells, fold_matrix, run_matrix, MatrixCell, MatrixOutcome, PolicyAggregate,
-};
+pub use matrix::{fold_matrix, MatrixCell, PolicyAggregate};
 pub use perf::{
     bench_engine, bench_journal, bench_serve, gate_against_baseline, BenchReport, BenchRow,
     EngineBenchReport, EngineBenchRow, GateReport, JournalBenchReport, JournalBenchRow,
@@ -42,6 +40,4 @@ pub use replay::{
     check, describe_event, record, slot_events, summarize, why_evict, CheckReport, Divergence,
     EvictExplanation, JournalSummary, RecordConfig, Recording,
 };
-pub use scenario::{
-    run_comparison, run_spes_only, run_suite_comparison, ComparisonRun, Experiment, POLICY_ORDER,
-};
+pub use scenario::{run_suite_comparison, ComparisonRun, Experiment, POLICY_ORDER};

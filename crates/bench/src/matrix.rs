@@ -13,20 +13,16 @@
 //! Aggregation is **streaming**: cells run in parallel batches bounded
 //! by the machine's parallelism and are folded into per-policy
 //! [`OnlineStats`] accumulators in a fixed order (scenario-major, then
-//! seed) as they are joined, so the aggregate path retains
-//! `O(policies)` state — and at most a worker-pool of in-flight cells —
-//! no matter how many cells the sweep spans.
-//! [`fold_matrix`] with a dropping sink (`fold_matrix(.., drop)`) is
-//! exactly that path — no per-run [`spes_sim::RunResult`] kept alive —
-//! while [`run_matrix`] additionally collects the cells for callers that
-//! need per-cell assertions. Both paths share one fold, so their
-//! aggregates are bit-identical ([`aggregate_cells`] replays the fold
-//! over stored cells, which the regression tests use to pin that
-//! equivalence).
+//! seed) as they are joined, so [`fold_matrix`] retains `O(policies)`
+//! state — and at most a worker-pool of in-flight cells — no matter how
+//! many cells the sweep spans. It is the one matrix path: its sink
+//! receives every cell after the fold, so a caller that needs per-cell
+//! assertions collects them there and one that does not passes `drop`.
 
 use crate::scenario::{run_suite_comparison, ComparisonRun};
 use serde::Serialize;
 use spes_sim::suite::{validate_suite, PolicySpec, SuiteError};
+use spes_sim::{EvictionAudit, Fairness, RunResult};
 use spes_stats::online::OnlineStats;
 use spes_trace::{synth, SynthConfig};
 
@@ -72,7 +68,7 @@ pub struct PolicyAggregate {
     pub std_premature_fraction: f64,
 }
 
-/// Streaming per-policy accumulator behind every aggregate path.
+/// Streaming per-policy accumulator behind [`fold_matrix`].
 #[derive(Debug, Clone)]
 struct PolicyFold {
     policy: String,
@@ -97,11 +93,8 @@ impl PolicyFold {
         }
     }
 
-    fn push(&mut self, cell: &MatrixCell) {
-        let run = cell
-            .comparison
-            .try_run_of(&self.policy)
-            .expect("matrix policies come from the comparison");
+    /// Folds in this policy's run and views from one cell.
+    fn push(&mut self, run: &RunResult, fairness: &Fairness, audit: &EvictionAudit) {
         // A cell with no invoked functions has no CSR distribution; skip
         // it rather than record a spuriously perfect 0.0.
         if let Some(q3) = run.csr_percentile(75.0) {
@@ -109,15 +102,7 @@ impl PolicyFold {
         }
         self.memory.push(run.mean_loaded());
         self.wmt.push(run.total_wmt() as f64);
-        let fairness = cell
-            .comparison
-            .try_fairness_of(&self.policy)
-            .expect("fairness recorded for every suite run");
         self.gini.push(fairness.gini_csr());
-        let audit = cell
-            .comparison
-            .try_audit_of(&self.policy)
-            .expect("audit recorded for every suite run");
         self.premature.push(audit.premature_fraction());
         self.cells += 1;
     }
@@ -137,42 +122,6 @@ impl PolicyFold {
             mean_premature_fraction: self.premature.mean(),
             std_premature_fraction: self.premature.stddev(),
         }
-    }
-}
-
-/// The stored-cell matrix outcome: every cell plus per-policy aggregates.
-#[derive(Debug)]
-pub struct MatrixOutcome {
-    /// All cells, ordered scenario-major then seed.
-    pub cells: Vec<MatrixCell>,
-    /// Per-policy aggregates, in suite order.
-    pub aggregates: Vec<PolicyAggregate>,
-}
-
-impl MatrixOutcome {
-    /// The aggregate of one policy by name, if present.
-    #[must_use]
-    pub fn try_aggregate_of(&self, policy: &str) -> Option<&PolicyAggregate> {
-        self.aggregates.iter().find(|a| a.policy == policy)
-    }
-
-    /// The aggregate of one policy by name.
-    ///
-    /// # Panics
-    /// Panics if the policy is not part of the suite.
-    #[must_use]
-    pub fn aggregate_of(&self, policy: &str) -> &PolicyAggregate {
-        self.try_aggregate_of(policy)
-            .unwrap_or_else(|| panic!("no aggregate for policy {policy}"))
-    }
-
-    /// Cells of one scenario, in seed order.
-    #[must_use]
-    pub fn cells_of(&self, scenario: &str) -> Vec<&MatrixCell> {
-        self.cells
-            .iter()
-            .filter(|c| c.scenario == scenario)
-            .collect()
     }
 }
 
@@ -232,42 +181,18 @@ pub fn fold_matrix(
             // then seed-ordered even though threads finish in any order.
             for handle in handles {
                 let cell = handle.join().expect("matrix cell panicked");
-                for fold in &mut folds {
-                    fold.push(&cell);
+                // The comparison's columns are in suite order, as are
+                // the folds.
+                let cmp = &cell.comparison;
+                let views = cmp.runs.iter().zip(&cmp.fairness).zip(&cmp.audits);
+                for (fold, ((run, fairness), audit)) in folds.iter_mut().zip(views) {
+                    fold.push(run, fairness, audit);
                 }
                 sink(cell);
             }
         });
     }
     Ok(folds.into_iter().map(PolicyFold::finish).collect())
-}
-
-/// Replays the aggregate fold over already-stored cells (same code path
-/// as the streaming runner, same order assumption: the slice must be
-/// scenario-major then seed-ordered, as [`run_matrix`] stores it).
-/// Regression tests use this to pin "streaming == stored" bit-for-bit.
-#[must_use]
-pub fn aggregate_cells(cells: &[MatrixCell], suite: &[PolicySpec]) -> Vec<PolicyAggregate> {
-    let mut folds: Vec<PolicyFold> = suite.iter().map(|s| PolicyFold::new(s.name())).collect();
-    for cell in cells {
-        for fold in &mut folds {
-            fold.push(cell);
-        }
-    }
-    folds.into_iter().map(PolicyFold::finish).collect()
-}
-
-/// Runs the matrix and keeps every cell ([`MatrixOutcome`]) — the
-/// per-cell assertion path. Memory is `O(cells)`; prefer
-/// `fold_matrix(.., drop)` for large sweeps that only need aggregates.
-pub fn run_matrix(
-    scenarios: &[(String, SynthConfig)],
-    seeds: &[u64],
-    suite: &[PolicySpec],
-) -> Result<MatrixOutcome, SuiteError> {
-    let mut cells = Vec::with_capacity(scenarios.len() * seeds.len());
-    let aggregates = fold_matrix(scenarios, seeds, suite, |cell| cells.push(cell))?;
-    Ok(MatrixOutcome { cells, aggregates })
 }
 
 #[cfg(test)]
@@ -302,42 +227,62 @@ mod tests {
         assert_eq!((empty.mean(), empty.stddev()), (0.0, 0.0));
     }
 
+    /// Runs the matrix, keeping every cell its sink receives.
+    fn collected(
+        scenarios: &[(String, SynthConfig)],
+        seeds: &[u64],
+        suite: &[PolicySpec],
+    ) -> (Vec<MatrixCell>, Vec<PolicyAggregate>) {
+        let mut cells = Vec::new();
+        let aggregates = fold_matrix(scenarios, seeds, suite, |cell| cells.push(cell)).unwrap();
+        (cells, aggregates)
+    }
+
     #[test]
     fn small_matrix_runs_and_aggregates() {
         let suite = policies::default_suite(&SpesConfig::default());
-        let out = run_matrix(&scenarios(&["quick", "chain-heavy"], 60), &[1, 2], &suite).unwrap();
-        assert_eq!(out.cells.len(), 4);
-        assert_eq!(out.aggregates.len(), POLICY_ORDER.len());
-        assert_eq!(out.cells_of("quick").len(), 2);
-        let spes = out.aggregate_of("spes");
+        let (cells, aggregates) =
+            collected(&scenarios(&["quick", "chain-heavy"], 60), &[1, 2], &suite);
+        assert_eq!(cells.len(), 4);
+        assert_eq!(aggregates.len(), POLICY_ORDER.len());
+        assert_eq!(cells.iter().filter(|c| c.scenario == "quick").count(), 2);
+        let spes = &aggregates[0];
+        assert_eq!(spes.policy, "spes");
         assert_eq!(spes.cells, 4);
         assert!(spes.mean_q3_csr.is_finite());
         assert!(spes.std_q3_csr >= 0.0);
         assert!(spes.mean_gini_csr >= 0.0);
         assert!(spes.mean_premature_fraction >= 0.0);
         // Cells are scenario-major and seed-ordered.
-        assert_eq!(out.cells[0].scenario, "quick");
-        assert_eq!(out.cells[0].seed, 1);
-        assert_eq!(out.cells[3].scenario, "chain-heavy");
-        assert_eq!(out.cells[3].seed, 2);
+        assert_eq!(cells[0].scenario, "quick");
+        assert_eq!(cells[0].seed, 1);
+        assert_eq!(cells[3].scenario, "chain-heavy");
+        assert_eq!(cells[3].seed, 2);
     }
 
     #[test]
-    fn streaming_matrix_matches_stored_matrix_bit_for_bit() {
-        // The headline property of the fold-don't-store rework: the
-        // streaming path (cells dropped as folded) and the stored path
-        // produce identical aggregates down to the last bit, because
-        // they are the same fold over the same deterministic cell order.
+    fn aggregates_follow_each_policys_own_runs() {
+        // Listed out of registry order, so a fold that read the cells by
+        // registry position (or any position but the suite's) would hand
+        // each policy the other's numbers.
         let suite =
-            policies::suite_of(&["spes", "fixed-keep-alive"], &SpesConfig::default()).unwrap();
-        let cells = scenarios(&["quick", "bursty"], 50);
-        let stored = run_matrix(&cells, &[3, 4], &suite).unwrap();
-        let streamed = fold_matrix(&cells, &[3, 4], &suite, drop).unwrap();
-        let replayed = aggregate_cells(&stored.cells, &suite);
-        assert_eq!(streamed.len(), suite.len());
-        for ((a, b), c) in stored.aggregates.iter().zip(&streamed).zip(&replayed) {
-            assert_aggregates_bit_identical(a, b);
-            assert_aggregates_bit_identical(c, b);
+            policies::suite_of(&["fixed-keep-alive", "spes"], &SpesConfig::default()).unwrap();
+        let (cells, aggregates) = collected(&scenarios(&["quick", "bursty"], 50), &[3, 4], &suite);
+        let names: Vec<&str> = aggregates.iter().map(|a| a.policy.as_str()).collect();
+        assert_eq!(names, ["fixed-keep-alive", "spes"]);
+        assert_ne!(aggregates[0].mean_wmt, aggregates[1].mean_wmt);
+        for aggregate in &aggregates {
+            let mut own = PolicyFold::new(&aggregate.policy);
+            for cell in &cells {
+                let cmp = &cell.comparison;
+                let i = cmp
+                    .runs
+                    .iter()
+                    .position(|r| r.policy_name == aggregate.policy)
+                    .unwrap();
+                own.push(&cmp.runs[i], &cmp.fairness[i], &cmp.audits[i]);
+            }
+            assert_aggregates_bit_identical(aggregate, &own.finish());
         }
     }
 
@@ -388,25 +333,22 @@ mod tests {
     fn custom_suite_matrix_aggregates_in_suite_order() {
         let suite =
             policies::suite_of(&["oracle", "fixed-keep-alive"], &SpesConfig::default()).unwrap();
-        let out = run_matrix(&scenarios(&["quick"], 50), &[3], &suite).unwrap();
-        let names: Vec<&str> = out.aggregates.iter().map(|a| a.policy.as_str()).collect();
+        let aggregates = fold_matrix(&scenarios(&["quick"], 50), &[3], &suite, drop).unwrap();
+        let names: Vec<&str> = aggregates.iter().map(|a| a.policy.as_str()).collect();
         assert_eq!(names, ["oracle", "fixed-keep-alive"]);
-        assert!(out.try_aggregate_of("spes").is_none());
         // The clairvoyant oracle never cold-starts, on any cell.
-        assert_eq!(out.aggregate_of("oracle").mean_q3_csr, 0.0);
+        assert_eq!(aggregates[0].mean_q3_csr, 0.0);
     }
 
     #[test]
     fn invalid_suites_fail_before_fanning_out() {
         let suite = policies::suite_of(&["faascache"], &SpesConfig::default()).unwrap();
         let cells = scenarios(&["quick"], 20);
+        let mut ran = 0;
         assert!(matches!(
-            run_matrix(&cells, &[1], &suite),
+            fold_matrix(&cells, &[1], &suite, |_| ran += 1),
             Err(SuiteError::UnknownCapacityRef { .. })
         ));
-        assert!(matches!(
-            fold_matrix(&cells, &[1], &suite, drop),
-            Err(SuiteError::UnknownCapacityRef { .. })
-        ));
+        assert_eq!(ran, 0);
     }
 }

@@ -3,36 +3,33 @@
 //! Mirrors the scenario registry (`spes_trace::synth::scenarios`) on the
 //! policy axis: every provisioning policy the workspace knows how to run
 //! is one [`REGISTRY`] row holding its stable name, a one-line summary
-//! for `repro --list-policies`, whether it belongs to the paper's
-//! six-way comparison, how to build it from a [`FitContext`], and the
-//! suite member whose peak memory sizes its pool, if any. Adding a
-//! policy is its [`Policy`] impl plus one row here (plus
-//! [`crate::scenario::POLICY_ORDER`] if it joins the default suite).
+//! for `repro --list-policies`, how to build it from a [`FitContext`],
+//! and the suite member whose peak memory sizes its pool, if any. Adding
+//! a policy is its [`Policy`] impl plus one row here.
 //!
-//! The default suite reproduces the paper's Section V comparison
-//! (SPES + five baselines, in [`crate::scenario::POLICY_ORDER`]).
-//! Outside it are the clairvoyant `oracle` upper bound and the trivial
-//! `no-keep-alive` / `keep-forever` brackets — runnable by name, excluded
-//! from paper-facing defaults.
+//! The default suite reproduces the paper's Section V comparison: SPES
+//! and five baselines, exactly the names in
+//! [`crate::scenario::POLICY_ORDER`], which is the one statement of that
+//! membership. Outside it are the clairvoyant `oracle` upper bound and
+//! the trivial `no-keep-alive` / `keep-forever` brackets — runnable by
+//! name, excluded from paper-facing defaults.
 
 use crate::factory::RowFactory;
+use crate::scenario::POLICY_ORDER;
 use spes_baselines::{Defuse, FaasCache, FixedKeepAlive, Granularity, HybridHistogram, Oracle};
 use spes_core::{SpesConfig, SpesPolicy};
 use spes_sim::suite::{FitContext, PolicySpec};
 use spes_sim::{KeepForever, NoKeepAlive, Policy};
 use spes_trace::SynthTrace;
 
-/// One registry row: the policy's name, a one-line summary, whether it
-/// is part of the paper's default comparison suite, how to build it, and
-/// where its memory budget comes from.
+/// One registry row: the policy's name, a one-line summary, how to
+/// build it, and where its memory budget comes from.
 #[derive(Debug, Clone, Copy)]
 pub struct RegisteredPolicy {
     /// Registry key (also the policy's report name).
     pub name: &'static str,
     /// One-line description for `repro --list-policies`.
     pub summary: &'static str,
-    /// Whether the policy is in [`default_suite`].
-    pub in_default_suite: bool,
     /// Builds the policy fitted for a suite run. The [`SpesConfig`]
     /// parameterises SPES itself; the other policies ignore it.
     pub build: fn(&FitContext, &SpesConfig) -> Box<dyn Policy>,
@@ -60,7 +57,6 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
     RegisteredPolicy {
         name: "spes",
         summary: "the paper's pattern-based pre-warm/evict scheduler",
-        in_default_suite: true,
         build: |ctx, cfg| {
             Box::new(SpesPolicy::fit(
                 ctx.trace,
@@ -74,7 +70,6 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
     RegisteredPolicy {
         name: "defuse",
         summary: "dependency-guided keep-alive (Defuse)",
-        in_default_suite: true,
         build: |ctx, _| {
             Box::new(Defuse::paper_default(
                 ctx.trace,
@@ -87,7 +82,6 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
     RegisteredPolicy {
         name: "hybrid-function",
         summary: "Shahrad et al. histogram policy, per function",
-        in_default_suite: true,
         build: |ctx, _| {
             Box::new(HybridHistogram::fit(
                 ctx.trace,
@@ -101,7 +95,6 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
     RegisteredPolicy {
         name: "hybrid-application",
         summary: "Shahrad et al. histogram policy, per application",
-        in_default_suite: true,
         build: |ctx, _| {
             Box::new(HybridHistogram::fit(
                 ctx.trace,
@@ -115,7 +108,6 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
     RegisteredPolicy {
         name: "fixed-keep-alive",
         summary: "industry-standard fixed 10-minute keep-alive",
-        in_default_suite: true,
         build: |ctx, _| Box::new(FixedKeepAlive::paper_default(ctx.n_functions())),
         capacity_donor: None,
     },
@@ -125,7 +117,6 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
     RegisteredPolicy {
         name: "faascache",
         summary: "greedy-dual caching under SPES's peak-memory budget",
-        in_default_suite: true,
         build: |ctx, _| Box::new(FaasCache::new(ctx.n_functions())),
         capacity_donor: Some("spes"),
     },
@@ -134,21 +125,18 @@ pub const REGISTRY: [RegisteredPolicy; 9] = [
     RegisteredPolicy {
         name: "oracle",
         summary: "clairvoyant upper bound (reads the future; not a baseline)",
-        in_default_suite: false,
         build: |ctx, _| Box::new(Oracle::frugal(ctx.trace)),
         capacity_donor: None,
     },
     RegisteredPolicy {
         name: "no-keep-alive",
         summary: "always-evict lower bound: every re-invocation is cold",
-        in_default_suite: false,
         build: |_, _| Box::new(NoKeepAlive),
         capacity_donor: None,
     },
     RegisteredPolicy {
         name: "keep-forever",
         summary: "never-evict upper bracket: maximal memory, no re-colds",
-        in_default_suite: false,
         build: |_, _| Box::new(KeepForever),
         capacity_donor: None,
     },
@@ -265,14 +253,13 @@ impl<'t> PolicyCell<'t> {
     }
 }
 
-/// The paper's six-way comparison suite, in
-/// [`crate::scenario::POLICY_ORDER`] order.
+/// The paper's six-way comparison suite: the policies named in
+/// [`POLICY_ORDER`], in that order.
 #[must_use]
 pub fn default_suite(spes_cfg: &SpesConfig) -> Vec<PolicySpec> {
-    REGISTRY
+    POLICY_ORDER
         .iter()
-        .filter(|p| p.in_default_suite)
-        .map(|p| p.spec(spes_cfg))
+        .filter_map(|name| spec_of(name, spes_cfg))
         .collect()
 }
 
@@ -328,6 +315,6 @@ mod tests {
     fn default_suite_is_the_paper_comparison() {
         let suite = default_suite(&SpesConfig::default());
         let names: Vec<&str> = suite.iter().map(PolicySpec::name).collect();
-        assert_eq!(names, crate::scenario::POLICY_ORDER);
+        assert_eq!(names, POLICY_ORDER);
     }
 }

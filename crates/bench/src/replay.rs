@@ -180,6 +180,48 @@ impl Observer for StreamCounts {
             self.prewarm_loads += u64::from(*cause == LoadCause::Policy);
         }
     }
+
+    /// Four little-endian `u64`s: events, pre-warm loads, and the span's
+    /// first and last slot (a span exists exactly when events > 0).
+    fn snapshot(&self) -> Vec<u8> {
+        let (first, last) = self.span.unwrap_or_default();
+        [self.events, self.prewarm_loads, first.into(), last.into()]
+            .iter()
+            .flat_map(|word| word.to_le_bytes())
+            .collect()
+    }
+
+    /// Restores [`Observer::snapshot`]'s four words; the empty blob a
+    /// snapshot recorded before `StreamCounts` kept state restores to
+    /// zero.
+    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
+        if state.is_empty() {
+            *self = Self::default();
+            return Ok(());
+        }
+        let words = state
+            .chunks(8)
+            .map(|chunk| chunk.try_into().map(u64::from_le_bytes))
+            .collect::<Result<Vec<u64>, _>>();
+        let Ok(&[events, prewarm_loads, first, last]) = words.as_deref() else {
+            return Err(format!(
+                "stream counts need 32 bytes, the snapshot has {}",
+                state.len()
+            ));
+        };
+        let slot = |word: u64| Slot::try_from(word).map_err(|e| format!("span slot {word}: {e}"));
+        let span = if events == 0 {
+            None
+        } else {
+            Some((slot(first)?, slot(last)?))
+        };
+        *self = Self {
+            events,
+            span,
+            prewarm_loads,
+        };
+        Ok(())
+    }
 }
 
 /// The observers behind a [`JournalSummary`], besides the run's
@@ -649,16 +691,17 @@ impl Observer for Tail {
 }
 
 /// Re-runs a recorded run over the slots from `from` on, with the
-/// observers [`record`] attached, and returns its events. When `resume`
-/// carries a snapshot blob, the policy is first warmed by driving the
-/// slots before `from` through a throwaway driver, then the run
-/// continues from the snapshot.
+/// observers [`record`] attached plus a [`Tail`] of its events, and
+/// returns the finished run and observers. When `resume` carries a
+/// snapshot blob, the policy is first warmed by driving the slots before
+/// `from` through a throwaway driver, then the run continues from the
+/// snapshot.
 fn resimulate(
     meta: &JournalMeta,
     data: &SynthTrace,
     resume: Option<&[u8]>,
     from: Slot,
-) -> Result<Vec<JournalEvent>, String> {
+) -> Result<(RunResult, ObserverSet), String> {
     let trace = &data.trace;
     let batches = trace.slot_batches(meta.config.start, meta.config.end);
     let mut policy = build_policy(&meta.policy_name, data)?;
@@ -693,8 +736,7 @@ fn resimulate(
     for (slot, batch) in batches.iter().skip(cut) {
         driver.step(slot, batch).map_err(|e| e.to_string())?;
     }
-    let (_, mut observers) = driver.finish_with_observers();
-    Ok(take::<Tail>(&mut observers)?.0)
+    Ok(driver.finish_with_observers())
 }
 
 /// Re-simulates a journalled run from its own metadata and diffs the
@@ -733,7 +775,8 @@ pub fn check(journal: &[u8], snapshot: Option<&[u8]>) -> Result<CheckReport, Str
         }
         None => (meta.config.start, None),
     };
-    let resimulated = resimulate(&meta, &data, snapshot, from)?;
+    let (_, mut observers) = resimulate(&meta, &data, snapshot, from)?;
+    let resimulated = take::<Tail>(&mut observers)?.0;
     let expected: Vec<JournalEvent> = recorded
         .into_iter()
         .filter(|event| event.slot >= from)
@@ -878,6 +921,52 @@ mod tests {
         let report = check(&recording.journal, Some(snapshot)).unwrap();
         assert!(report.passed(), "{:?}", report.divergence);
         assert_eq!(report.resumed_at, Some(cut));
+    }
+
+    #[test]
+    fn a_resumed_run_reports_the_recorded_summary() {
+        let cut = Experiment::cell("quick", 30, 11, true).unwrap().train_end() + 10;
+        // SPES pre-warms, so every stream count is non-zero by the end.
+        let recording = record(&RecordConfig {
+            scenario: "quick".to_owned(),
+            policy: "spes".to_owned(),
+            n_functions: 30,
+            seed: 11,
+            quick: true,
+            snapshot_slot: Some(cut),
+        })
+        .unwrap();
+        assert!(recording.summary.prewarm_loads > 0);
+        let meta = recording.summary.meta.clone();
+        let data = rebuild_workload(&meta).unwrap();
+        let (run, mut observers) =
+            resimulate(&meta, &data, recording.snapshot.as_deref(), cut).unwrap();
+        let mut resumed = JournalSummary::collect(meta, run, &mut observers).unwrap();
+        resumed.run.overhead_secs = recording.summary.run.overhead_secs;
+        assert_eq!(resumed, recording.summary);
+    }
+
+    #[test]
+    fn stream_counts_restore_an_empty_blob_to_zero() {
+        let mut counts = StreamCounts {
+            events: 3,
+            span: Some((4, 9)),
+            prewarm_loads: 1,
+        };
+        let blob = counts.snapshot();
+        let mut restored = StreamCounts::default();
+        restored.restore(&blob).unwrap();
+        assert_eq!(
+            (restored.events, restored.span, restored.prewarm_loads),
+            (3, Some((4, 9)), 1)
+        );
+        counts.restore(&[]).unwrap();
+        assert_eq!(
+            (counts.events, counts.span, counts.prewarm_loads),
+            (0, None, 0)
+        );
+        assert!(counts.restore(&blob[..31]).is_err());
+        assert!(counts.restore(&[blob.as_slice(), &[0]].concat()).is_err());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Shared experiment setup: the standard workload, policy suites, and
 //! the comparison runner used by most figures.
 //!
-//! Since the policy-registry redesign this module is a thin layer over
-//! [`spes_sim::suite::run_suite`]: the paper's six-way comparison is just
-//! the [`crate::policies::default_suite`], and any other registered
-//! subset (including the `oracle` upper bound) runs through the same
-//! machinery via [`run_suite_comparison`].
+//! This module is a thin layer over [`spes_sim::suite::run_suite`]:
+//! [`run_suite_comparison`] runs any suite, the paper's six-way
+//! comparison being [`crate::policies::default_suite`] (the policies
+//! named in [`POLICY_ORDER`]) and any other registered subset (including
+//! the `oracle` upper bound) running through the same machinery. Every
+//! per-policy column of a [`ComparisonRun`] is in suite order.
 
-use crate::policies;
-use spes_core::{SpesConfig, SpesPolicy};
-use spes_sim::suite::{run_suite, PolicySpec, SuiteError, SuiteOutcome};
+use spes_core::SpesPolicy;
+use spes_sim::suite::{run_suite, PolicySpec, SuiteEntry, SuiteError};
 use spes_sim::{EvictionAudit, Fairness, MemoryPressure, RunResult, SlotSeries};
 use spes_trace::{synth, FunctionId, Slot, SynthConfig, SynthTrace};
 
@@ -110,8 +110,11 @@ pub struct ComparisonRun {
     pub fit_summary: Option<spes_core::FitStats>,
 }
 
-/// Canonical policy order of the paper's comparison tables — the names
-/// of the default suite ([`crate::policies::default_suite`]).
+/// The paper's default comparison suite, in the order of its tables:
+/// [`crate::policies::default_suite`] builds these policies, Fig. 8
+/// counts them as the baselines SPES is measured against, and
+/// `repro --list-policies` marks them. A policy joins the default suite
+/// by being named here.
 pub const POLICY_ORDER: [&str; 6] = [
     "spes",
     "defuse",
@@ -128,30 +131,9 @@ impl ComparisonRun {
         self.runs.iter().find(|r| r.policy_name == name)
     }
 
-    /// The eviction audit of one policy by name, if it was part of the
-    /// suite.
-    #[must_use]
-    pub fn try_audit_of(&self, name: &str) -> Option<&EvictionAudit> {
-        self.runs
-            .iter()
-            .position(|r| r.policy_name == name)
-            .map(|i| &self.audits[i])
-    }
-
-    /// The fairness accounting of one policy by name, if it was part of
-    /// the suite.
-    #[must_use]
-    pub fn try_fairness_of(&self, name: &str) -> Option<&Fairness> {
-        self.runs
-            .iter()
-            .position(|r| r.policy_name == name)
-            .map(|i| &self.fairness[i])
-    }
-
-    fn from_suite(outcome: SuiteOutcome, n_functions: usize) -> Self {
+    fn from_suite(entries: Vec<SuiteEntry>, n_functions: usize) -> Self {
         let (spes_labels, fit_summary) =
-            outcome
-                .entries
+            entries
                 .iter()
                 .find(|e| e.name == "spes")
                 .map_or((Vec::new(), None), |entry| {
@@ -175,7 +157,7 @@ impl ComparisonRun {
         let mut audits = Vec::new();
         let mut fairness = Vec::new();
         let mut pressure = Vec::new();
-        for e in outcome.entries {
+        for e in entries {
             runs.push(e.run);
             slot_series.push(e.series);
             audits.push(e.audit);
@@ -206,39 +188,20 @@ pub fn run_suite_comparison(
     data: &SynthTrace,
     specs: &[PolicySpec],
 ) -> Result<ComparisonRun, SuiteError> {
-    let outcome = run_suite(data, specs)?;
-    Ok(ComparisonRun::from_suite(outcome, data.trace.n_functions()))
-}
-
-/// Runs the paper's default suite — SPES and every baseline, in
-/// [`POLICY_ORDER`] — on `data`. Thin wrapper over
-/// [`run_suite_comparison`] with [`crate::policies::default_suite`].
-#[must_use]
-pub fn run_comparison(data: &SynthTrace, spes_cfg: &SpesConfig) -> ComparisonRun {
-    run_suite_comparison(data, &policies::default_suite(spes_cfg))
-        .expect("the default suite is statically valid")
-}
-
-/// Runs only SPES with the given config (used by the Fig. 13-15 sweeps);
-/// returns the run plus the fitted policy for label access. Same suite
-/// machinery, single-spec suite.
-#[must_use]
-pub fn run_spes_only(data: &SynthTrace, spes_cfg: &SpesConfig) -> (RunResult, SpesPolicy) {
-    let suite = [policies::spec_of("spes", spes_cfg).expect("spes is registered")];
-    let outcome = run_suite(data, &suite).expect("a single-spec suite is valid");
-    let entry = outcome.entries.into_iter().next().expect("one entry");
-    let spes = entry
-        .policy
-        .as_any()
-        .and_then(|any| any.downcast_ref::<SpesPolicy>())
-        .expect("the spes row builds a SpesPolicy")
-        .clone();
-    (entry.run, spes)
+    let entries = run_suite(data, specs)?;
+    Ok(ComparisonRun::from_suite(entries, data.trace.n_functions()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies;
+    use spes_core::SpesConfig;
+
+    /// The paper's six-way comparison on `data`.
+    fn default_comparison(data: &SynthTrace) -> ComparisonRun {
+        run_suite_comparison(data, &policies::default_suite(&SpesConfig::default())).unwrap()
+    }
 
     #[test]
     fn cells_shrink_on_request_and_name_the_registry() {
@@ -261,7 +224,7 @@ mod tests {
     #[test]
     fn comparison_produces_all_policies() {
         let data = Experiment::sized(120, 7).generate();
-        let cmp = run_comparison(&data, &SpesConfig::default());
+        let cmp = default_comparison(&data);
         assert_eq!(cmp.runs.len(), POLICY_ORDER.len());
         for name in POLICY_ORDER {
             assert_eq!(cmp.try_run_of(name).unwrap().policy_name, name);
@@ -273,7 +236,7 @@ mod tests {
     #[test]
     fn try_run_of_is_total() {
         let data = Experiment::sized(60, 7).generate();
-        let cmp = run_comparison(&data, &SpesConfig::default());
+        let cmp = default_comparison(&data);
         assert!(cmp.try_run_of("spes").is_some());
         assert!(cmp.try_run_of("oracle").is_none());
         assert!(cmp.try_run_of("no-such-policy").is_none());
@@ -282,7 +245,7 @@ mod tests {
     #[test]
     fn policies_see_identical_workload() {
         let data = Experiment::sized(100, 9).generate();
-        let cmp = run_comparison(&data, &SpesConfig::default());
+        let cmp = default_comparison(&data);
         let total = cmp.runs[0].total_invocations();
         for run in &cmp.runs {
             assert_eq!(run.total_invocations(), total, "{}", run.policy_name);
@@ -301,7 +264,7 @@ mod tests {
             ..SynthConfig::default()
         });
         assert_eq!(data.train_end, 8 * spes_trace::SLOTS_PER_DAY);
-        let cmp = run_comparison(&data, &SpesConfig::default());
+        let cmp = default_comparison(&data);
         for run in &cmp.runs {
             assert_eq!(run.start, data.train_end, "{}", run.policy_name);
             assert_eq!(run.end, data.trace.n_slots, "{}", run.policy_name);
@@ -320,7 +283,7 @@ mod tests {
     #[test]
     fn faascache_respects_spes_peak_budget() {
         let data = Experiment::sized(150, 11).generate();
-        let cmp = run_comparison(&data, &SpesConfig::default());
+        let cmp = default_comparison(&data);
         let spes_peak = cmp.try_run_of("spes").unwrap().peak_loaded;
         let fc_peak = cmp.try_run_of("faascache").unwrap().peak_loaded;
         assert!(

@@ -7,14 +7,15 @@ use serde_json::Value;
 use spes_bench::figures::FIGURES;
 use spes_bench::figures_main::{self, Timeline};
 use spes_bench::perf::{EngineBenchReport, EngineBenchRow};
-use spes_bench::scenario::{run_comparison, Experiment};
+use spes_bench::policies::default_suite;
+use spes_bench::scenario::{run_suite_comparison, Experiment};
 use spes_core::SpesConfig;
 
 #[test]
 fn figure_json_round_trips_as_values() {
     let data = Experiment::scenario("quick", 60, 11).unwrap().generate();
     let cfg = SpesConfig::default();
-    let cmp = run_comparison(&data, &cfg);
+    let cmp = run_suite_comparison(&data, &default_suite(&cfg)).unwrap();
 
     // Every document of every registered figure, as `repro` writes it,
     // rendered and re-parsed: the parse must succeed and re-rendering
@@ -41,7 +42,7 @@ fn figure_json_round_trips_as_values() {
 #[test]
 fn timeline_round_trips_typed() {
     let data = Experiment::scenario("quick", 50, 5).unwrap().generate();
-    let cmp = run_comparison(&data, &SpesConfig::default());
+    let cmp = run_suite_comparison(&data, &default_suite(&SpesConfig::default())).unwrap();
     let timeline = figures_main::timeline(&cmp, 120);
     let text = serde_json::to_string_pretty(&timeline).unwrap();
     let back: Timeline = serde_json::from_str(&text).expect("typed timeline parses");

@@ -1,9 +1,9 @@
 //! Registry-level guarantees: unique names, every registered policy runs
 //! green, unknown names are rejected, and the suite-based comparison
-//! runner reproduces the pre-registry `run_comparison` results exactly.
+//! runner reproduces the pre-registry six-way comparison exactly.
 
 use spes_bench::policies;
-use spes_bench::scenario::{run_comparison, run_suite_comparison, Experiment, POLICY_ORDER};
+use spes_bench::scenario::{run_suite_comparison, Experiment, POLICY_ORDER};
 use spes_core::SpesConfig;
 use spes_sim::suite::run_suite;
 
@@ -28,11 +28,11 @@ fn every_registered_policy_runs_green_on_the_quick_scenario() {
     let suite = policies::suite_of(&names, &SpesConfig::default()).unwrap();
     let data = Experiment::scenario("quick", 80, 4).unwrap().generate();
     let out = run_suite(&data, &suite).unwrap();
-    assert_eq!(out.entries.len(), names.len());
+    assert_eq!(out.len(), names.len());
 
-    let total = out.entries[0].run.total_invocations();
+    let total = out[0].run.total_invocations();
     assert!(total > 0, "quick scenario generated no invocations");
-    for entry in &out.entries {
+    for entry in &out {
         assert_eq!(
             entry.run.total_invocations(),
             total,
@@ -42,11 +42,12 @@ fn every_registered_policy_runs_green_on_the_quick_scenario() {
     }
     // The brackets bracket: the clairvoyant oracle and the keep-forever
     // bound never cold-start more than the always-evict bound.
-    assert_eq!(out.run_of("oracle").total_cold_starts(), 0);
-    assert!(
-        out.run_of("keep-forever").total_cold_starts()
-            <= out.run_of("no-keep-alive").total_cold_starts()
-    );
+    let cold_starts = |name: &str| {
+        let entry = out.iter().find(|e| e.name == name).unwrap();
+        entry.run.total_cold_starts()
+    };
+    assert_eq!(cold_starts("oracle"), 0);
+    assert!(cold_starts("keep-forever") <= cold_starts("no-keep-alive"));
 }
 
 #[test]
@@ -57,7 +58,7 @@ fn unknown_policy_names_are_rejected() {
     assert_eq!(err, policies::UnknownPolicy("nope".to_owned()));
 }
 
-/// The pinned comparison: `run_comparison` on `Experiment::sized(120, 7)`
+/// The pinned comparison: the default suite on `Experiment::sized(120, 7)`
 /// produces exactly these per-policy metrics. Refactors must not move a
 /// single count — the comparison is the paper's headline artefact.
 ///
@@ -104,7 +105,8 @@ const PINNED: [(&str, u64, u64, u64, usize, u64, f64); 6] = [
 #[test]
 fn default_suite_matches_the_pinned_pre_registry_comparison() {
     let data = Experiment::sized(120, 7).generate();
-    let cmp = run_comparison(&data, &SpesConfig::default());
+    let suite = policies::default_suite(&SpesConfig::default());
+    let cmp = run_suite_comparison(&data, &suite).unwrap();
     assert_eq!(cmp.runs.len(), PINNED.len());
     for (i, &(name, invocations, cold, wmt, peak, integral, q3)) in PINNED.iter().enumerate() {
         assert_eq!(POLICY_ORDER[i], name, "pin order drifted");
@@ -123,16 +125,17 @@ fn default_suite_matches_the_pinned_pre_registry_comparison() {
     }
 }
 
-/// The explicit-suite path produces bit-identical runs to the default
-/// wrapper, including FaaSCache's resolved SPES-peak budget.
+/// Selecting the six by name produces bit-identical runs to
+/// `default_suite`, including FaaSCache's resolved SPES-peak budget.
 #[test]
 fn explicit_suite_selection_matches_the_default_wrapper() {
     let data = Experiment::sized(120, 7).generate();
     let cfg = SpesConfig::default();
-    let via_wrapper = run_comparison(&data, &cfg);
+    let via_default = run_suite_comparison(&data, &policies::default_suite(&cfg)).unwrap();
     let suite = policies::suite_of(&POLICY_ORDER, &cfg).unwrap();
     let via_suite = run_suite_comparison(&data, &suite).unwrap();
-    for (a, b) in via_wrapper.runs.iter().zip(&via_suite.runs) {
+    assert_eq!(via_default.runs.len(), via_suite.runs.len());
+    for (a, b) in via_default.runs.iter().zip(&via_suite.runs) {
         assert_eq!(a.policy_name, b.policy_name);
         assert_eq!(a.total_cold_starts(), b.total_cold_starts());
         assert_eq!(a.total_wmt(), b.total_wmt());

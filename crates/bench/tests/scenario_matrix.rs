@@ -4,7 +4,7 @@
 //! in parallel — one thread per cell — so wall-clock stays close to the
 //! slowest single cell.
 
-use spes_bench::matrix::{run_matrix, MatrixOutcome};
+use spes_bench::matrix::{fold_matrix, MatrixCell, PolicyAggregate};
 use spes_bench::policies;
 use spes_bench::scenario::POLICY_ORDER;
 use spes_core::SpesConfig;
@@ -23,10 +23,25 @@ const N_FUNCTIONS: usize = 150;
 /// the aggregate means below.
 const Q3_TOLERANCE: f64 = 0.15;
 
-/// The matrix is computed once and shared by both tests (the two run in
+/// The matrix's cells and per-policy aggregates.
+struct Matrix {
+    cells: Vec<MatrixCell>,
+    aggregates: Vec<PolicyAggregate>,
+}
+
+impl Matrix {
+    fn aggregate_of(&self, policy: &str) -> &PolicyAggregate {
+        self.aggregates
+            .iter()
+            .find(|a| a.policy == policy)
+            .expect("policy in the default suite")
+    }
+}
+
+/// The matrix is computed once and shared by every test (they run in
 /// the same process under the default harness).
-fn matrix() -> &'static MatrixOutcome {
-    static MATRIX: std::sync::OnceLock<MatrixOutcome> = std::sync::OnceLock::new();
+fn matrix() -> &'static Matrix {
+    static MATRIX: std::sync::OnceLock<Matrix> = std::sync::OnceLock::new();
     MATRIX.get_or_init(|| {
         let scenarios: Vec<(String, SynthConfig)> = SCENARIOS
             .iter()
@@ -39,7 +54,10 @@ fn matrix() -> &'static MatrixOutcome {
             })
             .collect();
         let suite = policies::default_suite(&SpesConfig::default());
-        run_matrix(&scenarios, &SEEDS, &suite).expect("the default suite is valid")
+        let mut cells = Vec::new();
+        let aggregates = fold_matrix(&scenarios, &SEEDS, &suite, |cell| cells.push(cell))
+            .expect("the default suite is valid");
+        Matrix { cells, aggregates }
     })
 }
 
@@ -112,40 +130,6 @@ fn aggregates_confirm_the_ordering_in_expectation() {
     }
     let fixed = out.aggregate_of("fixed-keep-alive");
     assert!(spes.mean_wmt < fixed.mean_wmt);
-}
-
-#[test]
-fn streaming_aggregates_are_bit_identical_to_stored_cells() {
-    // The matrix aggregates are folded streaming — each cell pushed into
-    // per-policy OnlineStats as its thread joins, before any storage is
-    // consulted. Replaying the same fold over the *stored* cells must
-    // land on identical bits: this pins that the streaming path (which
-    // retains no RunResults) and the stored-run path agree exactly on
-    // the full 5-seed x 3-scenario regression matrix, i.e. the fold
-    // order is deterministic and storage adds no information.
-    let out = matrix();
-    let suite = policies::default_suite(&SpesConfig::default());
-    let replayed = spes_bench::matrix::aggregate_cells(&out.cells, &suite);
-    assert_eq!(replayed.len(), out.aggregates.len());
-    for (streamed, stored) in out.aggregates.iter().zip(&replayed) {
-        assert_eq!(streamed.policy, stored.policy);
-        assert_eq!(streamed.cells, stored.cells);
-        assert_eq!(streamed.cells, SCENARIOS.len() * SEEDS.len());
-        assert_eq!(streamed.mean_q3_csr.to_bits(), stored.mean_q3_csr.to_bits());
-        assert_eq!(streamed.std_q3_csr.to_bits(), stored.std_q3_csr.to_bits());
-        assert_eq!(streamed.mean_memory.to_bits(), stored.mean_memory.to_bits());
-        assert_eq!(streamed.std_memory.to_bits(), stored.std_memory.to_bits());
-        assert_eq!(streamed.mean_wmt.to_bits(), stored.mean_wmt.to_bits());
-        assert_eq!(streamed.std_wmt.to_bits(), stored.std_wmt.to_bits());
-        assert_eq!(
-            streamed.mean_gini_csr.to_bits(),
-            stored.mean_gini_csr.to_bits()
-        );
-        assert_eq!(
-            streamed.mean_premature_fraction.to_bits(),
-            stored.mean_premature_fraction.to_bits()
-        );
-    }
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! when the generator's `train_days` and the runners' hard-coded cutoff
 //! disagreed.
 
-use spes_bench::scenario::run_comparison;
+use spes_bench::policies::default_suite;
+use spes_bench::scenario::run_suite_comparison;
 use spes_core::SpesConfig;
 use spes_trace::{synth, FunctionId, SynthConfig, SLOTS_PER_DAY};
 
@@ -29,7 +30,7 @@ fn non_default_split_measures_on_its_own_boundary() {
     let expected = 8 * SLOTS_PER_DAY;
     assert_eq!(data.train_end, expected);
 
-    let cmp = run_comparison(&data, &SpesConfig::default());
+    let cmp = run_suite_comparison(&data, &default_suite(&SpesConfig::default())).unwrap();
     for run in &cmp.runs {
         assert_eq!(
             run.start, expected,

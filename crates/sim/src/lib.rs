@@ -50,7 +50,7 @@ pub use journal::{
 pub use memory::MemoryPool;
 pub use metrics::RunResult;
 pub use policy::{KeepForever, NoKeepAlive, Policy};
-pub use report::{per_category_stats, text_table, CategoryStats, NormalizedComparison};
+pub use report::{normalized, per_category_stats, text_table, CategoryStats};
 pub use schedule::{Agenda, Holds};
 pub use serve::{serve, InitRecord, ServeConfig, ServeError, ServeSummary};
 pub use shard::{
@@ -58,5 +58,5 @@ pub use shard::{
 };
 pub use suite::{
     run_suite, validate_suite, CapacityRule, FitContext, PolicyFactory, PolicySpec, SuiteEntry,
-    SuiteError, SuiteOutcome, PREMATURE_RELOAD_WINDOW,
+    SuiteError, PREMATURE_RELOAD_WINDOW,
 };

@@ -1,56 +1,37 @@
 //! Report helpers: cross-policy comparisons and per-category breakdowns.
 //!
 //! The paper presents its results normalised against SPES (memory usage,
-//! WMT) and broken down by SPES function type (Figs. 10 and 12). These
-//! helpers turn raw [`RunResult`]s into those aggregates.
+//! WMT; [`normalized`]) and broken down by SPES function type (Figs. 10
+//! and 12; [`per_category_stats`]). These helpers turn raw
+//! [`RunResult`]s into those aggregates.
 
 use crate::metrics::RunResult;
 use std::collections::BTreeMap;
 
-/// A named scalar comparison across policies, normalised to a reference
-/// policy (the paper normalises to SPES).
-#[derive(Debug, Clone)]
-pub struct NormalizedComparison {
-    /// `(policy name, raw value, value / reference value)` rows.
-    pub rows: Vec<(String, f64, f64)>,
-    /// Name of the reference policy.
-    pub reference: String,
-}
-
-impl NormalizedComparison {
-    /// Builds a comparison of `metric` over `runs`, normalised to the run
-    /// whose policy name equals `reference`.
-    ///
-    /// # Panics
-    /// Panics if `reference` is not among the runs.
-    pub fn build<F: Fn(&RunResult) -> f64>(runs: &[RunResult], reference: &str, metric: F) -> Self {
-        let ref_value = runs
-            .iter()
-            .find(|r| r.policy_name == reference)
-            .map(&metric)
-            .expect("reference policy missing from runs");
-        let rows = runs
-            .iter()
-            .map(|r| {
-                let v = metric(r);
-                let normalised = if ref_value == 0.0 { 0.0 } else { v / ref_value };
-                (r.policy_name.clone(), v, normalised)
-            })
-            .collect();
-        Self {
-            rows,
-            reference: reference.to_owned(),
-        }
-    }
-
-    /// The normalised value of one policy, if present.
-    #[must_use]
-    pub fn normalized_of(&self, policy: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|(name, _, _)| name == policy)
-            .map(|&(_, _, n)| n)
-    }
+/// `metric` of every run normalised to the run of the `reference`
+/// policy (the paper normalises to SPES): `(policy, value / reference
+/// value)` rows aligned with `runs`. Every row is 0 when the reference
+/// is absent or its value is 0.
+#[must_use]
+pub fn normalized<F: Fn(&RunResult) -> f64>(
+    runs: &[RunResult],
+    reference: &str,
+    metric: F,
+) -> Vec<(String, f64)> {
+    let ref_value = runs
+        .iter()
+        .find(|r| r.policy_name == reference)
+        .map_or(0.0, &metric);
+    runs.iter()
+        .map(|r| {
+            let normalised = if ref_value == 0.0 {
+                0.0
+            } else {
+                metric(r) / ref_value
+            };
+            (r.policy_name.clone(), normalised)
+        })
+        .collect()
 }
 
 /// Aggregate metrics of one function category (Figs. 10 and 12).
@@ -164,17 +145,15 @@ mod tests {
             run("spes", vec![10], vec![1], vec![4]),
             run("fixed", vec![10], vec![2], vec![8]),
         ];
-        let cmp = NormalizedComparison::build(&runs, "spes", |r| r.total_wmt() as f64);
-        assert_eq!(cmp.normalized_of("spes"), Some(1.0));
-        assert_eq!(cmp.normalized_of("fixed"), Some(2.0));
-        assert_eq!(cmp.normalized_of("nope"), None);
+        let rows = normalized(&runs, "spes", |r| r.total_wmt() as f64);
+        assert_eq!(rows, [("spes".to_owned(), 1.0), ("fixed".to_owned(), 2.0)]);
     }
 
     #[test]
-    #[should_panic(expected = "reference policy missing")]
     fn normalized_comparison_missing_reference() {
-        let runs = vec![run("a", vec![1], vec![0], vec![0])];
-        let _ = NormalizedComparison::build(&runs, "b", |r| r.total_wmt() as f64);
+        let runs = vec![run("a", vec![1], vec![0], vec![4])];
+        let rows = normalized(&runs, "b", |r| r.total_wmt() as f64);
+        assert_eq!(rows, [("a".to_owned(), 0.0)]);
     }
 
     #[test]

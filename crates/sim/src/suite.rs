@@ -17,8 +17,9 @@
 //!    phase-one run ([`CapacityRule::PeakOf`] — e.g. FaaSCache's
 //!    "budget = SPES's peak memory" from Section V-A1).
 //!
-//! Results come back in spec order regardless of execution phase, so a
-//! suite's output order is exactly its declaration order.
+//! It returns one [`SuiteEntry`] per spec, in spec order regardless of
+//! execution phase, so a suite's output order is exactly its declaration
+//! order and callers read a member by its position in the spec list.
 
 use crate::engine::{SimConfig, Simulation};
 use crate::events::{EvictionAudit, Fairness, MemoryPressure, RunCollector, SlotSeries};
@@ -203,40 +204,6 @@ impl std::fmt::Debug for SuiteEntry {
     }
 }
 
-/// The outcome of [`run_suite`]: one entry per spec, in spec order.
-#[derive(Debug)]
-pub struct SuiteOutcome {
-    /// Completed members, in the order their specs were given.
-    pub entries: Vec<SuiteEntry>,
-}
-
-impl SuiteOutcome {
-    /// The run of one policy by name, if present.
-    #[must_use]
-    pub fn try_run_of(&self, name: &str) -> Option<&RunResult> {
-        self.entries.iter().find(|e| e.name == name).map(|e| &e.run)
-    }
-
-    /// The run of one policy by name.
-    ///
-    /// # Panics
-    /// Panics if the policy is not part of the suite.
-    #[must_use]
-    pub fn run_of(&self, name: &str) -> &RunResult {
-        self.try_run_of(name)
-            .unwrap_or_else(|| panic!("no run for policy {name}"))
-    }
-
-    /// The per-slot series of one policy by name, if present.
-    #[must_use]
-    pub fn series_of(&self, name: &str) -> Option<&SlotSeries> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| &e.series)
-    }
-}
-
 /// Why a suite could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SuiteError {
@@ -325,8 +292,8 @@ pub fn validate_suite(specs: &[PolicySpec]) -> Result<(), SuiteError> {
 /// second phase with their donors' results available via
 /// [`FitContext::prior`].
 ///
-/// Results are returned in spec order.
-pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<SuiteOutcome, SuiteError> {
+/// Returns one entry per spec, in spec order.
+pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<Vec<SuiteEntry>, SuiteError> {
     validate_suite(specs)?;
     let trace = &data.trace;
     let train_end = data.train_end;
@@ -401,12 +368,10 @@ pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<SuiteOutcome
     for (i, entry) in second_wave {
         merged[i] = Some(entry);
     }
-    Ok(SuiteOutcome {
-        entries: merged
-            .into_iter()
-            .map(|e| e.expect("every spec ran"))
-            .collect(),
-    })
+    Ok(merged
+        .into_iter()
+        .map(|e| e.expect("every spec ran"))
+        .collect())
 }
 
 #[cfg(test)]
@@ -467,11 +432,11 @@ mod tests {
             keep_forever(),
         ];
         let out = run_suite(&data, &specs).unwrap();
-        assert_eq!(out.entries[0].name, "no-keep-alive");
-        assert_eq!(out.entries[1].name, "keep-forever");
-        let donor_peak = out.run_of("keep-forever").peak_loaded.max(1);
-        assert_eq!(out.entries[0].resolved_capacity, Some(donor_peak));
-        assert_eq!(out.entries[1].resolved_capacity, None);
+        assert_eq!(out[0].name, "no-keep-alive");
+        assert_eq!(out[1].name, "keep-forever");
+        let donor_peak = out[1].run.peak_loaded.max(1);
+        assert_eq!(out[0].resolved_capacity, Some(donor_peak));
+        assert_eq!(out[1].resolved_capacity, None);
     }
 
     #[test]
@@ -479,7 +444,7 @@ mod tests {
         let data = tiny_trace();
         let specs = vec![keep_forever().with_capacity(CapacityRule::Fixed(3))];
         let out = run_suite(&data, &specs).unwrap();
-        assert!(out.run_of("keep-forever").peak_loaded <= 3);
+        assert!(out[0].run.peak_loaded <= 3);
     }
 
     #[test]
@@ -529,7 +494,7 @@ mod tests {
     fn runs_measure_on_the_trace_boundary() {
         let data = tiny_trace();
         let out = run_suite(&data, &[keep_forever()]).unwrap();
-        let run = out.run_of("keep-forever");
+        let run = &out[0].run;
         assert_eq!(run.start, data.train_end);
         assert_eq!(run.end, data.trace.n_slots);
     }
@@ -542,12 +507,7 @@ mod tests {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
                     let (data, specs) = (&data, &specs);
-                    scope.spawn(move || {
-                        run_suite(data, specs)
-                            .unwrap()
-                            .run_of("keep-forever")
-                            .total_invocations()
-                    })
+                    scope.spawn(move || run_suite(data, specs).unwrap()[0].run.total_invocations())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()

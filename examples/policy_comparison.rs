@@ -14,7 +14,7 @@
 //! ```
 
 use spes::core::SpesConfig;
-use spes::sim::{NormalizedComparison, RunResult};
+use spes::sim::{normalized, RunResult};
 use spes::trace::{synth, SynthConfig};
 
 fn main() {
@@ -41,22 +41,22 @@ fn main() {
     let cmp = spes::run_suite_comparison(&data, &suite).expect("valid suite");
     let runs = &cmp.runs;
 
-    let memory = NormalizedComparison::build(runs, "spes", RunResult::mean_loaded);
-    let wmt = NormalizedComparison::build(runs, "spes", |r| r.total_wmt() as f64);
+    let memory = normalized(runs, "spes", RunResult::mean_loaded);
+    let wmt = normalized(runs, "spes", |r| r.total_wmt() as f64);
 
     println!(
         "{:<20} {:>8} {:>8} {:>12} {:>10} {:>12} {:>9}",
         "policy", "Q3-CSR", "P90-CSR", "always-cold", "memory", "wasted-mem", "EMCR"
     );
-    for run in runs {
+    for ((run, (_, memory)), (_, wmt)) in runs.iter().zip(&memory).zip(&wmt) {
         println!(
             "{:<20} {:>8.3} {:>8.3} {:>11.1}% {:>9.2}x {:>11.2}x {:>8.1}%",
             run.policy_name,
             run.csr_percentile(75.0).unwrap_or(f64::NAN),
             run.csr_percentile(90.0).unwrap_or(f64::NAN),
             run.always_cold_fraction() * 100.0,
-            memory.normalized_of(&run.policy_name).unwrap(),
-            wmt.normalized_of(&run.policy_name).unwrap(),
+            memory,
+            wmt,
             run.emcr() * 100.0,
         );
     }
