@@ -76,10 +76,7 @@ impl UnitState {
     fn refresh_decision(&mut self, fallback_keep_alive: u32) {
         let trusted = self.histogram.in_range() >= MIN_OBSERVATIONS
             && self.histogram.oob_fraction() <= MAX_OOB_FRACTION
-            && self
-                .histogram
-                .cv()
-                .is_some_and(|cv| cv <= MAX_REPRESENTATIVE_CV);
+            && self.histogram.cv_at_most(MAX_REPRESENTATIVE_CV) == Some(true);
         if !trusted {
             self.representative = false;
             self.prewarm = 0;
@@ -198,17 +195,6 @@ impl HybridHistogram {
     pub fn granularity(&self) -> Granularity {
         self.granularity
     }
-
-    /// Fraction of units currently using the fixed fallback (Defuse
-    /// reports >32% of functions end up there).
-    #[must_use]
-    pub fn fallback_fraction(&self) -> f64 {
-        if self.units.is_empty() {
-            return 0.0;
-        }
-        let fallback = self.units.iter().filter(|u| !u.representative).count();
-        fallback as f64 / self.units.len() as f64
-    }
 }
 
 impl Policy for HybridHistogram {
@@ -300,13 +286,20 @@ mod tests {
         )
     }
 
+    /// Fraction of units using the fixed fallback (Defuse reports >32% of
+    /// functions end up there).
+    fn fallback_fraction(p: &HybridHistogram) -> f64 {
+        let fallback = p.units.iter().filter(|u| !u.representative).count();
+        fallback as f64 / p.units.len() as f64
+    }
+
     #[test]
     fn representative_unit_prewarns() {
         // Period 60 over 4 days; idle times all 60 < 240 bins.
         let horizon = 4 * 1440;
         let trace = Trace::new(horizon, vec![meta(0)], vec![periodic(60, 0, horizon)]);
         let mut p = HybridHistogram::fit(&trace, 0, 2 * 1440, Granularity::Function);
-        assert!(p.fallback_fraction() < 1.0);
+        assert!(fallback_fraction(&p) < 1.0);
         let r = try_simulate(&trace, &mut p, SimConfig::new(2 * 1440, horizon)).unwrap();
         let csr = r.csr_of(0).unwrap();
         // Pre-warm lands before each invocation: nearly all warm.
@@ -330,7 +323,7 @@ mod tests {
             ])],
         );
         let p = HybridHistogram::fit(&trace, 0, 2 * 1440, Granularity::Function);
-        assert_eq!(p.fallback_fraction(), 1.0);
+        assert_eq!(fallback_fraction(&p), 1.0);
     }
 
     #[test]
@@ -339,7 +332,7 @@ mod tests {
         // Idle times of ~10 hours: every observation lands out of bounds.
         let trace = Trace::new(horizon, vec![meta(0)], vec![periodic(600, 0, horizon)]);
         let p = HybridHistogram::fit(&trace, 0, horizon, Granularity::Function);
-        assert_eq!(p.fallback_fraction(), 1.0);
+        assert_eq!(fallback_fraction(&p), 1.0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Adaptive strategy application (Section IV-C1): adjusting predictive
 //! values from online WTs and re-categorising unknown/unseen functions.
 //!
-//! * **S1** — online WTs are recorded during provision (the policy keeps a
-//!   bounded buffer per function).
+//! * **S1** — online WTs are recorded during provision: the policy keeps a
+//!   [`WtWindow`] per function, the most recent WTs in arrival order with
+//!   a sorted mirror, so S2/S3 read medians, percentiles and mode tables
+//!   off the mirror instead of sorting a copy per call.
 //! * **S2** — once enough WTs accumulate, a predictive value whose online
 //!   counterpart drifted beyond the offline standard deviation is updated
 //!   to the mean of old and new (the paper's "regular" recipe; the other
@@ -11,9 +13,10 @@
 //!   the definitions is categorised accordingly; failing that, a repeated
 //!   WT promotes it to "newly-possible".
 
-use crate::categorize::{self, is_regular_sequence, ModeRules};
+use crate::categorize::{self, is_regular_with_sorted, ModeRules};
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
-use spes_stats::{modes, percentile};
+use crate::window::WtWindow;
+use spes_stats::percentile_sorted;
 
 /// Number of online WTs required before adaptive updates fire ("if there
 /// are enough WTs"; the paper gives no number). It also gates the S3
@@ -64,6 +67,16 @@ fn echoes_value(wt: u32, base: u32, tol: f64) -> bool {
     })
 }
 
+/// How many of the ascending `sorted` WTs lie within `tol` of `centre`.
+/// The distance `f64::from(wt) - centre` never decreases as `wt` grows, so
+/// the WTs within `tol` form one run of `sorted`, bounded by two binary
+/// searches.
+fn count_near(sorted: &[u32], centre: f64, tol: f64) -> usize {
+    let below = sorted.partition_point(|&wt| f64::from(wt) - centre < -tol);
+    let through = sorted.partition_point(|&wt| f64::from(wt) - centre <= tol);
+    through - below
+}
+
 /// Applies the S2 adjusting rule to one function's predictive values.
 ///
 /// `offline_std` is the standard deviation of the training-window WTs; a
@@ -91,12 +104,13 @@ fn echoes_value(wt: u32, base: u32, tol: f64) -> bool {
 pub fn adjust_values(
     ty: FunctionType,
     values: &mut PredictiveValues,
-    online_wts: &[u32],
+    online_wts: &WtWindow,
     offline_std: f64,
 ) -> AdjustOutcome {
     if online_wts.len() < ADJUST_MIN_SAMPLES {
         return AdjustOutcome::Unchanged;
     }
+    let sorted = online_wts.sorted();
     let drift_threshold = offline_std.max(1.0);
     // Whether a known cadence is still the common case in the online
     // buffer (at least a quarter of it). Echo discounting only applies
@@ -104,19 +118,11 @@ pub fn adjust_values(
     // its cadence stays dominant, whereas after a real shift the old
     // period decays to a few stragglers — however harmonic the new
     // period looks, the update must then proceed.
-    let live = |base: u32| {
-        let near = online_wts
-            .iter()
-            .filter(|&&wt| (f64::from(wt) - f64::from(base)).abs() <= drift_threshold)
-            .count();
-        near * 4 >= online_wts.len()
-    };
+    let live = |base: u32| count_near(sorted, f64::from(base), drift_threshold) * 4 >= sorted.len();
     match (ty, &mut *values) {
         (FunctionType::Regular, PredictiveValues::Discrete(vals)) if vals.len() == 1 => {
             let old = f64::from(vals[0]);
-            let Some(new) = percentile(online_wts, 50.0) else {
-                return AdjustOutcome::Unchanged;
-            };
+            let new = percentile_sorted(sorted, 50.0);
             if (new - old).abs() <= drift_threshold {
                 return AdjustOutcome::Unchanged;
             }
@@ -128,18 +134,15 @@ pub fn adjust_values(
             // interpolates between the clusters; only blend toward a
             // cadence the buffer actually supports. A genuine concept
             // shift concentrates the buffer on the new period and passes.
-            let support = online_wts
-                .iter()
-                .filter(|&&wt| (f64::from(wt) - new).abs() <= drift_threshold)
-                .count();
-            if (support as f64) < ADJUST_NEW_SUPPORT * online_wts.len() as f64 {
+            let support = count_near(sorted, new, drift_threshold);
+            if (support as f64) < ADJUST_NEW_SUPPORT * sorted.len() as f64 {
                 return AdjustOutcome::Unchanged;
             }
             vals[0] = ((old + new) / 2.0).round() as u32;
             AdjustOutcome::Updated
         }
         (FunctionType::ApproRegular, PredictiveValues::Discrete(vals)) => {
-            let fresh = ModeRules::new(online_wts).appro_modes();
+            let fresh = ModeRules::from_sorted(sorted).appro_modes();
             // A fresh mode counts as drift when it is far from every known
             // value. Chain echoes are allowed through on purpose: the
             // replacement keeps the dominant (parent-period) modes and the
@@ -157,7 +160,7 @@ pub fn adjust_values(
             }
         }
         (FunctionType::Dense, PredictiveValues::Range(lo, hi)) => {
-            let Some((new_lo, new_hi)) = ModeRules::new(online_wts).dense_range() else {
+            let Some((new_lo, new_hi)) = ModeRules::from_sorted(sorted).dense_range() else {
                 return AdjustOutcome::Unchanged;
             };
             let bound_drifted = |nv: u32, ov: u32| f64::from(nv.abs_diff(ov)) > drift_threshold;
@@ -177,7 +180,7 @@ pub fn adjust_values(
             FunctionType::Possible | FunctionType::NewlyPossible,
             PredictiveValues::Discrete(vals),
         ) => {
-            let fresh = modes::repeated_values(online_wts);
+            let fresh = ModeRules::from_sorted(sorted).repeated_values();
             let mut changed = false;
             // Grow the value set up to the cap but never shrink it:
             // offline-fitted "possible" sets can legitimately hold far
@@ -207,15 +210,17 @@ pub fn adjust_values(
 /// without slacking, then Table I's mode rules — and falls back to
 /// "newly-possible" when only a repeated WT exists.
 #[must_use]
-pub fn try_online_categorize(online_wts: &[u32]) -> Option<Categorized> {
+pub fn try_online_categorize(online_wts: &WtWindow) -> Option<Categorized> {
     if online_wts.len() < ADJUST_MIN_SAMPLES {
         return None;
     }
-    if is_regular_sequence(online_wts) {
-        return categorize::regular(online_wts);
+    let sorted = online_wts.sorted();
+    if is_regular_with_sorted(online_wts.arrival(), sorted) {
+        return categorize::regular(sorted);
     }
-    ModeRules::new(online_wts).categorize().or_else(|| {
-        let repeated = modes::repeated_values(online_wts);
+    let rules = ModeRules::from_sorted(sorted);
+    rules.categorize().or_else(|| {
+        let repeated = rules.repeated_values();
         (!repeated.is_empty()).then(|| {
             Categorized::new(
                 FunctionType::NewlyPossible,
@@ -229,12 +234,16 @@ pub fn try_online_categorize(online_wts: &[u32]) -> Option<Categorized> {
 mod tests {
     use super::*;
 
+    fn window(wts: &[u32]) -> WtWindow {
+        wts.iter().copied().collect()
+    }
+
     #[test]
     fn regular_adjusts_on_drift() {
         let mut values = PredictiveValues::Discrete(vec![29]);
         // Online WTs now centre on 59 (period doubled).
         let online = vec![59, 59, 58, 59, 60];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 0.5);
+        let out = adjust_values(FunctionType::Regular, &mut values, &window(&online), 0.5);
         assert_eq!(out, AdjustOutcome::Updated);
         assert_eq!(values, PredictiveValues::Discrete(vec![44])); // mean(29, 59)
     }
@@ -243,7 +252,7 @@ mod tests {
     fn regular_no_adjust_within_std() {
         let mut values = PredictiveValues::Discrete(vec![29]);
         let online = vec![29, 30, 29, 29, 30];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
+        let out = adjust_values(FunctionType::Regular, &mut values, &window(&online), 2.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![29]));
     }
@@ -251,7 +260,7 @@ mod tests {
     #[test]
     fn too_few_samples_never_adjusts() {
         let mut values = PredictiveValues::Discrete(vec![29]);
-        let out = adjust_values(FunctionType::Regular, &mut values, &[99, 99], 0.1);
+        let out = adjust_values(FunctionType::Regular, &mut values, &window(&[99, 99]), 0.1);
         assert_eq!(out, AdjustOutcome::Unchanged);
     }
 
@@ -259,7 +268,12 @@ mod tests {
     fn appro_regular_replaces_modes_on_drift() {
         let mut values = PredictiveValues::Discrete(vec![3, 4, 5]);
         let online = vec![20, 21, 20, 21, 20, 21];
-        let out = adjust_values(FunctionType::ApproRegular, &mut values, &online, 1.0);
+        let out = adjust_values(
+            FunctionType::ApproRegular,
+            &mut values,
+            &window(&online),
+            1.0,
+        );
         assert_eq!(out, AdjustOutcome::Updated);
         match values {
             PredictiveValues::Discrete(v) => {
@@ -273,7 +287,7 @@ mod tests {
     fn dense_blends_range() {
         let mut values = PredictiveValues::Range(1, 3);
         let online = vec![8, 9, 8, 9, 10, 9];
-        let out = adjust_values(FunctionType::Dense, &mut values, &online, 1.0);
+        let out = adjust_values(FunctionType::Dense, &mut values, &window(&online), 1.0);
         assert_eq!(out, AdjustOutcome::Updated);
         match values {
             PredictiveValues::Range(lo, hi) => {
@@ -293,7 +307,7 @@ mod tests {
         // it, so the blend must not fire.
         let mut values = PredictiveValues::Discrete(vec![704]);
         let online = vec![704, 1409, 704, 1409, 704, 1409];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
+        let out = adjust_values(FunctionType::Regular, &mut values, &window(&online), 2.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![704]));
     }
@@ -306,7 +320,7 @@ mod tests {
         // not a shift.
         let mut values = PredictiveValues::Discrete(vec![704]);
         let online = vec![1409, 1409, 1409, 1409, 1409, 704, 704, 704];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
+        let out = adjust_values(FunctionType::Regular, &mut values, &window(&online), 2.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![704]));
     }
@@ -318,7 +332,7 @@ mod tests {
         // concept shift and must still blend.
         let mut values = PredictiveValues::Discrete(vec![704]);
         let online = vec![1409, 1409, 1409, 1409, 1409, 1409];
-        let out = adjust_values(FunctionType::Regular, &mut values, &online, 2.0);
+        let out = adjust_values(FunctionType::Regular, &mut values, &window(&online), 2.0);
         assert_eq!(out, AdjustOutcome::Updated);
         assert_eq!(values, PredictiveValues::Discrete(vec![1057])); // mean(704, 1409)
     }
@@ -330,7 +344,12 @@ mod tests {
         // no drift, so the set must not be reset.
         let mut values = PredictiveValues::Discrete(vec![10, 21]);
         let online = vec![10, 21, 10, 10, 21, 10];
-        let out = adjust_values(FunctionType::ApproRegular, &mut values, &online, 1.0);
+        let out = adjust_values(
+            FunctionType::ApproRegular,
+            &mut values,
+            &window(&online),
+            1.0,
+        );
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(vec![10, 21]));
     }
@@ -342,7 +361,7 @@ mod tests {
         // hold still.
         let mut values = PredictiveValues::Range(1, 4);
         let online = vec![1, 2, 3, 1, 2, 3, 9];
-        let out = adjust_values(FunctionType::Dense, &mut values, &online, 1.0);
+        let out = adjust_values(FunctionType::Dense, &mut values, &window(&online), 1.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Range(1, 4));
     }
@@ -355,7 +374,7 @@ mod tests {
         let offline: Vec<u32> = vec![10, 20, 30, 40, 50, 60, 70];
         let mut values = PredictiveValues::Discrete(offline.clone());
         let online = vec![80, 80, 15, 80, 90];
-        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0);
+        let out = adjust_values(FunctionType::Possible, &mut values, &window(&online), 1.0);
         assert_eq!(out, AdjustOutcome::Unchanged);
         assert_eq!(values, PredictiveValues::Discrete(offline));
     }
@@ -364,7 +383,7 @@ mod tests {
     fn possible_growth_stops_at_cap() {
         let mut values = PredictiveValues::Discrete(vec![10, 20, 30, 40]);
         let online = vec![80, 80, 90, 90, 95, 95];
-        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0);
+        let out = adjust_values(FunctionType::Possible, &mut values, &window(&online), 1.0);
         assert_eq!(out, AdjustOutcome::Updated);
         match &values {
             PredictiveValues::Discrete(v) => {
@@ -379,7 +398,7 @@ mod tests {
     fn possible_accumulates_new_repeated_values() {
         let mut values = PredictiveValues::Discrete(vec![100]);
         let online = vec![40, 40, 7, 40, 100];
-        let out = adjust_values(FunctionType::Possible, &mut values, &online, 1.0);
+        let out = adjust_values(FunctionType::Possible, &mut values, &window(&online), 1.0);
         assert_eq!(out, AdjustOutcome::Updated);
         match &values {
             PredictiveValues::Discrete(v) => assert!(v.contains(&40) && v.contains(&100)),
@@ -390,21 +409,26 @@ mod tests {
     #[test]
     fn non_value_types_unchanged() {
         let mut values = PredictiveValues::None;
-        let out = adjust_values(FunctionType::Successive, &mut values, &[1, 1, 1, 1, 1], 1.0);
+        let out = adjust_values(
+            FunctionType::Successive,
+            &mut values,
+            &window(&[1, 1, 1, 1, 1]),
+            1.0,
+        );
         assert_eq!(out, AdjustOutcome::Unchanged);
     }
 
     #[test]
     fn online_categorize_regular() {
         let online = vec![29, 29, 29, 30, 29, 29];
-        let c = try_online_categorize(&online).unwrap();
+        let c = try_online_categorize(&window(&online)).unwrap();
         assert_eq!(c.ty, FunctionType::Regular);
     }
 
     #[test]
     fn online_categorize_dense() {
         let online = vec![1, 3, 2, 4, 1, 2, 3, 1, 4, 2];
-        let c = try_online_categorize(&online).unwrap();
+        let c = try_online_categorize(&window(&online)).unwrap();
         // Modes cover >= 90%? values 1,2,3 cover 8/10 = 0.8 < 0.9, so not
         // appro-regular; P90 <= 5 -> dense.
         assert_eq!(c.ty, FunctionType::Dense);
@@ -413,14 +437,14 @@ mod tests {
     #[test]
     fn online_categorize_newly_possible() {
         let online = vec![500, 17, 500, 90, 2000];
-        let c = try_online_categorize(&online).unwrap();
+        let c = try_online_categorize(&window(&online)).unwrap();
         assert_eq!(c.ty, FunctionType::NewlyPossible);
         assert_eq!(c.values, PredictiveValues::Discrete(vec![500]));
     }
 
     #[test]
     fn online_categorize_nothing() {
-        assert!(try_online_categorize(&[1, 900, 40, 7000, 23]).is_none());
-        assert!(try_online_categorize(&[5, 5]).is_none());
+        assert!(try_online_categorize(&window(&[1, 900, 40, 7000, 23])).is_none());
+        assert!(try_online_categorize(&window(&[5, 5])).is_none());
     }
 }

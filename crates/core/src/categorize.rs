@@ -9,7 +9,7 @@
 
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
 use crate::slacking;
-use spes_stats::{percentile, ModeEntry, Summary};
+use spes_stats::{coefficient_of_variation, mode_table_sorted, percentile_sorted, ModeEntry};
 use spes_trace::{Sequences, Slot, SparseSeries};
 
 /// "Always warm" alternative rule: the idle slots of the observing window
@@ -58,13 +58,22 @@ const _: () = assert!(
 /// of variation is at most [`REGULAR_CV_MAX`].
 #[must_use]
 pub fn is_regular_sequence(wts: &[u32]) -> bool {
+    let mut sorted = wts.to_vec();
+    sorted.sort_unstable();
+    is_regular_with_sorted(wts, &sorted)
+}
+
+/// [`is_regular_sequence`] given `wts` together with its values in
+/// ascending order: the percentiles read `sorted`, while the mean and
+/// standard deviation sum `wts` in its own order, which fixes their
+/// floating-point rounding.
+#[must_use]
+pub(crate) fn is_regular_with_sorted(wts: &[u32], sorted: &[u32]) -> bool {
     if wts.len() < MIN_WT_SAMPLES {
         return false;
     }
-    let Some(summary) = Summary::of(wts) else {
-        return false;
-    };
-    summary.p95 - summary.p5 <= REGULAR_SPREAD_MAX || summary.cv <= REGULAR_CV_MAX
+    percentile_sorted(sorted, 95.0) - percentile_sorted(sorted, 5.0) <= REGULAR_SPREAD_MAX
+        || coefficient_of_variation(wts) <= REGULAR_CV_MAX
 }
 
 /// Applies the "regular" definition with the two slacking fallbacks
@@ -87,12 +96,15 @@ pub fn regular_with_slack(wts: &[u32]) -> Option<Vec<u32>> {
     None
 }
 
-/// The "regular" outcome for a WT sequence that passed the rule: its
-/// rounded median is the single predictive value. `None` only for an
-/// empty sequence.
+/// The "regular" outcome for a WT sequence that passed the rule, given
+/// in ascending order: its rounded median is the single predictive
+/// value. `None` only for an empty sequence.
 #[must_use]
-pub fn regular(wts: &[u32]) -> Option<Categorized> {
-    let median = percentile(wts, 50.0)?.round() as u32;
+pub fn regular(sorted: &[u32]) -> Option<Categorized> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let median = percentile_sorted(sorted, 50.0).round() as u32;
     Some(Categorized::new(
         FunctionType::Regular,
         PredictiveValues::Discrete(vec![median]),
@@ -102,21 +114,22 @@ pub fn regular(wts: &[u32]) -> Option<Categorized> {
 /// Table I's two mode rules over one WT sequence, read off one mode
 /// table: rule 3 (appro-regular) and rule 4 (dense). Offline
 /// categorisation, the S3 online re-categorisation and the S2
-/// appro-regular/dense updates all derive their values here.
+/// appro-regular/dense/possible updates all derive their values here.
 #[derive(Debug, Clone)]
 pub struct ModeRules<'a> {
-    wts: &'a [u32],
+    /// The WTs in ascending order.
+    sorted: &'a [u32],
     /// Modes by descending count, ties by ascending value.
     table: Vec<ModeEntry>,
 }
 
 impl<'a> ModeRules<'a> {
-    /// Builds the mode table of `wts`.
+    /// Builds the mode table of a WT sequence given in ascending order.
     #[must_use]
-    pub fn new(wts: &'a [u32]) -> Self {
+    pub fn from_sorted(sorted: &'a [u32]) -> Self {
         Self {
-            wts,
-            table: spes_stats::mode_table(wts),
+            sorted,
+            table: mode_table_sorted(sorted),
         }
     }
 
@@ -139,6 +152,17 @@ impl<'a> ModeRules<'a> {
         Some((top().min()?, top().max()?))
     }
 
+    /// The "possible" predictive values: every WT occurring more than
+    /// once, most frequent first.
+    #[must_use]
+    pub fn repeated_values(&self) -> Vec<u32> {
+        self.table
+            .iter()
+            .take_while(|m| m.count > 1)
+            .map(|m| m.value)
+            .collect()
+    }
+
     /// Rules 3 then 4: appro-regular when the top modes cover
     /// [`APPRO_COVERAGE`] of the WTs, otherwise dense when `P90(WT)` is at
     /// most [`DENSE_P90_MAX`], otherwise `None`. The caller enforces its
@@ -146,13 +170,13 @@ impl<'a> ModeRules<'a> {
     #[must_use]
     pub fn categorize(&self) -> Option<Categorized> {
         let coverage: usize = self.table.iter().take(APPRO_N_MODES).map(|m| m.count).sum();
-        if coverage as f64 >= APPRO_COVERAGE * self.wts.len() as f64 {
+        if coverage as f64 >= APPRO_COVERAGE * self.sorted.len() as f64 {
             return Some(Categorized::new(
                 FunctionType::ApproRegular,
                 PredictiveValues::Discrete(self.appro_modes()),
             ));
         }
-        if percentile(self.wts, 90.0)? <= DENSE_P90_MAX {
+        if !self.sorted.is_empty() && percentile_sorted(self.sorted, 90.0) <= DENSE_P90_MAX {
             let (lo, hi) = self.dense_range()?;
             return Some(Categorized::new(
                 FunctionType::Dense,
@@ -194,13 +218,16 @@ pub fn categorize_deterministic(
     let seq = Sequences::extract(series, start, end);
 
     // 2. Regular (with slacking).
-    if let Some(processed) = regular_with_slack(&seq.wt) {
+    if let Some(mut processed) = regular_with_slack(&seq.wt) {
+        processed.sort_unstable();
         return regular(&processed);
     }
 
     // 3-4. Approximatively regular, then dense.
     if seq.wt.len() >= MIN_WT_SAMPLES {
-        if let Some(cat) = ModeRules::new(&seq.wt).categorize() {
+        let mut sorted = seq.wt.clone();
+        sorted.sort_unstable();
+        if let Some(cat) = ModeRules::from_sorted(&sorted).categorize() {
             return Some(cat);
         }
     }

@@ -13,7 +13,8 @@
 //! 3. [`correlation`] — the (T-lagged) co-occurrence rate linking
 //!    functions within an application/user;
 //! 4. [`adaptive`] + [`online_corr`] — concept-shift handling: online
-//!    predictive-value adjustment and unseen-function correlation;
+//!    predictive-value adjustment over each function's [`WtWindow`] and
+//!    unseen-function correlation;
 //! 5. [`provision`] — Algorithm 1, exposed as a [`spes_sim::Policy`].
 //!
 //! ```
@@ -40,8 +41,10 @@ pub mod online_corr;
 pub mod patterns;
 pub mod provision;
 pub mod slacking;
+pub mod window;
 
 pub use config::SpesConfig;
 pub use correlation::{best_lagged_cor, cor, lagged_cor, windowed_cor, Link};
 pub use patterns::{Categorized, FunctionType, PredictiveValues};
 pub use provision::{FitStats, OnlineStatsCounters, SpesPolicy};
+pub use window::WtWindow;

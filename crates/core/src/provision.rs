@@ -26,13 +26,11 @@ use crate::online_corr::{
     OnlineCorrelation, ONLINE_CORR_MAX_CANDIDATES, ONLINE_CORR_MAX_CANDIDATE_RATE,
 };
 use crate::patterns::{Categorized, FunctionType, PredictiveValues};
+use crate::window::WtWindow;
 use spes_sim::{Agenda, Holds, MemoryPool, Policy};
 use spes_stats::stddev;
 use spes_trace::{FunctionId, Sequences, Slot, Trace, TriggerType};
 use std::collections::BTreeMap;
-
-/// Maximum online WTs buffered per function for adaptive adjusting.
-const ONLINE_WT_BUFFER: usize = 64;
 
 /// Give-up threshold for "dense" functions, in idle slots (paper: 5).
 pub const THETA_GIVENUP_DENSE: u32 = 5;
@@ -112,7 +110,9 @@ pub struct SpesPolicy {
     last_invoked: Vec<Option<Slot>>,
     /// Invocation sequence number; stale agenda entries are skipped.
     generation: Vec<u32>,
-    online_wts: Vec<Vec<u32>>,
+    /// S1's online WTs, the most recent ones per function with their
+    /// sorted mirror, which S2/S3 read.
+    online_wts: Vec<WtWindow>,
     /// Whether S2/S3 may act on the function: set when its WT buffer or
     /// predictive state changed since the last call left it unchanged.
     /// Both rules are pure in (type, values, buffer, offline std), so a
@@ -237,7 +237,7 @@ impl SpesPolicy {
             train_active_rate,
             last_invoked: vec![None; n],
             generation: vec![0; n],
-            online_wts: vec![Vec::new(); n],
+            online_wts: vec![WtWindow::new(); n],
             adapt_pending: vec![true; n],
             holds: Holds::default(),
             agenda: Agenda::default(),
@@ -475,11 +475,7 @@ impl Policy for SpesPolicy {
             if let Some(p) = prev {
                 let gap = now - p - 1;
                 if gap > 0 {
-                    let buf = &mut self.online_wts[idx];
-                    if buf.len() == ONLINE_WT_BUFFER {
-                        buf.remove(0);
-                    }
-                    buf.push(gap);
+                    self.online_wts[idx].push(gap);
                     self.adapt_pending[idx] = true;
                 }
             }

@@ -9,6 +9,7 @@ use spes_core::correlation::{best_lagged_cor, cor, lagged_cor, link_precision, w
 use spes_core::indeterminate::{choose_strategy, score_pulsed, StrategyScore};
 use spes_core::patterns::{Categorized, FunctionType, PredictiveValues};
 use spes_core::slacking::{merge_adjacent, merge_mode, trim_ends};
+use spes_core::window::{WtWindow, WT_WINDOW_CAPACITY};
 use spes_stats::{modes, percentile, Summary};
 use spes_trace::{Slot, SparseSeries};
 use std::collections::HashSet;
@@ -297,6 +298,29 @@ fn online_wts() -> impl Strategy<Value = Vec<u32>> {
         .prop_map(|(pick, small, wide)| if pick == 0 { small } else { wide })
 }
 
+/// A `WtWindow` holding `wts` (at most the last 64 of them).
+fn window_of(wts: &[u32]) -> WtWindow {
+    wts.iter().copied().collect()
+}
+
+/// Push/clear sequences for `WtWindow`: `None` clears, and the pushed WTs
+/// mix small values (duplicates), zero, values near `u32::MAX` and wide
+/// ones. Up to 200 operations, so the window fills and evicts.
+fn window_ops() -> impl Strategy<Value = Vec<Option<u32>>> {
+    prop::collection::vec(
+        (0u8..24, 0u32..12, 1u32..2000, 0u32..4).prop_map(|(pick, small, wide, below_max)| {
+            match pick {
+                0 => None,
+                1 => Some(0),
+                2 => Some(u32::MAX - below_max),
+                3..=12 => Some(small),
+                _ => Some(wide),
+            }
+        }),
+        0..=200,
+    )
+}
+
 fn wt_value() -> impl Strategy<Value = u32> {
     (0u8..2, 0u32..12, 1u32..2000)
         .prop_map(|(pick, small, wide)| if pick == 0 { small } else { wide })
@@ -361,7 +385,10 @@ proptest! {
 
     #[test]
     fn online_categorize_matches_the_reference(wts in online_wts()) {
-        prop_assert_eq!(try_online_categorize(&wts), reference_try_online_categorize(&wts));
+        prop_assert_eq!(
+            try_online_categorize(&window_of(&wts)),
+            reference_try_online_categorize(&wts)
+        );
     }
 
     #[test]
@@ -372,7 +399,7 @@ proptest! {
     ) {
         let mut got = values.clone();
         let mut want = values;
-        let outcome = adjust_values(ty, &mut got, &wts, offline_std);
+        let outcome = adjust_values(ty, &mut got, &window_of(&wts), offline_std);
         prop_assert_eq!(outcome, reference_adjust_values(ty, &mut want, &wts, offline_std));
         prop_assert_eq!(got, want);
     }
@@ -387,11 +414,12 @@ proptest! {
         wts in online_wts(),
         offline_std in 0.0f64..20.0,
     ) {
+        let window = window_of(&wts);
         let mut got = values.clone();
-        if adjust_values(ty, &mut got, &wts, offline_std) == AdjustOutcome::Unchanged {
+        if adjust_values(ty, &mut got, &window, offline_std) == AdjustOutcome::Unchanged {
             prop_assert_eq!(&got, &values);
             prop_assert_eq!(
-                adjust_values(ty, &mut got, &wts, offline_std),
+                adjust_values(ty, &mut got, &window, offline_std),
                 AdjustOutcome::Unchanged
             );
             prop_assert_eq!(got, values);
@@ -410,12 +438,61 @@ proptest! {
         let wts: Vec<u32> = skips.iter().map(|&m| m * base + (m - 1)).collect();
         let mut got = PredictiveValues::Discrete(vec![base]);
         let mut want = got.clone();
-        let outcome = adjust_values(FunctionType::Regular, &mut got, &wts, offline_std);
+        let outcome = adjust_values(FunctionType::Regular, &mut got, &window_of(&wts), offline_std);
         prop_assert_eq!(
             outcome,
             reference_adjust_values(FunctionType::Regular, &mut want, &wts, offline_std)
         );
         prop_assert_eq!(got, want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `WtWindow` against the buffer it replaced: a `Vec` that drops its
+    /// oldest WT with `remove(0)` once it holds 64. After every push or
+    /// clear the window's arrival order and sorted mirror equal the
+    /// buffer and its sorted copy, and S2/S3 on the window equal the
+    /// reference rules on the buffer.
+    #[test]
+    fn wt_window_matches_the_naive_buffer(
+        ops in window_ops(),
+        (ty, values) in typed_values(),
+        offline_std in 0.0f64..20.0,
+    ) {
+        let mut window = WtWindow::new();
+        let mut naive: Vec<u32> = Vec::new();
+        for op in ops {
+            match op {
+                Some(wt) => {
+                    window.push(wt);
+                    if naive.len() == WT_WINDOW_CAPACITY {
+                        naive.remove(0);
+                    }
+                    naive.push(wt);
+                }
+                None => {
+                    window.clear();
+                    naive.clear();
+                }
+            }
+            prop_assert_eq!(window.arrival(), naive.as_slice());
+            let mut sorted = naive.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(window.sorted(), sorted.as_slice());
+            prop_assert_eq!(
+                try_online_categorize(&window),
+                reference_try_online_categorize(&naive)
+            );
+            let mut got = values.clone();
+            let mut want = values.clone();
+            prop_assert_eq!(
+                adjust_values(ty, &mut got, &window, offline_std),
+                reference_adjust_values(ty, &mut want, &naive, offline_std)
+            );
+            prop_assert_eq!(got, want);
+        }
     }
 }
 

@@ -21,8 +21,10 @@
 //! execution phase, so a suite's output order is exactly its declaration
 //! order and callers read a member by its position in the spec list.
 
-use crate::engine::{SimConfig, Simulation};
-use crate::events::{EvictionAudit, Fairness, MemoryPressure, RunCollector, SlotSeries};
+use crate::engine::{SimConfig, SimError, Simulation};
+use crate::events::{
+    EvictionAudit, Fairness, MemoryPressure, Observer, ObserverSet, RunCollector, SlotSeries,
+};
 use crate::metrics::RunResult;
 use crate::policy::Policy;
 use spes_trace::{Slot, SynthTrace, Trace};
@@ -229,6 +231,21 @@ pub enum SuiteError {
         /// The capacity-dependent reference.
         reference: String,
     },
+    /// The engine refused a spec's simulation window, e.g. a training
+    /// boundary past the trace's horizon.
+    Simulation {
+        /// The spec whose run failed.
+        policy: String,
+        /// Why the engine refused the window.
+        error: SimError,
+    },
+    /// A run did not hand back one of the observers the suite attached.
+    MissingObserver {
+        /// The spec whose run lost the observer.
+        policy: String,
+        /// The observer's type name.
+        observer: &'static str,
+    },
 }
 
 impl std::fmt::Display for SuiteError {
@@ -246,6 +263,15 @@ impl std::fmt::Display for SuiteError {
                 "policy {policy:?} takes its capacity from {reference:?}, \
                  which is itself capacity-dependent"
             ),
+            Self::Simulation { policy, error } => {
+                write!(f, "policy {policy:?} could not be simulated: {error}")
+            }
+            Self::MissingObserver { policy, observer } => {
+                write!(
+                    f,
+                    "the run of policy {policy:?} lost its {observer} observer"
+                )
+            }
         }
     }
 }
@@ -285,6 +311,17 @@ pub fn validate_suite(specs: &[PolicySpec]) -> Result<(), SuiteError> {
     Ok(())
 }
 
+/// Moves the observer of type `T` out of the finished run of `policy`.
+fn take_observer<T: Observer + 'static>(
+    observers: &mut ObserverSet,
+    policy: &str,
+) -> Result<T, SuiteError> {
+    observers.take().ok_or_else(|| SuiteError::MissingObserver {
+        policy: policy.to_owned(),
+        observer: std::any::type_name::<T>(),
+    })
+}
+
 /// Runs every spec on `data` under the paper's protocol: each policy is
 /// built from the trace's own training window `[0, train_end)`, then the
 /// full horizon is replayed with metrics collected after the boundary
@@ -299,7 +336,8 @@ pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<Vec<SuiteEnt
     let train_end = data.train_end;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(train_end);
 
-    let run_spec = |spec: &PolicySpec, prior: &[SuiteEntry]| {
+    let run_spec = |spec: &PolicySpec, prior: &[SuiteEntry]| -> Result<SuiteEntry, SuiteError> {
+        let name = spec.name();
         let ctx = FitContext {
             trace,
             train_start: 0,
@@ -310,9 +348,12 @@ pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<Vec<SuiteEnt
             CapacityRule::Unlimited => None,
             CapacityRule::Fixed(budget) => Some(*budget),
             CapacityRule::PeakOf(reference) => {
-                let donor = ctx
-                    .prior_run(reference)
-                    .expect("validated capacity reference");
+                let donor =
+                    ctx.prior_run(reference)
+                        .ok_or_else(|| SuiteError::UnknownCapacityRef {
+                            policy: name.to_owned(),
+                            reference: reference.clone(),
+                        })?;
                 Some(donor.peak_loaded.max(1))
             }
         };
@@ -328,18 +369,21 @@ pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<Vec<SuiteEnt
             .with_observer(Box::new(Fairness::from_trace(trace)))
             .with_observer(Box::new(MemoryPressure::new()))
             .run(policy.as_mut())
-            .expect("the trace-carried window is valid");
-        let collector: RunCollector = observers.take().expect("attached above");
-        SuiteEntry {
-            name: spec.name().to_owned(),
+            .map_err(|error| SuiteError::Simulation {
+                policy: name.to_owned(),
+                error,
+            })?;
+        let collector: RunCollector = take_observer(&mut observers, name)?;
+        Ok(SuiteEntry {
+            name: name.to_owned(),
             run: collector.into_result(),
-            series: observers.take().expect("attached above"),
-            audit: observers.take().expect("attached above"),
-            fairness: observers.take().expect("attached above"),
-            pressure: observers.take().expect("attached above"),
+            series: take_observer(&mut observers, name)?,
+            audit: take_observer(&mut observers, name)?,
+            fairness: take_observer(&mut observers, name)?,
+            pressure: take_observer(&mut observers, name)?,
             resolved_capacity,
             policy,
-        }
+        })
     };
 
     // Phase one: self-contained specs, in spec order.
@@ -347,7 +391,7 @@ pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<Vec<SuiteEnt
     let mut first_idx: Vec<usize> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         if spec.capacity().is_self_contained() {
-            first_wave.push(run_spec(spec, &[]));
+            first_wave.push(run_spec(spec, &[])?);
             first_idx.push(i);
         }
     }
@@ -356,22 +400,18 @@ pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<Vec<SuiteEnt
     let mut second_wave: Vec<(usize, SuiteEntry)> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         if !spec.capacity().is_self_contained() {
-            second_wave.push((i, run_spec(spec, &first_wave)));
+            second_wave.push((i, run_spec(spec, &first_wave)?));
         }
     }
 
-    // Reassemble in spec order.
-    let mut merged: Vec<Option<SuiteEntry>> = specs.iter().map(|_| None).collect();
-    for (i, entry) in first_idx.into_iter().zip(first_wave) {
-        merged[i] = Some(entry);
-    }
-    for (i, entry) in second_wave {
-        merged[i] = Some(entry);
-    }
-    Ok(merged
+    // Reassemble in spec order: every spec ran in exactly one phase.
+    let mut ordered: Vec<(usize, SuiteEntry)> = first_idx
         .into_iter()
-        .map(|e| e.expect("every spec ran"))
-        .collect())
+        .zip(first_wave)
+        .chain(second_wave)
+        .collect();
+    ordered.sort_unstable_by_key(|&(i, _)| i);
+    Ok(ordered.into_iter().map(|(_, entry)| entry).collect())
 }
 
 #[cfg(test)]
@@ -420,6 +460,22 @@ mod tests {
             seed: 5,
             ..SynthConfig::default()
         })
+    }
+
+    #[test]
+    fn a_training_boundary_past_the_horizon_is_an_error() {
+        let mut data = tiny_trace();
+        data.train_end = data.trace.n_slots + 1;
+        let err = run_suite(&data, &[keep_forever()]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SuiteError::Simulation { policy, error: SimError::MetricsStartOutsideWindow { .. } }
+                    if policy == "keep-forever"
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("could not be simulated"), "{err}");
     }
 
     #[test]

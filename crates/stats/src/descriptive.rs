@@ -110,11 +110,9 @@ impl Summary {
     /// Computes the summary. Returns `None` for an empty sequence.
     #[must_use]
     pub fn of(xs: &[u32]) -> Option<Self> {
-        if xs.is_empty() {
-            return None;
-        }
         let mut sorted: Vec<u32> = xs.to_vec();
         sorted.sort_unstable();
+        let (&min, &max) = (sorted.first()?, sorted.last()?);
         let m = mean(xs);
         let sd = stddev(xs);
         Some(Self {
@@ -126,8 +124,8 @@ impl Summary {
             median: percentile_sorted(&sorted, 50.0),
             p90: percentile_sorted(&sorted, 90.0),
             p95: percentile_sorted(&sorted, 95.0),
-            min: sorted[0],
-            max: *sorted.last().expect("non-empty"),
+            min,
+            max,
         })
     }
 }

@@ -8,14 +8,29 @@
 //! when the distribution is not "representative" (high CV) or dominated by
 //! out-of-bounds observations.
 
-use crate::descriptive;
+/// Relative rounding margin of [`Histogram::cv_at_most`]: an exact
+/// squared CV this close to the squared limit is decided by
+/// [`Histogram::cv`] itself. `cv`'s floating-point sums over `k` occupied
+/// bins stay within about `k · 2⁻⁵²` (relative) of the exact value, far
+/// inside the margin below millions of bins, so outside it both sides of
+/// the comparison agree.
+const CV_MARGIN_REL: f64 = 1e-9;
+/// Absolute part of the same margin, covering the rounding of `cv`'s
+/// mean, which shifts its variance by up to `mean² · 2⁻¹⁰⁶`.
+const CV_MARGIN_ABS: f64 = 1e-24;
 
 /// A histogram over `0..bins` minute-valued observations with an
 /// out-of-bounds overflow counter.
 ///
-/// Queries ([`Histogram::percentile`], [`Histogram::cv`]) cost
-/// O(occupied bins), not O(bins): an occupied-bin bitset lets them skip
-/// empty bins, which add nothing to any sum they compute.
+/// Queries cost far less than O(bins):
+/// - [`Histogram::cv_at_most`] is O(1): `observe` keeps the exact integer
+///   moments `Σ bin·count` and `Σ bin²·count`, and only a squared CV
+///   within a rounding margin of the limit falls back to [`Histogram::cv`].
+/// - [`Histogram::percentile`] walks the occupied-bin bitset from the
+///   nearer end (upward for `p <= 50`, downward above), so a head or tail
+///   percentile visits the few bins in its tail, not every occupied bin.
+/// - [`Histogram::cv`] visits every occupied bin twice; empty bins add
+///   nothing to its sums and are skipped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -23,6 +38,10 @@ pub struct Histogram {
     occupied: Vec<u64>,
     oob: u64,
     total: u64,
+    /// `Σ bin·count` over the in-range observations.
+    s1: u64,
+    /// `Σ bin²·count` over the in-range observations.
+    s2: u128,
 }
 
 impl Histogram {
@@ -35,6 +54,8 @@ impl Histogram {
             occupied: vec![0; bins.div_ceil(64)],
             oob: 0,
             total: 0,
+            s1: 0,
+            s2: 0,
         }
     }
 
@@ -54,6 +75,8 @@ impl Histogram {
                 if let Some(word) = self.occupied.get_mut(bin / 64) {
                     *word |= 1 << (bin % 64);
                 }
+                self.s1 += u64::from(value);
+                self.s2 += u128::from(value) * u128::from(value);
             }
             None => self.oob += 1,
         }
@@ -70,6 +93,25 @@ impl Histogram {
                     (rest != 0).then(|| {
                         let bit = rest.trailing_zeros() as usize;
                         rest &= rest - 1;
+                        w * 64 + bit
+                    })
+                })
+            })
+            .map(|bin| (bin, self.count(bin)))
+    }
+
+    /// The occupied bins with their counts, in descending bin order.
+    fn occupied_bins_rev(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.occupied
+            .iter()
+            .enumerate()
+            .rev()
+            .flat_map(|(w, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = 63 - rest.leading_zeros() as usize;
+                        rest &= !(1 << bit);
                         w * 64 + bit
                     })
                 })
@@ -109,8 +151,13 @@ impl Histogram {
     /// The value at percentile `p` of the *in-range* observations, or
     /// `None` when there are none. Uses the cumulative-count convention of
     /// the Hybrid policy: the smallest bin whose cumulative count reaches
-    /// `p`% of the in-range total. Visits only occupied bins: the first
-    /// bin to reach a target of at least one observation is occupied.
+    /// `p`% of the in-range total.
+    ///
+    /// Walks only occupied bins, from the nearer end. For `p <= 50` it
+    /// walks upward and returns the first bin whose cumulative count
+    /// reaches the target. Above 50 it walks downward and returns the
+    /// first bin whose cumulative count *without its own count* falls
+    /// below the target: the same bin, found from the top.
     #[must_use]
     pub fn percentile(&self, p: f64) -> Option<u32> {
         let in_range = self.in_range();
@@ -119,6 +166,19 @@ impl Histogram {
         }
         let p = p.clamp(0.0, 100.0);
         let target = (p / 100.0 * in_range as f64).ceil().max(1.0) as u64;
+        if p > 50.0 {
+            // `below` is the count of the bins under `bin`. It reaches 0,
+            // below any target, at the lowest occupied bin; a target past
+            // `in_range` stops at the top bin, the upward walk's fallback.
+            let mut below = in_range;
+            for (bin, c) in self.occupied_bins_rev() {
+                below -= c;
+                if below < target {
+                    return Some(bin as u32);
+                }
+            }
+            return None;
+        }
         let mut cum = 0u64;
         let mut last = None;
         for (bin, c) in self.occupied_bins() {
@@ -163,20 +223,41 @@ impl Histogram {
         Some((var / n as f64).sqrt() / mean)
     }
 
+    /// Whether [`Histogram::cv`] is at most `limit`: `cv().map(|cv| cv <=
+    /// limit)`, decided in O(1) from the exact squared CV
+    /// `(n·s2 − s1²) / s1²` of the integer moments. When that value lies
+    /// within a rounding margin of `limit²`, or does not decide the
+    /// question (an empty or all-zero histogram, a negative or non-finite
+    /// `limit`), the answer is `cv()`'s own comparison, so the two always
+    /// agree.
+    #[must_use]
+    pub fn cv_at_most(&self, limit: f64) -> Option<bool> {
+        let s1_sq = u128::from(self.s1) * u128::from(self.s1);
+        // An empty or all-zero histogram (`s1 = 0`) and a limit whose
+        // square cannot stand for it go straight to `cv`.
+        if s1_sq > 0 && limit >= 0.0 && limit.is_finite() {
+            if let Some(n_s2) = u128::from(self.in_range()).checked_mul(self.s2) {
+                // `n·s2 >= s1²` by Cauchy-Schwarz, so this cannot underflow.
+                let cv_sq = (n_s2 - s1_sq) as f64 / s1_sq as f64;
+                let limit_sq = limit * limit;
+                let margin = CV_MARGIN_REL * cv_sq.max(limit_sq) + CV_MARGIN_ABS;
+                if (cv_sq - limit_sq).abs() > margin {
+                    return Some(cv_sq <= limit_sq);
+                }
+            }
+        }
+        self.cv().map(|cv| cv <= limit)
+    }
+
     /// Drains the histogram back to empty without reallocating.
     pub fn clear(&mut self) {
         self.counts.fill(0);
         self.occupied.fill(0);
         self.oob = 0;
         self.total = 0;
+        self.s1 = 0;
+        self.s2 = 0;
     }
-}
-
-/// Convenience: CV of a sample using the same definition as
-/// [`Histogram::cv`], for cross-checking in tests.
-#[must_use]
-pub fn sample_cv(xs: &[u32]) -> f64 {
-    descriptive::coefficient_of_variation(xs)
 }
 
 #[cfg(test)]
@@ -265,7 +346,27 @@ mod tests {
         for &x in &xs {
             h.observe(x);
         }
-        assert!((h.cv().unwrap() - sample_cv(&xs)).abs() < 1e-12);
+        let sample = crate::descriptive::coefficient_of_variation(&xs);
+        assert!((h.cv().unwrap() - sample).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cv_at_most_decides_an_exact_boundary_like_cv() {
+        // {0, 2k} has a CV of exactly 1; {k, k} of exactly 0.
+        for k in [1u32, 3, 7, 60, 119] {
+            let mut h = Histogram::new(240);
+            h.observe(0);
+            h.observe(2 * k);
+            assert_eq!(h.cv(), Some(1.0));
+            for limit in [0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0] {
+                assert_eq!(h.cv_at_most(limit), h.cv().map(|cv| cv <= limit), "k = {k}");
+            }
+            h.clear();
+            assert_eq!(h.cv_at_most(1.0), None);
+            h.observe(k);
+            h.observe(k);
+            assert_eq!(h.cv_at_most(0.0), Some(true));
+        }
     }
 
     #[test]

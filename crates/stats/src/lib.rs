@@ -21,8 +21,10 @@ pub mod kstest;
 pub mod modes;
 pub mod online;
 
-pub use descriptive::{coefficient_of_variation, mean, percentile, stddev, Summary};
+pub use descriptive::{
+    coefficient_of_variation, mean, percentile, percentile_sorted, stddev, Summary,
+};
 pub use histogram::Histogram;
 pub use kstest::{ks_statistic, ks_test_poisson, ks_test_uniform_interarrival, KsOutcome};
-pub use modes::{mode_table, top_modes, ModeEntry};
+pub use modes::{mode_table, mode_table_sorted, top_modes, ModeEntry};
 pub use online::OnlineStats;

@@ -17,18 +17,38 @@ pub struct ModeEntry {
 /// Full frequency table of `xs`, sorted by descending count and then by
 /// ascending value so that ties break deterministically.
 ///
-/// Counts runs in a sorted copy of `xs`, so no hashing is involved; the
-/// final sort's key is a total order on the distinct values.
+/// Sorts a copy of `xs`, then reads it with [`mode_table_sorted`].
 #[must_use]
 pub fn mode_table(xs: &[u32]) -> Vec<ModeEntry> {
     let mut sorted = xs.to_vec();
     sorted.sort_unstable();
+    mode_table_sorted(&sorted)
+}
+
+/// [`mode_table`] of an already ascending slice: counts its runs, with no
+/// copy or sort of the values and no hashing; only the table itself is
+/// sorted, by a key that is a total order on the distinct values.
+#[must_use]
+pub fn mode_table_sorted(sorted: &[u32]) -> Vec<ModeEntry> {
+    debug_assert!(
+        sorted.is_sorted(),
+        "mode_table_sorted needs ascending input"
+    );
     let mut table: Vec<ModeEntry> = Vec::new();
-    for value in sorted {
-        match table.last_mut() {
-            Some(last) if last.value == value => last.count += 1,
-            _ => table.push(ModeEntry { value, count: 1 }),
+    let mut rest = sorted;
+    while let Some(&value) = rest.first() {
+        // The run of `value` is the prefix of `rest` equal to it: gallop
+        // over it in doubling steps, then binary-search the last step, so
+        // a run costs O(log length) comparisons and a singleton one.
+        let (mut known, mut step) = (1, 1);
+        while known + step <= rest.len() && rest[known + step - 1] == value {
+            known += step;
+            step *= 2;
         }
+        let upper = (known + step - 1).min(rest.len());
+        let count = known + rest[known..upper].partition_point(|&x| x == value);
+        table.push(ModeEntry { value, count });
+        rest = &rest[count..];
     }
     table.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.value.cmp(&b.value)));
     table
@@ -85,6 +105,16 @@ mod tests {
         let t = mode_table(&[5, 4, 5, 4]);
         assert_eq!(t[0].value, 4);
         assert_eq!(t[1].value, 5);
+    }
+
+    #[test]
+    fn sorted_table_equals_the_table_of_a_shuffled_copy() {
+        let sorted = [1, 2, 2, 3, 3, 3, 9];
+        assert_eq!(
+            mode_table_sorted(&sorted),
+            mode_table(&[3, 9, 2, 3, 1, 3, 2])
+        );
+        assert!(mode_table_sorted(&[]).is_empty());
     }
 
     #[test]

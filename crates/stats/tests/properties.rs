@@ -198,13 +198,68 @@ proptest! {
                 reference_cv(&h).map(f64::to_bits),
                 "cv, bins = {}", bins
             );
-            for p in [0.0, 5.0, 99.0, 100.0, p_random] {
+            for p in [0.0, 5.0, 50.0, 50.5, 95.0, 99.0, 99.9, 100.0, p_random] {
                 prop_assert_eq!(
                     h.percentile(p),
                     reference_percentile(&h, p),
                     "p{}, bins = {}", p, bins
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cv_at_most_agrees_with_cv(
+        which in 0usize..BIN_COUNTS.len(),
+        ops in prop::collection::vec((0u32..16, 0u32..1_000), 0..200),
+        limit_random in 0.0f64..3.0,
+    ) {
+        let bins = BIN_COUNTS[which];
+        let mut h = Histogram::new(bins);
+        for (op, value) in ops {
+            match op {
+                0 => h.clear(),
+                1..=11 => h.observe(value % (bins as u32 + 2)),
+                _ => h.observe(value),
+            }
+            let cv = h.cv();
+            // The CV itself and its neighbours put the limit inside the
+            // rounding margin, where the answer must come from `cv`.
+            let at = cv.unwrap_or(1.0);
+            for limit in [
+                0.0, 0.01, 0.5, 1.0, limit_random, at, at.next_up(), at.next_down(),
+                -1.0, f64::INFINITY, f64::NAN,
+            ] {
+                prop_assert_eq!(
+                    h.cv_at_most(limit),
+                    cv.map(|c| c <= limit),
+                    "limit {}, bins = {}", limit, bins
+                );
+            }
+        }
+    }
+
+    /// `copies` observations each of 0 and `2k`: a CV of exactly 1, the
+    /// Hybrid policy's limit, which the exact moments cannot decide alone.
+    #[test]
+    fn cv_at_most_on_an_exact_unit_cv(
+        which in 0usize..BIN_COUNTS.len(),
+        k in 1u32..400,
+        copies in 1usize..40,
+        oob in 0usize..3,
+    ) {
+        let bins = BIN_COUNTS[which];
+        let mut h = Histogram::new(bins);
+        for _ in 0..copies {
+            h.observe(0);
+            h.observe(2 * k);
+        }
+        for _ in 0..oob {
+            h.observe(u32::MAX);
+        }
+        let cv = h.cv();
+        for limit in [1.0, 1.0f64.next_up(), 1.0f64.next_down(), 0.0] {
+            prop_assert_eq!(h.cv_at_most(limit), cv.map(|c| c <= limit), "limit {}", limit);
         }
     }
 
