@@ -418,12 +418,38 @@ impl OutcomeScratch {
 /// The attached event sinks of one run: the attached observers and the
 /// driver's own optional metrics collector. [`crate::journal::replay`]
 /// delivers a recorded run through the same sinks.
+///
+/// Events are buffered, not dispatched one by one: [`Sinks::emit`]
+/// appends to the current slot's batch, and [`Sinks::deliver`] hands the
+/// whole batch to each sink in one [`Observer::on_slot_events`] call,
+/// against the pool as it stands at the end of the batch. The driver
+/// delivers at the end of every step (after `SlotEnd`) and at the end of
+/// its constructor (the policy's `on_start` transitions), and
+/// [`Sinks::run_end`] delivers any tail first, so no snapshot boundary
+/// ever holds an undelivered event.
 pub(crate) struct Sinks {
     pub(crate) observers: Vec<Box<dyn DynObserver>>,
     pub(crate) collector: Option<RunCollector>,
+    /// The undelivered events, all of slot `batch_slot`.
+    batch: Vec<SimEvent>,
+    batch_slot: Slot,
+    batch_measured: bool,
 }
 
 impl Sinks {
+    pub(crate) fn new(
+        observers: Vec<Box<dyn DynObserver>>,
+        collector: Option<RunCollector>,
+    ) -> Self {
+        Self {
+            observers,
+            collector,
+            batch: Vec::new(),
+            batch_slot: 0,
+            batch_measured: false,
+        }
+    }
+
     pub(crate) fn run_start(&mut self, meta: &RunMeta<'_>, pool: &MemoryPool) {
         for observer in self.observers.iter_mut() {
             observer.on_run_start(meta, pool);
@@ -433,21 +459,45 @@ impl Sinks {
         }
     }
 
-    pub(crate) fn emit(&mut self, pool: &MemoryPool, slot: Slot, measured: bool, event: &SimEvent) {
+    /// Appends `event` of `slot` to the batch; a batch holds one slot.
+    pub(crate) fn emit(&mut self, slot: Slot, measured: bool, event: SimEvent) {
+        debug_assert!(
+            self.batch.is_empty() || self.batch_slot == slot,
+            "a batch spans slots {} and {slot}",
+            self.batch_slot
+        );
+        self.batch_slot = slot;
+        self.batch_measured = measured;
+        self.batch.push(event);
+    }
+
+    /// The slot of the undelivered events, if any.
+    pub(crate) fn pending_slot(&self) -> Option<Slot> {
+        (!self.batch.is_empty()).then_some(self.batch_slot)
+    }
+
+    /// Hands the batch to every sink, then empties it; a no-op when
+    /// nothing is pending.
+    pub(crate) fn deliver(&mut self, pool: &MemoryPool) {
+        if self.batch.is_empty() {
+            return;
+        }
         let ctx = EventCtx {
-            slot,
-            measured,
+            slot: self.batch_slot,
+            measured: self.batch_measured,
             pool,
         };
         for observer in self.observers.iter_mut() {
-            observer.on_event(&ctx, event);
+            observer.on_slot_events(&ctx, &self.batch);
         }
         if let Some(collector) = self.collector.as_mut() {
-            collector.on_event(&ctx, event);
+            collector.on_slot_events(&ctx, &self.batch);
         }
+        self.batch.clear();
     }
 
     pub(crate) fn run_end(&mut self, end: Slot, pool: &MemoryPool) {
+        self.deliver(pool);
         for observer in self.observers.iter_mut() {
             observer.on_run_end(end, pool);
         }
@@ -551,10 +601,7 @@ impl<'p> SimDriver<'p> {
         let mut driver = Self {
             config,
             policy,
-            sinks: Sinks {
-                observers,
-                collector: collect.then(RunCollector::new),
-            },
+            sinks: Sinks::new(observers, collect.then(RunCollector::new)),
             pool,
             ops: Vec::new(),
             scratch: OutcomeScratch::default(),
@@ -579,6 +626,7 @@ impl<'p> SimDriver<'p> {
             LoadCause::Policy,
             EvictCause::Policy,
         );
+        driver.sinks.deliver(&driver.pool);
         driver
     }
 
@@ -667,20 +715,12 @@ impl<'p> SimDriver<'p> {
             self.scratch.invocations += u64::from(count);
             if self.pool.contains(f) {
                 self.scratch.warm_starts += 1;
-                self.sinks.emit(
-                    &self.pool,
-                    slot,
-                    measured,
-                    &SimEvent::WarmStart { f, count },
-                );
+                self.sinks
+                    .emit(slot, measured, SimEvent::WarmStart { f, count });
             } else {
                 self.scratch.cold_starts += 1;
-                self.sinks.emit(
-                    &self.pool,
-                    slot,
-                    measured,
-                    &SimEvent::ColdStart { f, count },
-                );
+                self.sinks
+                    .emit(slot, measured, SimEvent::ColdStart { f, count });
                 make_room(&mut *self.policy, &mut self.pool);
                 self.pool.demand_load(f, slot);
                 self.flush(slot, measured, LoadCause::Demand, EvictCause::Capacity);
@@ -695,14 +735,11 @@ impl<'p> SimDriver<'p> {
         let policy_secs = begin.elapsed().as_secs_f64();
         self.flush(slot, measured, LoadCause::Policy, EvictCause::Policy);
 
-        // 3. The slot is over; observers account against the pool
-        // snapshot.
-        self.sinks.emit(
-            &self.pool,
-            slot,
-            measured,
-            &SimEvent::SlotEnd { policy_secs },
-        );
+        // 3. The slot is over: its events go to the observers as one
+        // batch, against the end-of-slot pool.
+        self.sinks
+            .emit(slot, measured, SimEvent::SlotEnd { policy_secs });
+        self.sinks.deliver(&self.pool);
         self.next_slot = slot + 1;
         Ok(SlotOutcome {
             slot,
@@ -758,7 +795,7 @@ impl<'p> SimDriver<'p> {
                     SimEvent::LoadRejected { f }
                 }
             };
-            self.sinks.emit(&self.pool, slot, measured, &event);
+            self.sinks.emit(slot, measured, event);
         }
         self.ops.clear();
     }
@@ -940,10 +977,7 @@ impl<'p> SimDriver<'p> {
         Ok(Self {
             config,
             policy,
-            sinks: Sinks {
-                observers,
-                collector,
-            },
+            sinks: Sinks::new(observers, collector),
             pool,
             ops: Vec::new(),
             scratch: payload.scratch,

@@ -24,7 +24,10 @@
 //! function (trace bucket order) a `ColdStart`/`WarmStart`, then any
 //! capacity `Evict`s and the demand `Load` it forced; then the policy's
 //! own `Load`s/`Evict`s in the order the policy performed them; then one
-//! `SlotEnd`. Observers never mutate the pool — only the policy does.
+//! `SlotEnd`. Each observer receives a slot's events in one
+//! [`Observer::on_slot_events`] call once the slot is over, against the
+//! end-of-slot pool. Observers never mutate the pool — only the policy
+//! does.
 //!
 //! Observers attach to a run by value through the [`crate::Simulation`]
 //! builder (or a [`crate::SimDriver`] for step-driven runs) and come
@@ -152,17 +155,16 @@ pub struct EventCtx<'a> {
     pub slot: Slot,
     /// Whether the slot is inside the metrics window.
     pub measured: bool,
-    /// The pool as it stands when the event is delivered. Transitions of
-    /// one engine phase (the capacity evicts + demand load serving one
-    /// invocation, or everything a policy hook did) are delivered as a
-    /// batch after the phase, so a `Load`/`Evict` event's snapshot may
-    /// already include later transitions of the same batch, which a run
-    /// replayed from its journal ([`crate::journal::replay`]) has not
-    /// applied yet; observers needing exact mid-slot occupancy should
-    /// track it from the events themselves (see [`EventLog`] and the
-    /// reconstruction property tests). At run start, at every
-    /// [`SimEvent::SlotEnd`] and at run end the snapshot is exact, live
-    /// or replayed.
+    /// The pool at the end of the event's batch. Events are delivered a
+    /// slot at a time ([`Observer::on_slot_events`]): the engine hands a
+    /// slot's events over after its [`SimEvent::SlotEnd`], and the
+    /// policy's `on_start` transitions as one batch before the first
+    /// slot. Every event of a batch therefore sees the same pool — the
+    /// end-of-slot pool for a batch ending in `SlotEnd` — live and
+    /// replayed ([`crate::journal::replay`]) alike. Observers needing
+    /// mid-slot occupancy track it from the `Load`/`Evict` events
+    /// themselves (see [`MemoryPressure`] and the reconstruction
+    /// property tests).
     pub pool: &'a MemoryPool,
 }
 
@@ -176,8 +178,22 @@ pub trait Observer {
     /// (still empty) pool.
     fn on_run_start(&mut self, _meta: &RunMeta<'_>, _pool: &MemoryPool) {}
 
-    /// Called for every event of the run.
+    /// Called for every event of the run, by the default
+    /// [`Observer::on_slot_events`].
     fn on_event(&mut self, ctx: &EventCtx<'_>, event: &SimEvent);
+
+    /// Called once per delivered batch with its events in emission
+    /// order: one batch per simulated slot, ending with its
+    /// [`SimEvent::SlotEnd`], plus one before the first slot when the
+    /// policy's `on_start` changed the pool. All events of a batch
+    /// share `ctx` (see [`EventCtx::pool`]). The default loops over
+    /// [`Observer::on_event`]; an observer overrides it only to skip
+    /// work a whole batch makes dead, such as an unmeasured slot.
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+        for event in events {
+            self.on_event(ctx, event);
+        }
+    }
 
     /// Called once after the last slot, with the pool in its final state.
     /// `end` is the first unsimulated slot — the configured window end for
@@ -452,6 +468,23 @@ impl Observer for RunCollector {
         }
     }
 
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+        if ctx.measured {
+            for event in events {
+                self.on_event(ctx, event);
+            }
+            return;
+        }
+        // Before `metrics_start` only the span starts outlive the slot:
+        // an `Evict` closes a span of 0 measured slots, the counters are
+        // measured-only, and the invoked scratch is cleared at `SlotEnd`.
+        for event in events {
+            if let SimEvent::Load { f, .. } = *event {
+                self.span_start[f.index()] = ctx.slot;
+            }
+        }
+    }
+
     fn on_run_end(&mut self, end: Slot, pool: &MemoryPool) {
         // Adopt the actual end: step-driven runs may stop short of (or be
         // configured without) a meaningful window end. For batch runs this
@@ -526,12 +559,6 @@ impl SlotSeries {
     pub fn n_slots(&self) -> usize {
         self.loaded.len()
     }
-
-    /// The slot a series index corresponds to.
-    #[must_use]
-    pub fn slot_at(&self, index: usize) -> Slot {
-        self.start + index as Slot
-    }
 }
 
 impl Observer for SlotSeries {
@@ -581,6 +608,16 @@ impl Observer for SlotSeries {
                 self.warm_now = 0;
                 self.evict_now = 0;
                 self.invoked_now.clear();
+            }
+        }
+    }
+
+    /// An unmeasured slot records nothing and ends with its counters
+    /// reset, so its batch is skipped whole.
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+        if ctx.measured {
+            for event in events {
+                self.on_event(ctx, event);
             }
         }
     }
@@ -709,9 +746,9 @@ wire_record!(EvictionAudit {
 /// engine's pressure-admission budget when one is configured
 /// ([`crate::engine::SimConfig::with_pressure_budget`]), else the pool's
 /// hard capacity, else none. Occupancy is tracked from the Load/Evict
-/// events themselves, so the mid-slot peak is exact even though pool
-/// snapshots are delivered per phase; end-of-slot statistics use the
-/// [`SimEvent::SlotEnd`] snapshot, which always is.
+/// events themselves, so the mid-slot peak is exact even though every
+/// event of a slot sees the end-of-slot pool; end-of-slot statistics
+/// use that pool at [`SimEvent::SlotEnd`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryPressure {
     budget: Option<usize>,
@@ -769,16 +806,6 @@ impl MemoryPressure {
             0.0
         } else {
             self.loaded_integral as f64 / self.slots as f64
-        }
-    }
-
-    /// Mean occupancy as a fraction of the budget; `None` without a
-    /// budget or with a zero budget.
-    #[must_use]
-    pub fn utilization(&self) -> Option<f64> {
-        match self.budget {
-            Some(b) if b > 0 => Some(self.mean_occupancy() / b as f64),
-            _ => None,
         }
     }
 
@@ -1051,6 +1078,14 @@ impl Observer for Fairness {
         }
     }
 
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+        if ctx.measured {
+            for event in events {
+                self.on_event(ctx, event);
+            }
+        }
+    }
+
     observer_state!();
 }
 
@@ -1213,7 +1248,7 @@ mod tests {
         let run = observers.take::<RunCollector>().unwrap().into_result();
         let series: SlotSeries = observers.take().unwrap();
         assert_eq!(series.n_slots(), 6);
-        assert_eq!(series.slot_at(2), 2);
+        assert_eq!(series.start + 2, 2);
         let cold: u64 = series.cold.iter().map(|&c| u64::from(c)).sum();
         assert_eq!(cold, run.total_cold_starts());
         let loaded: u64 = series.loaded.iter().map(|&l| u64::from(l)).sum();
@@ -1309,7 +1344,8 @@ mod tests {
         assert_eq!(pressure.min_headroom, Some(0));
         assert_eq!(pressure.over_budget_integral, 0);
         assert!((pressure.pressure_fraction() - 1.0).abs() < 1e-12);
-        assert_eq!(pressure.utilization(), Some(1.0));
+        let budget = pressure.budget().unwrap() as f64;
+        assert!((pressure.mean_occupancy() / budget - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1347,7 +1383,6 @@ mod tests {
         );
         assert_eq!(pressure.budget(), None);
         assert_eq!(pressure.min_headroom, None);
-        assert_eq!(pressure.utilization(), None);
         assert_eq!(pressure.peak_occupancy, 1);
         assert_eq!(pressure.loaded_integral, 2);
     }

@@ -670,16 +670,19 @@ impl<W: Write> std::fmt::Debug for JournalObserver<W> {
 ///
 /// The pool is rebuilt from the header (`n_functions`, and the capacity
 /// and pressure budget of its [`SimConfig`]) and each `Load`/`Evict` is
-/// applied to it before the event is delivered. `on_run_start`, every
-/// event and `on_run_end` go through the engine's own sinks; the run ends
-/// at the slot after the last `SlotEnd`, where a step-driven run ends.
+/// applied to it as it is read. `on_run_start`, the events and
+/// `on_run_end` go through the engine's own sinks, which deliver each
+/// slot's events as one [`Observer::on_slot_events`] batch at its
+/// `SlotEnd`; a tail after the last `SlotEnd` is delivered before
+/// `on_run_end`. The run ends at the slot after the last `SlotEnd`,
+/// where a step-driven run ends.
 ///
-/// The pool an observer sees is exact at run start, at every `SlotEnd`
-/// and at run end — the only points any workspace observer reads it —
-/// so replayed observers end bit-identical to live ones. Between
-/// `SlotEnd`s it can differ: the engine delivers a phase's transitions
-/// after the phase, so its pool may already hold transitions of the
-/// batch that `replay` has not applied yet (see [`EventCtx::pool`]).
+/// Every event of a batch sees the pool as it stands at the end of the
+/// batch, live and replayed alike (see [`EventCtx::pool`]), so replayed
+/// observers end bit-identical to live ones. The one difference in
+/// grouping: the engine delivers the policy's `on_start` loads as a
+/// batch of their own, and `replay` delivers them with the first slot's
+/// events.
 ///
 /// # Errors
 /// Propagates the reader's decoding errors, and returns
@@ -696,10 +699,7 @@ pub fn replay<R: Read>(
     validate_window(&config, None).map_err(|e| JournalError::Corrupt(e.to_string()))?;
     let mut pool = MemoryPool::with_capacity(meta.n_functions, config.capacity);
     pool.set_admission_budget(config.pressure_budget);
-    let mut sinks = Sinks {
-        observers,
-        collector: None,
-    };
+    let mut sinks = Sinks::new(observers, None);
     let run = RunMeta {
         policy_name: &meta.policy_name,
         start: config.start,
@@ -714,12 +714,18 @@ pub fn replay<R: Read>(
         event,
     }) = reader.next_event()?
     {
+        // A batch holds one slot, even in a journal with no `SlotEnd`
+        // between two slots.
+        if sinks.pending_slot().is_some_and(|pending| pending != slot) {
+            sinks.deliver(&pool);
+        }
         apply(&mut pool, slot, &event)
             .map_err(|what| JournalError::Corrupt(format!("slot {slot}: {what}")))?;
+        sinks.emit(slot, measured, event);
         if matches!(event, SimEvent::SlotEnd { .. }) {
             run_end = slot.saturating_add(1);
+            sinks.deliver(&pool);
         }
-        sinks.emit(&pool, slot, measured, &event);
     }
     sinks.run_end(run_end, &pool);
     Ok(ObserverSet::new(sinks.observers))

@@ -9,28 +9,41 @@
 //! span-based [`RunCollector`] accounting diverged from the per-slot
 //! definition, these properties would catch it on random traces ×
 //! {no-keep-alive, keep-forever, fixed-keep-alive} policies.
+//!
+//! The last property pins slot-at-a-time delivery: every workspace
+//! observer ends each slot in the same state whether it takes the
+//! slot's batch through its own [`Observer::on_slot_events`] or one
+//! event at a time, under every registry policy.
 
 use proptest::prelude::*;
+use spes_bench::policies::{policy_names, PolicyCell};
 use spes_sim::{
-    EventLog, LoadCause, MemoryPool, Policy, RunCollector, SimConfig, SimEvent, Simulation,
-    SlotSeries,
+    DynObserver, EventCtx, EventLog, EvictionAudit, Fairness, JournalMeta, JournalObserver,
+    JournalReader, LoadCause, MemoryPool, MemoryPressure, Observer, Policy, RunCollector, RunMeta,
+    ShardCounts, SimConfig, SimDriver, SimEvent, Simulation, SlotSeries,
 };
-use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
+use spes_trace::{
+    AppId, FunctionId, FunctionMeta, Slot, SparseSeries, SynthTrace, Trace, TriggerType, UserId,
+};
 use std::collections::HashSet;
 
-fn trace_strategy(n_functions: usize, horizon: Slot) -> impl Strategy<Value = Trace> {
+/// Random traces of `n_functions` functions spread round-robin over
+/// `n_apps` applications.
+fn trace_strategy(n_functions: usize, n_apps: u32, horizon: Slot) -> impl Strategy<Value = Trace> {
     prop::collection::vec(
         prop::collection::vec((0..horizon, 1u32..20), 0..40),
         n_functions,
     )
     .prop_map(move |all| {
-        let meta = FunctionMeta {
-            app: AppId(0),
-            user: UserId(0),
-            trigger: TriggerType::Http,
-        };
+        let metas = (0..n_functions as u32)
+            .map(|i| FunctionMeta {
+                app: AppId(i % n_apps),
+                user: UserId(0),
+                trigger: TriggerType::Http,
+            })
+            .collect();
         let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, vec![meta; n_functions], series)
+        Trace::new(horizon, metas, series)
     })
 }
 
@@ -192,7 +205,7 @@ proptest! {
 
     #[test]
     fn event_stream_reconstructs_the_run_result(
-        trace in trace_strategy(10, 120),
+        trace in trace_strategy(10, 1, 120),
         kind in 0u8..3,
         keep in 1u32..8,
         split in 0u32..120,
@@ -220,7 +233,7 @@ proptest! {
 
     #[test]
     fn event_stream_reconstructs_capacity_limited_runs(
-        trace in trace_strategy(10, 80),
+        trace in trace_strategy(10, 1, 80),
         cap in 1usize..8,
     ) {
         let mut policy = spes_sim::KeepForever;
@@ -240,7 +253,7 @@ proptest! {
 
     #[test]
     fn admission_control_reconstructs_and_respects_the_budget(
-        trace in trace_strategy(10, 100),
+        trace in trace_strategy(10, 1, 100),
         kind in 0u8..4,
         budget in 0usize..6,
         cap_raw in 0usize..9,
@@ -307,7 +320,7 @@ proptest! {
 
     #[test]
     fn slot_series_totals_match_the_run(
-        trace in trace_strategy(8, 100),
+        trace in trace_strategy(8, 1, 100),
         kind in 0u8..3,
     ) {
         let mut policy = make_policy(kind, trace.n_functions(), 3);
@@ -325,5 +338,198 @@ proptest! {
         prop_assert_eq!(loaded, run.loaded_integral);
         let peak = series.loaded.iter().copied().max().unwrap_or(0) as usize;
         prop_assert_eq!(peak, run.peak_loaded);
+    }
+}
+
+/// Forces per-event delivery: it implements `on_event` and not
+/// `on_slot_events`, so the default batch loop hands the wrapped
+/// observer one event at a time, as a forwarding wrapper that times
+/// each event does.
+struct PerEvent<T>(T);
+
+impl<T: Observer> Observer for PerEvent<T> {
+    fn on_run_start(&mut self, meta: &RunMeta<'_>, pool: &MemoryPool) {
+        self.0.on_run_start(meta, pool);
+    }
+
+    fn on_event(&mut self, ctx: &EventCtx<'_>, event: &SimEvent) {
+        self.0.on_event(ctx, event);
+    }
+
+    fn on_run_end(&mut self, end: Slot, pool: &MemoryPool) {
+        self.0.on_run_end(end, pool);
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.0.snapshot()
+    }
+}
+
+/// Records every delivered batch as `(slot, events, SlotEnd position)`
+/// and refuses per-event delivery.
+#[derive(Default)]
+struct BatchLog(Vec<(Slot, usize, Option<usize>)>);
+
+impl Observer for BatchLog {
+    fn on_event(&mut self, _ctx: &EventCtx<'_>, _event: &SimEvent) {
+        panic!("an event bypassed slot-at-a-time delivery");
+    }
+
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+        let ends: Vec<usize> = (0..events.len())
+            .filter(|&i| matches!(events[i], SimEvent::SlotEnd { .. }))
+            .collect();
+        assert!(ends.len() <= 1, "one batch holds {} slots", ends.len());
+        self.0.push((ctx.slot, events.len(), ends.first().copied()));
+    }
+}
+
+impl BatchLog {
+    /// Checks one batch per slot of `[start, end)`, in order, each ending
+    /// with its `SlotEnd`, after at most one pre-start batch (with
+    /// `pre_start`) that holds no `SlotEnd`.
+    fn check(&self, start: Slot, end: Slot, pre_start: bool) -> Result<(), TestCaseError> {
+        let mut batches = self.0.as_slice();
+        if pre_start && batches.len() as u64 == u64::from(end - start) + 1 {
+            prop_assert_eq!((batches[0].0, batches[0].2), (start, None));
+            batches = &batches[1..];
+        }
+        prop_assert_eq!(batches.len() as u64, u64::from(end - start));
+        for (slot, &(at, len, slot_end)) in (start..end).zip(batches) {
+            prop_assert_eq!(at, slot);
+            prop_assert_eq!(slot_end, Some(len - 1), "slot {} ends mid-batch", slot);
+        }
+        Ok(())
+    }
+}
+
+/// Boxes `observer`, inside a [`PerEvent`] when `per_event`.
+fn attach<T: Observer + 'static>(observer: T, per_event: bool) -> Box<dyn DynObserver> {
+    if per_event {
+        Box::new(PerEvent(observer))
+    } else {
+        Box::new(observer)
+    }
+}
+
+type Journal = JournalObserver<Vec<u8>>;
+
+/// Every workspace observer, each inside a [`PerEvent`] when
+/// `per_event`.
+fn workspace_observers(
+    trace: &Trace,
+    meta: &JournalMeta,
+    per_event: bool,
+) -> Vec<Box<dyn DynObserver>> {
+    vec![
+        attach(RunCollector::new(), per_event),
+        attach(SlotSeries::new(), per_event),
+        attach(EvictionAudit::new(5), per_event),
+        attach(MemoryPressure::new(), per_event),
+        attach(Fairness::from_trace(trace), per_event),
+        attach(EventLog::new(), per_event),
+        attach(ShardCounts::new(), per_event),
+        attach(Journal::new(Vec::new(), meta).unwrap(), per_event),
+    ]
+}
+
+/// Whether `T` took its batches into the same state as its per-event
+/// twin; a journal compares its event count.
+fn same_state<T: Observer + 'static>(driver: &SimDriver<'_>) -> Result<(), TestCaseError> {
+    let batched = driver.observer::<T>().unwrap();
+    let per_event = &driver.observer::<PerEvent<T>>().unwrap().0;
+    prop_assert!(
+        batched.snapshot() == per_event.snapshot(),
+        "{} differs at slot boundary {}",
+        std::any::type_name::<T>(),
+        driver.next_slot()
+    );
+    Ok(())
+}
+
+fn all_same_state(driver: &SimDriver<'_>) -> Result<(), TestCaseError> {
+    same_state::<RunCollector>(driver)?;
+    same_state::<SlotSeries>(driver)?;
+    same_state::<EvictionAudit>(driver)?;
+    same_state::<MemoryPressure>(driver)?;
+    same_state::<Fairness>(driver)?;
+    same_state::<EventLog>(driver)?;
+    same_state::<ShardCounts>(driver)?;
+    let journal = driver.observer::<Journal>().unwrap();
+    let twin = &driver.observer::<PerEvent<Journal>>().unwrap().0;
+    prop_assert_eq!(journal.events_written(), twin.events_written());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn batch_delivery_equals_per_event_delivery(
+        trace in trace_strategy(9, 3, 72),
+        train_end in 24u32..60,
+        limit in 1usize..6,
+    ) {
+        let data = SynthTrace {
+            trace,
+            specs: Vec::new(),
+            train_end,
+        };
+        let trace = &data.trace;
+        let plain = SimConfig::new(0, trace.n_slots).with_metrics_start(train_end);
+        for name in policy_names() {
+            let cell = PolicyCell::new(name, &data).unwrap();
+            for config in [
+                plain,
+                plain.with_capacity(limit),
+                plain.with_pressure_budget(limit),
+            ] {
+                let meta = JournalMeta {
+                    policy_name: name.to_owned(),
+                    n_functions: trace.n_functions(),
+                    config,
+                    trace_digest: trace.digest64(),
+                    seed: 0,
+                    extra: Vec::new(),
+                };
+                let mut observers = workspace_observers(trace, &meta, false);
+                observers.extend(workspace_observers(trace, &meta, true));
+                observers.push(Box::new(BatchLog::default()));
+                let mut policy = cell.build();
+                let mut driver =
+                    SimDriver::new(trace.n_functions(), config, policy.as_mut(), observers)
+                        .unwrap();
+                all_same_state(&driver)?;
+                let batches = trace.slot_batches(0, trace.n_slots);
+                for t in 0..trace.n_slots {
+                    driver.step(t, batches.batch(t)).unwrap();
+                    all_same_state(&driver)?;
+                }
+                let (_, mut observers) = driver.finish_with_observers();
+                observers
+                    .take::<BatchLog>()
+                    .unwrap()
+                    .check(0, trace.n_slots, true)?;
+                let bytes = observers.take::<Journal>().unwrap().into_inner().unwrap();
+                let twin = observers
+                    .take::<PerEvent<Journal>>()
+                    .unwrap()
+                    .0
+                    .into_inner()
+                    .unwrap();
+                prop_assert!(bytes == twin, "{} journals differ under {:?}", name, config);
+
+                // A replay delivers one batch per recorded slot, with the
+                // pre-start loads folded into the first.
+                let reader = JournalReader::new(bytes.as_slice()).unwrap();
+                let mut replayed =
+                    spes_sim::journal::replay(reader, vec![Box::new(BatchLog::default())])
+                        .unwrap();
+                replayed
+                    .take::<BatchLog>()
+                    .unwrap()
+                    .check(0, trace.n_slots, false)?;
+            }
+        }
     }
 }

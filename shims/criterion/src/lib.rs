@@ -1,13 +1,16 @@
 //! Offline shim for the `criterion` crate.
 //!
 //! Keeps the workspace's `[[bench]]` targets compiling and runnable with
-//! no crates.io access. Each benchmark runs a fixed warm-up plus a small
-//! number of timed iterations, each timed individually, and prints
-//! mean/min/max/stddev wall-clock time per iteration — honest numbers
-//! for eyeballing regressions and their noise floor, with none of
-//! criterion's plots or outlier analysis.
+//! no crates.io access. Each benchmark runs a warm-up plus a small number
+//! of timed samples and prints mean/min/max/stddev wall-clock time per
+//! call — honest numbers for eyeballing regressions and their noise
+//! floor, with none of criterion's plots or outlier analysis. A
+//! [`Bencher::iter`] sample is a batch of calls at least 1 ms long,
+//! sized during the warm-up, so a routine of a few
+//! nanoseconds reads its own cost rather than the timer's and the
+//! scheduler's.
 //!
-//! Supports `--quick` (fewer iterations) and a substring filter argument,
+//! Supports `--quick` (fewer samples) and a substring filter argument,
 //! so `cargo bench -- <filter>` narrows what runs, like upstream.
 
 #![forbid(unsafe_code)]
@@ -15,6 +18,10 @@
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
+
+/// The shortest [`Bencher::iter`] sample: a batch of calls this long
+/// rises above timer resolution and scheduler noise.
+const MIN_SAMPLE: Duration = Duration::from_millis(1);
 
 /// How `iter_batched` amortises setup cost. The shim runs one setup per
 /// iteration regardless of the requested batch size.
@@ -109,36 +116,38 @@ impl Criterion {
         let mut bencher = Bencher {
             iters: sample_size as u64,
             samples: Vec::with_capacity(sample_size),
+            calls_per_sample: 1,
         };
         f(&mut bencher);
         let stats = SampleStats::of(&bencher.samples);
         println!(
-            "bench: {id:<50} {:>12.2?}/iter (min {:.2?}, max {:.2?}, std {:.2?}, {} iters)",
+            "bench: {id:<50} {:>12.2?}/call (min {:.2?}, max {:.2?}, std {:.2?}, {} samples of {} calls)",
             stats.mean,
             stats.min,
             stats.max,
             stats.stddev,
-            bencher.samples.len()
+            bencher.samples.len(),
+            bencher.calls_per_sample
         );
     }
 }
 
-/// Per-iteration timing statistics of one benchmark run.
+/// Per-call timing statistics of one benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleStats {
-    /// Mean time per iteration.
+    /// Mean time per call.
     pub mean: Duration,
-    /// Fastest iteration.
+    /// Fastest sample.
     pub min: Duration,
-    /// Slowest iteration.
+    /// Slowest sample.
     pub max: Duration,
-    /// Population standard deviation over the iterations.
+    /// Population standard deviation over the samples.
     pub stddev: Duration,
 }
 
 impl SampleStats {
-    /// Computes the statistics over individually timed iterations
-    /// (all-zero for an empty sample set).
+    /// Computes the statistics over per-call sample times (all-zero for
+    /// an empty sample set).
     pub fn of(samples: &[Duration]) -> Self {
         if samples.is_empty() {
             return Self {
@@ -170,7 +179,7 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Overrides the number of timed iterations for this group.
+    /// Overrides the number of timed samples for this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         // Criterion requires >= 10; the shim accepts anything >= 1 and
         // keeps --quick runs below the requested size.
@@ -209,23 +218,27 @@ impl BenchmarkGroup<'_> {
 #[derive(Debug)]
 pub struct Bencher {
     iters: u64,
+    /// Time per call of each sample.
     samples: Vec<Duration>,
+    calls_per_sample: u64,
 }
 
 impl Bencher {
-    /// Times `routine` over the sample iterations, each individually.
+    /// Times `routine` over the samples. The warm-up doubles a batch of
+    /// calls until one batch takes at least 1 ms; each sample
+    /// then times one batch of that size and records the time per call.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        black_box(routine()); // warm-up, untimed
+        let calls = calibrate(|calls| time_calls(&mut routine, calls));
         self.samples.clear();
         for _ in 0..self.iters {
-            let start = Instant::now();
-            black_box(routine());
-            self.samples.push(start.elapsed());
+            let batch = time_calls(&mut routine, calls);
+            self.samples.push(batch.div_f64(calls as f64));
         }
+        self.calls_per_sample = calls;
     }
 
-    /// Times `routine` over fresh inputs built by `setup`; setup time is
-    /// excluded from the measurement.
+    /// Times `routine` over fresh inputs built by `setup`, one call per
+    /// sample; setup time is excluded from the measurement.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -238,7 +251,29 @@ impl Bencher {
             black_box(routine(input));
             self.samples.push(start.elapsed());
         }
+        self.calls_per_sample = 1;
     }
+}
+
+/// Wall time of `calls` back-to-back calls of `routine`.
+fn time_calls<O>(routine: &mut impl FnMut() -> O, calls: u64) -> Duration {
+    let start = Instant::now();
+    for _ in 0..calls {
+        black_box(routine());
+    }
+    start.elapsed()
+}
+
+/// The warm-up of [`Bencher::iter`]: the smallest power-of-two batch
+/// whose timing by `time` reaches [`MIN_SAMPLE`] twice in a row. One
+/// long batch can be a preemption rather than the routine, so a batch
+/// is accepted only when a second timing confirms it.
+fn calibrate(mut time: impl FnMut(u64) -> Duration) -> u64 {
+    let mut calls = 1;
+    while time(calls) < MIN_SAMPLE || time(calls) < MIN_SAMPLE {
+        calls *= 2;
+    }
+    calls
 }
 
 /// Declares the benchmark groups of one bench target.
@@ -335,13 +370,46 @@ mod tests {
         let mut bencher = Bencher {
             iters: 4,
             samples: Vec::new(),
+            calls_per_sample: 1,
         };
-        let mut calls = 0u32;
+        let mut calls = 0u64;
         bencher.iter(|| calls += 1);
-        // One warm-up call plus one per timed iteration.
-        assert_eq!(calls, 5);
         assert_eq!(bencher.samples.len(), 4);
+        // A counter increment is far below a millisecond, so every
+        // sample is a batch of many calls.
+        assert!(bencher.calls_per_sample > 1, "{}", bencher.calls_per_sample);
+        assert!(calls >= 4 * bencher.calls_per_sample, "{calls} calls");
         bencher.iter_batched(|| (), |()| (), BatchSize::SmallInput);
         assert_eq!(bencher.samples.len(), 4);
+        assert_eq!(bencher.calls_per_sample, 1);
+    }
+
+    #[test]
+    fn calibration_doubles_until_a_batch_is_confirmed_long_enough() {
+        // A routine of 10 µs a call: 128 calls are the first batch of at
+        // least 1 ms.
+        let per_call = Duration::from_micros(10);
+        let mut timed = Vec::new();
+        let calls = calibrate(|calls| {
+            timed.push(calls);
+            per_call * calls as u32
+        });
+        assert_eq!(calls, 128);
+        assert_eq!(timed, [1, 2, 4, 8, 16, 32, 64, 128, 128]);
+        // A preempted first batch is not confirmed by its second timing.
+        let mut first = true;
+        let calls = calibrate(|calls| {
+            if std::mem::take(&mut first) {
+                Duration::from_millis(5)
+            } else {
+                per_call * calls as u32
+            }
+        });
+        assert_eq!(calls, 128);
+        // A routine slower than the minimum sample runs once per sample.
+        assert_eq!(
+            calibrate(|calls| Duration::from_millis(3) * calls as u32),
+            1
+        );
     }
 }
