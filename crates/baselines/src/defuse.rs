@@ -30,19 +30,14 @@ const MIN_CONFIDENCE: f64 = 0.5;
 /// 10-minute window, as in the SPES comparison.
 const MAX_LAG: u32 = 10;
 
-/// A mined dependency edge: invoking `source` predicts `target` within
-/// `lag` slots.
+/// A mined dependency edge, stored under its source: invoking the
+/// source predicts `target` within `lag` slots.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Dependency {
-    /// Upstream function.
-    pub source: FunctionId,
-    /// Downstream function pre-loaded when `source` fires.
-    pub target: FunctionId,
+struct Dependency {
+    /// Downstream function pre-loaded when the source fires.
+    target: FunctionId,
     /// Expected lag in slots.
-    pub lag: u32,
-    /// Empirical confidence (fraction of target invocations preceded by
-    /// the source within the lag window).
-    pub confidence: f64,
+    lag: u32,
 }
 
 /// The Defuse policy: histogram keep-alive plus dependency pre-loading.
@@ -131,12 +126,7 @@ impl Defuse {
                         train_end,
                     );
                     if cor >= MIN_CONFIDENCE && episode_confidence >= MIN_CONFIDENCE && lag > 0 {
-                        dependents[source.index()].push(Dependency {
-                            source,
-                            target,
-                            lag,
-                            confidence: cor,
-                        });
+                        dependents[source.index()].push(Dependency { target, lag });
                         edges += 1;
                     }
                 }
@@ -155,12 +145,6 @@ impl Defuse {
     #[must_use]
     pub fn edge_count(&self) -> usize {
         self.edges
-    }
-
-    /// Outgoing dependencies of a function.
-    #[must_use]
-    pub fn dependents_of(&self, f: FunctionId) -> &[Dependency] {
-        &self.dependents[f.index()]
     }
 }
 
@@ -222,7 +206,7 @@ mod tests {
         let trace = chain_trace(4 * 1440);
         let d = Defuse::paper_default(&trace, 0, 2 * 1440);
         assert!(d.edge_count() >= 1);
-        let deps = d.dependents_of(FunctionId(0));
+        let deps = &d.dependents[0];
         assert!(deps.iter().any(|e| e.target == FunctionId(1) && e.lag == 2));
     }
 

@@ -49,12 +49,6 @@ impl FaasCache {
     pub fn clock(&self) -> f64 {
         self.clock
     }
-
-    /// Current GDSF priority of a function.
-    #[must_use]
-    pub fn priority_of(&self, f: FunctionId) -> f64 {
-        self.priority[f.index()]
-    }
 }
 
 impl Policy for FaasCache {
@@ -134,8 +128,8 @@ mod tests {
         pool.load(FunctionId(0), 0);
         pool.load(FunctionId(1), 0);
         p.on_slot(0, &[(FunctionId(0), 3), (FunctionId(1), 1)], &mut pool);
-        assert_eq!(p.priority_of(FunctionId(0)), 3.0);
-        assert_eq!(p.priority_of(FunctionId(1)), 1.0);
+        assert_eq!(p.priority[0], 3.0);
+        assert_eq!(p.priority[1], 1.0);
         let victim = p.pick_victim(&pool).unwrap();
         assert_eq!(victim, FunctionId(1));
         assert_eq!(p.clock(), 1.0);

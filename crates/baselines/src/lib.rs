@@ -15,7 +15,7 @@ pub mod fixed;
 pub mod hybrid;
 pub mod oracle;
 
-pub use defuse::{Defuse, Dependency};
+pub use defuse::Defuse;
 pub use faascache::FaasCache;
 pub use fixed::FixedKeepAlive;
 pub use hybrid::{Granularity, HybridHistogram};

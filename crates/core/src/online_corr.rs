@@ -51,12 +51,6 @@ impl OnlineCorrelation {
         Self::default()
     }
 
-    /// Number of tracked unseen targets.
-    #[must_use]
-    pub fn tracked_targets(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Registers a new unseen target with its initial candidate set
     /// (same-trigger functions invoked around its first appearance).
     pub fn register(&mut self, target: FunctionId, candidates: Vec<FunctionId>) {
@@ -142,20 +136,6 @@ impl OnlineCorrelation {
             cand.active = max_cor - cor <= ONLINE_CORR_DROP_GAP;
         }
     }
-
-    /// Current COR of a (target, candidate) pair, if tracked.
-    #[must_use]
-    pub fn cor_of(&self, target: FunctionId, candidate: FunctionId) -> Option<f64> {
-        let state = self.targets.get(&target)?;
-        if state.invocations == 0 {
-            return Some(0.0);
-        }
-        state
-            .candidates
-            .iter()
-            .find(|c| c.id == candidate)
-            .map(|c| c.hits as f64 / state.invocations as f64)
-    }
 }
 
 #[cfg(test)]
@@ -204,8 +184,12 @@ mod tests {
         for i in 0..10 {
             t.on_target_invoked(f(100), i * 50, |c| c == f(1));
         }
-        assert_eq!(t.cor_of(f(100), f(1)), Some(1.0));
-        assert_eq!(t.cor_of(f(100), f(2)), Some(0.0));
+        // COR = hits / invocations: 1.0 for candidate 1, 0.0 for 2.
+        let state = &t.targets[&f(100)];
+        assert_eq!(state.invocations, 10);
+        let hits: Vec<(FunctionId, u64)> =
+            state.candidates.iter().map(|c| (c.id, c.hits)).collect();
+        assert_eq!(hits, vec![(f(1), 10), (f(2), 0)]);
         assert_eq!(t.preload_targets(f(1)), vec![f(100)]);
         assert!(t.preload_targets(f(2)).is_empty(), "candidate 2 not pruned");
     }
@@ -229,7 +213,7 @@ mod tests {
     fn untracked_target_invocation_is_noop() {
         let mut t = tracker();
         t.on_target_invoked(f(7), 0, |_| true);
-        assert_eq!(t.tracked_targets(), 0);
+        assert!(t.targets.is_empty());
     }
 
     #[test]

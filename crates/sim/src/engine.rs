@@ -38,14 +38,9 @@
 //! CSR index built in one counting-sort pass over the trace — so a slot
 //! in which 300 of a million functions fire costs ~300 lookups, and the
 //! span-based collectors charge idle time per transition rather than per
-//! loaded instance. `bench_engine --scale` tracks one unsharded
-//! `SimDriver`'s throughput on this path from 1k to 1M functions.
-//! Above one driver, [`crate::shard`] partitions a run by application
-//! across `std::thread::scope` workers, one `SimDriver` per shard, and
-//! merges the per-shard results into a [`RunResult`] bit-identical to
-//! the unsharded run (for app-decomposable policies on uncapacitated
-//! configs); see `docs/SCALING.md` for the model and its validity
-//! contract.
+//! loaded instance. `bench_engine --scale` tracks one `SimDriver`'s
+//! throughput on this path from 1k to 1M functions; see
+//! `docs/SCALING.md`.
 
 use crate::events::{
     DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunCollector, RunMeta,

@@ -34,7 +34,7 @@ pub mod policy;
 pub mod report;
 pub mod schedule;
 pub mod serve;
-pub mod shard;
+mod shard;
 pub mod suite;
 
 pub use engine::{snapshot_info, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
@@ -53,9 +53,7 @@ pub use policy::{KeepForever, NoKeepAlive, Policy};
 pub use report::{normalized, per_category_stats, text_table, CategoryStats};
 pub use schedule::{Agenda, Holds};
 pub use serve::{serve, InitRecord, ServeConfig, ServeError, ServeSummary};
-pub use shard::{
-    merge_shard_runs, run_shard, run_sharded, ShardCounts, ShardError, ShardPlan, ShardRun,
-};
+pub use shard::ShardCounts;
 pub use suite::{
     run_suite, validate_suite, CapacityRule, FitContext, PolicyFactory, PolicySpec, SuiteEntry,
     SuiteError, PREMATURE_RELOAD_WINDOW,

@@ -368,14 +368,6 @@ impl Trace {
         }
     }
 
-    /// Functions with at least one invocation in `[start, end)`.
-    #[must_use]
-    pub fn invoked_in(&self, start: Slot, end: Slot) -> Vec<FunctionId> {
-        self.function_ids()
-            .filter(|&f| !self.series_of(f).events_in(start, end).is_empty())
-            .collect()
-    }
-
     /// A stable 64-bit FNV-1a digest over the whole trace (horizon,
     /// metadata, and every invocation event). Two traces digest equal
     /// iff they drive identical simulations, which lets durable run
@@ -687,18 +679,6 @@ mod tests {
         // The event before the window is not included.
         assert!(batches.batch(1).is_empty());
         assert_eq!(batches.n_events(), 1);
-    }
-
-    #[test]
-    fn invoked_in_filters() {
-        let series = vec![
-            SparseSeries::from_pairs(vec![(1, 1)]),
-            SparseSeries::new(),
-            SparseSeries::from_pairs(vec![(9, 1)]),
-        ];
-        let t = Trace::new(10, vec![meta(); 3], series);
-        assert_eq!(t.invoked_in(0, 5), vec![FunctionId(0)]);
-        assert_eq!(t.invoked_in(5, 10), vec![FunctionId(2)]);
     }
 
     #[test]

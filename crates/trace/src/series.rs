@@ -67,33 +67,6 @@ impl Sequences {
     }
 }
 
-/// Sum of idle slots between invocations within `[start, end)`, counting
-/// only gaps between active runs (the "inter-invocation time" of the
-/// always-warm rule).
-#[must_use]
-pub fn total_inter_invocation_time(series: &SparseSeries, start: Slot, end: Slot) -> u64 {
-    Sequences::extract(series, start, end)
-        .wt
-        .iter()
-        .map(|&w| u64::from(w))
-        .sum()
-}
-
-/// Whether the function is invoked at *every* slot of `[start, end)`.
-#[must_use]
-pub fn invoked_every_slot(series: &SparseSeries, start: Slot, end: Slot) -> bool {
-    if end <= start {
-        return false;
-    }
-    series.events_in(start, end).len() as u64 == u64::from(end - start)
-}
-
-/// Number of invoked slots within `[start, end)`.
-#[must_use]
-pub fn invoked_slot_count(series: &SparseSeries, start: Slot, end: Slot) -> usize {
-    series.events_in(start, end).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,26 +142,5 @@ mod tests {
         let seq = Sequences::extract(&s, 0, 100);
         assert_eq!(seq.wt, vec![9; 9]);
         assert_eq!(seq.at, vec![1; 10]);
-    }
-
-    #[test]
-    fn total_inter_invocation_time_sums_wt() {
-        let s = series_from_dense(&[1, 0, 0, 1, 0, 1]);
-        assert_eq!(total_inter_invocation_time(&s, 0, 6), 2 + 1);
-    }
-
-    #[test]
-    fn invoked_every_slot_checks() {
-        let s = series_from_dense(&[1, 1, 1, 0]);
-        assert!(invoked_every_slot(&s, 0, 3));
-        assert!(!invoked_every_slot(&s, 0, 4));
-        assert!(!invoked_every_slot(&s, 0, 0));
-    }
-
-    #[test]
-    fn invoked_slot_count_in_range() {
-        let s = series_from_dense(&[1, 0, 1, 1, 0]);
-        assert_eq!(invoked_slot_count(&s, 0, 5), 3);
-        assert_eq!(invoked_slot_count(&s, 2, 4), 2);
     }
 }
