@@ -615,12 +615,7 @@ impl<'p> SimDriver<'p> {
         // Pre-run pre-warming: anything the policy loads in `on_start`
         // becomes a policy Load at the first slot.
         driver.policy.on_start(start, &mut driver.pool);
-        driver.flush(
-            start,
-            start >= metrics_start,
-            LoadCause::Policy,
-            EvictCause::Policy,
-        );
+        driver.flush(start, start >= metrics_start);
         driver.sinks.deliver(&driver.pool);
         driver
     }
@@ -716,9 +711,7 @@ impl<'p> SimDriver<'p> {
                 self.scratch.cold_starts += 1;
                 self.sinks
                     .emit(slot, measured, SimEvent::ColdStart { f, count });
-                make_room(&mut *self.policy, &mut self.pool);
-                self.pool.demand_load(f, slot);
-                self.flush(slot, measured, LoadCause::Demand, EvictCause::Capacity);
+                self.serve_cold(f, slot, measured);
             }
         }
 
@@ -728,7 +721,7 @@ impl<'p> SimDriver<'p> {
         let begin = Instant::now();
         self.policy.on_slot(slot, invoked, &mut self.pool);
         let policy_secs = begin.elapsed().as_secs_f64();
-        self.flush(slot, measured, LoadCause::Policy, EvictCause::Policy);
+        self.flush(slot, measured);
 
         // 3. The slot is over: its events go to the observers as one
         // batch, against the end-of-slot pool.
@@ -752,37 +745,63 @@ impl<'p> SimDriver<'p> {
         })
     }
 
-    /// Drains the pool's transition journal, emits it as Load/Evict
-    /// events with the given causes (preserving transition order), and
-    /// records every decision in the slot scratch.
-    fn flush(
-        &mut self,
-        slot: Slot,
-        measured: bool,
-        load_cause: LoadCause,
-        evict_cause: EvictCause,
-    ) {
+    /// Serves a cold start of `f`: evicts instances (policy-chosen
+    /// victims, falling back to the oldest-loaded instance via
+    /// [`MemoryPool::oldest_loaded`]) until the pool has room, then
+    /// demand-loads `f`, emitting and recording each transition as it
+    /// is made.
+    fn serve_cold(&mut self, f: FunctionId, slot: Slot, measured: bool) {
+        while self.pool.is_full() {
+            let victim = self
+                .policy
+                .pick_victim(&self.pool)
+                .filter(|&v| self.pool.contains(v))
+                .or_else(|| self.pool.oldest_loaded());
+            // A full pool of capacity >= 1 is non-empty, so a victim exists.
+            let Some(v) = victim else { break };
+            self.pool.capacity_evict(v);
+            self.scratch.capacity_evictions.push(v);
+            self.sinks.emit(
+                slot,
+                measured,
+                SimEvent::Evict {
+                    f: v,
+                    cause: EvictCause::Capacity,
+                },
+            );
+        }
+        self.pool.demand_load(f, slot);
+        self.scratch.demand_loads.push(f);
+        self.sinks.emit(
+            slot,
+            measured,
+            SimEvent::Load {
+                f,
+                cause: LoadCause::Demand,
+            },
+        );
+    }
+
+    /// Drains the pool's transition journal (the policy's loads,
+    /// evictions and refused loads), emits it as policy events
+    /// (preserving transition order), and records every decision in the
+    /// slot scratch.
+    fn flush(&mut self, slot: Slot, measured: bool) {
         self.pool.drain_journal_into(&mut self.ops);
         for op in &self.ops {
             let event = match *op {
                 PoolOp::Load(f) => {
-                    match load_cause {
-                        LoadCause::Demand => self.scratch.demand_loads.push(f),
-                        LoadCause::Policy => self.scratch.policy_loads.push(f),
-                    }
+                    self.scratch.policy_loads.push(f);
                     SimEvent::Load {
                         f,
-                        cause: load_cause,
+                        cause: LoadCause::Policy,
                     }
                 }
                 PoolOp::Evict(f) => {
-                    match evict_cause {
-                        EvictCause::Capacity => self.scratch.capacity_evictions.push(f),
-                        EvictCause::Policy => self.scratch.policy_evictions.push(f),
-                    }
+                    self.scratch.policy_evictions.push(f);
                     SimEvent::Evict {
                         f,
-                        cause: evict_cause,
+                        cause: EvictCause::Policy,
                     }
                 }
                 PoolOp::Reject(f) => {
@@ -1190,24 +1209,6 @@ pub fn try_simulate(
         .take::<RunCollector>()
         .expect("the collector attached above comes back")
         .into_result())
-}
-
-/// Evicts instances (policy-chosen victims, falling back to the
-/// oldest-loaded instance via [`MemoryPool::oldest_loaded`]) until the
-/// pool has room for one more load.
-fn make_room(policy: &mut dyn Policy, pool: &mut MemoryPool) {
-    while pool.is_full() {
-        let victim = policy
-            .pick_victim(pool)
-            .filter(|&v| pool.contains(v))
-            .or_else(|| pool.oldest_loaded());
-        match victim {
-            Some(v) => {
-                pool.evict(v);
-            }
-            None => return, // unreachable: a full pool of capacity >= 1 is non-empty
-        }
-    }
 }
 
 #[cfg(test)]

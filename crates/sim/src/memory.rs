@@ -7,8 +7,8 @@
 
 use spes_trace::{FunctionId, Slot};
 
-/// One recorded pool transition (the engine turns these into
-/// `spes_sim::events::SimEvent`s with the right cause attached).
+/// One recorded pool transition (the engine turns these into policy
+/// `spes_sim::events::SimEvent`s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PoolOp {
     /// An instance was newly loaded.
@@ -27,10 +27,13 @@ pub(crate) enum PoolOp {
 /// functions is linear in the number of loaded instances.
 ///
 /// With journaling enabled (the engine turns it on), every effective
-/// load/evict is additionally recorded as a `PoolOp`; the engine drains
-/// the journal after each phase of a slot to emit the corresponding
-/// events, which is how policy-initiated transitions become visible to
-/// observers without diffing the pool.
+/// load/evict through the public API is additionally recorded as a
+/// `PoolOp`; the engine drains the journal after each policy hook to
+/// emit the corresponding events, which is how policy-initiated
+/// transitions become visible to observers without diffing the pool.
+/// The engine's own cold-start transitions (`demand_load` and the
+/// `capacity_evict`s that make room for it) are not journalled: the
+/// engine emits them as it makes them.
 #[derive(Debug, Clone)]
 pub struct MemoryPool {
     member: Vec<bool>,
@@ -148,12 +151,14 @@ impl MemoryPool {
             self.record(PoolOp::Reject(f));
             return false;
         }
-        self.admit(f, now);
+        self.insert(f, now);
+        self.record(PoolOp::Load(f));
         true
     }
 
-    /// Loads `f` bypassing the admission budget (engine-internal: demand
-    /// loads serve a cold start and cannot be deferred).
+    /// Loads `f` bypassing the admission budget and the journal
+    /// (engine-internal: demand loads serve a cold start and cannot be
+    /// deferred; the engine emits them itself).
     ///
     /// # Panics
     /// Panics when loading a new instance into a full pool; the engine
@@ -162,11 +167,11 @@ impl MemoryPool {
         if self.member[f.index()] {
             return false;
         }
-        self.admit(f, now);
+        self.insert(f, now);
         true
     }
 
-    fn admit(&mut self, f: FunctionId, now: Slot) {
+    fn insert(&mut self, f: FunctionId, now: Slot) {
         assert!(
             !self.is_full(),
             "loading {f} into a full pool (capacity {:?})",
@@ -176,11 +181,21 @@ impl MemoryPool {
         self.position[f.index()] = self.loaded.len() as u32;
         self.loaded.push(f);
         self.loaded_at[f.index()] = now;
-        self.record(PoolOp::Load(f));
     }
 
     /// Evicts `f`. Returns `true` if it was loaded.
     pub fn evict(&mut self, f: FunctionId) -> bool {
+        let evicted = self.capacity_evict(f);
+        if evicted {
+            self.record(PoolOp::Evict(f));
+        }
+        evicted
+    }
+
+    /// Evicts `f` without journalling it (engine-internal: the engine
+    /// emits the evictions that make room for a demand load itself).
+    /// Returns `true` if it was loaded.
+    pub(crate) fn capacity_evict(&mut self, f: FunctionId) -> bool {
         if !self.member[f.index()] {
             return false;
         }
@@ -192,7 +207,6 @@ impl MemoryPool {
         }
         self.member[f.index()] = false;
         self.position[f.index()] = NO_POSITION;
-        self.record(PoolOp::Evict(f));
         true
     }
 
@@ -464,7 +478,8 @@ mod tests {
         assert!(!pool.contains(FunctionId(2)));
         // Re-loading a resident instance stays a plain no-op, not a reject.
         assert!(!pool.load(FunctionId(0), 1));
-        // Demand loads bypass the budget.
+        // Demand loads bypass the budget, and the journal: the engine
+        // emits them itself.
         assert!(pool.demand_load(FunctionId(3), 1));
         assert_eq!(pool.loaded_count(), 3);
         let mut ops = Vec::new();
@@ -475,7 +490,6 @@ mod tests {
                 PoolOp::Load(FunctionId(0)),
                 PoolOp::Load(FunctionId(1)),
                 PoolOp::Reject(FunctionId(2)),
-                PoolOp::Load(FunctionId(3)),
             ]
         );
     }

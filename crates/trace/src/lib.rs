@@ -15,8 +15,8 @@ pub mod series;
 pub mod synth;
 
 pub use model::{
-    AppId, FunctionId, FunctionMeta, Slot, SlotBatches, SparseSeries, Trace, TriggerType, UserId,
-    SLOTS_PER_DAY,
+    AppId, FunctionId, FunctionMeta, Slot, SlotBatches, SlotBatchesBuilder, SparseSeries, Trace,
+    TriggerType, UserId, SLOTS_PER_DAY,
 };
 pub use series::Sequences;
 pub use synth::{

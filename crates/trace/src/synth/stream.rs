@@ -10,14 +10,22 @@
 //! [`SynthStream`] produces the same workload **app chunk by app chunk**:
 //! the population specs are drawn once (sequentially, as in `generate`),
 //! then each application's series are generated from the same
-//! order-independent per-function RNGs, flushed into one flat
-//! function-major event list, and dropped before the next app begins.
+//! order-independent per-function RNGs, pushed function-major into a
+//! [`SlotBatches::builder`], and dropped before the next app begins.
 //! Chained functions only ever read parents from their own app (parents
-//! are earlier-index siblings), so an app chunk is self-contained. The
-//! flat list is finally counting-sorted into a [`SlotBatches`] active-set
-//! index — per-slot `(function, count)` batches, function id ascending —
-//! without ever holding the full series set, a `Trace`, or per-slot
-//! vectors.
+//! are earlier-index siblings), so an app chunk is self-contained.
+//!
+//! The builder buffers each day of the horizon as 8-byte `(slot, count)`
+//! pairs plus per-function runs, then assembles the [`SlotBatches`]
+//! active-set index — per-slot `(function, count)` batches, function id
+//! ascending — one day block at a time, freeing each block's buffers as
+//! it is placed. The build never holds the full series set, a `Trace`,
+//! per-slot vectors, or a second full copy of the events: its peak is
+//! about 9.5 bytes per event, where a flat function-major triple list
+//! counting-sorted into the index peaked at about 20
+//! (`tests/stream_memory.rs` bounds it at 12). On the 100k-function
+//! quick shape (67.6M events) that took perfbench `scale-stream`'s peak
+//! RSS from 1318 MiB to 623 MiB.
 //!
 //! The output is **bit-identical** to the materialised path: for every
 //! slot, [`SynthStream::batch`] equals the corresponding
@@ -37,7 +45,7 @@
 
 use super::population::{self, FunctionSpec};
 use super::{generate_chained_segments, generate_segments, SynthConfig};
-use crate::model::{FunctionId, FunctionMeta, Slot, SlotBatches, SparseSeries};
+use crate::model::{FunctionId, FunctionMeta, Slot, SlotBatches, SlotBatchesBuilder, SparseSeries};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -105,13 +113,11 @@ impl SynthStream {
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let specs = population::build_population(config, &mut rng);
 
-        // Function-major flat event list; filled one app chunk at a time.
         // Apps occupy contiguous index ranges (the population generator
         // numbers them sequentially), so walking runs of equal `meta.app`
-        // visits every function exactly once, in ascending index order —
-        // the order the counting sort below relies on for per-slot
-        // function-ascending batches.
-        let mut triples: Vec<(Slot, FunctionId, u32)> = Vec::new();
+        // visits every function exactly once, in ascending index order:
+        // function-major pushes, hence function-ascending batches.
+        let mut builder = SlotBatches::builder(0, horizon);
         let mut lo = 0usize;
         while lo < specs.len() {
             let app = specs[lo].meta.app;
@@ -119,11 +125,11 @@ impl SynthStream {
             while hi < specs.len() && specs[hi].meta.app == app {
                 hi += 1;
             }
-            flush_app_chunk(&specs[lo..hi], lo, config.seed, &mut triples);
+            push_app_chunk(&specs[lo..hi], lo, config.seed, &mut builder);
             lo = hi;
         }
 
-        let batches = SlotBatches::from_function_major(0, horizon, &triples);
+        let batches = builder.finish();
         let metas = specs.into_iter().map(|s| s.meta).collect();
         Ok(Self {
             n_slots: horizon,
@@ -171,14 +177,9 @@ impl SynthStream {
 }
 
 /// Generates one app's series (two passes: non-chained, then chained
-/// against their in-chunk parents) and flushes every event into the flat
-/// function-major list. `lo` is the global index of `chunk[0]`.
-fn flush_app_chunk(
-    chunk: &[FunctionSpec],
-    lo: usize,
-    seed: u64,
-    triples: &mut Vec<(Slot, FunctionId, u32)>,
-) {
+/// against their in-chunk parents) and pushes every event into the
+/// slot-index builder. `lo` is the global index of `chunk[0]`.
+fn push_app_chunk(chunk: &[FunctionSpec], lo: usize, seed: u64, builder: &mut SlotBatchesBuilder) {
     let mut local: Vec<SparseSeries> = vec![SparseSeries::new(); chunk.len()];
     for (off, spec) in chunk.iter().enumerate() {
         if spec.is_chained() {
@@ -197,7 +198,7 @@ fn flush_app_chunk(
     for (off, series) in local.iter().enumerate() {
         let f = FunctionId((lo + off) as u32);
         for &(slot, count) in series.events() {
-            triples.push((slot, f, count));
+            builder.push(f, slot, count);
         }
     }
 }

@@ -64,6 +64,8 @@ impl Distribution<f64> for Exp {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     lambda: f64,
+    /// `exp(-lambda)`, the Knuth branch's stopping product.
+    limit: f64,
 }
 
 impl Poisson {
@@ -73,7 +75,10 @@ impl Poisson {
     /// Fails if `lambda` is not finite and positive.
     pub fn new(lambda: f64) -> Result<Self, ParamError> {
         if lambda.is_finite() && lambda > 0.0 {
-            Ok(Self { lambda })
+            Ok(Self {
+                lambda,
+                limit: (-lambda).exp(),
+            })
         } else {
             Err(ParamError("Poisson mean must be finite and > 0"))
         }
@@ -84,10 +89,9 @@ impl Distribution<f64> for Poisson {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.lambda < 30.0 {
             // Knuth's product-of-uniforms method; exact for small means.
-            let limit = (-self.lambda).exp();
             let mut count = 0u64;
             let mut product = unit_open(rng);
-            while product > limit {
+            while product > self.limit {
                 count += 1;
                 product *= unit_open(rng);
             }
@@ -172,6 +176,37 @@ mod tests {
         let (mean, _) = mean_of((0..20_000).map(|_| d.sample(&mut rng)));
         assert!((195.0..205.0).contains(&mean), "mean {mean}");
         assert!((0..1000).all(|_| d.sample(&mut rng) >= 0.0));
+    }
+
+    #[test]
+    fn poisson_draws_match_the_per_call_limit() {
+        // The stopping product is computed once in `new`; every draw must
+        // equal the one that recomputes `exp(-lambda)` on each call.
+        fn per_call(lambda: f64, rng: &mut SmallRng) -> f64 {
+            if lambda < 30.0 {
+                let limit = (-lambda).exp();
+                let mut count = 0u64;
+                let mut product = unit_open(rng);
+                while product > limit {
+                    count += 1;
+                    product *= unit_open(rng);
+                }
+                count as f64
+            } else {
+                let z = standard_normal(rng);
+                (lambda + lambda.sqrt() * z + 0.5).floor().max(0.0)
+            }
+        }
+        for (seed, lambda) in [1e-6, 0.5, 3.0, 29.9, 30.0, 200.0].into_iter().enumerate() {
+            let d = Poisson::new(lambda).unwrap();
+            let mut cached = SmallRng::seed_from_u64(seed as u64);
+            let mut reference = SmallRng::seed_from_u64(seed as u64);
+            for _ in 0..2000 {
+                let got = d.sample(&mut cached);
+                let want = per_call(lambda, &mut reference);
+                assert_eq!(got.to_bits(), want.to_bits(), "lambda {lambda}");
+            }
+        }
     }
 
     #[test]
