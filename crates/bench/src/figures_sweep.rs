@@ -1,9 +1,11 @@
 //! Parameter sweeps and ablations: Figs. 13, 14, and 15.
 //!
 //! The sweeps run independent SPES configurations over the same trace, in
-//! parallel via std scoped threads (the trace is shared read-only).
+//! parallel through `par`, the harness's bounded fan-out shared with the
+//! seed × scenario matrix (the trace is shared read-only).
 
 use crate::figures::{table, Rendered};
+use crate::par;
 use serde::Serialize;
 use spes_core::{SpesConfig, SpesPolicy};
 use spes_sim::{try_simulate, RunResult, SimConfig};
@@ -20,33 +22,24 @@ pub struct SweepPoint {
     pub q3_csr: f64,
 }
 
-/// Runs SPES once per configuration, in parallel, preserving input
-/// order: each run fits SPES on the trace's training window and
-/// simulates the whole horizon, measuring from the training boundary,
-/// exactly as SPES runs in a suite.
+/// Runs SPES once per configuration, at most `available_parallelism`
+/// at a time, preserving input order: each run fits SPES on the trace's
+/// training window and simulates the whole horizon, measuring from the
+/// training boundary, exactly as SPES runs in a suite.
 fn run_each(data: &SynthTrace, configs: Vec<SpesConfig>) -> Vec<RunResult> {
     let trace = &data.trace;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(data.train_end);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = configs
-            .into_iter()
-            .map(|cfg| {
-                scope.spawn(move || {
-                    let mut spes = SpesPolicy::fit(trace, 0, data.train_end, cfg);
-                    try_simulate(trace, &mut spes, window)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .ok()
-                    .and_then(Result::ok)
-                    .expect("a SPES run on the trace-carried window completes")
-            })
-            .collect()
-    })
+    let mut runs = Vec::with_capacity(configs.len());
+    par::for_each_ordered(
+        configs,
+        |cfg| {
+            let mut spes = SpesPolicy::fit(trace, 0, data.train_end, cfg);
+            try_simulate(trace, &mut spes, window)
+        },
+        |run| run.map(|run| runs.push(run)),
+    )
+    .expect("a SPES run on the trace-carried window completes");
+    runs
 }
 
 /// Runs one SPES configuration per parameter value, memory normalised to

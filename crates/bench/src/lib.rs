@@ -17,6 +17,7 @@ pub mod figures_sweep;
 pub mod figures_trace;
 pub mod fuzz;
 pub mod matrix;
+mod par;
 pub mod perf;
 pub mod policies;
 pub mod replay;

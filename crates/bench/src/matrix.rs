@@ -1,9 +1,9 @@
 //! Seed × scenario × policy-suite comparison matrix.
 //!
 //! Runs an arbitrary policy suite over every (scenario, seed) cell in
-//! parallel (std scoped threads, one per cell, like the Fig. 13-15
-//! sweeps) and aggregates per-policy means and standard deviations of
-//! the headline metrics. This is the substrate for multi-seed regression
+//! parallel (through `par`, the fan-out the Fig. 13-15 sweeps share)
+//! and aggregates per-policy means and standard deviations of the
+//! headline metrics. This is the substrate for multi-seed regression
 //! tests and robustness sweeps: a claim that holds on one seed of one
 //! workload is an anecdote; the matrix makes it a distribution. Since
 //! the policy-registry redesign the policy axis is open too: any
@@ -13,12 +13,14 @@
 //! Aggregation is **streaming**: cells run in parallel batches bounded
 //! by the machine's parallelism and are folded into per-policy
 //! [`OnlineStats`] accumulators in a fixed order (scenario-major, then
-//! seed) as they are joined, so [`fold_matrix`] retains `O(policies)`
-//! state — and at most a worker-pool of in-flight cells — no matter how
-//! many cells the sweep spans. It is the one matrix path: its sink
-//! receives every cell after the fold, so a caller that needs per-cell
-//! assertions collects them there and one that does not passes `drop`.
+//! seed) as each batch is delivered, so [`fold_matrix`] retains
+//! `O(policies)` state — and at most one batch of finished cells — no
+//! matter how many cells the sweep spans. It is the one matrix path:
+//! its sink receives every cell after the fold, so a caller that needs
+//! per-cell assertions collects them there and one that does not
+//! passes `drop`.
 
+use crate::par;
 use crate::scenario::{run_suite_comparison, ComparisonRun};
 use serde::Serialize;
 use spes_sim::suite::{validate_suite, PolicySpec, SuiteError};
@@ -132,12 +134,8 @@ impl PolicyFold {
 /// cell sequence. The sink owns each cell; dropping it is what makes
 /// the streaming path retain only `O(policies)` aggregate state.
 ///
-/// Cells run in parallel batches of (at most) the machine's available
-/// parallelism, joined and folded in order before the next batch
-/// spawns, so peak in-flight memory is bounded by the worker count —
-/// not by the sweep size. (A full fan-out would park every finished
-/// cell in its join handle behind a slow first cell, quietly
-/// reintroducing the `O(cells)` retention this path exists to remove.)
+/// Cells run through `par::for_each_ordered`, so peak in-flight
+/// memory is bounded by the worker count, not by the sweep size.
 ///
 /// Each cell generates its own trace from the scenario config with the
 /// cell's seed; the trace-carried training boundary drives fitting and
@@ -152,46 +150,33 @@ pub fn fold_matrix(
 ) -> Result<Vec<PolicyAggregate>, SuiteError> {
     validate_suite(suite)?;
     let mut folds: Vec<PolicyFold> = suite.iter().map(|s| PolicyFold::new(s.name())).collect();
-    let batch = std::thread::available_parallelism().map_or(4, usize::from);
-    let cells: Vec<(&String, &SynthConfig, u64)> = scenarios
+    let cells = scenarios
         .iter()
-        .flat_map(|(name, cfg)| seeds.iter().map(move |&seed| (name, cfg, seed)))
-        .collect();
-    for chunk in cells.chunks(batch.max(1)) {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|&(name, cfg, seed)| {
-                    scope.spawn(move || {
-                        let cell_cfg = SynthConfig {
-                            seed,
-                            ..cfg.clone()
-                        };
-                        let data = synth::generate(&cell_cfg);
-                        MatrixCell {
-                            scenario: name.clone(),
-                            seed,
-                            comparison: run_suite_comparison(&data, suite)
-                                .expect("suite validated before fan-out"),
-                        }
-                    })
-                })
-                .collect();
-            // Join in spawn order: the fold sees cells scenario-major
-            // then seed-ordered even though threads finish in any order.
-            for handle in handles {
-                let cell = handle.join().expect("matrix cell panicked");
-                // The comparison's columns are in suite order, as are
-                // the folds.
-                let cmp = &cell.comparison;
-                let views = cmp.runs.iter().zip(&cmp.fairness).zip(&cmp.audits);
-                for (fold, ((run, fairness), audit)) in folds.iter_mut().zip(views) {
-                    fold.push(run, fairness, audit);
-                }
-                sink(cell);
+        .flat_map(|(name, cfg)| seeds.iter().map(move |&seed| (name, cfg, seed)));
+    par::for_each_ordered(
+        cells,
+        |(name, cfg, seed)| {
+            let mut cfg = cfg.clone();
+            cfg.seed = seed;
+            let data = synth::generate(&cfg);
+            run_suite_comparison(&data, suite).map(|comparison| MatrixCell {
+                scenario: name.clone(),
+                seed,
+                comparison,
+            })
+        },
+        |cell| {
+            let cell = cell?;
+            // The comparison's columns are in suite order, as are the folds.
+            let cmp = &cell.comparison;
+            let views = cmp.runs.iter().zip(&cmp.fairness).zip(&cmp.audits);
+            for (fold, ((run, fairness), audit)) in folds.iter_mut().zip(views) {
+                fold.push(run, fairness, audit);
             }
-        });
-    }
+            sink(cell);
+            Ok(())
+        },
+    )?;
     Ok(folds.into_iter().map(PolicyFold::finish).collect())
 }
 

@@ -122,7 +122,7 @@ pub enum ServeError {
     Protocol(String),
     /// The policy factory rejected the init record.
     Policy(String),
-    /// The configured simulation window is malformed.
+    /// The session's simulation window is malformed or refused a step.
     Window(SimError),
     /// The `resume` snapshot could not be restored.
     Resume(SnapshotError),
@@ -304,14 +304,14 @@ pub fn serve<R: BufRead, W: Write>(
                     )?;
                     continue;
                 }
-                if slot >= config.sim.end {
+                let end = driver.config().end;
+                if slot >= end {
                     stats.rejected_lines += 1;
                     writeln!(
                         output,
                         "{}",
                         render_error(&format!(
-                            "slot {slot} is beyond the configured window end {}",
-                            config.sim.end
+                            "slot {slot} is beyond the session's window end {end}"
                         ))
                     )?;
                     continue;
@@ -329,7 +329,7 @@ pub fn serve<R: BufRead, W: Write>(
             }
             ProtoEvent::Tick { slot } => {
                 stats.events += 1;
-                let target = slot.saturating_add(1).min(config.sim.end);
+                let target = slot.saturating_add(1).min(driver.config().end);
                 advance_to(
                     &mut driver,
                     &mut pending,
@@ -417,9 +417,7 @@ fn advance_to<W: Write>(
     while driver.next_slot() < target {
         let slot = driver.next_slot();
         let invoked = std::mem::take(pending);
-        let outcome = driver
-            .step(slot, &invoked)
-            .expect("serve steps are contiguous and in-window");
+        let outcome = driver.step(slot, &invoked).map_err(ServeError::Window)?;
         stats.slots += 1;
         let active = outcome.invocations > 0
             || !outcome.policy_loads.is_empty()
@@ -432,7 +430,7 @@ fn advance_to<W: Write>(
             writeln!(output, "{record}")?;
         }
         if let Some(every) = config.snapshot_every {
-            if every > 0 && (slot - config.sim.start + 1).is_multiple_of(every) {
+            if every > 0 && (slot - driver.config().start + 1).is_multiple_of(every) {
                 stats.snapshots += 1;
                 let snapshot = render_snapshot(driver, slot);
                 writeln!(output, "{snapshot}")?;
@@ -998,6 +996,51 @@ not json at all
             output.is_empty(),
             "nothing is served after a refused resume"
         );
+    }
+
+    /// On resume the snapshot's window rules, not `ServeConfig::sim`:
+    /// every slot check, the tick clamp and the snapshot cadence read it.
+    #[test]
+    fn a_resumed_session_serves_inside_the_snapshot_window() {
+        let snap_path = ScratchPath::new("window.snapshot");
+        let config = ServeConfig {
+            sim: SimConfig::new(1, 10),
+            snapshot_out: Some(snap_path.0.clone()),
+            ..ServeConfig::default()
+        };
+        let first = r#"{"type":"init","functions":1}
+{"type":"inv","slot":2,"f":0}
+"#;
+        serve(first.as_bytes(), &mut Vec::new(), &config, keep_forever).unwrap();
+
+        let config = ServeConfig {
+            snapshot_every: Some(4),
+            resume: Some(std::fs::read(&snap_path.0).unwrap()),
+            ..ServeConfig::default()
+        };
+        let second = r#"{"type":"init","functions":1}
+{"type":"inv","slot":12,"f":0}
+{"type":"tick","slot":50}
+"#;
+        let (summary, records) = run_session(second, &config);
+        assert_eq!(summary.slots, 7, "slots 3..=9 close; the window ends at 10");
+        let snapshot_slots: Vec<&Value> = records
+            .iter()
+            .filter(|r| r.get("type").unwrap().as_str() == Some("snapshot"))
+            .map(|r| r.get("slot").unwrap())
+            .collect();
+        assert_eq!(
+            snapshot_slots,
+            [&Value::Number("4".into()), &Value::Number("8".into())],
+            "every fourth slot from the snapshot's window start 1"
+        );
+        assert_eq!(summary.rejected_lines, 1);
+        assert_eq!(summary.run.end, 10);
+        let error = records
+            .iter()
+            .find_map(|r| r.get("message").and_then(Value::as_str))
+            .expect("an error record for slot 12");
+        assert!(error.contains("window end 10"), "{error}");
     }
 
     #[test]

@@ -54,22 +54,6 @@ impl OnlineStats {
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Self) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / total as f64;
-        self.n = total;
-    }
 }
 
 #[cfg(test)]
@@ -103,41 +87,5 @@ mod tests {
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs = [1.0, 2.0, 3.0, 10.0, 20.0, 30.0];
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..3] {
-            a.push(x);
-        }
-        for &x in &xs[3..] {
-            b.push(x);
-        }
-        a.merge(&b);
-
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        a.push(7.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

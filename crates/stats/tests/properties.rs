@@ -303,23 +303,4 @@ proptest! {
             prop_assert!((s.stddev() - stddev(&xs)).abs() < 1e-6);
         }
     }
-
-    #[test]
-    fn online_stats_merge_associative(
-        a in prop::collection::vec(0f64..1000.0, 0..50),
-        b in prop::collection::vec(0f64..1000.0, 0..50),
-    ) {
-        let mut sa = OnlineStats::new();
-        for &x in &a { sa.push(x); }
-        let mut sb = OnlineStats::new();
-        for &x in &b { sb.push(x); }
-        let mut merged = sa;
-        merged.merge(&sb);
-
-        let mut seq = OnlineStats::new();
-        for &x in a.iter().chain(&b) { seq.push(x); }
-        prop_assert_eq!(merged.count(), seq.count());
-        prop_assert!((merged.mean() - seq.mean()).abs() < 1e-6);
-        prop_assert!((merged.variance() - seq.variance()).abs() < 1e-4);
-    }
 }
