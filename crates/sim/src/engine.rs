@@ -43,8 +43,8 @@
 //! `docs/SCALING.md`.
 
 use crate::events::{
-    DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunCollector, RunMeta,
-    SimEvent,
+    BatchFacts, DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunCollector,
+    RunMeta, SimEvent, SlotBatch,
 };
 use crate::memory::{MemoryPool, PoolOp};
 use crate::metrics::RunResult;
@@ -397,7 +397,48 @@ wire_record!(OutcomeScratch {
     rejected_loads,
 });
 
+/// Where the current batch's share of the policy's [`OutcomeScratch`]
+/// lists starts: 0 after a clear, past the `on_start` ops in the first
+/// step (they went out as a batch of their own). Demand loads, capacity
+/// evictions and the cold and warm counts only come from steps, so they
+/// are always the step's own.
+#[derive(Debug, Default, Clone, Copy)]
+struct ScratchMarks {
+    policy_loads: usize,
+    policy_evictions: usize,
+    rejected_loads: usize,
+}
+
 impl OutcomeScratch {
+    /// Marks the policy lists' current ends as the start of a new batch.
+    fn marks(&self) -> ScratchMarks {
+        ScratchMarks {
+            policy_loads: self.policy_loads.len(),
+            policy_evictions: self.policy_evictions.len(),
+            rejected_loads: self.rejected_loads.len(),
+        }
+    }
+
+    /// The facts of the batch that started at `marks`.
+    fn facts(
+        &self,
+        marks: ScratchMarks,
+        peak_occupancy: usize,
+        invoked_loaded: usize,
+    ) -> BatchFacts<'_> {
+        BatchFacts {
+            cold_starts: self.cold_starts,
+            warm_starts: self.warm_starts,
+            evictions: self.policy_evictions.len() - marks.policy_evictions
+                + self.capacity_evictions.len(),
+            rejected_loads: self.rejected_loads.len() - marks.rejected_loads,
+            demand_loads: &self.demand_loads,
+            policy_loads: &self.policy_loads[marks.policy_loads..],
+            peak_occupancy,
+            invoked_loaded,
+        }
+    }
+
     fn clear(&mut self) {
         self.invocations = 0;
         self.cold_starts = 0;
@@ -416,12 +457,13 @@ impl OutcomeScratch {
 ///
 /// Events are buffered, not dispatched one by one: [`Sinks::emit`]
 /// appends to the current slot's batch, and [`Sinks::deliver`] hands the
-/// whole batch to each sink in one [`Observer::on_slot_events`] call,
-/// against the pool as it stands at the end of the batch. The driver
-/// delivers at the end of every step (after `SlotEnd`) and at the end of
-/// its constructor (the policy's `on_start` transitions), and
-/// [`Sinks::run_end`] delivers any tail first, so no snapshot boundary
-/// ever holds an undelivered event.
+/// whole batch with its facts to each sink in one
+/// [`Observer::on_slot_events`] call, against the pool as it stands at
+/// the end of the batch. The driver delivers at the end of every step
+/// (after `SlotEnd`) and at the end of its constructor (the policy's
+/// `on_start` transitions), so no snapshot boundary ever holds an
+/// undelivered event; `replay` delivers its tail before
+/// [`Sinks::run_end`].
 pub(crate) struct Sinks {
     pub(crate) observers: Vec<Box<dyn DynObserver>>,
     pub(crate) collector: Option<RunCollector>,
@@ -471,9 +513,14 @@ impl Sinks {
         (!self.batch.is_empty()).then_some(self.batch_slot)
     }
 
-    /// Hands the batch to every sink, then empties it; a no-op when
-    /// nothing is pending.
-    pub(crate) fn deliver(&mut self, pool: &MemoryPool) {
+    /// The undelivered events and whether their slot is measured.
+    pub(crate) fn pending(&self) -> (&[SimEvent], bool) {
+        (&self.batch, self.batch_measured)
+    }
+
+    /// Hands the batch with its `facts` to every sink, then empties it;
+    /// a no-op when nothing is pending.
+    pub(crate) fn deliver(&mut self, pool: &MemoryPool, facts: BatchFacts<'_>) {
         if self.batch.is_empty() {
             return;
         }
@@ -482,17 +529,19 @@ impl Sinks {
             measured: self.batch_measured,
             pool,
         };
+        let batch = SlotBatch::new(&self.batch, facts);
         for observer in self.observers.iter_mut() {
-            observer.on_slot_events(&ctx, &self.batch);
+            observer.on_slot_events(&ctx, &batch);
         }
         if let Some(collector) = self.collector.as_mut() {
-            collector.on_slot_events(&ctx, &self.batch);
+            collector.on_slot_events(&ctx, &batch);
         }
         self.batch.clear();
     }
 
+    /// Fires `on_run_end` on every sink; the batch must be delivered.
     pub(crate) fn run_end(&mut self, end: Slot, pool: &MemoryPool) {
-        self.deliver(pool);
+        debug_assert!(self.batch.is_empty(), "run end with undelivered events");
         for observer in self.observers.iter_mut() {
             observer.on_run_end(end, pool);
         }
@@ -616,7 +665,10 @@ impl<'p> SimDriver<'p> {
         // becomes a policy Load at the first slot.
         driver.policy.on_start(start, &mut driver.pool);
         driver.flush(start, start >= metrics_start);
-        driver.sinks.deliver(&driver.pool);
+        let facts = driver
+            .scratch
+            .facts(ScratchMarks::default(), driver.pool.peak(), 0);
+        driver.sinks.deliver(&driver.pool, facts);
         driver
     }
 
@@ -696,6 +748,8 @@ impl<'p> SimDriver<'p> {
             self.scratch.clear();
         }
         self.clear_scratch = true;
+        let marks = self.scratch.marks();
+        self.pool.reset_peak();
         let measured = slot >= self.config.metrics_start;
 
         // 1. Serve invocations: first arrival on an unloaded function is a
@@ -724,10 +778,20 @@ impl<'p> SimDriver<'p> {
         self.flush(slot, measured);
 
         // 3. The slot is over: its events go to the observers as one
-        // batch, against the end-of-slot pool.
+        // batch, against the end-of-slot pool, with the facts the
+        // scratch and the pool's high-water mark already hold.
         self.sinks
             .emit(slot, measured, SimEvent::SlotEnd { policy_secs });
-        self.sinks.deliver(&self.pool);
+        let invoked_loaded = if measured {
+            invoked
+                .iter()
+                .filter(|&&(f, _)| self.pool.contains(f))
+                .count()
+        } else {
+            0
+        };
+        let facts = self.scratch.facts(marks, self.pool.peak(), invoked_loaded);
+        self.sinks.deliver(&self.pool, facts);
         self.next_slot = slot + 1;
         Ok(SlotOutcome {
             slot,

@@ -26,8 +26,9 @@
 //! own `Load`s/`Evict`s in the order the policy performed them; then one
 //! `SlotEnd`. Each observer receives a slot's events in one
 //! [`Observer::on_slot_events`] call once the slot is over, against the
-//! end-of-slot pool. Observers never mutate the pool — only the policy
-//! does.
+//! end-of-slot pool, as a [`SlotBatch`] that also carries the counts the
+//! engine kept while serving the slot. Observers never mutate the pool —
+//! only the policy does.
 //!
 //! Observers attach to a run by value through the [`crate::Simulation`]
 //! builder (or a [`crate::SimDriver`] for step-driven runs) and come
@@ -161,11 +162,112 @@ pub struct EventCtx<'a> {
     /// policy's `on_start` transitions as one batch before the first
     /// slot. Every event of a batch therefore sees the same pool — the
     /// end-of-slot pool for a batch ending in `SlotEnd` — live and
-    /// replayed ([`crate::journal::replay`]) alike. Observers needing
-    /// mid-slot occupancy track it from the `Load`/`Evict` events
-    /// themselves (see [`MemoryPressure`] and the reconstruction
-    /// property tests).
+    /// replayed ([`crate::journal::replay`]) alike. The batch's mid-slot
+    /// peak occupancy is [`SlotBatch::peak_occupancy`].
     pub pool: &'a MemoryPool,
+}
+
+/// One delivered batch: a slot's events in emission order, plus the
+/// counts the engine kept while producing them.
+///
+/// The engine records every decision of a step in its outcome scratch
+/// (the lists behind [`crate::SlotOutcome`]) and the pool keeps a
+/// high-water mark of its occupancy, so these facts come without a walk
+/// of the events; an observer that needs only counts reads them here.
+/// [`crate::journal::replay`] computes the same facts with one walk of
+/// each replayed batch, so live and replayed observers take one path.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotBatch<'a> {
+    events: &'a [SimEvent],
+    facts: BatchFacts<'a>,
+}
+
+/// A batch's facts without its events; [`crate::engine`]'s sinks pair
+/// them with the buffered events into a [`SlotBatch`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BatchFacts<'a> {
+    pub(crate) cold_starts: u32,
+    pub(crate) warm_starts: u32,
+    pub(crate) evictions: usize,
+    pub(crate) rejected_loads: usize,
+    pub(crate) demand_loads: &'a [FunctionId],
+    pub(crate) policy_loads: &'a [FunctionId],
+    pub(crate) peak_occupancy: usize,
+    pub(crate) invoked_loaded: usize,
+}
+
+impl<'a> SlotBatch<'a> {
+    pub(crate) fn new(events: &'a [SimEvent], facts: BatchFacts<'a>) -> Self {
+        Self { events, facts }
+    }
+
+    /// The batch's events, in emission order.
+    #[must_use]
+    pub fn events(&self) -> &'a [SimEvent] {
+        self.events
+    }
+
+    /// Whether the batch closes its slot with a [`SimEvent::SlotEnd`]
+    /// (every batch but the policy's `on_start` transitions and a
+    /// replayed journal's tail).
+    #[must_use]
+    pub fn ends_slot(&self) -> bool {
+        matches!(self.events.last(), Some(SimEvent::SlotEnd { .. }))
+    }
+
+    /// [`SimEvent::ColdStart`]s in the batch.
+    #[must_use]
+    pub fn cold_starts(&self) -> u32 {
+        self.facts.cold_starts
+    }
+
+    /// [`SimEvent::WarmStart`]s in the batch.
+    #[must_use]
+    pub fn warm_starts(&self) -> u32 {
+        self.facts.warm_starts
+    }
+
+    /// [`SimEvent::Evict`]s in the batch, of either cause.
+    #[must_use]
+    pub fn evictions(&self) -> usize {
+        self.facts.evictions
+    }
+
+    /// [`SimEvent::LoadRejected`]s in the batch.
+    #[must_use]
+    pub fn rejected_loads(&self) -> usize {
+        self.facts.rejected_loads
+    }
+
+    /// The functions of the batch's demand [`SimEvent::Load`]s, in
+    /// event order.
+    #[must_use]
+    pub fn demand_loads(&self) -> &'a [FunctionId] {
+        self.facts.demand_loads
+    }
+
+    /// The functions of the batch's policy [`SimEvent::Load`]s, in
+    /// event order.
+    #[must_use]
+    pub fn policy_loads(&self) -> &'a [FunctionId] {
+        self.facts.policy_loads
+    }
+
+    /// The highest pool occupancy at any point of the batch, its start
+    /// included: exact mid-slot, although [`EventCtx::pool`] is the
+    /// batch-end pool.
+    #[must_use]
+    pub fn peak_occupancy(&self) -> usize {
+        self.facts.peak_occupancy
+    }
+
+    /// How many of the batch's invocation events name a function loaded
+    /// in the batch-end pool (the numerator of the slot's EMCR). Counted
+    /// only in a measured batch; 0 in an unmeasured one.
+    #[must_use]
+    pub fn invoked_loaded(&self) -> usize {
+        self.facts.invoked_loaded
+    }
 }
 
 /// A consumer of the engine's event stream.
@@ -182,15 +284,17 @@ pub trait Observer {
     /// [`Observer::on_slot_events`].
     fn on_event(&mut self, ctx: &EventCtx<'_>, event: &SimEvent);
 
-    /// Called once per delivered batch with its events in emission
-    /// order: one batch per simulated slot, ending with its
-    /// [`SimEvent::SlotEnd`], plus one before the first slot when the
-    /// policy's `on_start` changed the pool. All events of a batch
-    /// share `ctx` (see [`EventCtx::pool`]). The default loops over
-    /// [`Observer::on_event`]; an observer overrides it only to skip
-    /// work a whole batch makes dead, such as an unmeasured slot.
-    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
-        for event in events {
+    /// Called once per delivered batch: one batch per simulated slot,
+    /// ending with its [`SimEvent::SlotEnd`], plus one before the first
+    /// slot when the policy's `on_start` changed the pool. All events of
+    /// a batch share `ctx` (see [`EventCtx::pool`]). The default loops
+    /// over [`Observer::on_event`] in emission order; an observer
+    /// overrides it to read the batch's [`SlotBatch`] facts instead of
+    /// walking the events, or to skip work a whole batch makes dead,
+    /// such as an unmeasured slot. Either way it must end each batch in
+    /// the state the per-event loop would leave.
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
+        for event in batch.events() {
             self.on_event(ctx, event);
         }
     }
@@ -312,13 +416,8 @@ impl ObserverSet {
     /// recover same-typed observers in the order they were attached.
     pub fn take<T: Observer + 'static>(&mut self) -> Option<T> {
         let index = self.observers.iter().position(|o| o.as_any().is::<T>())?;
-        let boxed = self.observers.remove(index);
-        Some(
-            *boxed
-                .into_any()
-                .downcast::<T>()
-                .expect("position() matched this concrete type"),
-        )
+        let boxed = self.observers.remove(index).into_any();
+        boxed.downcast::<T>().ok().map(|observer| *observer)
     }
 }
 
@@ -468,9 +567,9 @@ impl Observer for RunCollector {
         }
     }
 
-    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
         if ctx.measured {
-            for event in events {
+            for event in batch.events() {
                 self.on_event(ctx, event);
             }
             return;
@@ -478,10 +577,9 @@ impl Observer for RunCollector {
         // Before `metrics_start` only the span starts outlive the slot:
         // an `Evict` closes a span of 0 measured slots, the counters are
         // measured-only, and the invoked scratch is cleared at `SlotEnd`.
-        for event in events {
-            if let SimEvent::Load { f, .. } = *event {
-                self.span_start[f.index()] = ctx.slot;
-            }
+        // Every `Load` of the batch is in one of its two load lists.
+        for &f in batch.demand_loads().iter().chain(batch.policy_loads()) {
+            self.span_start[f.index()] = ctx.slot;
         }
     }
 
@@ -612,14 +710,40 @@ impl Observer for SlotSeries {
         }
     }
 
-    /// An unmeasured slot records nothing and ends with its counters
-    /// reset, so its batch is skipped whole.
-    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
-        if ctx.measured {
-            for event in events {
+    /// A batch that ends its slot is recorded from the batch's counts in
+    /// O(1); only a batch without a `SlotEnd` (the policy's `on_start`
+    /// transitions, a replayed tail) is walked, into the running
+    /// counters the next `SlotEnd` records.
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
+        if !batch.ends_slot() {
+            for event in batch.events() {
                 self.on_event(ctx, event);
             }
+            return;
         }
+        if ctx.measured {
+            let loaded_now = ctx.pool.loaded_count();
+            let invoked_loaded = batch.invoked_loaded()
+                + self
+                    .invoked_now
+                    .iter()
+                    .filter(|&&f| ctx.pool.contains(f))
+                    .count();
+            self.loaded.push(loaded_now as u32);
+            self.cold.push(self.cold_now + batch.cold_starts());
+            self.warm.push(self.warm_now + batch.warm_starts());
+            self.evictions
+                .push(self.evict_now + batch.evictions() as u32);
+            self.emcr.push(if loaded_now == 0 {
+                0.0
+            } else {
+                invoked_loaded as f64 / loaded_now as f64
+            });
+        }
+        self.cold_now = 0;
+        self.warm_now = 0;
+        self.evict_now = 0;
+        self.invoked_now.clear();
     }
 
     observer_state!();
@@ -745,10 +869,11 @@ wire_record!(EvictionAudit {
 /// default the observer adopts the run's own limit at run start — the
 /// engine's pressure-admission budget when one is configured
 /// ([`crate::engine::SimConfig::with_pressure_budget`]), else the pool's
-/// hard capacity, else none. Occupancy is tracked from the Load/Evict
-/// events themselves, so the mid-slot peak is exact even though every
-/// event of a slot sees the end-of-slot pool; end-of-slot statistics
-/// use that pool at [`SimEvent::SlotEnd`].
+/// hard capacity, else none. It reads each batch's facts in O(1): the
+/// mid-slot peak from [`SlotBatch::peak_occupancy`] (exact, although
+/// every event of a slot sees the end-of-slot pool), the refusals from
+/// [`SlotBatch::rejected_loads`], and the end-of-slot statistics from
+/// the pool of a batch that ends its slot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryPressure {
     budget: Option<usize>,
@@ -819,6 +944,23 @@ impl MemoryPressure {
             self.slots_at_budget as f64 / self.slots as f64
         }
     }
+
+    /// Records a slot that ended with `loaded` instances in the pool.
+    fn end_slot(&mut self, loaded: usize) {
+        self.slots += 1;
+        self.loaded_integral += loaded as u64;
+        if let Some(budget) = self.budget {
+            if loaded >= budget {
+                self.slots_at_budget += 1;
+            }
+            self.over_budget_integral += loaded.saturating_sub(budget) as u64;
+            let headroom = budget.saturating_sub(loaded);
+            self.min_headroom = Some(match self.min_headroom {
+                Some(h) => h.min(headroom),
+                None => headroom,
+            });
+        }
+    }
 }
 
 impl Observer for MemoryPressure {
@@ -838,23 +980,17 @@ impl Observer for MemoryPressure {
             }
             SimEvent::Evict { .. } => self.occupancy -= 1,
             SimEvent::LoadRejected { .. } => self.rejected_loads += 1,
-            SimEvent::SlotEnd { .. } => {
-                let loaded = ctx.pool.loaded_count();
-                self.slots += 1;
-                self.loaded_integral += loaded as u64;
-                if let Some(budget) = self.budget {
-                    if loaded >= budget {
-                        self.slots_at_budget += 1;
-                    }
-                    self.over_budget_integral += loaded.saturating_sub(budget) as u64;
-                    let headroom = budget.saturating_sub(loaded);
-                    self.min_headroom = Some(match self.min_headroom {
-                        Some(h) => h.min(headroom),
-                        None => headroom,
-                    });
-                }
-            }
+            SimEvent::SlotEnd { .. } => self.end_slot(ctx.pool.loaded_count()),
             SimEvent::ColdStart { .. } | SimEvent::WarmStart { .. } => {}
+        }
+    }
+
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
+        self.peak_occupancy = self.peak_occupancy.max(batch.peak_occupancy());
+        self.occupancy = ctx.pool.loaded_count();
+        self.rejected_loads += batch.rejected_loads() as u64;
+        if batch.ends_slot() {
+            self.end_slot(ctx.pool.loaded_count());
         }
     }
 
@@ -936,13 +1072,19 @@ impl Fairness {
     /// (`apps_of_functions[i]` is function `i`'s owning app).
     #[must_use]
     pub fn new(apps_of_functions: &[AppId]) -> Self {
-        let mut apps: Vec<AppId> = apps_of_functions.to_vec();
-        apps.sort_unstable();
-        apps.dedup();
-        let app_index = apps_of_functions
-            .iter()
-            .map(|app| apps.binary_search(app).expect("app in sorted set") as u32)
-            .collect();
+        // Functions sorted by app: each run of equal apps is one dense
+        // index, handed out in ascending app order.
+        let mut by_app: Vec<usize> = (0..apps_of_functions.len()).collect();
+        by_app.sort_unstable_by_key(|&i| apps_of_functions[i]);
+        let mut apps: Vec<AppId> = Vec::new();
+        let mut app_index = vec![0u32; apps_of_functions.len()];
+        for i in by_app {
+            let app = apps_of_functions[i];
+            if apps.last() != Some(&app) {
+                apps.push(app);
+            }
+            app_index[i] = (apps.len() - 1) as u32;
+        }
         let n_apps = apps.len();
         Self {
             app_index,
@@ -1078,9 +1220,9 @@ impl Observer for Fairness {
         }
     }
 
-    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
         if ctx.measured {
-            for event in events {
+            for event in batch.events() {
                 self.on_event(ctx, event);
             }
         }

@@ -41,7 +41,7 @@ pub use engine::{snapshot_info, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC, SNA
 pub use engine::{try_simulate, SimConfig, SimDriver, SimError, Simulation, SlotOutcome};
 pub use events::{
     AppShare, DynObserver, EventCtx, EventLog, EvictCause, EvictionAudit, Fairness, LoadCause,
-    MemoryPressure, Observer, ObserverSet, RunCollector, RunMeta, SimEvent, SlotSeries,
+    MemoryPressure, Observer, ObserverSet, RunCollector, RunMeta, SimEvent, SlotBatch, SlotSeries,
 };
 pub use journal::{
     JournalError, JournalEvent, JournalMeta, JournalObserver, JournalReader, JournalWriter,

@@ -51,6 +51,10 @@ pub struct MemoryPool {
     loaded_at: Vec<Slot>,
     /// Transition journal; `None` when journaling is off (the default).
     journal: Option<Vec<PoolOp>>,
+    /// Highest occupancy since the last [`MemoryPool::reset_peak`],
+    /// raised on every insert: the engine hands it to observers as a
+    /// batch's mid-slot peak.
+    peak: usize,
 }
 
 const NO_POSITION: u32 = u32::MAX;
@@ -75,6 +79,7 @@ impl MemoryPool {
             admission: None,
             loaded_at: vec![0; n_functions],
             journal: None,
+            peak: 0,
         }
     }
 
@@ -100,6 +105,18 @@ impl MemoryPool {
         if let Some(journal) = &mut self.journal {
             out.append(journal);
         }
+    }
+
+    /// Restarts the occupancy high-water mark at the current occupancy
+    /// (engine-internal: called where a batch starts).
+    pub(crate) fn reset_peak(&mut self) {
+        self.peak = self.loaded.len();
+    }
+
+    /// The highest occupancy since the last [`MemoryPool::reset_peak`]
+    /// (engine-internal).
+    pub(crate) fn peak(&self) -> usize {
+        self.peak
     }
 
     fn record(&mut self, op: PoolOp) {
@@ -181,6 +198,7 @@ impl MemoryPool {
         self.position[f.index()] = self.loaded.len() as u32;
         self.loaded.push(f);
         self.loaded_at[f.index()] = now;
+        self.peak = self.peak.max(self.loaded.len());
     }
 
     /// Evicts `f`. Returns `true` if it was loaded.
@@ -503,6 +521,23 @@ mod tests {
         assert!(!pool.load(FunctionId(1), 0));
         pool.evict(FunctionId(0));
         assert!(pool.load(FunctionId(1), 1));
+    }
+
+    #[test]
+    fn peak_is_the_high_water_mark_since_the_last_reset() {
+        let mut pool = MemoryPool::unbounded(4);
+        pool.load(FunctionId(0), 0);
+        pool.demand_load(FunctionId(1), 0);
+        pool.evict(FunctionId(0));
+        assert_eq!((pool.peak(), pool.loaded_count()), (2, 1));
+        // A reset starts from the current occupancy, not from zero.
+        pool.reset_peak();
+        assert_eq!(pool.peak(), 1);
+        pool.evict(FunctionId(1));
+        pool.load(FunctionId(2), 1);
+        assert_eq!(pool.peak(), 1);
+        pool.load(FunctionId(3), 1);
+        assert_eq!(pool.peak(), 2);
     }
 
     #[test]

@@ -10,17 +10,20 @@
 //! definition, these properties would catch it on random traces ×
 //! {no-keep-alive, keep-forever, fixed-keep-alive} policies.
 //!
-//! The last property pins slot-at-a-time delivery: every workspace
-//! observer ends each slot in the same state whether it takes the
-//! slot's batch through its own [`Observer::on_slot_events`] or one
-//! event at a time, under every registry policy.
+//! The last properties pin slot-at-a-time delivery: every batch's
+//! [`SlotBatch`] facts equal a naive walk of its events, live, resumed
+//! and replayed, and every workspace observer ends each slot in the
+//! same state whether it takes the slot's batch through its own
+//! [`Observer::on_slot_events`] or one event at a time, under every
+//! registry policy.
 
 use proptest::prelude::*;
 use spes_bench::policies::{policy_names, PolicyCell};
 use spes_sim::{
     DynObserver, EventCtx, EventLog, EvictionAudit, Fairness, JournalMeta, JournalObserver,
-    JournalReader, LoadCause, MemoryPool, MemoryPressure, Observer, Policy, RunCollector, RunMeta,
-    ShardCounts, SimConfig, SimDriver, SimEvent, Simulation, SlotSeries,
+    JournalReader, LoadCause, MemoryPool, MemoryPressure, Observer, ObserverSet, Policy,
+    RunCollector, RunMeta, ShardCounts, SimConfig, SimDriver, SimEvent, Simulation, SlotBatch,
+    SlotSeries,
 };
 use spes_trace::{
     AppId, FunctionId, FunctionMeta, Slot, SparseSeries, SynthTrace, Trace, TriggerType, UserId,
@@ -363,6 +366,10 @@ impl<T: Observer> Observer for PerEvent<T> {
     fn snapshot(&self) -> Vec<u8> {
         self.0.snapshot()
     }
+
+    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
+        self.0.restore(state)
+    }
 }
 
 /// Records every delivered batch as `(slot, events, SlotEnd position)`
@@ -375,7 +382,8 @@ impl Observer for BatchLog {
         panic!("an event bypassed slot-at-a-time delivery");
     }
 
-    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, events: &[SimEvent]) {
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
+        let events = batch.events();
         let ends: Vec<usize> = (0..events.len())
             .filter(|&i| matches!(events[i], SimEvent::SlotEnd { .. }))
             .collect();
@@ -400,6 +408,199 @@ impl BatchLog {
             prop_assert_eq!(slot_end, Some(len - 1), "slot {} ends mid-batch", slot);
         }
         Ok(())
+    }
+}
+
+/// Checks every delivered batch's [`SlotBatch`] facts against a naive
+/// walk of its events. The walk starts from an occupancy the observer
+/// counts itself, from the run start through every `Load` and `Evict`;
+/// its snapshot carries that count across a resume.
+#[derive(Default)]
+struct FactsCheck {
+    occupancy: usize,
+    batches: u64,
+    /// The first batch whose facts differed from the walk.
+    mismatch: Option<String>,
+}
+
+impl FactsCheck {
+    fn walk(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) -> Result<(), String> {
+        let (mut cold, mut warm) = (0u32, 0u32);
+        let (mut evictions, mut rejected, mut invoked_loaded) = (0usize, 0usize, 0usize);
+        let (mut demand, mut policy) = (Vec::new(), Vec::new());
+        let mut peak = self.occupancy;
+        for event in batch.events() {
+            match *event {
+                SimEvent::ColdStart { f, .. } => {
+                    cold += 1;
+                    invoked_loaded += usize::from(ctx.measured && ctx.pool.contains(f));
+                }
+                SimEvent::WarmStart { f, .. } => {
+                    warm += 1;
+                    invoked_loaded += usize::from(ctx.measured && ctx.pool.contains(f));
+                }
+                SimEvent::Load { f, cause } => {
+                    match cause {
+                        LoadCause::Demand => demand.push(f),
+                        LoadCause::Policy => policy.push(f),
+                    }
+                    self.occupancy += 1;
+                    peak = peak.max(self.occupancy);
+                }
+                SimEvent::Evict { .. } => {
+                    evictions += 1;
+                    self.occupancy -= 1;
+                }
+                SimEvent::LoadRejected { .. } => rejected += 1,
+                SimEvent::SlotEnd { .. } => {}
+            }
+        }
+        let walked = (
+            (cold, warm, evictions, rejected),
+            (demand.as_slice(), policy.as_slice()),
+            (peak, invoked_loaded, self.occupancy),
+        );
+        let facts = (
+            (
+                batch.cold_starts(),
+                batch.warm_starts(),
+                batch.evictions(),
+                batch.rejected_loads(),
+            ),
+            (batch.demand_loads(), batch.policy_loads()),
+            (
+                batch.peak_occupancy(),
+                batch.invoked_loaded(),
+                ctx.pool.loaded_count(),
+            ),
+        );
+        if facts == walked {
+            Ok(())
+        } else {
+            Err(format!(
+                "slot {} (measured {}): facts {facts:?}, walk {walked:?}",
+                ctx.slot, ctx.measured
+            ))
+        }
+    }
+}
+
+impl Observer for FactsCheck {
+    fn on_run_start(&mut self, _meta: &RunMeta<'_>, pool: &MemoryPool) {
+        self.occupancy = pool.loaded_count();
+    }
+
+    fn on_event(&mut self, _ctx: &EventCtx<'_>, _event: &SimEvent) {
+        panic!("an event bypassed slot-at-a-time delivery");
+    }
+
+    fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
+        self.batches += 1;
+        if let Err(mismatch) = self.walk(ctx, batch) {
+            self.mismatch.get_or_insert(mismatch);
+        }
+    }
+
+    /// The occupancy and the batch count, as two little-endian `u64`s.
+    fn snapshot(&self) -> Vec<u8> {
+        [self.occupancy as u64, self.batches]
+            .iter()
+            .flat_map(|word| word.to_le_bytes())
+            .collect()
+    }
+
+    fn restore(&mut self, state: &[u8]) -> Result<(), String> {
+        let word = |i: usize| -> Result<u64, String> {
+            let bytes = state
+                .get(8 * i..8 * i + 8)
+                .ok_or("short FactsCheck state")?;
+            Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
+        };
+        self.occupancy = word(0)? as usize;
+        self.batches = word(1)?;
+        Ok(())
+    }
+}
+
+/// Fails with the first batch whose facts differed from the walk.
+fn facts_hold(check: Option<&FactsCheck>) -> Result<u64, TestCaseError> {
+    let check = check.unwrap();
+    prop_assert!(
+        check.mismatch.is_none(),
+        "{}",
+        check.mismatch.as_deref().unwrap()
+    );
+    Ok(check.batches)
+}
+
+/// A journal of `config`'s run over `n_functions` functions.
+fn journal_meta(name: &str, n_functions: usize, config: SimConfig) -> JournalMeta {
+    JournalMeta {
+        policy_name: name.to_owned(),
+        n_functions,
+        config,
+        trace_digest: 0,
+        seed: 0,
+        extra: Vec::new(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The facts the engine hands over without walking a batch (its
+    /// outcome scratch from the step's marks on, the pool's occupancy
+    /// high-water mark, the invoked-and-loaded count) against a naive
+    /// walk of the batch's events: plain, under a hard capacity and
+    /// under a pressure budget, resumed from a snapshot at a random
+    /// boundary, and replayed from the prefix's journal (where one walk
+    /// of each batch computes them).
+    #[test]
+    fn batch_facts_match_a_naive_walk_of_the_events(
+        trace in trace_strategy(10, 1, 60),
+        kind in 0u8..4,
+        limit in 1usize..6,
+        split in 0u32..60,
+        cut in 0u32..61,
+    ) {
+        let n = trace.n_functions();
+        let plain = SimConfig::new(0, 60).with_metrics_start(split);
+        let batches = trace.slot_batches(0, 60);
+        for config in [
+            plain,
+            plain.with_capacity(limit),
+            plain.with_pressure_budget(limit),
+        ] {
+            let meta = journal_meta("hunt", n, config);
+            let mut policy = make_policy(kind, n, 3);
+            let observers: Vec<Box<dyn DynObserver>> = vec![
+                Box::new(FactsCheck::default()),
+                Box::new(Journal::new(Vec::new(), &meta).unwrap()),
+            ];
+            let mut driver = SimDriver::new(n, config, policy.as_mut(), observers).unwrap();
+            facts_hold(driver.observer())?;
+            for t in 0..cut {
+                driver.step(t, batches.batch(t)).unwrap();
+                facts_hold(driver.observer())?;
+            }
+            let snapshot = driver.snapshot();
+            let (_, mut prefix) = driver.finish_with_observers();
+            let bytes = prefix.take::<Journal>().unwrap().into_inner().unwrap();
+            let reader = JournalReader::new(bytes.as_slice()).unwrap();
+            let replayed =
+                spes_sim::journal::replay(reader, vec![Box::new(FactsCheck::default())]).unwrap();
+            let replayed_batches = facts_hold(replayed.get())?;
+            prop_assert!(replayed_batches >= u64::from(cut));
+
+            let resumed: Vec<Box<dyn DynObserver>> = vec![Box::new(FactsCheck::default())];
+            let mut driver = SimDriver::resume_from(&snapshot, policy.as_mut(), resumed).unwrap();
+            for t in cut..60 {
+                driver.step(t, batches.batch(t)).unwrap();
+                facts_hold(driver.observer())?;
+            }
+            let checked = facts_hold(driver.observer())?;
+            prop_assert!(checked >= 60, "{} batches checked", checked);
+        }
     }
 }
 
@@ -461,14 +662,112 @@ fn all_same_state(driver: &SimDriver<'_>) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every workspace observer twice, batched and per event, then a
+/// [`BatchLog`].
+fn twinned_observers(trace: &Trace, meta: &JournalMeta) -> Vec<Box<dyn DynObserver>> {
+    let mut observers = workspace_observers(trace, meta, false);
+    observers.extend(workspace_observers(trace, meta, true));
+    observers.push(Box::new(BatchLog::default()));
+    observers
+}
+
+/// Checks a finished run's [`BatchLog`] over `[start, end)` and that the
+/// batched journal's bytes equal its per-event twin's; returns them.
+fn journal_of(
+    observers: &mut ObserverSet,
+    start: Slot,
+    end: Slot,
+    pre_start: bool,
+) -> Result<Vec<u8>, TestCaseError> {
+    observers
+        .take::<BatchLog>()
+        .unwrap()
+        .check(start, end, pre_start)?;
+    let bytes = observers.take::<Journal>().unwrap().into_inner().unwrap();
+    let twin = observers
+        .take::<PerEvent<Journal>>()
+        .unwrap()
+        .0
+        .into_inner()
+        .unwrap();
+    prop_assert!(bytes == twin, "journals differ over [{}, {})", start, end);
+    Ok(bytes)
+}
+
+/// Runs `cell`'s policy under `config` with [`twinned_observers`],
+/// comparing the twins at every slot boundary; the run is snapshotted
+/// at `cut` and resumed with fresh observers (a cut of 0 resumes before
+/// the first step, which then folds the `on_start` ops into its outcome
+/// scratch).
+fn delivery_matches(
+    trace: &Trace,
+    cell: &PolicyCell<'_>,
+    name: &str,
+    config: SimConfig,
+    cut: Slot,
+) -> Result<(), TestCaseError> {
+    let n_slots = trace.n_slots;
+    let batches = trace.slot_batches(0, n_slots);
+    let meta = JournalMeta {
+        trace_digest: trace.digest64(),
+        ..journal_meta(name, trace.n_functions(), config)
+    };
+    let mut policy = cell.build();
+    let mut driver = SimDriver::new(
+        trace.n_functions(),
+        config,
+        policy.as_mut(),
+        twinned_observers(trace, &meta),
+    )
+    .unwrap();
+    all_same_state(&driver)?;
+    for t in 0..cut {
+        driver.step(t, batches.batch(t)).unwrap();
+        all_same_state(&driver)?;
+    }
+    let snapshot = driver.snapshot();
+    let (_, mut prefix) = driver.finish_with_observers();
+    let bytes = journal_of(&mut prefix, 0, cut, true)?;
+
+    // A replay delivers one batch per recorded slot, with the pre-start
+    // loads folded into the first (or, before any slot, delivered as a
+    // tail of their own).
+    let reader = JournalReader::new(bytes.as_slice()).unwrap();
+    let mut replayed =
+        spes_sim::journal::replay(reader, vec![Box::new(BatchLog::default())]).unwrap();
+    replayed
+        .take::<BatchLog>()
+        .unwrap()
+        .check(0, cut, cut == 0)?;
+
+    let mut driver =
+        SimDriver::resume_from(&snapshot, policy.as_mut(), twinned_observers(trace, &meta))
+            .unwrap();
+    all_same_state(&driver)?;
+    for t in cut..n_slots {
+        driver.step(t, batches.batch(t)).unwrap();
+        all_same_state(&driver)?;
+    }
+    let (_, mut tail) = driver.finish_with_observers();
+    journal_of(&mut tail, cut, n_slots, false)?;
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
+    /// Batched against per-event delivery under every registry policy,
+    /// plain, under a hard capacity and under a pressure budget. The
+    /// policies fit on `[0, train_end)`, which SPES needs non-empty;
+    /// each run is measured once from slot 0, so the policy's `on_start`
+    /// batch is measured too, and once from `train_end`. Each run is
+    /// resumed before its first step and again at `cut`.
     #[test]
     fn batch_delivery_equals_per_event_delivery(
         trace in trace_strategy(9, 3, 72),
-        train_end in 24u32..60,
+        train_end in 1u32..60,
         limit in 1usize..6,
+        cut in 1u32..73,
     ) {
         let data = SynthTrace {
             trace,
@@ -476,59 +775,19 @@ proptest! {
             train_end,
         };
         let trace = &data.trace;
-        let plain = SimConfig::new(0, trace.n_slots).with_metrics_start(train_end);
         for name in policy_names() {
             let cell = PolicyCell::new(name, &data).unwrap();
-            for config in [
-                plain,
-                plain.with_capacity(limit),
-                plain.with_pressure_budget(limit),
-            ] {
-                let meta = JournalMeta {
-                    policy_name: name.to_owned(),
-                    n_functions: trace.n_functions(),
-                    config,
-                    trace_digest: trace.digest64(),
-                    seed: 0,
-                    extra: Vec::new(),
-                };
-                let mut observers = workspace_observers(trace, &meta, false);
-                observers.extend(workspace_observers(trace, &meta, true));
-                observers.push(Box::new(BatchLog::default()));
-                let mut policy = cell.build();
-                let mut driver =
-                    SimDriver::new(trace.n_functions(), config, policy.as_mut(), observers)
-                        .unwrap();
-                all_same_state(&driver)?;
-                let batches = trace.slot_batches(0, trace.n_slots);
-                for t in 0..trace.n_slots {
-                    driver.step(t, batches.batch(t)).unwrap();
-                    all_same_state(&driver)?;
+            for metrics_start in [0, train_end] {
+                let plain = SimConfig::new(0, trace.n_slots).with_metrics_start(metrics_start);
+                for config in [
+                    plain,
+                    plain.with_capacity(limit),
+                    plain.with_pressure_budget(limit),
+                ] {
+                    for at in [0, cut] {
+                        delivery_matches(trace, &cell, name, config, at)?;
+                    }
                 }
-                let (_, mut observers) = driver.finish_with_observers();
-                observers
-                    .take::<BatchLog>()
-                    .unwrap()
-                    .check(0, trace.n_slots, true)?;
-                let bytes = observers.take::<Journal>().unwrap().into_inner().unwrap();
-                let twin = observers
-                    .take::<PerEvent<Journal>>()
-                    .unwrap()
-                    .0
-                    .into_inner()
-                    .unwrap();
-                prop_assert!(bytes == twin, "{} journals differ under {:?}", name, config);
-
-                // A replay delivers one batch per recorded slot, with the
-                // pre-start loads folded into the first.
-                let reader = JournalReader::new(bytes.as_slice()).unwrap();
-                let mut replayed =
-                    spes_sim::journal::replay(reader, vec![Box::new(BatchLog::default())])
-                        .unwrap();
-                replayed
-                    .take::<BatchLog>()
-                    .unwrap()
-                    .check(0, trace.n_slots, false)?;
             }
         }
     }
