@@ -34,8 +34,8 @@ pub use perf::{
     ServeBenchReport, ServeBenchRow,
 };
 pub use policies::{
-    default_suite, policy_names, spec_of, suite_of, try_spec_of, PolicyCell, RegisteredPolicy,
-    UnknownPolicy, REGISTRY,
+    default_suite, policy_names, spec_of, suite_of, try_spec_of, CellError, PolicyCell,
+    RegisteredPolicy, UnknownPolicy, REGISTRY,
 };
 pub use replay::{
     check, describe_event, record, slot_events, summarize, why_evict, CheckReport, Divergence,

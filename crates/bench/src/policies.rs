@@ -182,6 +182,33 @@ impl From<UnknownPolicy> for String {
     }
 }
 
+/// Why a [`PolicyCell`] could not be made.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CellError {
+    /// The name is not registered.
+    Unknown(UnknownPolicy),
+    /// The trace's training window `[0, train_end)` is empty, so there
+    /// is nothing to fit a policy on.
+    EmptyTrainingWindow,
+}
+
+impl std::fmt::Display for CellError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Unknown(err) => err.fmt(f),
+            Self::EmptyTrainingWindow => write!(f, "the trace's training window is empty"),
+        }
+    }
+}
+
+impl std::error::Error for CellError {}
+
+impl From<CellError> for String {
+    fn from(err: CellError) -> Self {
+        err.to_string()
+    }
+}
+
 /// [`spec_of`] with the registered alternatives in the error.
 ///
 /// # Errors
@@ -216,12 +243,14 @@ impl<'t> PolicyCell<'t> {
     /// default SPES configuration.
     ///
     /// # Errors
-    /// Returns [`UnknownPolicy`] for names outside [`REGISTRY`].
-    pub fn new(name: &str, data: &'t SynthTrace) -> Result<Self, UnknownPolicy> {
-        Ok(Self {
-            spec: try_spec_of(name, &SpesConfig::default())?,
-            data,
-        })
+    /// Returns [`CellError::Unknown`] for names outside [`REGISTRY`] and
+    /// [`CellError::EmptyTrainingWindow`] when `data.train_end` is 0.
+    pub fn new(name: &str, data: &'t SynthTrace) -> Result<Self, CellError> {
+        let spec = try_spec_of(name, &SpesConfig::default()).map_err(CellError::Unknown)?;
+        if data.train_end == 0 {
+            return Err(CellError::EmptyTrainingWindow);
+        }
+        Ok(Self { spec, data })
     }
 
     /// Keeps the cell only if its capacity needs no other policy's run.
@@ -291,7 +320,7 @@ mod tests {
             .unwrap()
             .generate();
         let err = PolicyCell::new("lru", &data).err().unwrap();
-        assert_eq!(err, UnknownPolicy("lru".to_owned()));
+        assert_eq!(err, CellError::Unknown(UnknownPolicy("lru".to_owned())));
         assert_eq!(
             String::from(err),
             format!(
@@ -309,6 +338,24 @@ mod tests {
         assert_eq!(faascache.build().name(), "faascache");
         let err = faascache.standalone().err().unwrap();
         assert!(err.contains("capacity donor"), "{err}");
+    }
+
+    #[test]
+    fn policy_cells_refuse_an_empty_training_window() {
+        // A zero-day training window is public configuration.
+        let data = spes_trace::synth::generate(&spes_trace::synth::SynthConfig {
+            n_functions: 30,
+            days: 2,
+            train_days: 0,
+            seed: 5,
+            ..spes_trace::synth::SynthConfig::default()
+        });
+        assert_eq!(data.train_end, 0);
+        for name in policy_names() {
+            let err = PolicyCell::new(name, &data).err().unwrap();
+            assert_eq!(err, CellError::EmptyTrainingWindow, "{name}");
+        }
+        assert!(String::from(CellError::EmptyTrainingWindow).contains("training window"));
     }
 
     #[test]

@@ -614,22 +614,13 @@ impl CheckReport {
     }
 }
 
-/// The wall-clock stopwatch in `SlotEnd` is the one legitimately
-/// non-reproducible field; everything else must match bit for bit.
-fn normalised(event: &JournalEvent) -> (Slot, bool, SimEvent) {
-    let payload = match event.event {
-        SimEvent::SlotEnd { .. } => SimEvent::SlotEnd { policy_secs: 0.0 },
-        other => other,
-    };
-    (event.slot, event.measured, payload)
-}
-
 fn diff_streams(expected: &[JournalEvent], got: &[JournalEvent]) -> (u64, Option<Divergence>) {
     let n = expected.len().max(got.len());
     for i in 0..n {
         let e = expected.get(i);
         let g = got.get(i);
-        if e.map(normalised) != g.map(normalised) {
+        // Everything but the wall-clock stopwatch must match bit for bit.
+        if e.map(JournalEvent::untimed) != g.map(JournalEvent::untimed) {
             let slot = e.or(g).map_or(0, |event| event.slot);
             return (
                 (i + 1) as u64,

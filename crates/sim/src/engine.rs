@@ -43,8 +43,8 @@
 //! `docs/SCALING.md`.
 
 use crate::events::{
-    BatchFacts, DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunCollector,
-    RunMeta, SimEvent, SlotBatch,
+    DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunCollector, RunMeta,
+    SimEvent, SlotBatch,
 };
 use crate::memory::{MemoryPool, PoolOp};
 use crate::metrics::RunResult;
@@ -373,17 +373,20 @@ pub struct SlotOutcome<'a> {
     pub policy_secs: f64,
 }
 
-/// Per-slot decision scratch, reused across steps.
+/// The ledger of a slot: every transition emitted, sorted into counts
+/// and lists by [`OutcomeScratch::record`]. It backs both the step's
+/// [`SlotOutcome`] and the facts of each delivered [`SlotBatch`], live
+/// and replayed alike.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct OutcomeScratch {
-    invocations: u64,
-    cold_starts: u32,
-    warm_starts: u32,
-    demand_loads: Vec<FunctionId>,
-    policy_loads: Vec<FunctionId>,
-    policy_evictions: Vec<FunctionId>,
-    capacity_evictions: Vec<FunctionId>,
-    rejected_loads: Vec<FunctionId>,
+    pub(crate) invocations: u64,
+    pub(crate) cold_starts: u32,
+    pub(crate) warm_starts: u32,
+    pub(crate) demand_loads: Vec<FunctionId>,
+    pub(crate) policy_loads: Vec<FunctionId>,
+    pub(crate) policy_evictions: Vec<FunctionId>,
+    pub(crate) capacity_evictions: Vec<FunctionId>,
+    pub(crate) rejected_loads: Vec<FunctionId>,
 }
 
 wire_record!(OutcomeScratch {
@@ -397,45 +400,52 @@ wire_record!(OutcomeScratch {
     rejected_loads,
 });
 
-/// Where the current batch's share of the policy's [`OutcomeScratch`]
-/// lists starts: 0 after a clear, past the `on_start` ops in the first
-/// step (they went out as a batch of their own). Demand loads, capacity
-/// evictions and the cold and warm counts only come from steps, so they
-/// are always the step's own.
+/// Where the undelivered batch's share of the ledger's policy lists
+/// starts: 0 after a clear, past the `on_start` ops in the engine's
+/// first step (they went out as a batch of their own). Demand loads,
+/// capacity evictions and the cold and warm counts only come from
+/// steps, so they are always the batch's own.
 #[derive(Debug, Default, Clone, Copy)]
-struct ScratchMarks {
-    policy_loads: usize,
-    policy_evictions: usize,
-    rejected_loads: usize,
+pub(crate) struct ScratchMarks {
+    pub(crate) policy_loads: usize,
+    pub(crate) policy_evictions: usize,
+    pub(crate) rejected_loads: usize,
 }
 
 impl OutcomeScratch {
+    /// Sorts one emitted event into its count or list: the one place a
+    /// slot's transitions are counted. Inlined, it folds to one update
+    /// at each emit site; a call costs ~3 ns per `scale-stream` event.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::ColdStart { count, .. } => {
+                self.invocations += u64::from(count);
+                self.cold_starts += 1;
+            }
+            SimEvent::WarmStart { count, .. } => {
+                self.invocations += u64::from(count);
+                self.warm_starts += 1;
+            }
+            SimEvent::Load { f, cause } => match cause {
+                LoadCause::Demand => self.demand_loads.push(f),
+                LoadCause::Policy => self.policy_loads.push(f),
+            },
+            SimEvent::Evict { f, cause } => match cause {
+                EvictCause::Capacity => self.capacity_evictions.push(f),
+                EvictCause::Policy => self.policy_evictions.push(f),
+            },
+            SimEvent::LoadRejected { f } => self.rejected_loads.push(f),
+            SimEvent::SlotEnd { .. } => {}
+        }
+    }
+
     /// Marks the policy lists' current ends as the start of a new batch.
     fn marks(&self) -> ScratchMarks {
         ScratchMarks {
             policy_loads: self.policy_loads.len(),
             policy_evictions: self.policy_evictions.len(),
             rejected_loads: self.rejected_loads.len(),
-        }
-    }
-
-    /// The facts of the batch that started at `marks`.
-    fn facts(
-        &self,
-        marks: ScratchMarks,
-        peak_occupancy: usize,
-        invoked_loaded: usize,
-    ) -> BatchFacts<'_> {
-        BatchFacts {
-            cold_starts: self.cold_starts,
-            warm_starts: self.warm_starts,
-            evictions: self.policy_evictions.len() - marks.policy_evictions
-                + self.capacity_evictions.len(),
-            rejected_loads: self.rejected_loads.len() - marks.rejected_loads,
-            demand_loads: &self.demand_loads,
-            policy_loads: &self.policy_loads[marks.policy_loads..],
-            peak_occupancy,
-            invoked_loaded,
         }
     }
 
@@ -451,22 +461,27 @@ impl OutcomeScratch {
     }
 }
 
-/// The attached event sinks of one run: the attached observers and the
-/// driver's own optional metrics collector. [`crate::journal::replay`]
-/// delivers a recorded run through the same sinks.
+/// The attached event sinks of one run: the attached observers, the
+/// driver's own optional metrics collector, and the slot's ledger.
+/// [`crate::journal::replay`] delivers a recorded run through the same
+/// sinks.
 ///
 /// Events are buffered, not dispatched one by one: [`Sinks::emit`]
-/// appends to the current slot's batch, and [`Sinks::deliver`] hands the
-/// whole batch with its facts to each sink in one
-/// [`Observer::on_slot_events`] call, against the pool as it stands at
-/// the end of the batch. The driver delivers at the end of every step
-/// (after `SlotEnd`) and at the end of its constructor (the policy's
-/// `on_start` transitions), so no snapshot boundary ever holds an
-/// undelivered event; `replay` delivers its tail before
+/// records each in the ledger and appends it to the current slot's
+/// batch, and [`Sinks::deliver`] hands the whole batch with its facts to
+/// each sink in one [`Observer::on_slot_events`] call, against the pool
+/// as it stands at the end of the batch. The driver delivers at the end
+/// of every step (after `SlotEnd`) and at the end of its constructor
+/// (the policy's `on_start` transitions), so no snapshot boundary ever
+/// holds an undelivered event; `replay` delivers its tail before
 /// [`Sinks::run_end`].
 pub(crate) struct Sinks {
     pub(crate) observers: Vec<Box<dyn DynObserver>>,
     pub(crate) collector: Option<RunCollector>,
+    /// Every transition since the ledger was last emptied.
+    pub(crate) ledger: OutcomeScratch,
+    /// Where the undelivered batch starts in the ledger.
+    marks: ScratchMarks,
     /// The undelivered events, all of slot `batch_slot`.
     batch: Vec<SimEvent>,
     batch_slot: Slot,
@@ -474,13 +489,17 @@ pub(crate) struct Sinks {
 }
 
 impl Sinks {
+    /// Sinks whose `ledger` has been delivered up to its end.
     pub(crate) fn new(
         observers: Vec<Box<dyn DynObserver>>,
         collector: Option<RunCollector>,
+        ledger: OutcomeScratch,
     ) -> Self {
         Self {
             observers,
             collector,
+            marks: ledger.marks(),
+            ledger,
             batch: Vec::new(),
             batch_slot: 0,
             batch_measured: false,
@@ -496,16 +515,30 @@ impl Sinks {
         }
     }
 
-    /// Appends `event` of `slot` to the batch; a batch holds one slot.
+    /// Records `event` of `slot` in the ledger and appends it to the
+    /// batch; a batch holds one slot.
+    #[inline(always)]
     pub(crate) fn emit(&mut self, slot: Slot, measured: bool, event: SimEvent) {
         debug_assert!(
             self.batch.is_empty() || self.batch_slot == slot,
             "a batch spans slots {} and {slot}",
             self.batch_slot
         );
+        self.ledger.record(&event);
         self.batch_slot = slot;
         self.batch_measured = measured;
         self.batch.push(event);
+    }
+
+    /// Starts a batch, live or replayed: the pool's high-water mark
+    /// restarts at its occupancy, and the ledger empties if
+    /// `fresh_ledger` (the engine's first step keeps the `on_start` ops).
+    pub(crate) fn start_batch(&mut self, pool: &mut MemoryPool, fresh_ledger: bool) {
+        pool.reset_peak();
+        if fresh_ledger {
+            self.ledger.clear();
+            self.marks = ScratchMarks::default();
+        }
     }
 
     /// The slot of the undelivered events, if any.
@@ -513,14 +546,12 @@ impl Sinks {
         (!self.batch.is_empty()).then_some(self.batch_slot)
     }
 
-    /// The undelivered events and whether their slot is measured.
-    pub(crate) fn pending(&self) -> (&[SimEvent], bool) {
-        (&self.batch, self.batch_measured)
-    }
-
-    /// Hands the batch with its `facts` to every sink, then empties it;
-    /// a no-op when nothing is pending.
-    pub(crate) fn deliver(&mut self, pool: &MemoryPool, facts: BatchFacts<'_>) {
+    /// Hands the batch to every sink with its facts: the ledger from the
+    /// batch's marks on, the pool's high-water mark since the batch
+    /// started, and, in a measured batch, how many invocation events
+    /// name a function loaded in the batch-end `pool`. Then empties the
+    /// batch; a no-op when nothing is pending.
+    pub(crate) fn deliver(&mut self, pool: &MemoryPool) {
         if self.batch.is_empty() {
             return;
         }
@@ -529,7 +560,21 @@ impl Sinks {
             measured: self.batch_measured,
             pool,
         };
-        let batch = SlotBatch::new(&self.batch, facts);
+        let still_loaded = |event: &&SimEvent| match **event {
+            SimEvent::ColdStart { f, .. } | SimEvent::WarmStart { f, .. } => pool.contains(f),
+            _ => false,
+        };
+        let batch = SlotBatch {
+            events: &self.batch,
+            ledger: &self.ledger,
+            marks: self.marks,
+            peak_occupancy: pool.peak(),
+            invoked_loaded: if self.batch_measured {
+                self.batch.iter().filter(still_loaded).count()
+            } else {
+                0
+            },
+        };
         for observer in self.observers.iter_mut() {
             observer.on_slot_events(&ctx, &batch);
         }
@@ -537,6 +582,7 @@ impl Sinks {
             collector.on_slot_events(&ctx, &batch);
         }
         self.batch.clear();
+        self.marks = self.ledger.marks();
     }
 
     /// Fires `on_run_end` on every sink; the batch must be delivered.
@@ -583,8 +629,7 @@ pub struct SimDriver<'p> {
     sinks: Sinks,
     pool: MemoryPool,
     ops: Vec<PoolOp>,
-    scratch: OutcomeScratch,
-    /// Whether `step` must clear the scratch before recording (false only
+    /// Whether `step` must clear the ledger before recording (false only
     /// while it still holds the pre-start flush, folded into step one).
     clear_scratch: bool,
     next_slot: Slot,
@@ -645,10 +690,13 @@ impl<'p> SimDriver<'p> {
         let mut driver = Self {
             config,
             policy,
-            sinks: Sinks::new(observers, collect.then(RunCollector::new)),
+            sinks: Sinks::new(
+                observers,
+                collect.then(RunCollector::new),
+                Default::default(),
+            ),
             pool,
             ops: Vec::new(),
-            scratch: OutcomeScratch::default(),
             clear_scratch: false,
             next_slot: start,
             finished: false,
@@ -665,10 +713,7 @@ impl<'p> SimDriver<'p> {
         // becomes a policy Load at the first slot.
         driver.policy.on_start(start, &mut driver.pool);
         driver.flush(start, start >= metrics_start);
-        let facts = driver
-            .scratch
-            .facts(ScratchMarks::default(), driver.pool.peak(), 0);
-        driver.sinks.deliver(&driver.pool, facts);
+        driver.sinks.deliver(&driver.pool);
         driver
     }
 
@@ -744,25 +789,18 @@ impl<'p> SimDriver<'p> {
         if let Some(&(f, _)) = invoked.iter().find(|(f, _)| f.index() >= n_functions) {
             return Err(SimError::UnknownFunction { f, n_functions });
         }
-        if self.clear_scratch {
-            self.scratch.clear();
-        }
+        self.sinks.start_batch(&mut self.pool, self.clear_scratch);
         self.clear_scratch = true;
-        let marks = self.scratch.marks();
-        self.pool.reset_peak();
         let measured = slot >= self.config.metrics_start;
 
         // 1. Serve invocations: first arrival on an unloaded function is a
         // cold start; the instance is then resident for the rest of the
         // minute (and beyond, until the policy evicts it).
         for &(f, count) in invoked {
-            self.scratch.invocations += u64::from(count);
             if self.pool.contains(f) {
-                self.scratch.warm_starts += 1;
                 self.sinks
                     .emit(slot, measured, SimEvent::WarmStart { f, count });
             } else {
-                self.scratch.cold_starts += 1;
                 self.sinks
                     .emit(slot, measured, SimEvent::ColdStart { f, count });
                 self.serve_cold(f, slot, measured);
@@ -771,39 +809,31 @@ impl<'p> SimDriver<'p> {
 
         // 2. Policy decision hook (timed for the RQ2 overhead
         // comparison); its pool transitions become policy events.
-        // lint: allow(D002) RQ2 overhead timing only; replay's normalised() zeroes policy_secs before diffing
+        // lint: allow(D002) RQ2 overhead timing only; JournalEvent::untimed zeroes policy_secs before diffing
         let begin = Instant::now();
         self.policy.on_slot(slot, invoked, &mut self.pool);
         let policy_secs = begin.elapsed().as_secs_f64();
         self.flush(slot, measured);
 
         // 3. The slot is over: its events go to the observers as one
-        // batch, against the end-of-slot pool, with the facts the
-        // scratch and the pool's high-water mark already hold.
+        // batch, against the end-of-slot pool, with the facts the ledger
+        // and the pool's high-water mark already hold.
         self.sinks
             .emit(slot, measured, SimEvent::SlotEnd { policy_secs });
-        let invoked_loaded = if measured {
-            invoked
-                .iter()
-                .filter(|&&(f, _)| self.pool.contains(f))
-                .count()
-        } else {
-            0
-        };
-        let facts = self.scratch.facts(marks, self.pool.peak(), invoked_loaded);
-        self.sinks.deliver(&self.pool, facts);
+        self.sinks.deliver(&self.pool);
         self.next_slot = slot + 1;
+        let ledger = &self.sinks.ledger;
         Ok(SlotOutcome {
             slot,
             measured,
-            invocations: self.scratch.invocations,
-            cold_starts: self.scratch.cold_starts,
-            warm_starts: self.scratch.warm_starts,
-            demand_loads: &self.scratch.demand_loads,
-            policy_loads: &self.scratch.policy_loads,
-            policy_evictions: &self.scratch.policy_evictions,
-            capacity_evictions: &self.scratch.capacity_evictions,
-            rejected_loads: &self.scratch.rejected_loads,
+            invocations: ledger.invocations,
+            cold_starts: ledger.cold_starts,
+            warm_starts: ledger.warm_starts,
+            demand_loads: &ledger.demand_loads,
+            policy_loads: &ledger.policy_loads,
+            policy_evictions: &ledger.policy_evictions,
+            capacity_evictions: &ledger.capacity_evictions,
+            rejected_loads: &ledger.rejected_loads,
             occupancy: self.pool.loaded_count(),
             policy_secs,
         })
@@ -812,8 +842,7 @@ impl<'p> SimDriver<'p> {
     /// Serves a cold start of `f`: evicts instances (policy-chosen
     /// victims, falling back to the oldest-loaded instance via
     /// [`MemoryPool::oldest_loaded`]) until the pool has room, then
-    /// demand-loads `f`, emitting and recording each transition as it
-    /// is made.
+    /// demand-loads `f`, emitting each transition as it is made.
     fn serve_cold(&mut self, f: FunctionId, slot: Slot, measured: bool) {
         while self.pool.is_full() {
             let victim = self
@@ -824,7 +853,6 @@ impl<'p> SimDriver<'p> {
             // A full pool of capacity >= 1 is non-empty, so a victim exists.
             let Some(v) = victim else { break };
             self.pool.capacity_evict(v);
-            self.scratch.capacity_evictions.push(v);
             self.sinks.emit(
                 slot,
                 measured,
@@ -835,7 +863,6 @@ impl<'p> SimDriver<'p> {
             );
         }
         self.pool.demand_load(f, slot);
-        self.scratch.demand_loads.push(f);
         self.sinks.emit(
             slot,
             measured,
@@ -847,31 +874,21 @@ impl<'p> SimDriver<'p> {
     }
 
     /// Drains the pool's transition journal (the policy's loads,
-    /// evictions and refused loads), emits it as policy events
-    /// (preserving transition order), and records every decision in the
-    /// slot scratch.
+    /// evictions and refused loads) and emits it as policy events,
+    /// preserving transition order.
     fn flush(&mut self, slot: Slot, measured: bool) {
         self.pool.drain_journal_into(&mut self.ops);
         for op in &self.ops {
             let event = match *op {
-                PoolOp::Load(f) => {
-                    self.scratch.policy_loads.push(f);
-                    SimEvent::Load {
-                        f,
-                        cause: LoadCause::Policy,
-                    }
-                }
-                PoolOp::Evict(f) => {
-                    self.scratch.policy_evictions.push(f);
-                    SimEvent::Evict {
-                        f,
-                        cause: EvictCause::Policy,
-                    }
-                }
-                PoolOp::Reject(f) => {
-                    self.scratch.rejected_loads.push(f);
-                    SimEvent::LoadRejected { f }
-                }
+                PoolOp::Load(f) => SimEvent::Load {
+                    f,
+                    cause: LoadCause::Policy,
+                },
+                PoolOp::Evict(f) => SimEvent::Evict {
+                    f,
+                    cause: EvictCause::Policy,
+                },
+                PoolOp::Reject(f) => SimEvent::LoadRejected { f },
             };
             self.sinks.emit(slot, measured, event);
         }
@@ -932,7 +949,7 @@ impl<'p> SimDriver<'p> {
             next_slot: self.next_slot,
             finished: self.finished,
             clear_scratch: self.clear_scratch,
-            scratch: self.scratch.clone(),
+            scratch: self.sinks.ledger.clone(),
             loaded: self
                 .pool
                 .loaded()
@@ -1055,10 +1072,9 @@ impl<'p> SimDriver<'p> {
         Ok(Self {
             config,
             policy,
-            sinks: Sinks::new(observers, collector),
+            sinks: Sinks::new(observers, collector, payload.scratch),
             pool,
             ops: Vec::new(),
-            scratch: payload.scratch,
             clear_scratch: payload.clear_scratch,
             next_slot: payload.next_slot,
             finished: payload.finished,

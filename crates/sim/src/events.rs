@@ -57,6 +57,7 @@
 //! assert_eq!(ticks, trace.n_slots as usize);
 //! ```
 
+use crate::engine::{OutcomeScratch, ScratchMarks};
 use crate::journal::JournalEvent;
 use crate::memory::MemoryPool;
 use crate::metrics::RunResult;
@@ -168,39 +169,24 @@ pub struct EventCtx<'a> {
 }
 
 /// One delivered batch: a slot's events in emission order, plus the
-/// counts the engine kept while producing them.
+/// counts kept while they were emitted.
 ///
-/// The engine records every decision of a step in its outcome scratch
-/// (the lists behind [`crate::SlotOutcome`]) and the pool keeps a
-/// high-water mark of its occupancy, so these facts come without a walk
-/// of the events; an observer that needs only counts reads them here.
-/// [`crate::journal::replay`] computes the same facts with one walk of
-/// each replayed batch, so live and replayed observers take one path.
+/// Every emitted event is also sorted into the slot's ledger (the lists
+/// behind [`crate::SlotOutcome`]), and the pool keeps a high-water mark
+/// of its occupancy, so these facts come without a walk of the events;
+/// an observer that needs only counts reads them here.
+/// [`crate::journal::replay`] emits what it reads through the same
+/// ledger, so live and replayed observers take one path.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotBatch<'a> {
-    events: &'a [SimEvent],
-    facts: BatchFacts<'a>,
-}
-
-/// A batch's facts without its events; [`crate::engine`]'s sinks pair
-/// them with the buffered events into a [`SlotBatch`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct BatchFacts<'a> {
-    pub(crate) cold_starts: u32,
-    pub(crate) warm_starts: u32,
-    pub(crate) evictions: usize,
-    pub(crate) rejected_loads: usize,
-    pub(crate) demand_loads: &'a [FunctionId],
-    pub(crate) policy_loads: &'a [FunctionId],
+    pub(crate) events: &'a [SimEvent],
+    pub(crate) ledger: &'a OutcomeScratch,
+    pub(crate) marks: ScratchMarks,
     pub(crate) peak_occupancy: usize,
     pub(crate) invoked_loaded: usize,
 }
 
 impl<'a> SlotBatch<'a> {
-    pub(crate) fn new(events: &'a [SimEvent], facts: BatchFacts<'a>) -> Self {
-        Self { events, facts }
-    }
-
     /// The batch's events, in emission order.
     #[must_use]
     pub fn events(&self) -> &'a [SimEvent] {
@@ -218,39 +204,40 @@ impl<'a> SlotBatch<'a> {
     /// [`SimEvent::ColdStart`]s in the batch.
     #[must_use]
     pub fn cold_starts(&self) -> u32 {
-        self.facts.cold_starts
+        self.ledger.cold_starts
     }
 
     /// [`SimEvent::WarmStart`]s in the batch.
     #[must_use]
     pub fn warm_starts(&self) -> u32 {
-        self.facts.warm_starts
+        self.ledger.warm_starts
     }
 
     /// [`SimEvent::Evict`]s in the batch, of either cause.
     #[must_use]
     pub fn evictions(&self) -> usize {
-        self.facts.evictions
+        self.ledger.policy_evictions.len() - self.marks.policy_evictions
+            + self.ledger.capacity_evictions.len()
     }
 
     /// [`SimEvent::LoadRejected`]s in the batch.
     #[must_use]
     pub fn rejected_loads(&self) -> usize {
-        self.facts.rejected_loads
+        self.ledger.rejected_loads.len() - self.marks.rejected_loads
     }
 
     /// The functions of the batch's demand [`SimEvent::Load`]s, in
     /// event order.
     #[must_use]
     pub fn demand_loads(&self) -> &'a [FunctionId] {
-        self.facts.demand_loads
+        &self.ledger.demand_loads
     }
 
     /// The functions of the batch's policy [`SimEvent::Load`]s, in
     /// event order.
     #[must_use]
     pub fn policy_loads(&self) -> &'a [FunctionId] {
-        self.facts.policy_loads
+        &self.ledger.policy_loads[self.marks.policy_loads..]
     }
 
     /// The highest pool occupancy at any point of the batch, its start
@@ -258,7 +245,7 @@ impl<'a> SlotBatch<'a> {
     /// batch-end pool.
     #[must_use]
     pub fn peak_occupancy(&self) -> usize {
-        self.facts.peak_occupancy
+        self.peak_occupancy
     }
 
     /// How many of the batch's invocation events name a function loaded
@@ -266,7 +253,7 @@ impl<'a> SlotBatch<'a> {
     /// only in a measured batch; 0 in an unmeasured one.
     #[must_use]
     pub fn invoked_loaded(&self) -> usize {
-        self.facts.invoked_loaded
+        self.invoked_loaded
     }
 }
 

@@ -35,8 +35,7 @@
 
 use crate::engine::{validate_window, SimConfig, Sinks};
 use crate::events::{
-    BatchFacts, DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunMeta,
-    SimEvent,
+    DynObserver, EventCtx, EvictCause, LoadCause, Observer, ObserverSet, RunMeta, SimEvent,
 };
 use crate::memory::MemoryPool;
 use crate::wire::{self, crc32, put_f64, put_varint, put_zigzag, Cursor};
@@ -408,6 +407,20 @@ pub struct JournalEvent {
     pub event: SimEvent,
 }
 
+impl JournalEvent {
+    /// The event with `SlotEnd`'s wall-clock `policy_secs` zeroed: the
+    /// one field two runs of the same workload may differ in, so streams
+    /// are compared untimed.
+    #[must_use]
+    pub fn untimed(&self) -> Self {
+        let event = match self.event {
+            SimEvent::SlotEnd { .. } => SimEvent::SlotEnd { policy_secs: 0.0 },
+            other => other,
+        };
+        Self { event, ..*self }
+    }
+}
+
 /// Streaming decoder over a journal: validates the header, then yields
 /// every event in order (also usable as an [`Iterator`]).
 pub struct JournalReader<R: Read> {
@@ -675,9 +688,9 @@ impl<W: Write> std::fmt::Debug for JournalObserver<W> {
 /// `on_run_end` go through the engine's own sinks, which deliver each
 /// slot's events as one [`Observer::on_slot_events`] batch at its
 /// `SlotEnd`; a tail after the last `SlotEnd` is delivered before
-/// `on_run_end`. Each batch's [`crate::events::SlotBatch`] facts come
-/// from one walk of its events. The run ends at the slot after the last
-/// `SlotEnd`, where a step-driven run ends.
+/// `on_run_end`. Each batch takes its [`crate::events::SlotBatch`]
+/// facts from the sinks' ledger, as a step's batch does. The run ends at
+/// the slot after the last `SlotEnd`, where a step-driven run ends.
 ///
 /// Every event of a batch sees the pool as it stands at the end of the
 /// batch, live and replayed alike (see [`EventCtx::pool`]), so replayed
@@ -701,7 +714,7 @@ pub fn replay<R: Read>(
     validate_window(&config, None).map_err(|e| JournalError::Corrupt(e.to_string()))?;
     let mut pool = MemoryPool::with_capacity(meta.n_functions, config.capacity);
     pool.set_admission_budget(config.pressure_budget);
-    let mut sinks = Sinks::new(observers, None);
+    let mut sinks = Sinks::new(observers, None, Default::default());
     let run = RunMeta {
         policy_name: &meta.policy_name,
         start: config.start,
@@ -709,7 +722,6 @@ pub fn replay<R: Read>(
         end: config.end,
     };
     sinks.run_start(&run, &pool);
-    let mut lists = LoadLists::default();
     let mut run_end = config.start;
     while let Some(JournalEvent {
         slot,
@@ -720,69 +732,22 @@ pub fn replay<R: Read>(
         // A batch holds one slot, even in a journal with no `SlotEnd`
         // between two slots.
         if sinks.pending_slot().is_some_and(|pending| pending != slot) {
-            deliver_walked(&mut sinks, &pool, &mut lists);
+            sinks.deliver(&pool);
+        }
+        if sinks.pending_slot().is_none() {
+            sinks.start_batch(&mut pool, true);
         }
         apply(&mut pool, slot, &event)
             .map_err(|what| JournalError::Corrupt(format!("slot {slot}: {what}")))?;
         sinks.emit(slot, measured, event);
         if matches!(event, SimEvent::SlotEnd { .. }) {
             run_end = slot.saturating_add(1);
-            deliver_walked(&mut sinks, &pool, &mut lists);
+            sinks.deliver(&pool);
         }
     }
-    deliver_walked(&mut sinks, &pool, &mut lists);
+    sinks.deliver(&pool);
     sinks.run_end(run_end, &pool);
     Ok(ObserverSet::new(sinks.observers))
-}
-
-/// [`replay`]'s reusable demand- and policy-load lists.
-#[derive(Default)]
-struct LoadLists {
-    demand: Vec<FunctionId>,
-    policy: Vec<FunctionId>,
-}
-
-/// Delivers the pending batch with the facts the engine would have
-/// handed over, taken from one walk of its events against the batch-end
-/// `pool`.
-fn deliver_walked(sinks: &mut Sinks, pool: &MemoryPool, lists: &mut LoadLists) {
-    let (events, measured) = sinks.pending();
-    lists.demand.clear();
-    lists.policy.clear();
-    let mut facts = BatchFacts::default();
-    // Occupancy relative to the batch start, and its highest value.
-    let (mut rise, mut max_rise) = (0i64, 0i64);
-    for event in events {
-        match *event {
-            SimEvent::ColdStart { f, .. } => {
-                facts.cold_starts += 1;
-                facts.invoked_loaded += usize::from(measured && pool.contains(f));
-            }
-            SimEvent::WarmStart { f, .. } => {
-                facts.warm_starts += 1;
-                facts.invoked_loaded += usize::from(measured && pool.contains(f));
-            }
-            SimEvent::Load { f, cause } => {
-                match cause {
-                    LoadCause::Demand => lists.demand.push(f),
-                    LoadCause::Policy => lists.policy.push(f),
-                }
-                rise += 1;
-                max_rise = max_rise.max(rise);
-            }
-            SimEvent::Evict { .. } => {
-                facts.evictions += 1;
-                rise -= 1;
-            }
-            SimEvent::LoadRejected { .. } => facts.rejected_loads += 1,
-            SimEvent::SlotEnd { .. } => {}
-        }
-    }
-    let start = pool.loaded_count() as i64 - rise;
-    facts.peak_occupancy = (start + max_rise) as usize;
-    facts.demand_loads = &lists.demand;
-    facts.policy_loads = &lists.policy;
-    sinks.deliver(pool, facts);
 }
 
 /// Applies one recorded event to [`replay`]'s pool, refusing what no run

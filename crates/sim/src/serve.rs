@@ -45,7 +45,7 @@
 //! continue with a policy that never saw the first session.
 
 use crate::engine::{snapshot_info, SimConfig, SimDriver, SimError, SlotOutcome, SnapshotError};
-use crate::events::{DynObserver, EvictionAudit, Fairness, MemoryPressure};
+use crate::events::{DynObserver, EvictionAudit, Fairness, MemoryPressure, Observer};
 use crate::journal::{JournalMeta, JournalObserver};
 use crate::metrics::RunResult;
 use crate::policy::Policy;
@@ -128,6 +128,9 @@ pub enum ServeError {
     Resume(SnapshotError),
     /// The write-through journal could not be opened or written.
     Journal(String),
+    /// The driver lost one of the observers every session attaches
+    /// (named by type).
+    MissingObserver(&'static str),
 }
 
 impl std::fmt::Display for ServeError {
@@ -139,6 +142,9 @@ impl std::fmt::Display for ServeError {
             Self::Window(e) => write!(f, "invalid serving window: {e}"),
             Self::Resume(e) => write!(f, "resume failed: {e}"),
             Self::Journal(message) => write!(f, "journal write-through failed: {message}"),
+            Self::MissingObserver(observer) => {
+                write!(f, "the session lost its {observer} observer")
+            }
         }
     }
 }
@@ -375,18 +381,8 @@ pub fn serve<R: BufRead, W: Write>(
 
     // Snapshot the observers before the driver consumes itself (their
     // run-end hooks are no-ops, so pre-finish clones are complete).
-    let pressure = driver
-        .observer::<MemoryPressure>()
-        .cloned()
-        .expect("attached above");
-    let fairness = driver
-        .observer::<Fairness>()
-        .cloned()
-        .expect("attached above");
-    let audit = driver
-        .observer::<EvictionAudit>()
-        .cloned()
-        .expect("attached above");
+    let (pressure, fairness, audit) = suite_observers(&driver)?;
+    let (pressure, fairness, audit) = (pressure.clone(), fairness.clone(), audit.clone());
     let run = driver.finish();
     writeln!(
         output,
@@ -432,7 +428,7 @@ fn advance_to<W: Write>(
         if let Some(every) = config.snapshot_every {
             if every > 0 && (slot - driver.config().start + 1).is_multiple_of(every) {
                 stats.snapshots += 1;
-                let snapshot = render_snapshot(driver, slot);
+                let snapshot = render_snapshot(driver, slot)?;
                 writeln!(output, "{snapshot}")?;
             }
         }
@@ -596,17 +592,22 @@ fn render_slot(outcome: &SlotOutcome<'_>) -> String {
     ])
 }
 
-fn render_snapshot(driver: &SimDriver<'_>, slot: Slot) -> String {
-    let pressure = driver
-        .observer::<MemoryPressure>()
-        .expect("serve always attaches MemoryPressure");
-    let fairness = driver
-        .observer::<Fairness>()
-        .expect("serve always attaches Fairness");
-    let audit = driver
-        .observer::<EvictionAudit>()
-        .expect("serve always attaches EvictionAudit");
-    obj(vec![
+/// The [`MemoryPressure`], [`Fairness`] and [`EvictionAudit`] that
+/// [`serve`] attaches to every session.
+fn suite_observers<'d>(
+    driver: &'d SimDriver<'_>,
+) -> Result<(&'d MemoryPressure, &'d Fairness, &'d EvictionAudit), ServeError> {
+    fn get<'d, T: Observer + 'static>(driver: &'d SimDriver<'_>) -> Result<&'d T, ServeError> {
+        driver
+            .observer()
+            .ok_or(ServeError::MissingObserver(std::any::type_name::<T>()))
+    }
+    Ok((get(driver)?, get(driver)?, get(driver)?))
+}
+
+fn render_snapshot(driver: &SimDriver<'_>, slot: Slot) -> Result<String, ServeError> {
+    let (pressure, fairness, audit) = suite_observers(driver)?;
+    Ok(obj(vec![
         ("type", "snapshot".to_value()),
         ("slot", slot.to_value()),
         ("occupancy", driver.pool().loaded_count().to_value()),
@@ -623,7 +624,7 @@ fn render_snapshot(driver: &SimDriver<'_>, slot: Slot) -> String {
         ("capacity_evictions", audit.capacity_evictions.to_value()),
         ("reloads", audit.reloads.to_value()),
         ("premature_reloads", audit.premature_reloads.to_value()),
-    ])
+    ]))
 }
 
 fn render_error(message: &str) -> String {

@@ -239,6 +239,9 @@ pub enum SuiteError {
         /// Why the engine refused the window.
         error: SimError,
     },
+    /// The trace's training window `[0, train_end)` is empty, so there
+    /// is nothing to fit a policy on.
+    EmptyTrainingWindow,
     /// A run did not hand back one of the observers the suite attached.
     MissingObserver {
         /// The spec whose run lost the observer.
@@ -266,6 +269,7 @@ impl std::fmt::Display for SuiteError {
             Self::Simulation { policy, error } => {
                 write!(f, "policy {policy:?} could not be simulated: {error}")
             }
+            Self::EmptyTrainingWindow => write!(f, "the trace's training window is empty"),
             Self::MissingObserver { policy, observer } => {
                 write!(
                     f,
@@ -329,9 +333,13 @@ fn take_observer<T: Observer + 'static>(
 /// second phase with their donors' results available via
 /// [`FitContext::prior`].
 ///
-/// Returns one entry per spec, in spec order.
+/// Returns one entry per spec, in spec order, or
+/// [`SuiteError::EmptyTrainingWindow`] when `data.train_end` is 0.
 pub fn run_suite(data: &SynthTrace, specs: &[PolicySpec]) -> Result<Vec<SuiteEntry>, SuiteError> {
     validate_suite(specs)?;
+    if data.train_end == 0 {
+        return Err(SuiteError::EmptyTrainingWindow);
+    }
     let trace = &data.trace;
     let train_end = data.train_end;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(train_end);
@@ -476,6 +484,24 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("could not be simulated"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_training_window_is_an_error() {
+        // A zero-day training window is public configuration.
+        let data = synth::generate(&SynthConfig {
+            n_functions: 30,
+            days: 2,
+            train_days: 0,
+            seed: 5,
+            ..SynthConfig::default()
+        });
+        assert_eq!(data.train_end, 0);
+        let specs = [keep_forever()];
+        assert_eq!(
+            run_suite(&data, &specs).unwrap_err(),
+            SuiteError::EmptyTrainingWindow
+        );
     }
 
     #[test]

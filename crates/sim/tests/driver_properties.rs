@@ -10,118 +10,15 @@
 //! Only the wall-clock policy-overhead stopwatch is exempt (normalised
 //! to zero on both sides before comparison).
 
+mod common;
+
+use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
 use spes_sim::{
-    try_simulate, DynObserver, EventLog, EvictionAudit, MemoryPool, MemoryPressure, Policy,
-    RunCollector, SimConfig, SimDriver, SimEvent, Simulation,
+    try_simulate, DynObserver, EventLog, EvictionAudit, JournalEvent, MemoryPressure, RunCollector,
+    SimConfig, SimDriver, Simulation,
 };
-use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
-
-fn trace_strategy(n_functions: usize, horizon: Slot) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        prop::collection::vec((0..horizon, 1u32..20), 0..40),
-        n_functions,
-    )
-    .prop_map(move |all| {
-        let meta = FunctionMeta {
-            app: AppId(0),
-            user: UserId(0),
-            trigger: TriggerType::Http,
-        };
-        let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, vec![meta; n_functions], series)
-    })
-}
-
-/// Keep-alive for a fixed number of slots after the last invocation.
-struct FixedKeepAlive {
-    last_invoked: Vec<Option<Slot>>,
-    keep: u32,
-}
-
-impl FixedKeepAlive {
-    fn new(n: usize, keep: u32) -> Self {
-        Self {
-            last_invoked: vec![None; n],
-            keep,
-        }
-    }
-}
-
-impl Policy for FixedKeepAlive {
-    fn name(&self) -> &str {
-        "fixed-keep-alive"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        for &(f, _) in invoked {
-            self.last_invoked[f.index()] = Some(now);
-        }
-        for f in pool.loaded().to_vec() {
-            match self.last_invoked[f.index()] {
-                Some(last) if now - last >= self.keep => {
-                    pool.evict(f);
-                }
-                None => {
-                    pool.evict(f);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Pre-warms a rotating window of functions on top of fixed keep-alive
-/// eviction — exercises pressure-admission rejections and, under a hard
-/// capacity, the engine's make-room fallback.
-struct ChurningPrewarm {
-    keep: FixedKeepAlive,
-    width: u32,
-}
-
-impl Policy for ChurningPrewarm {
-    fn name(&self) -> &str {
-        "churning-prewarm"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        let n = pool.n_functions() as u32;
-        for i in 0..self.width.min(n) {
-            if pool.is_full() {
-                break;
-            }
-            pool.load(FunctionId((now + i) % n), now);
-        }
-        self.keep.on_slot(now, invoked, pool);
-    }
-}
-
-fn make_policy(kind: u8, n: usize, keep: u32) -> Box<dyn Policy> {
-    match kind {
-        0 => Box::new(spes_sim::NoKeepAlive),
-        1 => Box::new(spes_sim::KeepForever),
-        2 => Box::new(FixedKeepAlive::new(n, keep)),
-        _ => Box::new(ChurningPrewarm {
-            keep: FixedKeepAlive::new(n, keep),
-            width: 3,
-        }),
-    }
-}
-
-/// The wall-clock stopwatch inside `SlotEnd` is the one non-reproducible
-/// bit of the stream; zero it on both sides.
-fn normalised_events(log: &EventLog) -> Vec<(Slot, bool, SimEvent)> {
-    log.events
-        .iter()
-        .map(|logged| {
-            let event = match logged.event {
-                SimEvent::SlotEnd { .. } => SimEvent::SlotEnd { policy_secs: 0.0 },
-                other => other,
-            };
-            (logged.slot, logged.measured, event)
-        })
-        .collect()
-}
+use spes_trace::{AppId, FunctionMeta, SparseSeries, Trace, TriggerType, UserId};
 
 /// Runs the batch path and the hand-stepped driver path over the same
 /// trace/config/policy and asserts `RunResult` + `EventLog` parity.
@@ -156,8 +53,16 @@ fn assert_step_parity(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
     assert_eq!(stepped, batch, "RunResult diverged (kind {kind})");
 
     assert_eq!(
-        normalised_events(&stepped_log),
-        normalised_events(&batch_log),
+        stepped_log
+            .events
+            .iter()
+            .map(JournalEvent::untimed)
+            .collect::<Vec<_>>(),
+        batch_log
+            .events
+            .iter()
+            .map(JournalEvent::untimed)
+            .collect::<Vec<_>>(),
         "event stream diverged (kind {kind})"
     );
     assert_eq!(stepped_log.policy_name, batch_log.policy_name);
@@ -212,7 +117,7 @@ proptest! {
     /// Unlimited-memory runs, with and without a warm-up window.
     #[test]
     fn stepping_matches_batch_unlimited(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 1, 40, 40),
         kind in 0u8..4,
         keep in 1u32..6,
         warmup in 0u32..10,
@@ -226,7 +131,7 @@ proptest! {
     /// loop.
     #[test]
     fn stepping_matches_batch_with_capacity(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 1, 40, 40),
         kind in 0u8..4,
         keep in 1u32..6,
         capacity in 1usize..4,
@@ -239,7 +144,7 @@ proptest! {
     /// emitted at the same points of the stream.
     #[test]
     fn stepping_matches_batch_with_admission_budget(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 1, 40, 40),
         kind in 0u8..4,
         keep in 1u32..6,
         budget in 1usize..4,
@@ -254,7 +159,7 @@ proptest! {
     /// admission-limited configs.
     #[test]
     fn observer_combos_match_between_batch_and_stepped(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 1, 40, 40),
         kind in 0u8..4,
         keep in 1u32..6,
         mode in 0u8..3,

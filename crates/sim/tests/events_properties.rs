@@ -17,114 +17,18 @@
 //! [`Observer::on_slot_events`] or one event at a time, under every
 //! registry policy.
 
+mod common;
+
+use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
 use spes_bench::policies::{policy_names, PolicyCell};
 use spes_sim::{
     DynObserver, EventCtx, EventLog, EvictionAudit, Fairness, JournalMeta, JournalObserver,
-    JournalReader, LoadCause, MemoryPool, MemoryPressure, Observer, ObserverSet, Policy,
-    RunCollector, RunMeta, ShardCounts, SimConfig, SimDriver, SimEvent, Simulation, SlotBatch,
-    SlotSeries,
+    JournalReader, LoadCause, MemoryPool, MemoryPressure, Observer, ObserverSet, RunCollector,
+    RunMeta, ShardCounts, SimConfig, SimDriver, SimEvent, Simulation, SlotBatch, SlotSeries,
 };
-use spes_trace::{
-    AppId, FunctionId, FunctionMeta, Slot, SparseSeries, SynthTrace, Trace, TriggerType, UserId,
-};
+use spes_trace::{FunctionId, Slot, SynthTrace, Trace};
 use std::collections::HashSet;
-
-/// Random traces of `n_functions` functions spread round-robin over
-/// `n_apps` applications.
-fn trace_strategy(n_functions: usize, n_apps: u32, horizon: Slot) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        prop::collection::vec((0..horizon, 1u32..20), 0..40),
-        n_functions,
-    )
-    .prop_map(move |all| {
-        let metas = (0..n_functions as u32)
-            .map(|i| FunctionMeta {
-                app: AppId(i % n_apps),
-                user: UserId(0),
-                trigger: TriggerType::Http,
-            })
-            .collect();
-        let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, metas, series)
-    })
-}
-
-/// Keep-alive for a fixed number of slots after the last invocation.
-struct FixedKeepAlive {
-    last_invoked: Vec<Option<Slot>>,
-    keep: u32,
-}
-
-impl FixedKeepAlive {
-    fn new(n: usize, keep: u32) -> Self {
-        Self {
-            last_invoked: vec![None; n],
-            keep,
-        }
-    }
-}
-
-impl Policy for FixedKeepAlive {
-    fn name(&self) -> &str {
-        "fixed-keep-alive"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        for &(f, _) in invoked {
-            self.last_invoked[f.index()] = Some(now);
-        }
-        for f in pool.loaded().to_vec() {
-            match self.last_invoked[f.index()] {
-                Some(last) if now - last >= self.keep => {
-                    pool.evict(f);
-                }
-                None => {
-                    pool.evict(f);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Aggressively pre-warms a rotating window of functions each slot on
-/// top of fixed keep-alive eviction — churny enough to exercise
-/// admission control from both sides (loads racing the budget, evictions
-/// re-opening headroom).
-struct ChurningPrewarm {
-    keep: FixedKeepAlive,
-    width: u32,
-}
-
-impl Policy for ChurningPrewarm {
-    fn name(&self) -> &str {
-        "churning-prewarm"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        let n = pool.n_functions() as u32;
-        for i in 0..self.width.min(n) {
-            if pool.is_full() {
-                break;
-            }
-            pool.load(FunctionId((now + i) % n), now);
-        }
-        self.keep.on_slot(now, invoked, pool);
-    }
-}
-
-fn make_policy(kind: u8, n: usize, keep: u32) -> Box<dyn Policy> {
-    match kind {
-        0 => Box::new(spes_sim::NoKeepAlive),
-        1 => Box::new(spes_sim::KeepForever),
-        2 => Box::new(FixedKeepAlive::new(n, keep)),
-        _ => Box::new(ChurningPrewarm {
-            keep: FixedKeepAlive::new(n, keep),
-            width: 3,
-        }),
-    }
-}
 
 /// The old per-slot accounting, re-derived purely from a recorded event
 /// stream (no pool access).
@@ -208,7 +112,7 @@ proptest! {
 
     #[test]
     fn event_stream_reconstructs_the_run_result(
-        trace in trace_strategy(10, 1, 120),
+        trace in trace_strategy(10, 1, 40, 120),
         kind in 0u8..3,
         keep in 1u32..8,
         split in 0u32..120,
@@ -236,7 +140,7 @@ proptest! {
 
     #[test]
     fn event_stream_reconstructs_capacity_limited_runs(
-        trace in trace_strategy(10, 1, 80),
+        trace in trace_strategy(10, 1, 40, 80),
         cap in 1usize..8,
     ) {
         let mut policy = spes_sim::KeepForever;
@@ -256,7 +160,7 @@ proptest! {
 
     #[test]
     fn admission_control_reconstructs_and_respects_the_budget(
-        trace in trace_strategy(10, 1, 100),
+        trace in trace_strategy(10, 1, 40, 100),
         kind in 0u8..4,
         budget in 0usize..6,
         cap_raw in 0usize..9,
@@ -323,7 +227,7 @@ proptest! {
 
     #[test]
     fn slot_series_totals_match_the_run(
-        trace in trace_strategy(8, 1, 100),
+        trace in trace_strategy(8, 1, 40, 100),
         kind in 0u8..3,
     ) {
         let mut policy = make_policy(kind, trace.n_functions(), 3);
@@ -548,16 +452,16 @@ fn journal_meta(name: &str, n_functions: usize, config: SimConfig) -> JournalMet
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The facts the engine hands over without walking a batch (its
-    /// outcome scratch from the step's marks on, the pool's occupancy
-    /// high-water mark, the invoked-and-loaded count) against a naive
-    /// walk of the batch's events: plain, under a hard capacity and
-    /// under a pressure budget, resumed from a snapshot at a random
-    /// boundary, and replayed from the prefix's journal (where one walk
-    /// of each batch computes them).
+    /// The facts handed over without walking a batch (the slot's
+    /// ledger from the batch's marks on, the pool's occupancy high-water
+    /// mark, the invoked-and-loaded count) against a naive walk of the
+    /// batch's events: plain, under a hard capacity and under a pressure
+    /// budget, resumed from a snapshot at a random boundary, and
+    /// replayed from the prefix's journal (which fills the same ledger
+    /// as it emits).
     #[test]
     fn batch_facts_match_a_naive_walk_of_the_events(
-        trace in trace_strategy(10, 1, 60),
+        trace in trace_strategy(10, 1, 40, 60),
         kind in 0u8..4,
         limit in 1usize..6,
         split in 0u32..60,
@@ -764,7 +668,7 @@ proptest! {
     /// resumed before its first step and again at `cut`.
     #[test]
     fn batch_delivery_equals_per_event_delivery(
-        trace in trace_strategy(9, 3, 72),
+        trace in trace_strategy(9, 3, 40, 72),
         train_end in 1u32..60,
         limit in 1usize..6,
         cut in 1u32..73,

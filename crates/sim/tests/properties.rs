@@ -1,25 +1,12 @@
 //! Property-based tests of the simulation engine: pool algebra and
 //! engine accounting invariants under arbitrary workloads and policies.
 
+mod common;
+
+use common::trace_strategy;
 use proptest::prelude::*;
 use spes_sim::{try_simulate, KeepForever, MemoryPool, NoKeepAlive, Policy, SimConfig};
-use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
-
-fn trace_strategy(n_functions: usize, horizon: Slot) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        prop::collection::vec((0..horizon, 1u32..20), 0..40),
-        n_functions,
-    )
-    .prop_map(move |all| {
-        let meta = FunctionMeta {
-            app: AppId(0),
-            user: UserId(0),
-            trigger: TriggerType::Http,
-        };
-        let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, vec![meta; n_functions], series)
-    })
-}
+use spes_trace::{FunctionId, Slot};
 
 /// A policy that takes pseudo-random load/evict actions, to fuzz the
 /// engine's accounting from the policy side.
@@ -126,7 +113,7 @@ proptest! {
     }
 
     #[test]
-    fn engine_accounting_invariants(trace in trace_strategy(12, 120), seed in 1u64..5000) {
+    fn engine_accounting_invariants(trace in trace_strategy(12, 1, 40, 120), seed in 1u64..5000) {
         let mut policy = ChaoticPolicy { state: seed };
         let run = try_simulate(&trace, &mut policy, SimConfig::new(0, 120)).unwrap();
         let window = 120u64;
@@ -146,7 +133,7 @@ proptest! {
     }
 
     #[test]
-    fn keep_forever_is_cold_start_optimal(trace in trace_strategy(8, 100)) {
+    fn keep_forever_is_cold_start_optimal(trace in trace_strategy(8, 1, 40, 100)) {
         // No policy can have fewer cold starts than keep-forever with
         // unbounded memory: exactly one per invoked function.
         let run = try_simulate(&trace, &mut KeepForever, SimConfig::new(0, 100)).unwrap();
@@ -157,7 +144,7 @@ proptest! {
     }
 
     #[test]
-    fn no_keep_alive_is_memory_optimal(trace in trace_strategy(8, 100)) {
+    fn no_keep_alive_is_memory_optimal(trace in trace_strategy(8, 1, 40, 100)) {
         // Dropping everything immediately wastes zero memory and pays a
         // cold start for every active slot.
         let run = try_simulate(&trace, &mut NoKeepAlive, SimConfig::new(0, 100)).unwrap();
@@ -170,7 +157,7 @@ proptest! {
 
     #[test]
     fn metrics_window_is_consistent_with_full_run(
-        trace in trace_strategy(6, 100),
+        trace in trace_strategy(6, 1, 40, 100),
         split in 1u32..99,
     ) {
         // Cold starts measured in [split, 100) can never exceed the
@@ -187,7 +174,7 @@ proptest! {
     }
 
     #[test]
-    fn capacity_bounds_peak(trace in trace_strategy(10, 80), cap in 1usize..10) {
+    fn capacity_bounds_peak(trace in trace_strategy(10, 1, 40, 80), cap in 1usize..10) {
         let run = try_simulate(
             &trace,
             &mut KeepForever,

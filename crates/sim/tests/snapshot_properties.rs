@@ -14,119 +14,15 @@
 //! stopwatches (`SlotEnd::policy_secs`, `RunResult::overhead_secs`) are
 //! normalised before comparison.
 
+mod common;
+
+use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
 use spes_sim::{
-    DynObserver, EventLog, EvictionAudit, Fairness, JournalMeta, JournalObserver, JournalReader,
-    MemoryPool, MemoryPressure, Policy, SimConfig, SimDriver, SimEvent, SlotSeries, SnapshotError,
+    DynObserver, EventLog, EvictionAudit, Fairness, JournalEvent, JournalMeta, JournalObserver,
+    JournalReader, MemoryPressure, SimConfig, SimDriver, SlotSeries, SnapshotError,
 };
-use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
-
-fn trace_strategy(n_functions: usize, horizon: Slot) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        prop::collection::vec((0..horizon, 1u32..20), 0..24),
-        n_functions,
-    )
-    .prop_map(move |all| {
-        let metas = (0..n_functions)
-            .map(|i| FunctionMeta {
-                app: AppId(i as u32 % 2),
-                user: UserId(0),
-                trigger: TriggerType::Http,
-            })
-            .collect();
-        let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, metas, series)
-    })
-}
-
-/// Keep-alive for a fixed number of slots after the last invocation —
-/// deliberately *without* `snapshot_state`, so the property also covers
-/// the caller-warmed-policy path of the resume contract.
-struct FixedKeepAlive {
-    last_invoked: Vec<Option<Slot>>,
-    keep: u32,
-}
-
-impl FixedKeepAlive {
-    fn new(n: usize, keep: u32) -> Self {
-        Self {
-            last_invoked: vec![None; n],
-            keep,
-        }
-    }
-}
-
-impl Policy for FixedKeepAlive {
-    fn name(&self) -> &str {
-        "fixed-keep-alive"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        for &(f, _) in invoked {
-            self.last_invoked[f.index()] = Some(now);
-        }
-        for f in pool.loaded().to_vec() {
-            match self.last_invoked[f.index()] {
-                Some(last) if now - last >= self.keep => {
-                    pool.evict(f);
-                }
-                None => {
-                    pool.evict(f);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Pre-warms a rotating window on top of fixed keep-alive eviction, so
-/// capacity fallbacks and admission rejections fire mid-slot.
-struct ChurningPrewarm {
-    keep: FixedKeepAlive,
-    width: u32,
-}
-
-impl Policy for ChurningPrewarm {
-    fn name(&self) -> &str {
-        "churning-prewarm"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        let n = pool.n_functions() as u32;
-        for i in 0..self.width.min(n) {
-            if pool.is_full() {
-                break;
-            }
-            pool.load(FunctionId((now + i) % n), now);
-        }
-        self.keep.on_slot(now, invoked, pool);
-    }
-}
-
-fn make_policy(kind: u8, n: usize, keep: u32) -> Box<dyn Policy> {
-    match kind {
-        0 => Box::new(spes_sim::NoKeepAlive),
-        1 => Box::new(spes_sim::KeepForever),
-        2 => Box::new(FixedKeepAlive::new(n, keep)),
-        _ => Box::new(ChurningPrewarm {
-            keep: FixedKeepAlive::new(n, keep),
-            width: 3,
-        }),
-    }
-}
-
-fn normalised_events(log: &EventLog) -> Vec<(Slot, bool, SimEvent)> {
-    log.events
-        .iter()
-        .map(|logged| {
-            let event = match logged.event {
-                SimEvent::SlotEnd { .. } => SimEvent::SlotEnd { policy_secs: 0.0 },
-                other => other,
-            };
-            (logged.slot, logged.measured, event)
-        })
-        .collect()
-}
+use spes_trace::{AppId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
 /// The full snapshot-bearing observer suite, in a fixed attachment
 /// order (resume matches serialized observer state to the supplied
@@ -208,8 +104,18 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
             "RunResult diverged at cut {k} (kind {kind})"
         );
         assert_eq!(
-            normalised_events(&state.log),
-            normalised_events(&ref_state.log),
+            state
+                .log
+                .events
+                .iter()
+                .map(JournalEvent::untimed)
+                .collect::<Vec<_>>(),
+            ref_state
+                .log
+                .events
+                .iter()
+                .map(JournalEvent::untimed)
+                .collect::<Vec<_>>(),
             "event stream diverged at cut {k} (kind {kind})"
         );
         assert_eq!(state.log.policy_name, ref_state.log.policy_name);
@@ -244,7 +150,7 @@ proptest! {
     /// that the resumed run must keep attributing correctly.
     #[test]
     fn snapshot_resume_is_bit_identical_unlimited(
-        trace in trace_strategy(5, 24),
+        trace in trace_strategy(5, 2, 24, 24),
         kind in 0u8..4,
         keep in 1u32..6,
         warmup in 0u32..8,
@@ -257,7 +163,7 @@ proptest! {
     /// fallback's oldest-loaded tie-break) must survive the round-trip.
     #[test]
     fn snapshot_resume_is_bit_identical_with_capacity(
-        trace in trace_strategy(5, 24),
+        trace in trace_strategy(5, 2, 24, 24),
         kind in 0u8..4,
         keep in 1u32..6,
         capacity in 1usize..4,
@@ -270,7 +176,7 @@ proptest! {
     /// counters round-trip.
     #[test]
     fn snapshot_resume_is_bit_identical_with_admission_budget(
-        trace in trace_strategy(5, 24),
+        trace in trace_strategy(5, 2, 24, 24),
         kind in 0u8..4,
         keep in 1u32..6,
         budget in 1usize..4,
@@ -473,5 +379,15 @@ fn snapshot_before_first_step_preserves_prestart_loads() {
     result.overhead_secs = 0.0;
 
     assert_eq!(result, ref_result);
-    assert_eq!(normalised_events(&log), normalised_events(&ref_log));
+    assert_eq!(
+        log.events
+            .iter()
+            .map(JournalEvent::untimed)
+            .collect::<Vec<_>>(),
+        ref_log
+            .events
+            .iter()
+            .map(JournalEvent::untimed)
+            .collect::<Vec<_>>()
+    );
 }
