@@ -87,6 +87,7 @@ impl Defuse {
             .iter()
             .map(|s| s.events_in(train_start, train_end).len() >= MIN_SUPPORT_EVENTS)
             .collect();
+        #[expect(clippy::disallowed_types, reason = "membership only, never iterated")]
         let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
         for group in groups {
             if group.len() < 2 || group.len() > 64 {

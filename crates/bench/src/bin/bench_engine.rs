@@ -14,6 +14,9 @@
 //! reported with mean/min/max/stddev, so a single noisy iteration is
 //! visible instead of silently skewing the number.
 //! `bench_engine --help` lists the flags.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use spes_bench::bench_cli::{self, BenchArgs, BenchTool, Gate};
 use spes_bench::perf::{bench_engine, bench_engine_scale, EngineBenchReport, EngineBenchRow};

@@ -6,6 +6,9 @@
 //! stream before anything is timed, so the table compares formats that
 //! demonstrably reproduce the run. `bench_journal --help` lists the
 //! flags.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use spes_bench::bench_cli::{self, BenchArgs, BenchTool, Floors};
 use spes_bench::perf::{bench_journal, JournalBenchReport, JournalBenchRow};

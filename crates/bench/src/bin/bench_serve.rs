@@ -8,6 +8,9 @@
 //! excluding JSON parse and socket I/O. The same engine-dominated policy
 //! set as `bench_engine` keeps the numbers about the serving path, not a
 //! policy's own cost. `bench_serve --help` lists the flags.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use spes_bench::bench_cli::{self, BenchArgs, BenchTool, Gate};
 use spes_bench::perf::{bench_serve, ServeBenchReport, ServeBenchRow};

@@ -4,6 +4,9 @@
 //! Figures that describe SPES's fit (table1, 10, 12) are skipped with a
 //! note when `--policies` leaves SPES out. `repro --help` lists the flags
 //! and the scenario, policy and figure registries.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use spes_bench::bench_cli::{self, write_json, Args};
 use spes_bench::figures;

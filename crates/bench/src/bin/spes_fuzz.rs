@@ -6,6 +6,9 @@
 //! the threshold is minimised toward paper-default knobs and reported
 //! with a paste-ready scenario-registry snippet. `spes-fuzz --help`
 //! lists the flags.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use spes_bench::bench_cli::{self, read_json, write_json, Args, Seed};
 use spes_bench::fuzz::{run_fuzz, scenario_snippet, validate_report, FuzzConfig, FuzzReport};

@@ -10,6 +10,9 @@
 //! ```
 //!
 //! `spes-replay --help` lists the flags.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use spes_bench::bench_cli::{self, Args};
 use spes_bench::replay::{self, RecordConfig};

@@ -14,6 +14,9 @@
 //! ```
 //!
 //! `spes-serve --help` lists the flags.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use spes_bench::bench_cli::{self, Args};
 use spes_bench::policies::{self, PolicyCell};

@@ -30,6 +30,7 @@ fn run_each(data: &SynthTrace, configs: Vec<SpesConfig>) -> Vec<RunResult> {
     let trace = &data.trace;
     let window = SimConfig::new(0, trace.n_slots).with_metrics_start(data.train_end);
     let mut runs = Vec::with_capacity(configs.len());
+    #[expect(clippy::expect_used, reason = "the window is the trace's own horizon")]
     par::for_each_ordered(
         configs,
         |cfg| {

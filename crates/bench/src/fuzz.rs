@@ -88,6 +88,7 @@ impl KnobPoint {
     /// Panics if the chain-heavy scenario vanishes from the registry.
     #[must_use]
     pub fn chain_heavy(n_functions: usize) -> Self {
+        #[expect(clippy::expect_used, reason = "chain-heavy is a built-in scenario")]
         let cfg = synth::scenario_config("chain-heavy").expect("registered scenario");
         Self {
             chain_prob: cfg.chain_prob,
@@ -396,6 +397,7 @@ pub fn minimise_finding(
 /// Rejects zero walks, zero functions, no evaluation seeds, and a
 /// threshold that is NaN, infinite or negative; propagates evaluation
 /// failures.
+#[expect(clippy::expect_used, reason = "walks >= 1 is checked, so best is set")]
 pub fn run_fuzz(config: &FuzzConfig, mut progress: impl FnMut(&str)) -> Result<FuzzReport, String> {
     if config.walks == 0 {
         return Err("walks must be at least 1".to_owned());

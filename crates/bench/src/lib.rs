@@ -8,6 +8,10 @@
 //! (`results/*.json`).
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![expect(clippy::disallowed_methods, reason = "the bench harness times runs")]
 
 pub mod bench_cli;
 mod factory;

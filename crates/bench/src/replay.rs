@@ -222,6 +222,10 @@ impl Observer for StreamCounts {
         };
         Ok(())
     }
+
+    fn state_label(&self) -> &'static str {
+        "spes_bench::replay::StreamCounts"
+    }
 }
 
 /// The observers behind a [`JournalSummary`], besides the run's
@@ -783,6 +787,37 @@ pub fn check(journal: &[u8], snapshot: Option<&[u8]>) -> Result<CheckReport, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spes_sim::{EventLog, Fairness, ShardCounts, SlotSeries};
+
+    /// A snapshot files each observer's state under its label, so the
+    /// labels are format: these are the v1 strings, which the stored
+    /// snapshots and `wire_golden.rs`'s literals carry.
+    #[test]
+    fn state_labels_are_the_v1_strings() {
+        let labels = [
+            RunCollector::new().state_label(),
+            SlotSeries::new().state_label(),
+            EvictionAudit::new(1).state_label(),
+            MemoryPressure::new().state_label(),
+            Fairness::new(&[]).state_label(),
+            EventLog::new().state_label(),
+            ShardCounts::new().state_label(),
+            StreamCounts::default().state_label(),
+        ];
+        assert_eq!(
+            labels,
+            [
+                "spes_sim::events::RunCollector",
+                "spes_sim::events::SlotSeries",
+                "spes_sim::events::EvictionAudit",
+                "spes_sim::events::MemoryPressure",
+                "spes_sim::events::Fairness",
+                "spes_sim::events::EventLog",
+                "spes_sim::shard::ShardCounts",
+                "spes_bench::replay::StreamCounts",
+            ]
+        );
+    }
 
     fn quick_recording(snapshot_slot: Option<Slot>) -> Recording {
         record(&RecordConfig {

@@ -255,7 +255,9 @@ where
 #[must_use]
 pub fn choose_strategy(options: &[(FunctionType, StrategyScore)], alpha: f64) -> FunctionType {
     assert!(!options.is_empty(), "no strategies to choose from");
+    #[expect(clippy::unwrap_used, reason = "options is asserted non-empty above")]
     let min_cs = options.iter().map(|&(_, s)| s.cold_starts).min().unwrap();
+    #[expect(clippy::unwrap_used, reason = "options is asserted non-empty above")]
     let min_wm = options.iter().map(|&(_, s)| s.wasted).min().unwrap();
     if let Some(&(ty, _)) = options
         .iter()
@@ -263,10 +265,12 @@ pub fn choose_strategy(options: &[(FunctionType, StrategyScore)], alpha: f64) ->
     {
         return ty;
     }
+    #[expect(clippy::expect_used, reason = "options is asserted non-empty above")]
     let (cs_ty, cs_score) = *options
         .iter()
         .min_by_key(|&&(_, s)| (s.cold_starts, s.wasted))
         .expect("non-empty");
+    #[expect(clippy::expect_used, reason = "options is asserted non-empty above")]
     let (wm_ty, wm_score) = *options
         .iter()
         .min_by_key(|&&(_, s)| (s.wasted, s.cold_starts))
@@ -286,6 +290,7 @@ pub fn choose_strategy(options: &[(FunctionType, StrategyScore)], alpha: f64) ->
 }
 
 #[cfg(test)]
+#[expect(clippy::unreachable, reason = "two tests' scorers are never called")]
 mod tests {
     use super::*;
 

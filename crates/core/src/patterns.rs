@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn labels_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             FunctionType::ALL.iter().map(|t| t.label()).collect();
         assert_eq!(labels.len(), FunctionType::ALL.len());
     }

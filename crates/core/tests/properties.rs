@@ -12,7 +12,7 @@ use spes_core::slacking::{merge_adjacent, merge_mode, trim_ends};
 use spes_core::window::{WtWindow, WT_WINDOW_CAPACITY};
 use spes_stats::{modes, percentile, Summary};
 use spes_trace::{Slot, SparseSeries};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn wt_seq() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(1u32..2000, 0..60)
@@ -49,7 +49,7 @@ fn reference_lagged_cor(
     if target_events.is_empty() {
         return 0.0;
     }
-    let candidate_slots: HashSet<Slot> = candidate
+    let candidate_slots: BTreeSet<Slot> = candidate
         .events_in(start.saturating_sub(lag), end)
         .iter()
         .map(|&(s, _)| s)

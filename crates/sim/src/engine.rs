@@ -329,6 +329,7 @@ impl<'t> Simulation<'t> {
             false,
         );
         for t in start..end {
+            #[expect(clippy::expect_used, reason = "in-window slots are stepped in order")]
             driver
                 .step(t, batches.batch(t))
                 .expect("contiguous in-window steps cannot fail");
@@ -754,7 +755,9 @@ impl<'p> SimDriver<'p> {
     /// Simulates one slot: serves `invoked` (cold/warm classification,
     /// demand loads, capacity evictions), runs the policy's timed
     /// decision hook, and emits `SlotEnd`. Slots must be stepped in
-    /// order, starting at `config.start`.
+    /// order, starting at `config.start`. A batch names each function at
+    /// most once, with the slot's whole count, as [`Trace::slot_batches`]
+    /// does.
     ///
     /// # Errors
     /// [`SimError::StepOutOfOrder`] when `slot` is not the next expected
@@ -809,7 +812,7 @@ impl<'p> SimDriver<'p> {
 
         // 2. Policy decision hook (timed for the RQ2 overhead
         // comparison); its pool transitions become policy events.
-        // lint: allow(D002) RQ2 overhead timing only; JournalEvent::untimed zeroes policy_secs before diffing
+        #[expect(clippy::disallowed_methods, reason = "RQ2 timing; diffs zero it first")]
         let begin = Instant::now();
         self.policy.on_slot(slot, invoked, &mut self.pool);
         let policy_secs = begin.elapsed().as_secs_f64();
@@ -919,6 +922,7 @@ impl<'p> SimDriver<'p> {
     /// hook flushed its tail frame.
     pub fn finish_with_observers(mut self) -> (RunResult, ObserverSet) {
         self.close();
+        #[expect(clippy::expect_used, reason = "installed at construction, taken once")]
         let result = self
             .sinks
             .collector
@@ -962,7 +966,7 @@ impl<'p> SimDriver<'p> {
                 .sinks
                 .observers
                 .iter()
-                .map(|o| (o.type_name().to_owned(), o.snapshot()))
+                .map(|o| (o.state_label().to_owned(), o.snapshot()))
                 .collect(),
         }]);
         let mut out = Vec::with_capacity(payload.len() + 20);
@@ -1038,7 +1042,7 @@ impl<'p> SimDriver<'p> {
         let mut matched = vec![false; observers.len()];
         for (type_name, blob) in payload.observers {
             let slot = (0..observers.len())
-                .find(|&i| !matched[i] && observers[i].type_name() == type_name);
+                .find(|&i| !matched[i] && observers[i].state_label() == type_name);
             match slot {
                 Some(i) => {
                     matched[i] = true;
@@ -1059,7 +1063,7 @@ impl<'p> SimDriver<'p> {
             (0..observers.len()).find(|&i| !matched[i] && !observers[i].snapshot().is_empty())
         {
             return Err(SnapshotError::UnstartedObserver(
-                observers[i].type_name().to_owned(),
+                observers[i].state_label().to_owned(),
             ));
         }
 
@@ -1277,6 +1281,7 @@ fn decode_snapshot(snapshot: &[u8]) -> Result<Payload, SnapshotError> {
 /// # Errors
 /// Returns a [`SimError`] when the window is malformed or extends beyond
 /// the trace horizon.
+#[expect(clippy::expect_used, reason = "the collector attached here comes back")]
 pub fn try_simulate(
     trace: &Trace,
     policy: &mut dyn Policy,

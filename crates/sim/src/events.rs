@@ -323,6 +323,16 @@ pub trait Observer {
             Err("observer does not implement state restore".to_owned())
         }
     }
+
+    /// The label [`crate::engine::SimDriver::snapshot`] files this
+    /// observer's state under, and by which
+    /// [`crate::engine::SimDriver::resume_from`] matches it back. The
+    /// default, [`std::any::type_name`], may change between compiler
+    /// releases, so an observer whose snapshots must outlive one build
+    /// returns a fixed string.
+    fn state_label(&self) -> &'static str {
+        std::any::type_name::<Self>()
+    }
 }
 
 /// An [`Observer`] that can be recovered by concrete type after the run.
@@ -339,13 +349,6 @@ pub trait DynObserver: Observer {
 
     /// Type-erased conversion, for downcasting by value.
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-
-    /// The observer's concrete type name
-    /// ([`std::any::type_name`]), used by
-    /// [`crate::engine::SimDriver::snapshot`] to label state blobs so
-    /// [`crate::engine::SimDriver::resume_from`] can match them back to
-    /// freshly constructed observers.
-    fn type_name(&self) -> &'static str;
 }
 
 impl<T: Observer + 'static> DynObserver for T {
@@ -355,10 +358,6 @@ impl<T: Observer + 'static> DynObserver for T {
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
         self
-    }
-
-    fn type_name(&self) -> &'static str {
-        std::any::type_name::<T>()
     }
 }
 
@@ -582,7 +581,7 @@ impl Observer for RunCollector {
         }
     }
 
-    observer_state!();
+    observer_state!("spes_sim::events::RunCollector");
 }
 
 wire_record!(RunCollector {
@@ -644,6 +643,40 @@ impl SlotSeries {
     pub fn n_slots(&self) -> usize {
         self.loaded.len()
     }
+
+    /// Closes the open slot: records it if measured, from the running
+    /// counters plus the counts of `batch` (the slot-ending batch, when
+    /// it was not walked event by event), then resets the counters.
+    fn close_slot(&mut self, ctx: &EventCtx<'_>, batch: Option<&SlotBatch<'_>>) {
+        if ctx.measured {
+            let (cold, warm, evictions, invoked_loaded) = batch.map_or((0, 0, 0, 0), |b| {
+                (
+                    b.cold_starts(),
+                    b.warm_starts(),
+                    b.evictions(),
+                    b.invoked_loaded(),
+                )
+            });
+            let loaded_now = ctx.pool.loaded_count();
+            let invoked_loaded = invoked_loaded
+                + (self.invoked_now.iter())
+                    .filter(|&&f| ctx.pool.contains(f))
+                    .count();
+            self.loaded.push(loaded_now as u32);
+            self.cold.push(self.cold_now + cold);
+            self.warm.push(self.warm_now + warm);
+            self.evictions.push(self.evict_now + evictions as u32);
+            self.emcr.push(if loaded_now == 0 {
+                0.0
+            } else {
+                invoked_loaded as f64 / loaded_now as f64
+            });
+        }
+        self.cold_now = 0;
+        self.warm_now = 0;
+        self.evict_now = 0;
+        self.invoked_now.clear();
+    }
 }
 
 impl Observer for SlotSeries {
@@ -671,29 +704,7 @@ impl Observer for SlotSeries {
             }
             SimEvent::Evict { .. } => self.evict_now += 1,
             SimEvent::Load { .. } | SimEvent::LoadRejected { .. } => {}
-            SimEvent::SlotEnd { .. } => {
-                if ctx.measured {
-                    let loaded_now = ctx.pool.loaded_count();
-                    let invoked_loaded = self
-                        .invoked_now
-                        .iter()
-                        .filter(|&&f| ctx.pool.contains(f))
-                        .count();
-                    self.loaded.push(loaded_now as u32);
-                    self.cold.push(self.cold_now);
-                    self.warm.push(self.warm_now);
-                    self.evictions.push(self.evict_now);
-                    self.emcr.push(if loaded_now == 0 {
-                        0.0
-                    } else {
-                        invoked_loaded as f64 / loaded_now as f64
-                    });
-                }
-                self.cold_now = 0;
-                self.warm_now = 0;
-                self.evict_now = 0;
-                self.invoked_now.clear();
-            }
+            SimEvent::SlotEnd { .. } => self.close_slot(ctx, None),
         }
     }
 
@@ -702,38 +713,16 @@ impl Observer for SlotSeries {
     /// transitions, a replayed tail) is walked, into the running
     /// counters the next `SlotEnd` records.
     fn on_slot_events(&mut self, ctx: &EventCtx<'_>, batch: &SlotBatch<'_>) {
-        if !batch.ends_slot() {
+        if batch.ends_slot() {
+            self.close_slot(ctx, Some(batch));
+        } else {
             for event in batch.events() {
                 self.on_event(ctx, event);
             }
-            return;
         }
-        if ctx.measured {
-            let loaded_now = ctx.pool.loaded_count();
-            let invoked_loaded = batch.invoked_loaded()
-                + self
-                    .invoked_now
-                    .iter()
-                    .filter(|&&f| ctx.pool.contains(f))
-                    .count();
-            self.loaded.push(loaded_now as u32);
-            self.cold.push(self.cold_now + batch.cold_starts());
-            self.warm.push(self.warm_now + batch.warm_starts());
-            self.evictions
-                .push(self.evict_now + batch.evictions() as u32);
-            self.emcr.push(if loaded_now == 0 {
-                0.0
-            } else {
-                invoked_loaded as f64 / loaded_now as f64
-            });
-        }
-        self.cold_now = 0;
-        self.warm_now = 0;
-        self.evict_now = 0;
-        self.invoked_now.clear();
     }
 
-    observer_state!();
+    observer_state!("spes_sim::events::SlotSeries");
 }
 
 wire_record!(SlotSeries {
@@ -833,7 +822,7 @@ impl Observer for EvictionAudit {
         }
     }
 
-    observer_state!();
+    observer_state!("spes_sim::events::EvictionAudit");
 }
 
 wire_record!(EvictionAudit {
@@ -981,7 +970,7 @@ impl Observer for MemoryPressure {
         }
     }
 
-    observer_state!();
+    observer_state!("spes_sim::events::MemoryPressure");
 }
 
 wire_record!(MemoryPressure {
@@ -1215,7 +1204,7 @@ impl Observer for Fairness {
         }
     }
 
-    observer_state!();
+    observer_state!("spes_sim::events::Fairness");
 }
 
 wire_record!(Fairness {
@@ -1324,6 +1313,10 @@ impl Observer for EventLog {
             })
             .collect::<Result<_, String>>()?;
         cur.finish()
+    }
+
+    fn state_label(&self) -> &'static str {
+        "spes_sim::events::EventLog"
     }
 }
 

@@ -272,6 +272,7 @@ pub(crate) fn decode_event(
         KIND_SLOT_END => SimEvent::SlotEnd {
             policy_secs: cur.take_f64()?,
         },
+        #[expect(clippy::unreachable, reason = "a 3-bit kind, all eight matched above")]
         _ => unreachable!("3-bit kind"),
     };
     Ok((slot, event))
@@ -562,6 +563,7 @@ fn read_frame<R: Read>(
     match inner.read(&mut kind)? {
         0 => return Ok(None),
         1 => {}
+        #[expect(clippy::unreachable, reason = "a 1-byte read returns 0 or 1 bytes")]
         _ => unreachable!("single-byte read"),
     }
     let (mut len, mut crc) = ([0u8; 4], [0u8; 4]);
@@ -632,6 +634,7 @@ impl<W: Write> JournalObserver<W> {
     ///
     /// # Errors
     /// Returns the latched write error, if any.
+    #[expect(clippy::expect_used, reason = "gone only once finished or errored")]
     pub fn into_inner(mut self) -> Result<W, JournalError> {
         if let Some(error) = self.error.take() {
             return Err(error);

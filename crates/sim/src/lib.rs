@@ -21,6 +21,9 @@
 //! [`MemoryPool::evict_where`].
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 #[macro_use]
 mod wire;

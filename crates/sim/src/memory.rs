@@ -218,6 +218,7 @@ impl MemoryPool {
             return false;
         }
         let pos = self.position[f.index()] as usize;
+        #[expect(clippy::expect_used, reason = "f is a member, so the list holds it")]
         let last = *self.loaded.last().expect("non-empty loaded list");
         self.loaded.swap_remove(pos);
         if pos < self.loaded.len() {

@@ -13,7 +13,7 @@
 //! | record | shape | meaning |
 //! |---|---|---|
 //! | init | `{"type":"init","functions":N,"apps":[a0,…]}` | first record; declares the function universe (`apps` is optional: app id per function, for fairness accounting) |
-//! | inv | `{"type":"inv","slot":S,"f":F,"count":C}` | `count` invocations of function `F` at slot `S` (`count` defaults to 1) |
+//! | inv | `{"type":"inv","slot":S,"f":F,"count":C}` | `count` invocations of function `F` at slot `S` (`count` defaults to 1; a slot's lines for one function add up) |
 //! | tick | `{"type":"tick","slot":S}` | time passed: close every slot up to and including `S` even if idle |
 //!
 //! Slots only move forward: an `inv` for a slot later than the open one
@@ -278,6 +278,7 @@ pub fn serve<R: BufRead, W: Write>(
 
     let mut stats = Stats::default();
     let mut pending: Vec<(FunctionId, u32)> = Vec::new();
+    let mut position = vec![0usize; init.functions];
     for line in lines {
         let line = line?;
         let trimmed = line.trim();
@@ -331,7 +332,7 @@ pub fn serve<R: BufRead, W: Write>(
                     &mut output,
                     &mut stats,
                 )?;
-                pending.push((f, count));
+                add_invocations(&mut pending, &mut position, f, count);
             }
             ProtoEvent::Tick { slot } => {
                 stats.events += 1;
@@ -397,6 +398,26 @@ pub fn serve<R: BufRead, W: Write>(
         snapshots: stats.snapshots,
         rejected_lines: stats.rejected_lines,
     })
+}
+
+/// Adds `count` invocations of `f` to the open slot's batch, which names
+/// each function once: a repeated line adds to the first line's entry,
+/// which keeps its place. `position[f]` is where `f` sits in `pending`
+/// when the entry there names `f`; a stale position fails that check, so
+/// nothing resets it.
+fn add_invocations(
+    pending: &mut Vec<(FunctionId, u32)>,
+    position: &mut [usize],
+    f: FunctionId,
+    count: u32,
+) {
+    match pending.get_mut(position[f.index()]) {
+        Some((g, c)) if *g == f => *c = c.saturating_add(count),
+        _ => {
+            position[f.index()] = pending.len();
+            pending.push((f, count));
+        }
+    }
 }
 
 /// Steps the driver until `target` is the open slot, emitting decision
@@ -545,6 +566,7 @@ fn parse_event(line: &str, n_functions: usize) -> Result<ProtoEvent, String> {
 // name a field `type`, and explicit objects pin the schema anyway)
 // ---------------------------------------------------------------------
 
+#[expect(clippy::expect_used, reason = "rendering a Value cannot fail")]
 fn obj(fields: Vec<(&str, Value)>) -> String {
     let value = Value::Object(
         fields
@@ -962,6 +984,65 @@ not json at all
                 }
             }
         }
+    }
+
+    /// One line per invocation serves a slot exactly as one line with the
+    /// summed count: the batch names the function once, at its first
+    /// line's place, so it is cold at most once and counted loaded once.
+    #[test]
+    fn repeated_lines_for_one_function_merge_into_one_entry() {
+        let lines = r#"{"type":"init","functions":2}
+{"type":"inv","slot":0,"f":0}
+{"type":"inv","slot":0,"f":1}
+{"type":"inv","slot":0,"f":0}
+{"type":"inv","slot":0,"f":0}
+{"type":"inv","slot":3,"f":1,"count":2}
+{"type":"inv","slot":3,"f":0}
+{"type":"inv","slot":3,"f":1}
+{"type":"tick","slot":5}
+"#;
+        let counts = r#"{"type":"init","functions":2}
+{"type":"inv","slot":0,"f":0,"count":3}
+{"type":"inv","slot":0,"f":1}
+{"type":"inv","slot":3,"f":1,"count":3}
+{"type":"inv","slot":3,"f":0}
+{"type":"tick","slot":5}
+"#;
+        let keep_one_slot = |init: &InitRecord| -> Result<Box<dyn Policy>, String> {
+            Ok(Box::new(KeepOneSlot(vec![None; init.functions])))
+        };
+        let session = |input: &str| {
+            let mut output = Vec::new();
+            let mut summary = serve(
+                input.as_bytes(),
+                &mut output,
+                &ServeConfig::default(),
+                keep_one_slot,
+            )
+            .unwrap();
+            summary.run.overhead_secs = 0.0;
+            let mut records: Vec<Value> = String::from_utf8(output)
+                .unwrap()
+                .lines()
+                .map(|line| serde_json::from_str(line).unwrap())
+                .collect();
+            // Drop the wall-clock and line-count fields; keep the rest.
+            for record in &mut records {
+                if let Value::Object(fields) = record {
+                    fields.retain(|(key, _)| key != "policy_us" && key != "events");
+                }
+            }
+            (summary.run, summary.decisions, records)
+        };
+        let merged = session(lines);
+        assert_eq!(merged, session(counts));
+        let run = &merged.0;
+        assert_eq!((run.total_invocations(), run.total_cold_starts()), (8, 4));
+        assert_eq!(
+            run.total_wmt(),
+            0,
+            "every loaded slot of each function is an invoked one"
+        );
     }
 
     /// Resuming would hand the second session a policy that never saw

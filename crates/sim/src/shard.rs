@@ -1,10 +1,9 @@
 //! [`ShardCounts`], the per-slot pool-count observer.
 //!
-//! It lives in a module of its own because the v1 snapshot format names
-//! it by this path: [`crate::SimDriver::snapshot`] labels every
-//! observer's state with its [`std::any::type_name`], so the blob of a
-//! run that attached it reads `spes_sim::shard::ShardCounts`, and moving
-//! the type would break resuming every such snapshot.
+//! Its module path is its v1 snapshot label: the blob of a run that
+//! attached it files the state under `spes_sim::shard::ShardCounts`
+//! ([`crate::events::Observer::state_label`]), which stays fixed
+//! wherever the type lives.
 
 use crate::events::{EventCtx, Observer, SimEvent};
 use spes_trace::FunctionId;
@@ -63,7 +62,7 @@ impl Observer for ShardCounts {
         }
     }
 
-    observer_state!();
+    observer_state!("spes_sim::shard::ShardCounts");
 }
 
 wire_record!(ShardCounts {

@@ -38,9 +38,14 @@ macro_rules! wire_record {
 /// The [`crate::events::Observer`] `snapshot`/`restore` pair of an
 /// observer whose whole state is one `wire_record!`: the snapshot is
 /// its encoding, and a restore replaces the observer with the decoded
-/// value (or leaves it untouched on error).
+/// value (or leaves it untouched on error). `$label` is the fixed
+/// `state_label` the snapshot files that state under.
 macro_rules! observer_state {
-    () => {
+    ($label:literal) => {
+        fn state_label(&self) -> &'static str {
+            $label
+        }
+
         fn snapshot(&self) -> Vec<u8> {
             $crate::wire::encode(&[self])
         }
@@ -265,7 +270,7 @@ macro_rules! wire_tuples {
     () => {};
     ($head:ident $($tail:ident)*) => {
         impl<$head: Wire, $($tail: Wire),*> Wire for ($head, $($tail,)*) {
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the bindings reuse the type parameter names")]
             fn put(&self, buf: &mut Vec<u8>) {
                 let ($head, $($tail,)*) = self;
                 $head.put(buf);

@@ -28,7 +28,7 @@ use spes_sim::{
     RunMeta, ShardCounts, SimConfig, SimDriver, SimEvent, Simulation, SlotBatch, SlotSeries,
 };
 use spes_trace::{FunctionId, Slot, SynthTrace, Trace};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// The old per-slot accounting, re-derived purely from a recorded event
 /// stream (no pool access).
@@ -55,8 +55,8 @@ fn reconstruct(log: &EventLog) -> Reconstructed {
         overhead_secs: 0.0,
         peak_loaded: 0,
     };
-    let mut loaded: HashSet<FunctionId> = HashSet::new();
-    let mut invoked_this_slot: HashSet<FunctionId> = HashSet::new();
+    let mut loaded: BTreeSet<FunctionId> = BTreeSet::new();
+    let mut invoked_this_slot: BTreeSet<FunctionId> = BTreeSet::new();
     for logged in &log.events {
         match logged.event {
             SimEvent::ColdStart { f, count } => {
@@ -88,7 +88,6 @@ fn reconstruct(log: &EventLog) -> Reconstructed {
                     r.peak_loaded = r.peak_loaded.max(loaded_now);
                     if loaded_now > 0 {
                         let mut invoked_loaded = 0usize;
-                        // lint: allow(D001) order-insensitive: per-function counters plus a count
                         for &f in &loaded {
                             if invoked_this_slot.contains(&f) {
                                 invoked_loaded += 1;

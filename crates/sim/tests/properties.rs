@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn pool_operations_preserve_invariants(ops in prop::collection::vec((0u32..20, any::<bool>()), 0..200)) {
         let mut pool = MemoryPool::unbounded(20);
-        let mut reference = std::collections::HashSet::new();
+        let mut reference = std::collections::BTreeSet::new();
         for (f, load) in ops {
             let id = FunctionId(f);
             if load {

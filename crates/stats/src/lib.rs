@@ -14,6 +14,9 @@
 //! scheduler crates stay focused on policy logic.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod descriptive;
 pub mod histogram;

@@ -8,7 +8,7 @@ use spes_stats::{
     modes::{mode_coverage, mode_table, top_modes, ModeEntry},
     online::OnlineStats,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// `Histogram::percentile` as a full scan over every bin, the way it was
 /// computed before queries walked only the occupied bins.
@@ -54,11 +54,11 @@ fn reference_cv(h: &Histogram) -> Option<f64> {
     Some((var / n as f64).sqrt() / mean)
 }
 
-/// `mode_table` as a `HashMap` count, the way it was computed before it
+/// `mode_table` as a map count, the way it was computed before it
 /// counted runs in a sorted copy. Entries are taken out in first-seen
 /// order rather than by iterating the map; the sort decides the order.
 fn reference_mode_table(xs: &[u32]) -> Vec<ModeEntry> {
-    let mut freq: HashMap<u32, usize> = HashMap::with_capacity(xs.len());
+    let mut freq: BTreeMap<u32, usize> = BTreeMap::new();
     for &x in xs {
         *freq.entry(x).or_insert(0) += 1;
     }

@@ -8,6 +8,10 @@
 //! so the genuine dataset can be substituted in.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![expect(clippy::disallowed_types, reason = "map order never reaches an output")]
 
 pub mod io;
 pub mod model;

@@ -165,6 +165,7 @@ pub fn generate<R: RngExt>(
             }
         }
         Archetype::Dense { rate } => {
+            #[expect(clippy::expect_used, reason = "the rate is at least 1e-6")]
             let poisson = Poisson::new(rate.max(1e-6)).expect("valid poisson rate");
             for slot in start..end {
                 let count = poisson.sample(rng) as u32;
@@ -178,7 +179,9 @@ pub fn generate<R: RngExt>(
             burst_len,
             burst_rate,
         } => {
+            #[expect(clippy::expect_used, reason = "the rate is in (0, 1]")]
             let gap_dist = Exp::new(1.0 / mean_gap.max(1.0)).expect("valid exp rate");
+            #[expect(clippy::expect_used, reason = "the rate is at least 1e-6")]
             let burst_poisson = Poisson::new(burst_rate.max(1e-6)).expect("valid poisson rate");
             let mut slot = start + gap_dist.sample(rng) as Slot;
             while slot < end {
@@ -195,6 +198,7 @@ pub fn generate<R: RngExt>(
             }
         }
         Archetype::Pulsed { mean_gap } => {
+            #[expect(clippy::expect_used, reason = "the rate is in (0, 1]")]
             let gap_dist = Exp::new(1.0 / mean_gap.max(1.0)).expect("valid exp rate");
             let mut slot = start + gap_dist.sample(rng) as Slot;
             while slot < end {
@@ -214,6 +218,7 @@ pub fn generate<R: RngExt>(
             active_mins,
             rate,
         } => {
+            #[expect(clippy::expect_used, reason = "the rate is at least 1e-6")]
             let poisson = Poisson::new(rate.max(1e-6)).expect("valid poisson rate");
             let active = (*active_mins).min(SLOTS_PER_DAY);
             for slot in start..end {
@@ -229,6 +234,7 @@ pub fn generate<R: RngExt>(
                 }
             }
         }
+        #[expect(clippy::panic, reason = "chained series come from their parent")]
         Archetype::Chained { .. } => {
             panic!("chained archetypes are generated from their parent series")
         }

@@ -111,6 +111,7 @@ fn sample_timer_period<R: RngExt>(rng: &mut R) -> u32 {
 /// body spreads total invocation counts over several orders of magnitude,
 /// reproducing the shape of Fig. 3.
 fn sample_dense_rate<R: RngExt>(rng: &mut R) -> f64 {
+    #[expect(clippy::expect_used, reason = "constant, valid parameters")]
     let dist = LogNormal::new(-0.5f64, 1.1).expect("valid lognormal");
     // The floor keeps the P90 waiting time within the "dense" definition;
     // sparser Poisson streams belong to the pulsed/rare archetypes.

@@ -14,6 +14,10 @@
 //! so `cargo bench -- <filter>` narrows what runs, like upstream.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![expect(clippy::disallowed_methods, reason = "benchmarks time by the clock")]
 
 use std::time::{Duration, Instant};
 
@@ -163,7 +167,9 @@ impl SampleStats {
         let var = secs.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
         Self {
             mean: Duration::from_secs_f64(mean),
+            #[expect(clippy::expect_used, reason = "empty samples returned above")]
             min: *samples.iter().min().expect("non-empty"),
+            #[expect(clippy::expect_used, reason = "empty samples returned above")]
             max: *samples.iter().max().expect("non-empty"),
             stddev: Duration::from_secs_f64(var.sqrt()),
         }

@@ -17,6 +17,9 @@
 //! `Debug`, and (for the shrinking re-runs) `Clone`.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SampleUniform, SeedableRng, StandardUniform};

@@ -12,6 +12,9 @@
 //! rely on that determinism, not on any particular stream.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use std::ops::{Range, RangeInclusive};
 
@@ -188,6 +191,7 @@ pub trait SampleRange<T> {
 impl<T: SampleUniform> SampleRange<T> for Range<T> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         assert!(self.start < self.end, "cannot sample empty range");
+        #[expect(clippy::expect_used, reason = "start < end is asserted above")]
         let hi = T::checked_pred(self.end).expect("cannot sample empty range");
         T::sample_inclusive(rng, self.start, hi)
     }

@@ -7,6 +7,9 @@
 //! with upstream rand_distr streams.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use rand::{RngCore, StandardUniform};
 

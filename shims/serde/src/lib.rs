@@ -13,6 +13,9 @@
 //! figure/benchmark JSON artifacts round-trip offline.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -12,6 +12,9 @@
 //! rejected with a compile error rather than silently mis-serialized.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -28,6 +31,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, false)
 }
 
+#[expect(clippy::expect_used, reason = "the generators emit valid Rust")]
 fn expand(input: TokenStream, serialize: bool) -> TokenStream {
     let parsed = match parse_item(input) {
         Ok(p) => p,
@@ -41,6 +45,7 @@ fn expand(input: TokenStream, serialize: bool) -> TokenStream {
     code.parse().expect("derive shim generated invalid Rust")
 }
 
+#[expect(clippy::unwrap_used, reason = "a quoted string literal parses")]
 fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().unwrap()
 }

@@ -4,6 +4,9 @@
 //! model, so the workspace's JSON artifacts round-trip offline.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub use serde::Value;
 use std::fmt::Write as _;
@@ -261,6 +264,7 @@ impl Parser<'_> {
         if !hex.iter().all(u8::is_ascii_hexdigit) {
             return Err(Error::at("invalid \\u escape", self.pos));
         }
+        #[expect(clippy::expect_used, reason = "the bytes are checked hex digits")]
         let unit = u32::from_str_radix(std::str::from_utf8(hex).expect("hex is ASCII"), 16)
             .map_err(|_| Error::at("invalid \\u escape", self.pos))?;
         self.pos = end;
@@ -295,6 +299,7 @@ impl Parser<'_> {
                 return Err(Error::at("expected exponent digits", self.pos));
             }
         }
+        #[expect(clippy::expect_used, reason = "the scanned number bytes are ASCII")]
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII")
             .to_owned();

@@ -7,7 +7,6 @@
 pub use spes_baselines as baselines;
 pub use spes_bench as bench;
 pub use spes_core as core;
-pub use spes_lint as lint;
 pub use spes_sim as sim;
 pub use spes_stats as stats;
 pub use spes_trace as trace;
