@@ -1,7 +1,8 @@
 //! The front end every workspace binary shares: one pull-style flag
 //! parser ([`Args`]), one error exit ([`main`]), one JSON document
 //! writer and reader ([`write_json`], [`read_json`]), and the skeleton
-//! of the `bench_*` tools ([`BenchTool`]).
+//! of the `bench_*` tools ([`BenchTool`]), which all judge their rows one
+//! way: through a [`Gate`] against a committed baseline.
 //!
 //! A binary keeps its usage block in one `const USAGE` and reads the
 //! flags it accepts; anything it does not read is an error:
@@ -17,7 +18,7 @@
 //! }
 //! ```
 
-use crate::perf::{gate_against_baseline, BenchReport, BenchRow};
+use crate::perf::{gate_against_baseline, BenchReport};
 use serde::{Deserialize, Serialize};
 use spes_sim::text_table;
 use std::fmt::Display;
@@ -196,7 +197,9 @@ pub struct BenchArgs {
     pub quick: bool,
 }
 
-/// How a tool's `--baseline`/`--gate` tail reads and words its rows.
+/// How a tool's `--baseline`/`--gate` judgement reads and words its
+/// rows: `bench_engine` gates slots/sec, `bench_serve` and
+/// `bench_journal` events/sec.
 pub struct Gate<Row> {
     /// Heading of the delta table (`"delta"`, `"events/sec delta"`).
     pub heading: &'static str,
@@ -206,14 +209,6 @@ pub struct Gate<Row> {
     pub unit: &'static str,
     /// The throughput the gate compares; higher is better.
     pub throughput: fn(&Row) -> f64,
-}
-
-/// A tool's `--assert` floors.
-pub struct Floors<Row> {
-    /// What a violated floor is called in its failure line.
-    pub label: &'static str,
-    /// One complaint per floor `row` misses; empty when it meets all.
-    pub check: fn(&Row) -> Vec<String>,
 }
 
 /// One bench binary: everything that differs between `bench_engine`,
@@ -230,19 +225,16 @@ pub struct BenchTool<R: BenchReport> {
     pub columns: &'static [&'static str],
     /// One row's table cells, aligned with `columns`.
     pub cells: fn(&R::Row) -> Vec<String>,
-    /// The baseline gate; a tool with one takes `--baseline` and `--gate`.
-    pub gate: Option<Gate<R::Row>>,
-    /// The floors; a tool with them takes `--assert`.
-    pub floors: Option<Floors<R::Row>>,
+    /// The baseline gate behind `--baseline` and `--gate`.
+    pub gate: Gate<R::Row>,
 }
 
 impl<R: BenchReport> BenchTool<R> {
     /// Reads the shared flags (`--functions`, `--seed`, `--out`,
-    /// `--quick`, and `--baseline`/`--gate`/`--assert` where the tool
-    /// has a gate or floors), rejects the rest, measures, prints the row
-    /// table, writes the document under `--out`, then judges it: against
-    /// `--baseline` (the delta table prints either way; only a `--gate`
-    /// failure exits 1) and, with `--assert`, against the floors.
+    /// `--quick`, `--baseline`, `--gate`), rejects the rest, measures,
+    /// prints the row table, writes the document under `--out`, then
+    /// judges it against `--baseline`: the delta table prints either way,
+    /// and only a `--gate` failure exits 1.
     ///
     /// # Errors
     /// Returns a message for bad flags, a failed measurement, an
@@ -264,15 +256,8 @@ impl<R: BenchReport> BenchTool<R> {
             quick,
         };
         let out: PathBuf = args.value("--out")?.unwrap_or_else(|| PathBuf::from("."));
-        let (baseline, gate_pct) = if self.gate.is_some() {
-            (
-                args.value::<PathBuf>("--baseline")?,
-                args.value::<f64>("--gate")?,
-            )
-        } else {
-            (None, None)
-        };
-        let assert = self.floors.is_some() && args.flag("--assert");
+        let baseline: Option<PathBuf> = args.value("--baseline")?;
+        let gate_pct: Option<f64> = args.value("--gate")?;
         args.finish()?;
         if let Some(pct) = gate_pct {
             // `f64::from_str` takes NaN, inf and negatives: NaN would
@@ -297,13 +282,10 @@ impl<R: BenchReport> BenchTool<R> {
         );
         write_json(&out, self.file, &report)?;
 
-        let mut passed = true;
-        if let (Some(gate), Some(baseline)) = (&self.gate, &baseline) {
-            passed &= self.judge(gate, baseline, gate_pct, &report)?;
-        }
-        if let (Some(floors), true) = (&self.floors, assert) {
-            passed &= floors_hold(floors, &report);
-        }
+        let passed = match &baseline {
+            Some(baseline) => self.judge(baseline, gate_pct, &report)?,
+            None => true,
+        };
         Ok(if passed {
             ExitCode::SUCCESS
         } else {
@@ -314,13 +296,8 @@ impl<R: BenchReport> BenchTool<R> {
     /// Prints the delta table against the baseline at `path` and, with a
     /// tolerance, every failing cell plus the regenerate hint. Returns
     /// whether the gate passed; without a tolerance it always does.
-    fn judge(
-        &self,
-        gate: &Gate<R::Row>,
-        path: &Path,
-        gate_pct: Option<f64>,
-        report: &R,
-    ) -> Result<bool, String> {
+    fn judge(&self, path: &Path, gate_pct: Option<f64>, report: &R) -> Result<bool, String> {
+        let gate = &self.gate;
         let baseline: R = read_json(path).map_err(|e| format!("baseline: {e}"))?;
         let tolerance = gate_pct.unwrap_or(f64::INFINITY);
         let verdict = gate_against_baseline(&baseline, report, tolerance, gate.throughput);
@@ -383,24 +360,6 @@ impl<R: BenchReport> BenchTool<R> {
         );
         Ok(false)
     }
-}
-
-/// Prints one line per row that misses a floor; true when none does.
-fn floors_hold<R: BenchReport>(floors: &Floors<R::Row>, report: &R) -> bool {
-    let mut held = true;
-    for row in report.rows() {
-        let complaints = (floors.check)(row);
-        if !complaints.is_empty() {
-            held = false;
-            let (scenario, policy) = row.cell();
-            eprintln!(
-                "{} violated on {scenario}/{policy}: {}",
-                floors.label,
-                complaints.join(", ")
-            );
-        }
-    }
-    held
 }
 
 #[cfg(test)]
@@ -527,7 +486,6 @@ mod tests {
             "b.json",
             "--gate",
             "40",
-            "--assert",
         ];
         let expected = BenchArgs {
             functions: 300,
@@ -553,11 +511,8 @@ mod tests {
         assert_eq!(err(&TOOL, &["--seed"]), "missing value for --seed");
         assert!(err(&TOOL, &["--functions", "many"]).starts_with("invalid --functions"));
         // A tool reads only its own flags: `--iters` belongs to the
-        // binaries that read it, `--baseline` and `--assert` to tools
-        // with a gate or floors.
+        // binaries that read it.
         assert_eq!(err(&TOOL, &["--iters", "3"]), "unknown flag --iters");
-        assert_eq!(err(&PLAIN, &["--assert"]), "unknown flag --assert");
-        assert_eq!(err(&PLAIN, &["--baseline", "b"]), "unknown flag --baseline");
     }
 
     #[test]
@@ -590,29 +545,12 @@ mod tests {
         title: "test rows",
         columns: &["scenario", "policy"],
         cells: |r| vec![r.scenario.clone(), r.policy.clone()],
-        gate: Some(Gate {
+        gate: Gate {
             heading: "delta",
             label: "test gate",
             unit: "slots/sec",
             throughput: |r| r.slots_per_sec,
-        }),
-        floors: Some(Floors {
-            label: "test claim",
-            check: |r| {
-                if r.slots_per_sec < 10.0 {
-                    vec!["too slow".to_owned()]
-                } else {
-                    Vec::new()
-                }
-            },
-        }),
-    };
-
-    /// A tool with neither a gate nor floors.
-    const PLAIN: BenchTool<EngineBenchReport> = BenchTool {
-        gate: None,
-        floors: None,
-        ..TOOL
+        },
     };
 
     #[test]
@@ -651,13 +589,6 @@ mod tests {
         let plain = code(&["--out", &out, "--baseline", &baseline], rows.clone());
         assert_eq!(plain, ExitCode::SUCCESS);
         assert_eq!(gated(rows), ExitCode::FAILURE);
-        // Floors only bite under --assert.
-        assert_eq!(
-            code(&["--out", &out], vec![row("a", 1.0)]),
-            ExitCode::SUCCESS
-        );
-        let asserted = code(&["--out", &out, "--assert"], vec![row("a", 1.0)]);
-        assert_eq!(asserted, ExitCode::FAILURE);
         // An unreadable baseline is an error, not a verdict.
         let missing = dir.join("absent.json").to_string_lossy().into_owned();
         let argv = args(&["--out", &out, "--baseline", &missing]).unwrap();

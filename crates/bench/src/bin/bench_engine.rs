@@ -81,13 +81,12 @@ const TOOL: BenchTool<EngineBenchReport> = BenchTool {
             format!("{:.0}", r.slots_per_sec),
         ]
     },
-    gate: Some(Gate {
+    gate: Gate {
         heading: "delta",
         label: "perf gate",
         unit: "slots/sec",
         throughput: |r| r.slots_per_sec,
-    }),
-    floors: None,
+    },
 };
 
 /// The populations of the `--scale` sweep; `--scale-full` adds the last.

@@ -1,22 +1,23 @@
-//! Journal codec benchmark: the binary event codec against the
-//! serde-shim JSON-lines path, per (scenario, policy) cell, written to
-//! `BENCH_journal.json`.
+//! Journal codec benchmark: events encoded and decoded per second by the
+//! binary journal, per (scenario, policy) cell, written to
+//! `BENCH_journal.json` — and, against a committed baseline, a
+//! regression gate on that rate.
 //!
-//! Both codecs are round-trip verified against the engine's event
-//! stream before anything is timed, so the table compares formats that
-//! demonstrably reproduce the run. `bench_journal --help` lists the
+//! Each cell's journal is round-trip verified against the engine's event
+//! stream before anything is timed, so the rate is that of a codec that
+//! demonstrably reproduces the run. `bench_journal --help` lists the
 //! flags.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(clippy::panic, clippy::unreachable)]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
-use spes_bench::bench_cli::{self, BenchArgs, BenchTool, Floors};
+use spes_bench::bench_cli::{self, BenchArgs, BenchTool, Gate};
 use spes_bench::perf::{bench_journal, JournalBenchReport, JournalBenchRow};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 bench_journal [--functions N] [--seed S] [--iters K] [--out DIR]
-              [--quick] [--assert]
+              [--quick] [--baseline FILE] [--gate PCT]
 
   --functions  population size of each generated trace (default 800)
   --seed       workload seed, decimal or 0x hex (default 7)
@@ -24,47 +25,39 @@ bench_journal [--functions N] [--seed S] [--iters K] [--out DIR]
   --out        directory for BENCH_journal.json (default: .)
   --quick      CI mode: shrink scenarios to tiny 7-day traces of at
                most 120 functions
-  --assert     fail (exit 1) unless every cell is >=10x smaller and
-               >=5x faster (encode and decode) than the JSON path";
+  --baseline   committed BENCH_journal.json to diff against; prints the
+               per-cell events/sec delta table
+  --gate       with --baseline: fail (exit 1) when any cell encodes and
+               decodes more than PCT percent slower than the baseline
+               (or the baseline is missing/stale for a measured cell)";
 
 const SCENARIOS: [&str; 2] = ["quick", "chain-heavy"];
 const POLICIES: [&str; 2] = ["keep-forever", "fixed-keep-alive"];
 
-/// The tentpole claims `--assert` enforces.
-const MIN_SIZE_RATIO: f64 = 10.0;
-const MIN_SPEEDUP: f64 = 5.0;
-
 const TOOL: BenchTool<JournalBenchReport> = BenchTool {
     bin: "bench_journal",
     file: "BENCH_journal.json",
-    title: "journal codec vs serde-shim JSON lines",
+    title: "journal codec (events encoded and decoded per second)",
     columns: &[
-        "scenario",
-        "policy",
-        "events",
-        "binary B",
-        "json B",
-        "smaller",
-        "enc speedup",
-        "dec speedup",
+        "scenario", "policy", "events", "bytes", "encode s", "decode s", "events/s",
     ],
     cells: |r| {
         vec![
             r.scenario.clone(),
             r.policy.clone(),
             r.events.to_string(),
-            r.binary_bytes.to_string(),
-            r.json_bytes.to_string(),
-            format!("{:.1}x", r.size_ratio),
-            format!("{:.1}x", r.encode_speedup),
-            format!("{:.1}x", r.decode_speedup),
+            r.bytes.to_string(),
+            format!("{:.4}", r.encode_secs),
+            format!("{:.4}", r.decode_secs),
+            format!("{:.0}", r.events_per_sec),
         ]
     },
-    gate: None,
-    floors: Some(Floors {
-        label: "codec claim",
-        check: codec_claims,
-    }),
+    gate: Gate {
+        heading: "events/sec delta",
+        label: "journal gate",
+        unit: "events/sec",
+        throughput: |r| r.events_per_sec,
+    },
 };
 
 fn main() -> ExitCode {
@@ -92,27 +85,4 @@ fn measure(args: BenchArgs, iters: u32) -> Result<Vec<JournalBenchRow>, String> 
         )?);
     }
     Ok(rows)
-}
-
-fn codec_claims(row: &JournalBenchRow) -> Vec<String> {
-    let mut complaints = Vec::new();
-    if row.size_ratio < MIN_SIZE_RATIO {
-        complaints.push(format!(
-            "size ratio {:.1}x < {MIN_SIZE_RATIO}x",
-            row.size_ratio
-        ));
-    }
-    if row.encode_speedup < MIN_SPEEDUP {
-        complaints.push(format!(
-            "encode speedup {:.1}x < {MIN_SPEEDUP}x",
-            row.encode_speedup
-        ));
-    }
-    if row.decode_speedup < MIN_SPEEDUP {
-        complaints.push(format!(
-            "decode speedup {:.1}x < {MIN_SPEEDUP}x",
-            row.decode_speedup
-        ));
-    }
-    complaints
 }

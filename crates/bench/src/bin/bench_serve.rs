@@ -53,13 +53,12 @@ const TOOL: BenchTool<ServeBenchReport> = BenchTool {
             format!("{:.0}", r.events_per_sec),
         ]
     },
-    gate: Some(Gate {
+    gate: Gate {
         heading: "events/sec delta",
         label: "serve gate",
         unit: "events/sec",
         throughput: |r| r.events_per_sec,
-    }),
-    floors: None,
+    },
 };
 
 fn main() -> ExitCode {

@@ -1,31 +1,29 @@
-//! Engine-throughput measurement and the CI perf-regression gate.
+//! The three bench measurements and the one regression gate that judges
+//! them.
 //!
-//! The event-stream engine's hot loop is `O(invoked + transitions)` per
-//! slot; this module measures what that means in wall-clock terms on the
-//! registered workload scenarios, seeding the repository's performance
-//! trajectory. The `bench_engine` binary drives [`bench_engine`] over
-//! paper-default and chain-heavy workloads and writes the rows to
-//! `BENCH_engine.json` (see [`EngineBenchReport`]).
+//! [`bench_engine`] (and its [`bench_engine_scale`] sweep) times whole
+//! simulations, [`bench_serve`] each `step` of the serving path, and
+//! [`bench_journal`] the binary journal codec, per (scenario, policy)
+//! cell; the `bench_engine`, `bench_serve` and `bench_journal` binaries
+//! write the rows to `BENCH_engine.json`, `BENCH_serve.json` and
+//! `BENCH_journal.json`.
 //!
-//! Each (scenario, policy) cell is timed over several iterations and
-//! reports mean/min/max/stddev seconds alongside the headline mean
-//! slots/sec, so one noisy iteration is visible instead of silently
-//! polluting the number. [`gate_against_baseline`] turns a committed
-//! `BENCH_*.json` into an actual regression gate: CI re-measures,
-//! prints the per-cell delta table, and fails the job when any cell
-//! regresses beyond the (deliberately generous) tolerance. The engine
-//! gate reads slots/sec, the serving gate events/sec.
+//! [`gate_against_baseline`] judges every document the same way: CI
+//! re-measures, prints the per-cell delta table against the committed
+//! rows, and fails the job when any cell's throughput drops beyond the
+//! (deliberately generous) tolerance. The engine gate reads slots/sec,
+//! the serve and journal gates read events/sec.
 
 use crate::policies::PolicyCell;
 use crate::scenario::Experiment;
 use serde::{Deserialize, Serialize};
 use spes_baselines::FixedKeepAlive;
 use spes_sim::{
-    try_simulate, EventLog, EvictCause, JournalMeta, JournalReader, JournalWriter, LoadCause,
-    SimConfig, SimDriver, SimEvent, Simulation,
+    try_simulate, EventLog, JournalEvent, JournalMeta, JournalReader, JournalWriter, SimConfig,
+    SimDriver, SimEvent, Simulation,
 };
 use spes_stats::online::OnlineStats;
-use spes_trace::{synth, FunctionId, Slot, SynthStream};
+use spes_trace::{synth, Slot, SynthStream};
 use std::time::Instant;
 
 /// One measured (scenario, policy) cell.
@@ -389,9 +387,7 @@ fn sample_stats(samples: &[f64]) -> (f64, f64, f64, f64) {
 // Journal codec benchmark
 // ---------------------------------------------------------------------
 
-/// One measured (scenario, policy) cell of the journal codec benchmark:
-/// the binary event codec against the serde-shim JSON-lines path over
-/// the identical event stream.
+/// One measured (scenario, policy) cell of the journal codec benchmark.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalBenchRow {
     /// Scenario registry name.
@@ -402,26 +398,16 @@ pub struct JournalBenchRow {
     pub n_functions: usize,
     /// Simulated slots behind the event stream.
     pub slots: u64,
-    /// Events encoded per iteration (both formats carry the same set).
+    /// Events encoded and decoded per iteration.
     pub events: u64,
-    /// Size of the complete binary journal, header included.
-    pub binary_bytes: u64,
-    /// Size of the same stream as serde-shim JSON lines.
-    pub json_bytes: u64,
-    /// `json_bytes / binary_bytes`.
-    pub size_ratio: f64,
-    /// Mean seconds to encode the stream into the binary journal.
-    pub binary_encode_secs: f64,
-    /// Mean seconds to decode the binary journal back into events.
-    pub binary_decode_secs: f64,
-    /// Mean seconds to encode the stream as JSON lines.
-    pub json_encode_secs: f64,
-    /// Mean seconds to parse the JSON lines back into events.
-    pub json_decode_secs: f64,
-    /// `json_encode_secs / binary_encode_secs`.
-    pub encode_speedup: f64,
-    /// `json_decode_secs / binary_decode_secs`.
-    pub decode_speedup: f64,
+    /// Size of the complete journal, header included.
+    pub bytes: u64,
+    /// Mean seconds to encode the stream into the journal.
+    pub encode_secs: f64,
+    /// Mean seconds to decode the journal back into events.
+    pub decode_secs: f64,
+    /// Events per second of one encode plus one decode.
+    pub events_per_sec: f64,
 }
 
 /// The `BENCH_journal.json` document.
@@ -431,96 +417,7 @@ pub struct JournalBenchReport {
     pub rows: Vec<JournalBenchRow>,
 }
 
-/// One event as a flat JSON-lines record — the shape the repo would use
-/// if it journalled through the serde shim instead of the binary codec.
-/// All fields are present on every line; `measured` is header-derived in
-/// both formats and therefore carried by neither.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct JsonEventLine {
-    slot: Slot,
-    kind: String,
-    f: u32,
-    count: u32,
-    cause: String,
-    policy_secs: f64,
-}
-
-impl JsonEventLine {
-    fn of(slot: Slot, event: &SimEvent) -> Self {
-        let (kind, f, count, cause, policy_secs) = match *event {
-            SimEvent::ColdStart { f, count } => ("cold", f.0, count, "", 0.0),
-            SimEvent::WarmStart { f, count } => ("warm", f.0, count, "", 0.0),
-            SimEvent::Load { f, cause } => (
-                "load",
-                f.0,
-                0,
-                match cause {
-                    LoadCause::Demand => "demand",
-                    LoadCause::Policy => "policy",
-                },
-                0.0,
-            ),
-            SimEvent::Evict { f, cause } => (
-                "evict",
-                f.0,
-                0,
-                match cause {
-                    EvictCause::Policy => "policy",
-                    EvictCause::Capacity => "capacity",
-                },
-                0.0,
-            ),
-            SimEvent::LoadRejected { f } => ("reject", f.0, 0, "", 0.0),
-            SimEvent::SlotEnd { policy_secs } => ("end", 0, 0, "", policy_secs),
-        };
-        Self {
-            slot,
-            kind: kind.to_owned(),
-            f,
-            count,
-            cause: cause.to_owned(),
-            policy_secs,
-        }
-    }
-
-    fn into_event(self) -> Result<(Slot, SimEvent), String> {
-        let f = FunctionId(self.f);
-        let event = match self.kind.as_str() {
-            "cold" => SimEvent::ColdStart {
-                f,
-                count: self.count,
-            },
-            "warm" => SimEvent::WarmStart {
-                f,
-                count: self.count,
-            },
-            "load" => SimEvent::Load {
-                f,
-                cause: match self.cause.as_str() {
-                    "demand" => LoadCause::Demand,
-                    "policy" => LoadCause::Policy,
-                    other => return Err(format!("bad load cause {other:?}")),
-                },
-            },
-            "evict" => SimEvent::Evict {
-                f,
-                cause: match self.cause.as_str() {
-                    "policy" => EvictCause::Policy,
-                    "capacity" => EvictCause::Capacity,
-                    other => return Err(format!("bad evict cause {other:?}")),
-                },
-            },
-            "reject" => SimEvent::LoadRejected { f },
-            "end" => SimEvent::SlotEnd {
-                policy_secs: self.policy_secs,
-            },
-            other => return Err(format!("bad event kind {other:?}")),
-        };
-        Ok((self.slot, event))
-    }
-}
-
-fn encode_binary(events: &[(Slot, SimEvent)], meta: &JournalMeta) -> Result<Vec<u8>, String> {
+fn encode_journal(events: &[(Slot, SimEvent)], meta: &JournalMeta) -> Result<Vec<u8>, String> {
     let mut writer =
         JournalWriter::new(Vec::with_capacity(64 * 1024), meta).map_err(|e| e.to_string())?;
     for &(slot, ref event) in events {
@@ -529,33 +426,16 @@ fn encode_binary(events: &[(Slot, SimEvent)], meta: &JournalMeta) -> Result<Vec<
     writer.finish().map_err(|e| e.to_string())
 }
 
-fn encode_json(events: &[(Slot, SimEvent)]) -> Result<String, String> {
-    let mut out = String::with_capacity(events.len() * 64);
-    for &(slot, ref event) in events {
-        out.push_str(
-            &serde_json::to_string(&JsonEventLine::of(slot, event)).map_err(|e| e.to_string())?,
-        );
-        out.push('\n');
-    }
-    Ok(out)
+fn decode_journal(bytes: &[u8]) -> Result<Vec<JournalEvent>, String> {
+    JournalReader::new(bytes)
+        .and_then(JournalReader::read_all)
+        .map_err(|e| e.to_string())
 }
 
-fn decode_json(text: &str) -> Result<Vec<(Slot, SimEvent)>, String> {
-    text.lines()
-        .map(|line| {
-            serde_json::from_str::<JsonEventLine>(line)
-                .map_err(|e| format!("{e:?}"))?
-                .into_event()
-        })
-        .collect()
-}
-
-/// Measures the binary journal codec against the serde-shim JSON-lines
-/// path on the identical event stream: each (scenario, policy) cell runs
-/// the engine once to capture its events, then times `iters` iterations
-/// of encode and decode for both formats and compares sizes. Decoded
-/// streams are verified equal to the original before anything is timed,
-/// so the speedups compare codecs that demonstrably round-trip.
+/// Measures the binary journal codec: each (scenario, policy) cell runs
+/// the engine once to capture its events, verifies that the journal
+/// decodes back to them, then times `iters` iterations of encode and
+/// decode.
 ///
 /// # Errors
 /// Returns a message for unknown scenario/policy names, a zero `iters`,
@@ -595,69 +475,39 @@ pub fn bench_journal(
             extra: Vec::new(),
         };
 
-        // Round-trip verification up front: both codecs must reproduce
-        // the stream exactly before their timings mean anything.
-        let binary = encode_binary(&events, &meta)?;
-        let decoded: Vec<(Slot, SimEvent)> = JournalReader::new(binary.as_slice())
-            .and_then(JournalReader::read_all)
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(|e| (e.slot, e.event))
-            .collect();
-        if decoded != events {
-            return Err(format!("binary codec round-trip diverged for {name:?}"));
-        }
-        let json = encode_json(&events)?;
-        if decode_json(&json)? != events {
-            return Err(format!("JSON round-trip diverged for {name:?}"));
+        // Round-trip verification up front: the codec must reproduce the
+        // stream exactly before its timings mean anything.
+        let journal = encode_journal(&events, &meta)?;
+        if decode_journal(&journal)? != log.events {
+            return Err(format!("journal round-trip diverged for {name:?}"));
         }
 
-        let mut binary_encode = Vec::with_capacity(iters as usize);
-        let mut binary_decode = Vec::with_capacity(iters as usize);
-        let mut json_encode = Vec::with_capacity(iters as usize);
-        let mut json_decode = Vec::with_capacity(iters as usize);
+        let mut encode = Vec::with_capacity(iters as usize);
+        let mut decode = Vec::with_capacity(iters as usize);
         for _ in 0..iters {
             let begin = Instant::now();
-            let encoded = encode_binary(&events, &meta)?;
-            binary_encode.push(begin.elapsed().as_secs_f64());
-            assert_eq!(encoded.len(), binary.len());
+            let encoded = encode_journal(&events, &meta)?;
+            encode.push(begin.elapsed().as_secs_f64());
+            assert_eq!(encoded.len(), journal.len());
 
             let begin = Instant::now();
-            let back = JournalReader::new(encoded.as_slice())
-                .and_then(JournalReader::read_all)
-                .map_err(|e| e.to_string())?;
-            binary_decode.push(begin.elapsed().as_secs_f64());
-            assert_eq!(back.len(), events.len());
-
-            let begin = Instant::now();
-            let text = encode_json(&events)?;
-            json_encode.push(begin.elapsed().as_secs_f64());
-            assert_eq!(text.len(), json.len());
-
-            let begin = Instant::now();
-            let back = decode_json(&text)?;
-            json_decode.push(begin.elapsed().as_secs_f64());
+            let back = decode_journal(&encoded)?;
+            decode.push(begin.elapsed().as_secs_f64());
             assert_eq!(back.len(), events.len());
         }
-        let (binary_encode_secs, ..) = sample_stats(&binary_encode);
-        let (binary_decode_secs, ..) = sample_stats(&binary_decode);
-        let (json_encode_secs, ..) = sample_stats(&json_encode);
-        let (json_decode_secs, ..) = sample_stats(&json_decode);
+        let (encode_secs, ..) = sample_stats(&encode);
+        let (decode_secs, ..) = sample_stats(&decode);
         rows.push(JournalBenchRow {
             scenario: scenario.to_owned(),
             policy: name.to_owned(),
             n_functions: trace.n_functions(),
             slots: u64::from(trace.n_slots),
             events: events.len() as u64,
-            binary_bytes: binary.len() as u64,
-            json_bytes: json.len() as u64,
-            size_ratio: json.len() as f64 / (binary.len() as f64).max(f64::MIN_POSITIVE),
-            binary_encode_secs,
-            binary_decode_secs,
-            json_encode_secs,
-            json_decode_secs,
-            encode_speedup: json_encode_secs / binary_encode_secs.max(f64::MIN_POSITIVE),
-            decode_speedup: json_decode_secs / binary_decode_secs.max(f64::MIN_POSITIVE),
+            bytes: journal.len() as u64,
+            encode_secs,
+            decode_secs,
+            events_per_sec: events.len() as f64
+                / (encode_secs + decode_secs).max(f64::MIN_POSITIVE),
         });
     }
     Ok(rows)
@@ -694,7 +544,8 @@ impl std::fmt::Display for GateStatus {
 }
 
 /// One row of the gate's delta table. The throughput metric is
-/// slots/sec for the engine gate and events/sec for the serve gate.
+/// slots/sec for the engine gate and events/sec for the serve and
+/// journal gates.
 #[derive(Debug, Clone)]
 pub struct GateRow {
     /// Scenario registry name.
@@ -741,10 +592,11 @@ impl GateReport {
 
 /// Compares a fresh measurement against the committed baseline cell by
 /// cell on the throughput `throughput` reads (slots/sec for the engine,
-/// events/sec for serving). A cell regresses when its throughput drops
-/// more than `tolerance_pct` percent below the baseline; baseline rows
-/// that are missing or measured a different trace shape fail the gate
-/// too (the fix in both cases is regenerating the committed document).
+/// events/sec for serving and the journal). A cell regresses when its
+/// throughput drops more than `tolerance_pct` percent below the
+/// baseline; baseline rows that are missing or measured a different
+/// trace shape fail the gate too (the fix in both cases is regenerating
+/// the committed document).
 /// Baseline rows for cells the current run did not measure are ignored.
 #[must_use]
 pub fn gate_against_baseline<R: BenchReport>(
@@ -876,17 +728,48 @@ mod tests {
     }
 
     #[test]
-    fn journal_bench_verifies_round_trips_and_measures_both_codecs() {
+    fn journal_bench_verifies_the_round_trip_and_times_the_codec() {
         let rows = bench_journal("quick", 40, 3, &["fixed-keep-alive"], true, 1).unwrap();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
-        assert!(row.events > 0);
-        assert!(row.binary_bytes > 0 && row.json_bytes > row.binary_bytes);
-        // The size ratio is deterministic (no timing involved): the
-        // paper-facing >=10x claim must hold even in debug builds.
-        assert!(row.size_ratio >= 10.0, "{row:?}");
-        assert!(row.binary_encode_secs > 0.0 && row.json_encode_secs > 0.0);
-        assert!(row.encode_speedup > 0.0 && row.decode_speedup > 0.0);
+        assert!(row.events > 0 && row.bytes > 0, "{row:?}");
+        assert!(row.encode_secs > 0.0 && row.decode_secs > 0.0, "{row:?}");
+        let rate = row.events as f64 / (row.encode_secs + row.decode_secs);
+        assert!((row.events_per_sec - rate).abs() <= 1e-9 * rate, "{row:?}");
+    }
+
+    /// The committed journal rows' counts are a golden: each row,
+    /// recomputed at the `--quick` defaults, journals exactly as many
+    /// events into exactly as many bytes. A change that moves a count
+    /// regenerates `BENCH_journal.json` and names the cause.
+    #[test]
+    fn committed_journal_rows_reproduce_their_counts() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_journal.json");
+        let committed: JournalBenchReport =
+            crate::bench_cli::read_json(std::path::Path::new(path)).unwrap();
+        assert!(!committed.rows.is_empty());
+        let counts = |r: &JournalBenchRow| {
+            (
+                r.scenario.clone(),
+                r.policy.clone(),
+                r.n_functions,
+                r.slots,
+                r.events,
+                r.bytes,
+            )
+        };
+        for row in &committed.rows {
+            let fresh = bench_journal(
+                &row.scenario,
+                crate::bench_cli::QUICK_FUNCTIONS,
+                7,
+                &[row.policy.as_str()],
+                true,
+                1,
+            )
+            .unwrap();
+            assert_eq!(counts(&fresh[0]), counts(row));
+        }
     }
 
     #[test]
@@ -896,44 +779,6 @@ mod tests {
         assert!(bench_journal("quick", 10, 1, &["keep-forever"], true, 0).is_err());
         let err = bench_journal("quick", 10, 1, &["faascache"], true, 1).unwrap_err();
         assert!(err.contains("capacity donor"), "{err}");
-    }
-
-    #[test]
-    fn json_event_lines_round_trip_every_event_kind() {
-        let events = [
-            SimEvent::ColdStart {
-                f: FunctionId(3),
-                count: 2,
-            },
-            SimEvent::WarmStart {
-                f: FunctionId(9),
-                count: 1,
-            },
-            SimEvent::Load {
-                f: FunctionId(4),
-                cause: LoadCause::Demand,
-            },
-            SimEvent::Load {
-                f: FunctionId(5),
-                cause: LoadCause::Policy,
-            },
-            SimEvent::Evict {
-                f: FunctionId(4),
-                cause: EvictCause::Capacity,
-            },
-            SimEvent::Evict {
-                f: FunctionId(5),
-                cause: EvictCause::Policy,
-            },
-            SimEvent::LoadRejected { f: FunctionId(7) },
-            SimEvent::SlotEnd { policy_secs: 0.25 },
-        ];
-        for (i, event) in events.iter().enumerate() {
-            let line = JsonEventLine::of(i as Slot, event);
-            let text = serde_json::to_string(&line).unwrap();
-            let back: JsonEventLine = serde_json::from_str(&text).unwrap();
-            assert_eq!(back.into_event().unwrap(), (i as Slot, *event));
-        }
     }
 
     #[test]

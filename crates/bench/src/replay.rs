@@ -892,6 +892,41 @@ mod tests {
     }
 
     #[test]
+    fn spliced_journals_that_run_backwards_are_refused() {
+        // f0 is evicted at slot 10, then a spliced-on frame loads it at
+        // slot 5: an eviction audit would reload it before it left.
+        let meta = JournalMeta {
+            policy_name: "keep-forever".to_owned(),
+            n_functions: 1,
+            config: spes_sim::SimConfig::new(0, 20),
+            trace_digest: 0,
+            seed: 0,
+            extra: Vec::new(),
+        };
+        let journal = |events: &[(Slot, SimEvent)]| {
+            let mut writer = spes_sim::JournalWriter::new(Vec::new(), &meta).unwrap();
+            for (slot, event) in events {
+                writer.append(*slot, event).unwrap();
+            }
+            writer.finish().unwrap()
+        };
+        let (f, end) = (FunctionId(0), SimEvent::SlotEnd { policy_secs: 0.0 });
+        let load = SimEvent::Load {
+            f,
+            cause: LoadCause::Policy,
+        };
+        let evict = SimEvent::Evict {
+            f,
+            cause: EvictCause::Policy,
+        };
+        let header = journal(&[]).len();
+        let mut spliced = journal(&[(0, load), (0, end), (10, evict), (10, end)]);
+        spliced.extend_from_slice(&journal(&[(5, load), (5, end)])[header..]);
+        let err = summarize(&spliced).unwrap_err();
+        assert!(err.contains("starts at slot 5, before slot 10"), "{err}");
+    }
+
+    #[test]
     fn slot_listing_matches_the_slot() {
         let recording = quick_recording(None);
         let summary = summarize(&recording.journal).unwrap();

@@ -183,6 +183,12 @@ pub enum SimError {
         /// Number of functions the driver was built over.
         n_functions: usize,
     },
+    /// [`SimDriver::step`] was handed a batch that names one function
+    /// twice; the batch is rejected before anything in it is served.
+    RepeatedFunction {
+        /// The function named twice.
+        f: FunctionId,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -221,6 +227,13 @@ impl std::fmt::Display for SimError {
                 "unknown function {} in a run over {n_functions} functions",
                 function.0
             ),
+            Self::RepeatedFunction { f: function } => {
+                write!(
+                    f,
+                    "function {} appears twice in one step's batch",
+                    function.0
+                )
+            }
         }
     }
 }
@@ -630,6 +643,12 @@ pub struct SimDriver<'p> {
     sinks: Sinks,
     pool: MemoryPool,
     ops: Vec<PoolOp>,
+    /// Per function, the unordered batch that last named it, so a step
+    /// finds a function its batch names twice without allocating.
+    /// Scratch: not in the snapshot.
+    seen: Vec<u64>,
+    /// Unordered batches checked so far, the stamp `seen` holds.
+    checked_steps: u64,
     /// Whether `step` must clear the ledger before recording (false only
     /// while it still holds the pre-start flush, folded into step one).
     clear_scratch: bool,
@@ -698,6 +717,8 @@ impl<'p> SimDriver<'p> {
             ),
             pool,
             ops: Vec::new(),
+            seen: vec![0; n_functions],
+            checked_steps: 0,
             clear_scratch: false,
             next_slot: start,
             finished: false,
@@ -763,8 +784,10 @@ impl<'p> SimDriver<'p> {
     /// [`SimError::StepOutOfOrder`] when `slot` is not the next expected
     /// slot; [`SimError::StepAfterEnd`] at or past the window end or
     /// after the driver was closed; [`SimError::UnknownFunction`] when
-    /// `invoked` names a function outside the driver's universe. A
-    /// rejected step emits nothing and changes no state.
+    /// `invoked` names a function outside the driver's universe;
+    /// [`SimError::RepeatedFunction`] when it names one function twice.
+    /// A rejected step emits nothing and changes no run state, so a
+    /// corrected batch for the same slot can follow.
     pub fn step(
         &mut self,
         slot: Slot,
@@ -789,8 +812,27 @@ impl<'p> SimDriver<'p> {
             });
         }
         let n_functions = self.pool.n_functions();
-        if let Some(&(f, _)) = invoked.iter().find(|(f, _)| f.index() >= n_functions) {
-            return Err(SimError::UnknownFunction { f, n_functions });
+        let (mut ascending, mut floor) = (true, 0);
+        for &(f, _) in invoked {
+            if f.index() >= n_functions {
+                return Err(SimError::UnknownFunction { f, n_functions });
+            }
+            ascending &= f.index() >= floor;
+            floor = f.index() + 1;
+        }
+        // A strictly ascending batch, as `Trace::slot_batches` and
+        // `SynthStream` hand out, names no function twice. Stamping every
+        // entry of those too cost perfbench's 100k-function `scale-stream`
+        // about 11% of its run time on a 2-vCPU VM.
+        if !ascending {
+            self.checked_steps += 1;
+            for &(f, _) in invoked {
+                let seen = &mut self.seen[f.index()];
+                if *seen == self.checked_steps {
+                    return Err(SimError::RepeatedFunction { f });
+                }
+                *seen = self.checked_steps;
+            }
         }
         self.sinks.start_batch(&mut self.pool, self.clear_scratch);
         self.clear_scratch = true;
@@ -1079,6 +1121,8 @@ impl<'p> SimDriver<'p> {
             sinks: Sinks::new(observers, collector, payload.scratch),
             pool,
             ops: Vec::new(),
+            seen: vec![0; payload.n_functions],
+            checked_steps: 0,
             clear_scratch: payload.clear_scratch,
             next_slot: payload.next_slot,
             finished: payload.finished,
@@ -1762,6 +1806,41 @@ mod tests {
         let outcome = driver.step(0, &[(FunctionId(1), 2)]).unwrap();
         assert_eq!((outcome.cold_starts, outcome.invocations), (1, 2));
         assert_eq!(driver.finish().total_cold_starts(), 1);
+    }
+
+    #[test]
+    fn driver_refuses_a_batch_that_names_a_function_twice() {
+        // The last good batch is unordered, so its retry is stamped too.
+        let good: [&[(FunctionId, u32)]; 3] = [
+            &[(FunctionId(0), 1)],
+            &[(FunctionId(1), 2)],
+            &[(FunctionId(1), 1), (FunctionId(0), 1)],
+        ];
+        let run = |bad: Option<(Slot, &[(FunctionId, u32)])>| {
+            let mut policy = KeepForever;
+            let config = SimConfig::new(0, 3).with_metrics_start(1);
+            let mut driver = SimDriver::new(2, config, &mut policy, Vec::new()).unwrap();
+            for (slot, batch) in (0..).zip(good) {
+                if let Some((at, bad)) = bad.filter(|&(at, _)| at == slot) {
+                    let err = driver.step(at, bad).unwrap_err();
+                    assert_eq!(err, SimError::RepeatedFunction { f: FunctionId(0) });
+                    assert!(err.to_string().contains("function 0 appears twice"));
+                    assert_eq!(driver.next_slot(), slot);
+                }
+                driver.step(slot, batch).unwrap();
+            }
+            let mut result = driver.finish();
+            result.overhead_secs = 0.0;
+            result
+        };
+        let straight = run(None);
+        let repeated: [&[(FunctionId, u32)]; 2] = [
+            &[(FunctionId(0), 1), (FunctionId(0), 1)],
+            &[(FunctionId(0), 1), (FunctionId(1), 1), (FunctionId(0), 1)],
+        ];
+        for (slot, bad) in (0..3).flat_map(|slot| repeated.map(|bad| (slot, bad))) {
+            assert_eq!(run(Some((slot, bad))), straight, "{bad:?} at {slot}");
+        }
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! (see [`crate::events`]); this module makes that durable. A journal is
 //! a compact binary file: a header frame carrying the run's metadata
 //! ([`JournalMeta`] — policy, window, trace digest, seed), followed by
-//! CRC-framed batches of varint-delta-encoded events. The JSON shim
-//! round-trips the same stream but is the wrong tool at 10^9 events; the
-//! binary codec is an order of magnitude smaller and several times
-//! faster (`bench_journal` tracks the exact ratios in
-//! `BENCH_journal.json`).
+//! CRC-framed batches of varint-delta-encoded events, a few bytes per
+//! event. `bench_journal` times the codec and gates its events/sec
+//! against the committed `BENCH_journal.json`.
 //!
 //! ## Wire format
 //!
@@ -21,11 +19,13 @@
 //! Event frames are self-contained: the slot/function delta chains reset
 //! at each frame boundary, so a journal can be appended to, truncated at
 //! any frame, or scanned after a torn write without re-reading the whole
-//! file. Within a frame each event is one tag byte — the event kind in
-//! the low 3 bits, the slot delta in the high 5 (31 escapes to a varint)
-//! — followed by a zigzag varint function-id delta and any per-kind
-//! payload ([`SimEvent::SlotEnd`] carries its wall-clock `policy_secs`
-//! as raw little-endian `f64` bits; everything else is varints).
+//! file. Slots never run backwards, across frames too: the writer refuses
+//! such an event and the reader such a frame. Within a frame each event
+//! is one tag byte — the event kind in the low 3 bits, the slot delta in
+//! the high 5 (31 escapes to a varint) — followed by a zigzag varint
+//! function-id delta and any per-kind payload ([`SimEvent::SlotEnd`]
+//! carries its wall-clock `policy_secs` as raw little-endian `f64` bits;
+//! everything else is varints).
 //!
 //! Writing is an [`Observer`]: attach a [`JournalObserver`] to any run
 //! and the stream is persisted as it happens. Reading is an iterator or
@@ -75,6 +75,14 @@ pub enum JournalError {
     },
     /// The byte stream is structurally malformed.
     Corrupt(String),
+    /// [`JournalWriter::append`] was handed an event before the slot of
+    /// the event appended last.
+    SlotOrder {
+        /// The refused event's slot.
+        slot: Slot,
+        /// The slot of the event appended last.
+        after: Slot,
+    },
 }
 
 impl std::fmt::Display for JournalError {
@@ -90,6 +98,10 @@ impl std::fmt::Display for JournalError {
             }
             Self::Checksum { frame } => write!(f, "checksum mismatch in frame {frame}"),
             Self::Corrupt(message) => write!(f, "corrupt journal: {message}"),
+            Self::SlotOrder { slot, after } => write!(
+                f,
+                "journal slots must be non-decreasing: slot {slot} after slot {after}"
+            ),
         }
     }
 }
@@ -285,15 +297,18 @@ pub(crate) fn decode_event(
 /// Streams an event sequence into the binary journal format.
 ///
 /// Events must be appended in non-decreasing slot order (the engine's
-/// emission order always is). Frames are flushed automatically as they
-/// fill; call [`JournalWriter::finish`] to flush the tail frame and
-/// recover the underlying writer.
+/// emission order always is), across frame boundaries too. Frames are
+/// flushed automatically as they fill; call [`JournalWriter::finish`] to
+/// flush the tail frame and recover the underlying writer.
 pub struct JournalWriter<W: Write> {
     inner: W,
     buf: Vec<u8>,
     frame_events: u64,
     prev_slot: Slot,
     prev_f: u32,
+    /// The slot of the event appended last; unlike `prev_slot`, it
+    /// survives frame flushes.
+    last_slot: Slot,
     events: u64,
 }
 
@@ -313,6 +328,7 @@ impl<W: Write> JournalWriter<W> {
             frame_events: 0,
             prev_slot: 0,
             prev_f: 0,
+            last_slot: 0,
             events: 0,
         })
     }
@@ -326,20 +342,19 @@ impl<W: Write> JournalWriter<W> {
     /// Appends one event at `slot`.
     ///
     /// # Errors
-    /// Returns [`JournalError::Io`] when a filled frame cannot be
-    /// flushed to the underlying writer.
-    ///
-    /// # Panics
-    /// Panics if `slot` precedes the previous appended event's slot
-    /// (journals are strictly forward in time).
+    /// Returns [`JournalError::SlotOrder`], writing nothing, when `slot`
+    /// precedes the slot of the event appended last (journals run
+    /// forward in time); [`JournalError::Io`] when a filled frame cannot
+    /// be flushed to the underlying writer.
     pub fn append(&mut self, slot: Slot, event: &SimEvent) -> Result<(), JournalError> {
-        if self.frame_events > 0 {
-            assert!(
-                slot >= self.prev_slot,
-                "journal slots must be non-decreasing: {slot} after {}",
-                self.prev_slot
-            );
-        } else {
+        if slot < self.last_slot {
+            return Err(JournalError::SlotOrder {
+                slot,
+                after: self.last_slot,
+            });
+        }
+        self.last_slot = slot;
+        if self.frame_events == 0 {
             // Frames are self-contained: the delta chain restarts.
             self.prev_slot = 0;
             self.prev_f = 0;
@@ -432,6 +447,8 @@ pub struct JournalReader<R: Read> {
     remaining_in_frame: u64,
     prev_slot: Slot,
     prev_f: u32,
+    /// The slot of the event read last, across frames.
+    last_slot: Slot,
     frames_read: u64,
 }
 
@@ -472,6 +489,7 @@ impl<R: Read> JournalReader<R> {
             remaining_in_frame: 0,
             prev_slot: 0,
             prev_f: 0,
+            last_slot: 0,
             frames_read: 1,
         })
     }
@@ -486,7 +504,8 @@ impl<R: Read> JournalReader<R> {
     ///
     /// # Errors
     /// Returns a [`JournalError`] on I/O failure, a checksum mismatch,
-    /// or a malformed frame.
+    /// or a malformed frame: [`JournalError::Corrupt`] also for a frame
+    /// that starts before the previous frame's last slot.
     pub fn next_event(&mut self) -> Result<Option<JournalEvent>, JournalError> {
         while self.remaining_in_frame == 0 {
             let Some((kind, payload)) = read_frame(&mut self.inner, self.frames_read)? else {
@@ -511,6 +530,15 @@ impl<R: Read> JournalReader<R> {
         let mut cur = Cursor::new(&self.frame[self.pos..]);
         let (slot, event) = decode_event(&mut cur, &mut self.prev_slot, &mut self.prev_f)
             .map_err(JournalError::Corrupt)?;
+        // Deltas are unsigned, so only a frame's first event can go back.
+        if slot < self.last_slot {
+            return Err(JournalError::Corrupt(format!(
+                "frame {} starts at slot {slot}, before slot {} of the frame before it",
+                self.frames_read - 1,
+                self.last_slot
+            )));
+        }
+        self.last_slot = slot;
         self.pos += cur.position();
         self.remaining_in_frame -= 1;
         if self.remaining_in_frame == 0 && self.pos != self.frame.len() {
@@ -958,14 +986,73 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn out_of_order_appends_panic() {
+    fn backwards_appends_are_refused_and_write_nothing() {
+        // The first SlotEnd at slot 50 takes 10 bytes (escaped delta plus
+        // the f64), each later one 9: the 7,282nd reaches 64 KiB and
+        // flushes the frame, which restarts the delta chain but not the
+        // slot order.
+        let end = SimEvent::SlotEnd { policy_secs: 0.0 };
         let mut writer =
-            JournalWriter::new(Vec::new(), &meta_of(SimConfig::new(0, 10), 2)).unwrap();
-        writer
-            .append(5, &SimEvent::SlotEnd { policy_secs: 0.0 })
+            JournalWriter::new(Vec::new(), &meta_of(SimConfig::new(0, 100), 2)).unwrap();
+        for _ in 0..7_282 {
+            writer.append(50, &end).unwrap();
+        }
+        assert_eq!(writer.frame_events, 0, "the frame was flushed");
+        let err = writer.append(3, &end).unwrap_err();
+        assert!(
+            matches!(err, JournalError::SlotOrder { slot: 3, after: 50 }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("slot 3 after slot 50"), "{err}");
+        // Inside a frame too.
+        writer.append(50, &end).unwrap();
+        let err = writer.append(4, &end).unwrap_err();
+        assert!(
+            matches!(err, JournalError::SlotOrder { slot: 4, after: 50 }),
+            "{err}"
+        );
+        assert_eq!(writer.events_written(), 7_283);
+        let bytes = writer.finish().unwrap();
+        let events = JournalReader::new(bytes.as_slice())
+            .unwrap()
+            .read_all()
             .unwrap();
-        let _ = writer.append(4, &SimEvent::SlotEnd { policy_secs: 0.0 });
+        assert_eq!(events.len(), 7_283);
+        assert!(events.iter().all(|e| e.slot == 50));
+    }
+
+    /// A whole journal of `events` under `meta`.
+    fn journal_of(meta: &JournalMeta, events: &[(Slot, SimEvent)]) -> Vec<u8> {
+        let mut writer = JournalWriter::new(Vec::new(), meta).unwrap();
+        for (slot, event) in events {
+            writer.append(*slot, event).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    #[test]
+    fn a_frame_that_starts_before_its_predecessor_ends_is_corrupt() {
+        let meta = meta_of(SimConfig::new(0, 20), 2);
+        let end = SimEvent::SlotEnd { policy_secs: 0.0 };
+        let header = journal_of(&meta, &[]).len();
+        // Three journals spliced into one: a second frame at the same
+        // slot is fine, one that goes back is not.
+        let mut spliced = journal_of(&meta, &[(0, load(0)), (10, end)]);
+        spliced.extend_from_slice(&journal_of(&meta, &[(10, end)])[header..]);
+        spliced.extend_from_slice(&journal_of(&meta, &[(5, end)])[header..]);
+        let mut reader = JournalReader::new(spliced.as_slice()).unwrap();
+        for _ in 0..3 {
+            reader.next_event().unwrap().unwrap();
+        }
+        match reader.next_event() {
+            Err(JournalError::Corrupt(m)) => {
+                assert!(
+                    m.contains("frame 3 starts at slot 5, before slot 10"),
+                    "{m}"
+                );
+            }
+            other => panic!("expected a corrupt journal, got {other:?}"),
+        }
     }
 
     /// The observer path: journalling a real run captures exactly the
@@ -1023,11 +1110,7 @@ mod tests {
         n_functions: usize,
         events: &[(Slot, SimEvent)],
     ) -> Result<ObserverSet, JournalError> {
-        let mut writer = JournalWriter::new(Vec::new(), &meta_of(config, n_functions)).unwrap();
-        for (slot, event) in events {
-            writer.append(*slot, event).unwrap();
-        }
-        let bytes = writer.finish().unwrap();
+        let bytes = journal_of(&meta_of(config, n_functions), events);
         let reader = JournalReader::new(bytes.as_slice()).unwrap();
         let observers: Vec<Box<dyn DynObserver>> =
             vec![Box::new(EventLog::new()), Box::new(RunCollector::new())];
